@@ -3,14 +3,17 @@
 Every run prints a JSON report to stdout and a one-line human summary to
 stderr.  Exit codes: 0 the queried property holds (or the computation
 succeeded), 1 it fails or no witness was found, 2 malformed input, 3 budget
-exceeded.  The global --tol/--rank-tol/--seed/--budget flags are recorded in
-the report metadata.
+exceeded, 4 internal error (a failure of qcolor itself, never an answer).
+The global --tol/--rank-tol/--seed/--budget flags are recorded in the report
+metadata.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -22,6 +25,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 INPUT_ERRORS = (io.FormatError, ks.KSError, reps.RepsError, game.GameError,
                 coloring.ColoringError, GraphError, OSError)
@@ -467,11 +471,12 @@ def main(argv=None) -> int:
     try:
         report, code, summary = HANDLERS[args.command](args, opts)
     except INPUT_ERRORS as err:
-        report = {"command": name, "metadata": _metadata(opts),
-                  "error": str(err)}
-        print(json.dumps(report, indent=1))
-        print(f"qcolor {name}: error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        report, code, summary = {"error": str(err)}, EXIT_INPUT, f"error: {err}"
+    except Exception as err:  # a crash must never read as "no" (exit 1)
+        frame = traceback.extract_tb(err.__traceback__)[-1]
+        msg = (f"internal error: {type(err).__name__}: {err} (at "
+               f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
+        report, code, summary = {"error": msg}, EXIT_INTERNAL, f"error: {msg}"
     full = {"command": name, "metadata": _metadata(opts), **report}
     print(json.dumps(full, indent=1))
     print(f"qcolor {name}: {summary} [exit {code}]", file=sys.stderr)

@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, maximally_entangled
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, maximally_entangled,
+                     pair_values)
 from .reps import QuantumColoring
 
 
@@ -208,33 +209,13 @@ def best_classical_win_probability(g: Graph, colors: int,
 
 
 def _products(s: POVMStrategy):
-    """X[v,a] = E_va @ Psi and Z[w,b] = conj(Psi) @ F_wb; then
-    <psi| E_va (x) F_wb |psi> = sum(X[v,a] * Z[w,b])."""
+    """X[v,a] = E_va @ Psi and Z[w,b] = conj(Psi) @ F_wb, each flattened to
+    length dA*dB; then <psi| E_va (x) F_wb |psi> = sum(X[v,a] * Z[w,b])."""
     psi = s.state_matrix()
     x = np.einsum("vaij,jk->vaik", s.alice, psi)
     z = np.einsum("jk,vbkl->vbjl", psi.conj(), s.bob)
-    return x, z
-
-
-def _pair_color_values(x: np.ndarray, z: np.ndarray, vs: np.ndarray,
-                       ws: np.ndarray, edge_chunk: int) -> np.ndarray:
-    """Per-pair equal-color values: out[e, a] = <psi|E_{vs[e],a} (x)
-    F_{ws[e],a}|psi>.  Dense pair sets go through one BLAS product per color;
-    sparse ones through chunked gathers."""
-    n, c = x.shape[0], x.shape[1]
-    dd = x.shape[2] * x.shape[3]
-    x2 = x.reshape(n, c, dd)
-    z2 = z.reshape(n, c, dd)
-    out = np.empty((len(vs), c))
-    if n * n <= 4 * len(vs):
-        for a in range(c):
-            t = x2[:, a] @ z2[:, a].T
-            out[:, a] = t[vs, ws].real
-    else:
-        for lo in range(0, len(vs), edge_chunk):
-            sl = slice(lo, lo + edge_chunk)
-            out[sl] = np.einsum("eak,eak->ea", x2[vs[sl]], z2[ws[sl]]).real
-    return out
+    n, c = x.shape[:2]
+    return x.reshape(n, c, -1), z.reshape(n, c, -1)
 
 
 def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
@@ -251,8 +232,7 @@ def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
 
 
 def quantum_win_probability(g: Graph, s: POVMStrategy,
-                            q: QuestionDistribution | None = None,
-                            edge_chunk: int = 50_000) -> float:
+                            q: QuestionDistribution | None = None) -> float:
     """Exact (up to float arithmetic) winning probability: diagonal questions
     win on equal outcomes, edge questions on differing outcomes."""
     if s.n_vertices != g.n:
@@ -261,23 +241,15 @@ def quantum_win_probability(g: Graph, s: POVMStrategy,
         q = uniform_questions(g)
     q.validate_support(g)
     x, z = _products(s)
-    sum_x = x.sum(axis=1)  # (n, dA, dB): (sum_a E_va) @ Psi
-    sum_z = z.sum(axis=1)
+    # extra last color: (sum_a E_va) (x) (sum_b F_wb), the pair's total mass
+    x = np.concatenate([x, x.sum(axis=1, keepdims=True)], axis=1)
+    z = np.concatenate([z, z.sum(axis=1, keepdims=True)], axis=1)
     pairs = np.array(q.pairs)
     weights = np.array([float(w) for w in q.weights])
-    diag = pairs[:, 0] == pairs[:, 1]
-    total = 0.0
-    if np.any(diag):
-        vals = _pair_color_values(x, z, pairs[diag, 0], pairs[diag, 1],
-                                  edge_chunk)
-        total += float(weights[diag] @ vals.sum(axis=1))
-    if np.any(~diag):
-        vs, ws = pairs[~diag, 0], pairs[~diag, 1]
-        agree = _pair_color_values(x, z, vs, ws, edge_chunk).sum(axis=1)
-        full = _pair_color_values(sum_x[:, None], sum_z[:, None], vs, ws,
-                                  edge_chunk)[:, 0]
-        total += float(weights[~diag] @ (full - agree))
-    return total
+    vals = pair_values(x, z, pairs[:, 0], pairs[:, 1]).real
+    agree = vals[:, :-1].sum(axis=1)
+    win = np.where(pairs[:, 0] == pairs[:, 1], agree, vals[:, -1] - agree)
+    return float(weights @ win)
 
 
 @dataclass(frozen=True)
@@ -297,16 +269,16 @@ class ConsistencyReport:
 
 
 def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
-                      edge_chunk: int = 50_000,
                       max_violations: int = 1000) -> ConsistencyReport:
     """Winning-strategy conditions: on every vertex the off-diagonal outcome
     mass vanishes; across every edge the equal-color mass vanishes.  Lists
-    each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol."""
+    each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol:
+    vertex violations first, then edges as (u, v), then edges as (v, u)."""
     if s.n_vertices != g.n:
         raise GameError("strategy does not cover the vertex set")
     x, z = _products(s)
     violations: list[Violation] = []
-    per_vertex = np.einsum("vaij,vbij->vab", x, z).real
+    per_vertex = np.einsum("vak,vbk->vab", x, z).real
     c = s.colors
     off = ~np.eye(c, dtype=bool)
     bad = np.abs(per_vertex) > tol
@@ -317,17 +289,15 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
         violations.append(Violation("vertex", int(v), int(v), int(a), int(b),
                                     float(per_vertex[v, a, b])))
     e = g.edge_array
-    if e.shape[0]:
-        for (vs, ws) in ((e[:, 0], e[:, 1]), (e[:, 1], e[:, 0])):
+    if e.shape[0] and len(violations) < max_violations:
+        vs = np.concatenate([e[:, 0], e[:, 1]])
+        ws = np.concatenate([e[:, 1], e[:, 0]])
+        vals = pair_values(x, z, vs, ws).real
+        for ei, a in zip(*np.nonzero(np.abs(vals) > tol)):
             if len(violations) >= max_violations:
                 break
-            vals = _pair_color_values(x, z, vs, ws, edge_chunk)
-            bad_e = np.abs(vals) > tol
-            for ei, a in zip(*np.nonzero(bad_e)):
-                if len(violations) >= max_violations:
-                    break
-                violations.append(Violation("edge", int(vs[ei]), int(ws[ei]),
-                                            int(a), int(a), float(vals[ei, a])))
+            violations.append(Violation("edge", int(vs[ei]), int(ws[ei]),
+                                        int(a), int(a), float(vals[ei, a])))
     return ConsistencyReport(ok=not violations, violations=tuple(violations))
 
 
@@ -534,11 +504,9 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
                 and d == rank * c)
     conj_ok = float(np.max(np.abs(s.bob - s.alice.conj()))) <= tol
     e = g.edge_array
-    if e.shape[0]:
-        hs = np.einsum("eaij,eaij->ea", ops[e[:, 0]].conj(), ops[e[:, 1]])
-        edge_ok = float(np.max(np.abs(hs))) <= c * tol
-    else:
-        edge_ok = True
+    flat = ops.reshape(ops.shape[0], c, -1)
+    hs = pair_values(flat.conj(), flat, e[:, 0], e[:, 1])
+    edge_ok = float(np.max(np.abs(hs), initial=0.0)) <= c * tol
     return {"projective_equal_rank": projective,
             "maximally_entangled_rc": state_ok,
             "bob_is_conjugate": conj_ok,
@@ -572,12 +540,13 @@ def simulate_game(g: Graph, strategy, q: QuestionDistribution | None = None,
     if not isinstance(strategy, POVMStrategy):
         raise GameError(f"unsupported strategy type {type(strategy).__name__}")
     validate_strategy(strategy)
+    x, z = _products(strategy)
     cache: dict[tuple[int, int], np.ndarray] = {}
     c = strategy.colors
     for k in picks:
         v, w = q.pairs[k]
         if (v, w) not in cache:
-            p = quantum_outcome_distribution(strategy, v, w)
+            p = (x[v] @ z[w].T).real  # quantum_outcome_distribution(v, w)
             p = np.clip(p, 0.0, None).ravel()
             cache[(v, w)] = p / p.sum()
         outcome = int(rng.choice(c * c, p=cache[(v, w)]))

@@ -17,6 +17,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-7
+# rows of x per GEMM in pair_values: bounds the (block, columns) scratch
+# product while keeping each product large enough for BLAS
+PAIR_BLOCK = 512
 
 
 class LinalgError(ValueError):
@@ -39,6 +42,33 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise LinalgError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
+
+
+def pair_values(x: np.ndarray, z: np.ndarray, vs: np.ndarray,
+                ws: np.ndarray) -> np.ndarray:
+    """Per-pair, per-color bilinear values of two (n, c, k) arrays:
+    out[e, a] = sum_k x[vs[e], a, k] * z[ws[e], a, k], shape (len(vs), c).
+
+    Pairs are grouped by PAIR_BLOCK-row blocks of x; each block and color
+    costs one GEMM against only the columns of z its pairs touch, so dense
+    pair sets run at BLAS speed and sparse ones stay linear in n.  Results
+    land at their original pair index, whatever order the pairs come in."""
+    vs = np.asarray(vs, dtype=np.int64)
+    ws = np.asarray(ws, dtype=np.int64)
+    n, c = x.shape[0], x.shape[1]
+    out = np.empty((vs.shape[0], c), dtype=np.result_type(x, z))
+    order = np.argsort(vs, kind="stable")
+    bounds = np.searchsorted(vs[order], np.arange(0, n + PAIR_BLOCK, PAIR_BLOCK))
+    for b, lo in enumerate(range(0, n, PAIR_BLOCK)):
+        sel = order[bounds[b]:bounds[b + 1]]
+        if sel.size == 0:
+            continue
+        rows = vs[sel] - lo
+        cols, col_of = np.unique(ws[sel], return_inverse=True)
+        for a in range(c):
+            t = x[lo:lo + PAIR_BLOCK, a] @ z[cols, a].T
+            out[sel, a] = t[rows, col_of]
+    return out
 
 
 def is_orthonormal_basis(vecs, tol: float = DEFAULT_TOL) -> bool:

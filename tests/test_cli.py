@@ -104,6 +104,20 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "error" in report and "error" in err
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("boom"),
+                                 RecursionError("maximum recursion depth")])
+def test_internal_error_exit_code(capsys, monkeypatch, c5_file, exc):
+    def crash(args, opts):
+        raise exc
+
+    monkeypatch.setitem(cli.HANDLERS, "chi", crash)
+    code, report, err = run(capsys, "chi", c5_file)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert report["command"] == "chi"
+    assert type(exc).__name__ in report["error"]
+    assert "internal error" in err
+
+
 def test_malformed_dimacs_exit_code(capsys, tmp_path):
     p = tmp_path / "bad.col"
     p.write_text("p edge 2 1\ne 1 7\n")

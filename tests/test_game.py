@@ -217,6 +217,24 @@ def test_consistency_vertex_violation():
     assert all(v.kind == "vertex" for v in rep.violations)
 
 
+def test_consistency_orders_and_caps_violations():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    vecs = np.zeros((3, 2, 2), dtype=complex)
+    for v, k in enumerate((0, 1, 1)):  # shifted bases; edge (1, 2) collides
+        for a in range(2):
+            vecs[v, a, (a + k) % 2] = 1.0
+    s = game.strategy_from_quantum_coloring(
+        reps.QuantumColoring(colors=2, rank=1, vectors=vecs))
+    rep = game.check_consistency(s, g)
+    assert [(v.kind, v.v, v.w, v.alpha, v.beta) for v in rep.violations] == [
+        ("edge", 1, 2, 0, 0), ("edge", 1, 2, 1, 1),
+        ("edge", 2, 1, 0, 0), ("edge", 2, 1, 1, 1)]
+    assert all(v.value == pytest.approx(0.5) for v in rep.violations)
+    for cap in (1, 3):
+        capped = game.check_consistency(s, g, max_violations=cap)
+        assert capped.violations == rep.violations[:cap]
+
+
 # -- normal form ------------------------------------------------------------------
 
 
@@ -352,6 +370,34 @@ def test_simulate_reproducible(c5):
     a = game.simulate_game(c5, s, rounds=500, seed=4)
     b = game.simulate_game(c5, s, rounds=500, seed=4)
     assert a == b == 1.0
+
+
+def test_simulate_validates_once(monkeypatch):
+    """One validation per run, and the same random stream as drawing each
+    pair's outcome from quantum_outcome_distribution."""
+    g = hadamard_graph(4)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
+    state = np.zeros(s.dim_a * s.dim_b, dtype=complex)
+    state[0] = 1.0  # a product state: the strategy is no longer perfect
+    s = game.POVMStrategy(s.colors, s.dim_a, s.dim_b, state, s.alice, s.bob)
+    q = game.uniform_questions(g)
+    rng = np.random.default_rng(3)
+    weights = np.array([float(w) for w in q.weights])
+    picks = rng.choice(len(q.pairs), size=400, p=weights / weights.sum())
+    wins = 0
+    for k in picks:
+        v, w = q.pairs[k]
+        p = np.clip(game.quantum_outcome_distribution(s, v, w), 0.0, None)
+        a, b = divmod(int(rng.choice(p.size, p=p.ravel() / p.sum())), s.colors)
+        wins += (a == b) if v == w else (a != b)
+
+    calls = []
+    validate = game.validate_strategy
+    monkeypatch.setattr(game, "validate_strategy",
+                        lambda *a, **kw: calls.append(1) or validate(*a, **kw))
+    rates = [game.simulate_game(g, s, rounds=400, seed=3) for _ in range(2)]
+    assert len(calls) == 2
+    assert rates[0] == rates[1] == wins / 400 < 1.0
 
 
 def test_simulate_classical_tracks_exact(c5):

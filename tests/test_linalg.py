@@ -117,3 +117,23 @@ def test_hs_inner_matches_trace():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert linalg.hs_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b))
+
+
+@pytest.mark.parametrize("n, c, k, m", [
+    (2 * linalg.PAIR_BLOCK + 37, 3, 5, 3000),  # three row blocks
+    (7, 1, 4, 30),                             # a single color
+    (5, 4, 2, 0),                              # no pairs at all
+])
+def test_pair_values_matches_einsum(n, c, k, m):
+    rng = np.random.default_rng(n + m)
+    x = rng.normal(size=(n, c, k)) + 1j * rng.normal(size=(n, c, k))
+    z = rng.normal(size=(n, c, k)) + 1j * rng.normal(size=(n, c, k))
+    vs = rng.integers(0, n, size=m)
+    ws = rng.integers(0, n, size=m)
+    # unsorted pairs, then a repeated half, then every pair reversed
+    vs, ws = (np.concatenate([vs, vs[:m // 2], ws]),
+              np.concatenate([ws, ws[:m // 2], vs]))
+    got = linalg.pair_values(x, z, vs, ws)
+    assert got.shape == (len(vs), c)
+    want = np.einsum("eak,eak->ea", x[vs], z[ws])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)

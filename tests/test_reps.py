@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,21 @@ def test_search_edgeless():
     g = make_graph(3, [])
     res = reps.search_orthogonal_representation(g, 1, reps.SearchParams())
     assert res.found
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("g", [cycle(5), complete_graph(3), complete_graph(4),
+                               make_graph(3, [(0, 1), (1, 2)])],
+                         ids=["C5", "K3", "K4", "P3"])
+def test_search_dimension_one_fails_cleanly(g, real):
+    """In C^1 a gradient step can land a vector exactly on zero; the restart
+    must end as not found instead of normalizing zero into NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = reps.search_orthogonal_representation(
+            g, 1, reps.SearchParams(real=real))
+    assert res.found is False
+    assert np.isfinite(res.best_penalty)
 
 
 def test_representation_from_coloring_verifies():
