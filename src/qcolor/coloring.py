@@ -1,16 +1,26 @@
 """Exact classical graph parameters: c-colorability, chromatic number, clique
 number, plus certificate verification.
 
-The decision solver is DSATUR-style branch and bound: a greedy clique is
-pre-colored for symmetry breaking, the next vertex is always one of maximum
-saturation (ties broken toward the lowest id for deterministic runs), and at
-most one fresh color may be introduced per branch.  "no" answers are
-exhaustive.  Budgets count node expansions, not wall time, so runs are
+The decision solver is DSATUR-style branch and bound (Brelaz 1979): a
+greedy clique is pre-colored for symmetry breaking, the next vertex is always
+one of maximum saturation (ties broken toward the lowest id for deterministic
+runs), and at most one fresh color may be introduced per branch.  "no" answers
+are exhaustive.  Budgets count node expansions, not wall time, so runs are
 reproducible.
+
+Both exact searches work on int bitsets (one adjacency mask per vertex) and
+keep their branch state in an explicit stack of frames, not in recursion, so
+their depth is bounded by memory rather than the interpreter.  DSATUR keeps,
+per color, the uncolored vertices with a neighbour of that color, and per
+saturation level the uncolored vertices at that level; coloring a vertex
+shifts the newly saturated neighbours up one level, and backtracking shifts
+them back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -22,10 +32,6 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 
 class ColoringError(ValueError):
-    pass
-
-
-class _BudgetExceeded(Exception):
     pass
 
 
@@ -69,97 +75,198 @@ def verify_coloring(g: Graph, cert: ColoringCertificate) -> bool:
     for v, col in enumerate(cert.colors):
         if not 0 <= col < cert.c:
             raise ColoringError(f"vertex {v} has out-of-range color {col} (c={cert.c})")
-    return all(cert.colors[u] != cert.colors[v] for u, v in g.edges())
+    colors = cert.colors
+    return all(colors[u] != colors[v] for u, v in g.edge_array.tolist())
 
 
 def greedy_clique(g: Graph) -> list[int]:
     """Highest-degree-first greedy clique; deterministic, used for seeding."""
-    if g.n == 0:
-        return []
-    cand = set(range(g.n))
+    return _greedy_clique(_adjacency_masks(g.n, g.edge_array.tolist()))
+
+
+def _adjacency_masks(n: int, pairs: list[list[int]]) -> list[int]:
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _by_degree(degree: list[int]) -> list[int]:
+    """Vertices by decreasing degree, then increasing index."""
+    return sorted(range(len(degree)), key=lambda v: (-degree[v], v))
+
+
+def _greedy_clique(adj: list[int]) -> list[int]:
+    # each pick is the first vertex in degree order adjacent to all earlier picks
     clique: list[int] = []
-    while cand:
-        v = max(cand, key=lambda x: (g.degree(x), -x))
-        clique.append(v)
-        cand &= set(int(u) for u in g.neighbors(v))
+    cand = (1 << len(adj)) - 1
+    for v in _by_degree([a.bit_count() for a in adj]):
+        if cand >> v & 1:
+            clique.append(v)
+            cand &= adj[v]
     return sorted(clique)
 
 
+def _color_sort(adj: list[int], pmask: int) -> tuple[list[int], list[int]]:
+    # vertices of pmask in nondecreasing greedy-color order, with their colors
+    order: list[int] = []
+    bounds: list[int] = []
+    k = 0
+    rem = pmask
+    while rem:
+        k += 1
+        cand = rem
+        while cand:
+            b = cand & -cand
+            v = b.bit_length() - 1
+            cand &= ~(adj[v] | b)
+            rem &= ~b
+            order.append(v)
+            bounds.append(k)
+    return order, bounds
+
+
 def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
-    """Exact maximum clique by branch and bound with a greedy-coloring bound."""
+    """Exact maximum clique by branch and bound with a greedy-coloring bound
+    (Tomita-Kameda MCQ over bitsets), on an explicit stack."""
     n = g.n
     if n == 0:
         return CliqueResult(0, (), "exact", 0)
-    adj = [0] * n
-    for u, v in g.edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    seed = greedy_clique(g)
-    state = {"best": len(seed), "best_clique": list(seed), "nodes": 0}
+    adj = _adjacency_masks(n, g.edge_array.tolist())
+    best = _greedy_clique(adj)
     current: list[int] = []
-
-    def color_sort(pmask: int):
-        # vertices of pmask in nondecreasing greedy-color order
-        order: list[int] = []
-        bounds: list[int] = []
-        k = 0
-        rem = pmask
-        while rem:
-            k += 1
-            cand = rem
-            while cand:
-                b = cand & -cand
-                v = b.bit_length() - 1
-                cand &= ~(adj[v] | b)
-                rem &= ~b
-                order.append(v)
-                bounds.append(k)
-        return order, bounds
-
-    def expand(pmask: int):
-        order, bounds = color_sort(pmask)
-        for i in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[i] <= state["best"]:
-                return
+    full = (1 << n) - 1
+    # frames [order, bounds, i, pmask]: branch on order[i], order[i - 1], ...
+    stack = [[*_color_sort(adj, full), n - 1, full]]
+    nodes = 0
+    status = "exact"
+    while stack:
+        frame = stack[-1]
+        order, bounds, i, pmask = frame
+        if i >= 0 and len(current) + bounds[i] > len(best):
+            nodes += 1
+            if nodes > budget:
+                status = BUDGET_EXCEEDED
+                break
             v = order[i]
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise _BudgetExceeded
             current.append(v)
             sub = pmask & adj[v]
             if sub:
-                expand(sub)
-            elif len(current) > state["best"]:
-                state["best"] = len(current)
-                state["best_clique"] = current.copy()
-            current.pop()
-            pmask &= ~(1 << v)
+                order, bounds = _color_sort(adj, sub)
+                stack.append([order, bounds, len(order) - 1, sub])
+                continue
+            if len(current) > len(best):
+                best = current.copy()
+        else:
+            stack.pop()
+            if not stack:
+                break
+            frame = stack[-1]
+        # frame's branch vertex is done: drop it from the candidates
+        v = current.pop()
+        frame[2] -= 1
+        frame[3] &= ~(1 << v)
+    return CliqueResult(len(best), tuple(sorted(best)), status, nodes)
 
-    try:
-        expand((1 << n) - 1)
-        status = "exact"
-    except _BudgetExceeded:
-        status = BUDGET_EXCEEDED
-    return CliqueResult(state["best"], tuple(sorted(state["best_clique"])),
-                        status, state["nodes"])
+
+def _dsatur(adj: list[int], c: int, seed: list[int],
+            budget: int) -> tuple[str, list[int] | None, int]:
+    """Explicit-stack DSATUR over adjacency bitsets.
+
+    The vertices of seed (a clique) get colors 0, 1, ... in order.  Each node
+    expands the uncolored vertex of maximum saturation, lowest index first,
+    and tries the colors 0..min(k + 1, c) - 1 in order, where k colors are in
+    use: at most one fresh color per branch.  Returns (status, colors, nodes).
+    """
+    n = len(adj)
+    colors = [-1] * n
+    has = [0] * c  # has[col]: vertices with a neighbour colored col
+    level = [0] * (c + 2)  # level[s]: uncolored vertices of saturation s
+    seeded = 0
+    for col, v in enumerate(seed):
+        colors[v] = col
+        has[col] = adj[v]
+        seeded |= 1 << v
+    free = ((1 << n) - 1) ^ seeded
+    for u in range(n):
+        if colors[u] < 0:  # the seed colors are distinct
+            level[(adj[u] & seeded).bit_count()] |= 1 << u
+    k = len(seed)
+    nodes = 0
+    stack: list[list[int]] = []  # frames [v, saturation, k, color, touched]
+    while free:
+        s = k
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        nodes += 1
+        if nodes > budget:
+            return BUDGET_EXCEEDED, None, nodes
+        level[s] ^= low
+        free ^= low
+        stack.append([low.bit_length() - 1, s, k, -1, 0])
+        # move the top frame to its next color, popping exhausted frames
+        while stack:
+            frame = stack[-1]
+            v, s, k, col, touched = frame
+            if col >= 0:  # undo the previous color: touched moves down
+                has[col] ^= touched
+                for t in range(1, k + 2):
+                    moved = level[t] & touched
+                    if moved:
+                        level[t] ^= moved
+                        level[t - 1] |= moved
+                        touched ^= moved
+                        if not touched:
+                            break
+            bit = 1 << v
+            col += 1
+            limit = k + 1 if k < c else c
+            while col < limit and has[col] & bit:
+                col += 1
+            if col < limit:
+                touched = adj[v] & free & ~has[col]
+                has[col] |= touched
+                frame[3], frame[4] = col, touched
+                for t in range(k, -1, -1):  # touched moves up one level
+                    moved = level[t] & touched
+                    if moved:
+                        level[t] ^= moved
+                        level[t + 1] |= moved
+                        touched ^= moved
+                        if not touched:
+                            break
+                colors[v] = col
+                if col == k:
+                    k += 1
+                break
+            colors[v] = -1
+            level[s] |= bit
+            free |= bit
+            stack.pop()
+        else:
+            return NO, None, nodes
+    return YES, colors, nodes
 
 
 def greedy_coloring(g: Graph) -> ColoringCertificate:
-    """DSATUR greedy (no backtracking); an upper-bound certificate."""
+    """DSATUR greedy (no backtracking); an upper-bound certificate.
+
+    The next vertex maximizes (saturation, degree, -index).  It is the first
+    leaf of _dsatur with c = n on vertices relabeled by (-degree, index).
+    """
     n = g.n
-    colors = [-1] * n
-    neigh_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (len(neigh_colors[u]), g.degree(u), -u))
-        col = 0
-        while col in neigh_colors[v]:
-            col += 1
-        colors[v] = col
-        for w in g.neighbors(v):
-            neigh_colors[w].add(col)
-    c = max(colors) + 1 if n else 0
-    return ColoringCertificate(c=max(c, 1) if n else 0, colors=tuple(colors))
+    if n == 0:
+        return ColoringCertificate(0, ())
+    order = _by_degree(np.bincount(g.edge_array.ravel(), minlength=n).tolist())
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    status, colors, _ = _dsatur(_adjacency_masks(n, rank[g.edge_array].tolist()),
+                                n, [], n)
+    assert status == YES and colors is not None
+    relabeled = tuple(colors[r] for r in rank.tolist())
+    return ColoringCertificate(max(relabeled) + 1, relabeled)
 
 
 def is_c_colorable(g: Graph, c: int, budget: int = DEFAULT_BUDGET) -> ColoringResult:
@@ -174,90 +281,41 @@ def is_c_colorable(g: Graph, c: int, budget: int = DEFAULT_BUDGET) -> ColoringRe
     n = g.n
     if n == 0:
         return ColoringResult(YES, ColoringCertificate(c, ()), 0)
-    clique = greedy_clique(g)
+    adj = _adjacency_masks(n, g.edge_array.tolist())
+    clique = _greedy_clique(adj)
     if len(clique) > c:
         return ColoringResult(NO, None, 0)
-
-    colors = [-1] * n
-    neigh_colors: list[set[int]] = [set() for _ in range(n)]
-    for i, v in enumerate(clique):
-        colors[v] = i
-        for w in g.neighbors(v):
-            neigh_colors[w].add(i)
-    uncolored = set(range(n)) - set(clique)
-    state = {"nodes": 0}
-
-    def backtrack(k_used: int) -> bool:
-        if not uncolored:
-            return True
-        v = max(uncolored, key=lambda u: (len(neigh_colors[u]), -u))
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            raise _BudgetExceeded
-        uncolored.discard(v)
-        for col in range(min(k_used + 1, c)):
-            if col in neigh_colors[v]:
-                continue
-            colors[v] = col
-            touched = []
-            for w in g.neighbors(v):
-                if colors[w] < 0 and col not in neigh_colors[w]:
-                    neigh_colors[w].add(col)
-                    touched.append(w)
-            if backtrack(max(k_used, col + 1)):
-                return True
-            for w in touched:
-                neigh_colors[w].discard(col)
-            colors[v] = -1
-        uncolored.add(v)
-        return False
-
-    try:
-        sat = backtrack(max(len(clique), 1) if clique else 0)
-    except _BudgetExceeded:
-        return ColoringResult(BUDGET_EXCEEDED, None, state["nodes"])
-    if not sat:
-        return ColoringResult(NO, None, state["nodes"])
+    # no branch can use more than n colors, and the kernel's state is O(c)
+    status, colors, nodes = _dsatur(adj, min(c, n), clique, budget)
+    if colors is None:
+        return ColoringResult(status, None, nodes)
     cert = ColoringCertificate(c, tuple(colors))
     assert verify_coloring(g, cert)
-    return ColoringResult(YES, cert, state["nodes"])
+    return ColoringResult(YES, cert, nodes)
 
 
 def chromatic_number(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:
     """Exact chromatic number with a proper coloring certificate.
 
-    On success every value below chi has been refuted exhaustively (the value
-    immediately below is re-refuted explicitly, which is instant thanks to the
-    clique seed).  If the budget runs out the result carries the best-known
-    bounds instead.
+    On success every value below chi has been refuted: those below the greedy
+    clique's size by the clique itself, the rest exhaustively by the search,
+    which tries them in increasing order.  If the budget runs out the result
+    carries the best-known bounds instead.
     """
     if g.n == 0:
         return ChromaticResult(0, ColoringCertificate(0, ()), 0, 0, "exact", 0, ())
-    clique = greedy_clique(g)
+    clique = tuple(greedy_clique(g))
     lower = max(len(clique), 1)
-    upper_cert = greedy_coloring(g)
-    upper = upper_cert.c
+    best_cert = greedy_coloring(g)
+    upper = best_cert.c
     nodes = 0
-    best_cert = upper_cert
     for c in range(lower, upper):
         res = is_c_colorable(g, c, budget)
         nodes += res.nodes
-        if res.status == YES:
-            assert res.certificate is not None
-            return _finish(g, c, res.certificate, lower, nodes, clique, budget)
         if res.status == BUDGET_EXCEEDED:
             return ChromaticResult(None, best_cert, c, upper, BUDGET_EXCEEDED,
-                                   nodes, tuple(clique))
-    return _finish(g, upper, best_cert, lower, nodes, clique, budget)
-
-
-def _finish(g: Graph, chi: int, cert: ColoringCertificate, lower: int,
-            nodes: int, clique: list[int], budget: int) -> ChromaticResult:
-    if chi > 1:
-        refute = is_c_colorable(g, chi - 1, budget)
-        nodes += refute.nodes
-        if refute.status == BUDGET_EXCEEDED:
-            return ChromaticResult(None, cert, lower, chi, BUDGET_EXCEEDED,
-                                   nodes, tuple(clique))
-        assert refute.status == NO
-    return ChromaticResult(chi, cert, chi, chi, "exact", nodes, tuple(clique))
+                                   nodes, clique)
+        if res.status == YES:
+            assert res.certificate is not None
+            return ChromaticResult(c, res.certificate, c, c, "exact", nodes, clique)
+    return ChromaticResult(upper, best_cert, upper, upper, "exact", nodes, clique)

@@ -8,8 +8,9 @@ two orthogonal rays.  Every KS set is weak KS; the converse fails.
 Bases are found exhaustively as d-cliques of the orthogonality graph (d
 mutually orthogonal unit vectors in C^d always form a basis).  The decision
 itself is a small backtracking solver with unit propagation on the
-exactly-one constraints, plus an independent brute-force oracle for sets of
-at most 25 rays.
+exactly-one constraints, which keeps its branches on an explicit stack (no
+recursion, so any set that fits in memory can be decided), plus an
+independent brute-force oracle for sets of at most 25 rays.
 """
 from __future__ import annotations
 
@@ -202,20 +203,28 @@ def _search_labeling(n: int, bases: list[tuple[int, ...]],
                 else:
                     zeros[bi] -= 1
 
-    def dfs(pos: int) -> bool:
+    # frames [pos, next value, trail mark]: ray order[pos] is being branched
+    stack: list[list[int]] = []
+    pos = 0
+    while True:
         while pos < n and assign[order[pos]] != -1:
             pos += 1
         if pos == n:
-            return True
-        r = order[pos]
-        for v in (0, 1):
-            mark = len(trail)
-            if set_val(r, v) and dfs(pos + 1):
-                return True
+            return list(assign)
+        stack.append([pos, 0, len(trail)])
+        while stack:
+            frame = stack[-1]
+            pos, val, mark = frame
             undo(mark)
-        return False
-
-    return list(assign) if dfs(0) else None
+            if val == 2:
+                stack.pop()
+                continue
+            frame[1] = val + 1
+            if set_val(order[pos], val):
+                pos += 1
+                break
+        else:
+            return None
 
 
 def _decide(s: VectorSet, tol: float, method: str,
@@ -257,45 +266,42 @@ def weak_ks_check(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
     return ks_check(s, tol)
 
 
-def brute_force_ks(s: VectorSet, mode: str = "ks",
-                   tol: float = DEFAULT_TOL) -> KSDecision:
+def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
     """Oracle by enumerating all 2^k labelings (k <= 25).
 
-    mode is "ks" or "weak"; either way both decision flags are computed, the
-    parameter only mirrors the two check entry points it cross-validates.
+    Labeling i puts 1 on ray r iff bit r of i is set; the first labeling in
+    that order that passes is the witness.  Both decision flags are computed.
     """
-    if mode not in ("ks", "weak"):
-        raise KSError(f"mode must be 'ks' or 'weak', got {mode!r}")
     k = s.size
     if k > BRUTE_FORCE_LIMIT:
         raise KSError(f"brute force limited to {BRUTE_FORCE_LIMIT} rays, got {k}")
     bases = enumerate_bases(s, tol)
     if not bases:
         return KSDecision(False, False, (0,) * k, "brute_force")
-    pairs = _orthogonal_pairs(s, tol)
+    basis_masks = [sum(1 << r for r in b) for b in bases]
+    pair_masks = [(1 << u) | (1 << v) for u, v in _orthogonal_pairs(s, tol)]
 
-    first_ks: np.ndarray | None = None
-    first_weak: np.ndarray | None = None
+    first_ks: int | None = None
     chunk = 1 << 20
     for start in range(0, 1 << k, chunk):
         idx = np.arange(start, min(start + chunk, 1 << k), dtype=np.int64)
-        bits = ((idx[:, None] >> np.arange(k)) & 1).astype(np.int8)
         ok = np.ones(len(idx), dtype=bool)
-        for b in bases:
-            ok &= bits[:, list(b)].sum(axis=1) == 1
-        if first_ks is None and ok.any():
-            first_ks = bits[int(np.argmax(ok))].copy()
-        okw = ok.copy()
-        for u, v in pairs:
-            okw &= ~((bits[:, u] == 1) & (bits[:, v] == 1))
-        if first_weak is None and okw.any():
-            first_weak = bits[int(np.argmax(okw))].copy()
-        if first_weak is not None:
-            break  # weak witness settles both flags
-    if first_weak is not None:
-        return KSDecision(False, False, tuple(int(x) for x in first_weak),
-                          "brute_force")
+        for m in basis_masks:
+            x = idx & m
+            ok &= (x != 0) & ((x & (x - 1)) == 0)  # exactly one 1 in basis
+        if not ok.any():
+            continue
+        if first_ks is None:
+            first_ks = int(idx[np.argmax(ok)])
+        for m in pair_masks:
+            ok &= (idx & m) != m
+        if ok.any():  # a weak witness settles both flags
+            return KSDecision(False, False, _bits(int(idx[np.argmax(ok)]), k),
+                              "brute_force")
     if first_ks is not None:
-        return KSDecision(False, True, tuple(int(x) for x in first_ks),
-                          "brute_force")
+        return KSDecision(False, True, _bits(first_ks, k), "brute_force")
     return KSDecision(True, True, None, "brute_force")
+
+
+def _bits(i: int, k: int) -> tuple[int, ...]:
+    return tuple((i >> r) & 1 for r in range(k))

@@ -16,6 +16,13 @@ def petersen() -> Graph:
     return make_graph(10, outer + spokes + inner)
 
 
+def path_plus_triangle(n: int) -> Graph:
+    """A path on n vertices and a disjoint triangle (chi = 3)."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(n, n + 1), (n, n + 2), (n + 1, n + 2)]
+    return make_graph(n + 3, edges)
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)

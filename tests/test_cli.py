@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import cycle, petersen
+from conftest import cycle, path_plus_triangle, petersen
 from qcolor import cli, game, io, reps
 from qcolor.graphs import complete_graph, hadamard_graph
 
@@ -82,6 +82,16 @@ def test_colorable_yes_no(capsys, c5_file):
     code, report, _ = run(capsys, "colorable", c5_file, "-c", "3")
     assert code == 0 and report["status"] == "yes"
     code, report, _ = run(capsys, "colorable", c5_file, "-c", "2")
+    assert code == 1 and report["status"] == "no"
+
+
+def test_colorable_deep_graph(capsys, tmp_path):
+    # the search for c = 2 goes 5000 deep
+    p = tmp_path / "deep.col"
+    p.write_text(io.write_dimacs(path_plus_triangle(5000)))
+    code, report, _ = run(capsys, "colorable", str(p), "-c", "3")
+    assert code == 0 and report["status"] == "yes"
+    code, report, _ = run(capsys, "colorable", str(p), "-c", "2")
     assert code == 1 and report["status"] == "no"
 
 

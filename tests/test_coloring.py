@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle, graphs_st, petersen, random_graph
+from conftest import cycle, graphs_st, path_plus_triangle, petersen, random_graph
 from qcolor import coloring
 from qcolor.graphs import complete_graph, make_graph
 
@@ -73,6 +73,12 @@ def test_is_c_colorable_exhaustive_no():
     assert res.certificate is None
 
 
+def test_huge_color_count():
+    res = coloring.is_c_colorable(cycle(5), 10**12)
+    assert res.status == coloring.YES and res.certificate.c == 10**12
+    assert coloring.verify_coloring(cycle(5), res.certificate)
+
+
 def test_budget_exceeded_reported():
     g = random_graph(20, 0.5, seed=1)
     res = coloring.is_c_colorable(g, 5, budget=3)
@@ -125,3 +131,63 @@ def test_colorable_decision_consistent(g, c):
     assert res.status == (coloring.YES if expected else coloring.NO)
     if expected:
         assert coloring.verify_coloring(g, res.certificate)
+
+
+# -- deep and pinned searches --------------------------------------------------
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # the greedy clique is an edge of the path, so c = 2 is refuted by a
+    # search that goes 5000 deep
+    g = path_plus_triangle(5000)
+    assert coloring.is_c_colorable(g, 2).status == coloring.NO
+    yes = coloring.is_c_colorable(g, 3)
+    assert yes.status == coloring.YES
+    assert coloring.verify_coloring(g, yes.certificate)
+    res = coloring.chromatic_number(g)
+    assert res.chi == 3 and res.status == "exact"
+    assert coloring.clique_number(g).omega == 3
+
+
+# (n, p, seed, chi, nodes at chi - 1, nodes at chi, certificate at chi,
+#  greedy_coloring certificate); they pin the search's branching order, and
+# were recorded before the search moved to bitsets and an explicit stack.
+GOLDEN = [
+    (30, 0.5, 1, 7, 22, 221,
+     "200051143112234434663600220655",
+     "122445775521732257563166107340"),
+    (40, 0.3, 2, 6, 152, 36,
+     "0212200331035324344412100551231420132433",
+     "5101132321242314443501052500142314001534"),
+    (45, 0.4, 3, 8, 2469, 74,
+     "041005331021122053306447507365726561040574652",
+     "502527164813714862350002675753214863606524461"),
+    (50, 0.25, 4, 6, 2565, 46,
+     "12040445412112512023231501003132330322104343424014",
+     "04301521153053442043300130415023425042021125432342"),
+    (60, 0.15, 5, 5, 104, 57,
+     "132000020220020311120021231403213113321241001134341312413422",
+     "022432013323300004123320144011101123121210430412030122342104"),
+]
+
+
+@pytest.mark.parametrize("n, p, seed, chi, nodes_no, nodes_yes, cert, greedy",
+                         GOLDEN)
+def test_golden_search_order(n, p, seed, chi, nodes_no, nodes_yes, cert, greedy):
+    g = random_graph(n, p, seed)
+    no = coloring.is_c_colorable(g, chi - 1)
+    assert (no.status, no.nodes) == (coloring.NO, nodes_no)
+    yes = coloring.is_c_colorable(g, chi)
+    assert (yes.status, yes.nodes) == (coloring.YES, nodes_yes)
+    assert yes.certificate.colors == tuple(int(x) for x in cert)
+    assert coloring.greedy_coloring(g).colors == tuple(int(x) for x in greedy)
+
+
+@pytest.mark.parametrize("n, p, seed", [row[:3] for row in GOLDEN])
+def test_chromatic_number_decides_each_c_once(n, p, seed):
+    g = random_graph(n, p, seed)
+    res = coloring.chromatic_number(g)
+    lower = len(coloring.greedy_clique(g))
+    upper = coloring.greedy_coloring(g).c
+    assert res.nodes == sum(coloring.is_c_colorable(g, c).nodes
+                            for c in range(lower, min(res.chi + 1, upper)))

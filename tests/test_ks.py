@@ -187,6 +187,38 @@ def test_backtracking_matches_brute_force(seed):
         assert ks.verify_ks_witness(s, fast.witness, weak=not fast.is_weak_ks)
 
 
+def first_labeling_by_loop(s: ks.VectorSet, weak: bool):
+    """Reference oracle: the lowest-index labeling (bit r = ray r) that passes
+    verify_ks_witness, by a plain loop."""
+    for i in range(1 << s.size):
+        f = tuple((i >> r) & 1 for r in range(s.size))
+        if ks.verify_ks_witness(s, f, weak=weak):
+            return f
+    return None
+
+
+@pytest.mark.parametrize("seed", range(13))
+def test_brute_force_witness_is_first_labeling(seed):
+    s = random_ray_set(seed)
+    assert s.size <= 12
+    slow = ks.brute_force_ks(s)
+    expected = first_labeling_by_loop(s, weak=True) or first_labeling_by_loop(s, weak=False)
+    assert slow.witness == expected
+
+
+def test_labeling_search_depth_is_not_bounded_by_recursion():
+    # 1500 Haar-random bases of C^2: 3000 rays, one decision per basis
+    rng = np.random.default_rng(0)
+    rays = []
+    for _ in range(1500):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        rays.extend(q.T)
+    s = ks.VectorSet(2, np.array(rays), tuple(f"r{i}" for i in range(3000)))
+    dec = ks.ks_check(s)
+    assert not dec.is_ks and not dec.is_weak_ks
+    assert ks.verify_ks_witness(s, dec.witness, weak=True)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_ks_implies_weak_ks(seed):
