@@ -10,7 +10,7 @@ from .coloring import (ColoringCertificate, ColoringError, chromatic_number,
                        clique_number, greedy_coloring, is_c_colorable,
                        verify_coloring)
 from .ks import (KSDecision, KSError, VectorSet, brute_force_ks, canonicalize,
-                 enumerate_bases, ks_check, verify_ks_witness, weak_ks_check)
+                 enumerate_bases, ks_check, verify_ks_witness)
 from .reps import (MatrixRepresentation, OrthogonalRepresentation, PSDWitness,
                    QuantumColoring, RepsError, SearchParams,
                    chi_q1_upper_via_product, hadamard_quantum_coloring,

@@ -15,8 +15,6 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from . import __version__, coloring, datasets, game, graphs, io, ks, reps
 from .graphs import GraphError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL
@@ -137,108 +135,34 @@ def _metadata(opts: dict) -> dict:
     return {"tool": "qcolor", "version": __version__, **opts}
 
 
-def _emit_certificate(report: dict, args, kind: str, payload: dict,
-                      opts: dict) -> None:
-    cert = io.certificate_to_dict(kind, payload, io.make_metadata(
-        opts["tol"], opts["rank_tol"], opts["seed"]))
+def _emit_certificate(report: dict, args, kind: str, obj, opts: dict) -> None:
+    payload = io.encode_payload(kind, obj)
+    meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
     out = getattr(args, "output", None)
     if out:
-        io._dump_json(cert, out)
+        io.write_certificate(out, kind, payload, meta)
         report["certificate"] = None
         report["written_to"] = out
     else:
-        report["certificate"] = cert
+        report["certificate"] = io.certificate_to_dict(kind, payload, meta)
         report["written_to"] = None
 
 
-def _coloring_payload(cert: coloring.ColoringCertificate) -> dict:
-    return {"colors": cert.c, "assignment": list(cert.colors)}
+def _read_certificate(path, kinds: tuple[str, ...]):
+    """(kind, decoded object) of a certificate file whose kind is in kinds."""
+    kind, payload, _ = io.read_certificate(path)
+    if kind not in kinds:
+        raise io.FormatError(f"expected a {' / '.join(kinds)} certificate, "
+                             f"got {kind!r}")
+    return kind, io.decode_payload(kind, payload)
 
 
-def _orthrep_payload(rep: reps.OrthogonalRepresentation) -> dict:
-    return {"dimension": rep.dimension,
-            "vectors": [io._pack_vector(v) for v in rep.vectors]}
-
-
-def _matrixrep_payload(rep: reps.MatrixRepresentation) -> dict:
-    return {"dimension": rep.dimension,
-            "matrices": [io._pack_vector(m) for m in rep.matrices]}
-
-
-def _qcoloring_payload(qc: reps.QuantumColoring) -> dict:
-    out = {"colors": qc.colors, "rank": qc.rank}
-    if qc.vectors is not None:
-        out["vectors"] = [[io._pack_vector(qc.vectors[v, a])
-                           for a in range(qc.colors)]
-                          for v in range(qc.n_vertices)]
-    else:
-        out["projectors"] = [[io._pack_vector(qc.projectors[v, a])
-                              for a in range(qc.colors)]
-                             for v in range(qc.n_vertices)]
-    return out
-
-
-def _coloring_cert_from_payload(payload: dict) -> coloring.ColoringCertificate:
-    try:
-        return coloring.ColoringCertificate(
-            c=int(payload["colors"]),
-            colors=tuple(int(x) for x in payload["assignment"]))
-    except (KeyError, TypeError, ValueError) as err:
-        raise io.FormatError(f"malformed coloring payload: {err}")
-
-
-def _orthrep_from_payload(payload: dict) -> reps.OrthogonalRepresentation:
-    try:
-        d = int(payload["dimension"])
-        vecs = np.array([io._unpack_vector(row, f"vector {i}")
-                         for i, row in enumerate(payload["vectors"])])
-        if vecs.ndim != 2 or vecs.shape[1] != d:
-            raise io.FormatError(f"vectors must be rows of length {d}")
-        return reps.OrthogonalRepresentation(d, vecs)
-    except (KeyError, TypeError, ValueError) as err:
-        raise io.FormatError(f"malformed orthrep payload: {err}")
-
-
-def _matrixrep_from_payload(payload: dict) -> reps.MatrixRepresentation:
-    try:
-        d = int(payload["dimension"])
-        mats = np.array([io._unpack_matrix(m, d, f"matrix {i}")
-                         for i, m in enumerate(payload["matrices"])])
-        return reps.MatrixRepresentation(d, mats)
-    except (KeyError, TypeError, ValueError) as err:
-        raise io.FormatError(f"malformed matrixrep payload: {err}")
-
-
-def _qcoloring_from_payload(payload: dict) -> reps.QuantumColoring:
-    try:
-        c = int(payload["colors"])
-        r = int(payload["rank"])
-        if "vectors" in payload:
-            vecs = np.array([[io._unpack_vector(payload["vectors"][v][a],
-                                                f"vector ({v},{a})")
-                              for a in range(c)]
-                             for v in range(len(payload["vectors"]))])
-            return reps.QuantumColoring(c, r, vectors=vecs)
-        d = r * c
-        projs = np.array([[io._unpack_matrix(payload["projectors"][v][a], d,
-                                             f"projector ({v},{a})")
-                           for a in range(c)]
-                          for v in range(len(payload["projectors"]))])
-        return reps.QuantumColoring(c, r, projectors=projs)
-    except (KeyError, TypeError, ValueError, IndexError) as err:
-        raise io.FormatError(f"malformed qcoloring payload: {err}")
-
-
-def _psd_witness_from_payload(payload: dict) -> reps.PSDWitness:
-    try:
-        r = int(payload["rank"])
-        flat = io._unpack_vector(payload["matrix"], "witness matrix")
-        n = int(round(np.sqrt(flat.shape[0])))
-        if n * n != flat.shape[0]:
-            raise io.FormatError("witness matrix is not square")
-        return reps.PSDWitness(flat.reshape(n, n), r)
-    except (KeyError, TypeError, ValueError) as err:
-        raise io.FormatError(f"malformed psd-witness payload: {err}")
+# certificate kind -> verifier(graph, certificate, tol) for verify-rep
+REP_VERIFIERS = {
+    "coloring": lambda g, cert, tol: coloring.verify_coloring(g, cert),
+    "orthrep": reps.verify_orthogonal_representation,
+    "matrixrep": reps.verify_matrix_representation,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +178,7 @@ def _cmd_chi(args, opts):
     if res.status == coloring.BUDGET_EXCEEDED:
         return report, EXIT_BUDGET, (f"budget exceeded: "
                                      f"{res.lower} <= chi <= {res.upper}")
-    _emit_certificate(report, args, "coloring",
-                      _coloring_payload(res.certificate), opts)
+    _emit_certificate(report, args, "coloring", res.certificate, opts)
     return report, EXIT_YES, f"chi = {res.chi}"
 
 
@@ -269,8 +192,7 @@ def _cmd_colorable(args, opts):
     if res.status == coloring.NO:
         report["certificate"] = None
         return report, EXIT_NO, f"not {args.colors}-colorable (exhaustive)"
-    _emit_certificate(report, args, "coloring",
-                      _coloring_payload(res.certificate), opts)
+    _emit_certificate(report, args, "coloring", res.certificate, opts)
     return report, EXIT_YES, f"{args.colors}-colorable"
 
 
@@ -280,8 +202,7 @@ def _cmd_xi_bounds(args, opts):
     xb = reps.xi_bounds(g, params, budget=opts["budget"])
     report = {"n": g.n, "lower": xb.lower, "upper": xb.upper,
               "clique": list(xb.lower_clique)}
-    _emit_certificate(report, args, "orthrep",
-                      _orthrep_payload(xb.upper_witness), opts)
+    _emit_certificate(report, args, "orthrep", xb.upper_witness, opts)
     return report, EXIT_YES, f"{xb.lower} <= xi <= {xb.upper}"
 
 
@@ -296,24 +217,14 @@ def _cmd_chiq1(args, opts):
         report["certificate"] = None
         return report, EXIT_NO, (f"no rank-1 witness found for c <= {args.cmax} "
                                  "(not a lower-bound proof)")
-    _emit_certificate(report, args, "matrixrep",
-                      _matrixrep_payload(res.witness), opts)
+    _emit_certificate(report, args, "matrixrep", res.witness, opts)
     return report, EXIT_YES, f"chi_q1 <= {res.c} (witnessed)"
 
 
 def _cmd_verify_rep(args, opts):
     g = io.read_graph(args.graph)
-    kind, payload, _ = io.read_certificate(args.certificate)
-    if kind == "coloring":
-        valid = coloring.verify_coloring(g, _coloring_cert_from_payload(payload))
-    elif kind == "orthrep":
-        valid = reps.verify_orthogonal_representation(
-            g, _orthrep_from_payload(payload), opts["tol"])
-    elif kind == "matrixrep":
-        valid = reps.verify_matrix_representation(
-            g, _matrixrep_from_payload(payload), opts["tol"])
-    else:
-        raise io.FormatError(f"verify-rep cannot handle kind {kind!r}")
+    kind, cert = _read_certificate(args.certificate, tuple(REP_VERIFIERS))
+    valid = REP_VERIFIERS[kind](g, cert, opts["tol"])
     report = {"kind": kind, "valid": bool(valid)}
     return (report, EXIT_YES if valid else EXIT_NO,
             f"{kind} certificate {'verifies' if valid else 'FAILS'}")
@@ -321,10 +232,7 @@ def _cmd_verify_rep(args, opts):
 
 def _cmd_verify_qcoloring(args, opts):
     g = io.read_graph(args.graph)
-    kind, payload, _ = io.read_certificate(args.certificate)
-    if kind != "qcoloring":
-        raise io.FormatError(f"expected a qcoloring certificate, got {kind!r}")
-    qc = _qcoloring_from_payload(payload)
+    kind, qc = _read_certificate(args.certificate, ("qcoloring",))
     valid = reps.verify_quantum_coloring(g, qc, opts["tol"])
     report = {"kind": kind, "colors": qc.colors, "rank": qc.rank,
               "valid": bool(valid)}
@@ -334,16 +242,12 @@ def _cmd_verify_qcoloring(args, opts):
 
 def _cmd_psd_witness(args, opts):
     g = io.read_graph(args.graph)
-    kind, payload, _ = io.read_certificate(args.witness)
-    if kind != "psd-witness":
-        raise io.FormatError(f"expected a psd-witness certificate, got {kind!r}")
-    w = _psd_witness_from_payload(payload)
+    _, w = _read_certificate(args.witness, ("psd-witness",))
     res = reps.psd_witness_check(g, w, opts["tol"], opts["rank_tol"])
     report = {"rank": w.rank, "ok": res.ok, "reason": res.reason}
     if not res.ok:
         return report, EXIT_NO, f"witness rejected: {res.reason}"
-    _emit_certificate(report, args, "orthrep",
-                      _orthrep_payload(res.representation), opts)
+    _emit_certificate(report, args, "orthrep", res.representation, opts)
     return report, EXIT_YES, (f"witness accepted: xi <= {w.rank} with a "
                               "verified representation")
 
@@ -356,7 +260,7 @@ def _cmd_hadamard(args, opts):
               "colors": qc.colors, "rank": qc.rank, "verified": bool(valid)}
     if not valid:  # cannot happen for valid N; defensive
         return report, EXIT_NO, "construction failed verification"
-    _emit_certificate(report, args, "qcoloring", _qcoloring_payload(qc), opts)
+    _emit_certificate(report, args, "qcoloring", qc, opts)
     return report, EXIT_YES, (f"Hadamard graph N={args.bits}: verified "
                               f"{qc.colors}-coloring of rank {qc.rank}")
 

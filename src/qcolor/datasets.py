@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .io import FormatError, vector_set_from_dict, _load_json
+from .io import FormatError, read_vector_set
 from .ks import VectorSet
 
 BUNDLED = ("cabello-18", "peres-33", "yu-oh-13")
@@ -29,4 +29,4 @@ def load_vector_set(name: str) -> tuple[VectorSet, float | None]:
     p = Path(name)
     if not p.exists():
         p = bundled_path(name)
-    return vector_set_from_dict(_load_json(p))
+    return read_vector_set(p)

@@ -18,14 +18,15 @@ Hilbert-Schmidt orthogonality across edges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, maximally_entangled,
-                     pair_values)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError,
+                     maximally_entangled, pair_values, schmidt,
+                     support_projector)
 from .reps import QuantumColoring
 
 
@@ -308,7 +309,6 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 @dataclass(frozen=True, eq=False)
 class NormalizationTrace:
     schmidt_coefficients: tuple[float, ...]  # of the input state, descending
-    support_projector: np.ndarray  # in the rotated (Schmidt) basis
     rho: np.ndarray  # reduced state after restriction, renormalized
     stages: tuple[tuple[str, POVMStrategy], ...]
 
@@ -317,28 +317,6 @@ class NormalizationTrace:
 class NormalFormResult:
     normal: POVMStrategy
     trace: NormalizationTrace
-
-
-def _guarded_support(m: np.ndarray, rank_tol: float, stage: str) -> np.ndarray:
-    """Orthogonal projector onto the column space of a PSD matrix; rejects
-    eigenvalues within a factor 10 of the rank cutoff as ambiguous."""
-    herm = np.max(np.abs(m - m.conj().T))
-    if herm > 1e-8:
-        raise NormalFormError(stage, f"support input not Hermitian (defect {herm:.3g})")
-    w, vecs = np.linalg.eigh(m)
-    top = float(w[-1])
-    if top <= 0.0:
-        return np.zeros_like(m)
-    if w[0] < -1e-8 * top:
-        raise NormalFormError(stage, f"support input not PSD (eigenvalue {w[0]:.3g})")
-    cut = rank_tol * top
-    band = (w > cut / 10) & (w < cut * 10)
-    if np.any(band):
-        raise NormalFormError(stage, "ambiguous support eigenvalue near the "
-                              f"rank cutoff {cut:.3g}",
-                              detail=float(w[band][0]))
-    keep = vecs[:, w > cut]
-    return keep @ keep.conj().T
 
 
 def _stage_consistency(s: POVMStrategy, g: Graph, stage: str, tol: float) -> None:
@@ -381,30 +359,28 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 
     # stage 1: schmidt restriction ------------------------------------------
     stage = "schmidt restriction"
-    psi_mat = s.state_matrix()
-    u_full, coeffs, vh_full = np.linalg.svd(psi_mat)
-    top = float(coeffs[0])
-    cut = rank_tol * top
+    sd = schmidt(s.state, s.dim_a, s.dim_b, rank_tol)
+    coeffs = sd.coefficients
+    cut = rank_tol * float(coeffs[0])
     band = (coeffs > cut / 10) & (coeffs < cut * 10)
     if np.any(band):
         raise NormalFormError(stage, "ambiguous Schmidt coefficient near the "
                               f"rank cutoff {cut:.3g}",
                               detail=float(coeffs[band][0]))
-    d = int(np.sum(coeffs > cut))
+    d = sd.rank
     if d == 0:
         raise NormalFormError(stage, "state has no Schmidt support")
     lam = coeffs[:d] / np.linalg.norm(coeffs[:d])
-    # rotate: A-side by U^dagger, B-side by conj(Vh); the state matrix becomes
-    # diag(lambda) on the kept d-dimensional corner
-    alice2 = np.einsum("pi,vaij,jq->vapq", u_full.conj().T, s.alice, u_full)[:, :, :d, :d]
-    bob2 = np.einsum("pi,vbij,jq->vbpq", vh_full.conj(), s.bob, vh_full.T)[:, :, :d, :d]
+    # rotate: A-side by U^dagger, B-side by conj(V)^T with V = sd.right; the
+    # state matrix becomes diag(lambda) on the kept d-dimensional corner
+    u, w = sd.left, sd.right
+    alice2 = np.einsum("pi,vaij,jq->vapq", u.conj().T, s.alice, u)[:, :, :d, :d]
+    bob2 = np.einsum("pi,vbij,jq->vbpq", w.T.conj(), s.bob, w)[:, :, :d, :d]
     state2 = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(state2, lam)
     s2 = POVMStrategy(s.colors, d, d, state2.ravel(), alice2, bob2)
     validate_strategy(s2, check_tol)
     _stage_consistency(s2, g, stage, check_tol)
-    support = np.zeros((s.dim_a, s.dim_a), dtype=complex)
-    support[np.arange(d), np.arange(d)] = 1.0
     rho = np.diag(lam.astype(complex) ** 2)
     stages.append((stage, s2))
 
@@ -414,12 +390,17 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     n, c = s2.n_vertices, s2.colors
     alice1 = np.empty_like(s2.alice)
     bob1 = np.empty_like(s2.bob)
+
+    def support(m):
+        try:
+            return support_projector(m, rank_tol, tol=1e-8)
+        except LinalgError as err:
+            raise NormalFormError(stage, f"support input: {err}") from err
+
     for v in range(n):
         for a in range(c):
-            alice1[v, a] = _guarded_support(
-                sqrt_rho @ s2.bob[v, a].conj() @ sqrt_rho, rank_tol, stage)
-            bob1[v, a] = _guarded_support(
-                sqrt_rho @ s2.alice[v, a].conj() @ sqrt_rho, rank_tol, stage)
+            alice1[v, a] = support(sqrt_rho @ s2.bob[v, a].conj() @ sqrt_rho)
+            bob1[v, a] = support(sqrt_rho @ s2.alice[v, a].conj() @ sqrt_rho)
     for name, ops in (("alice", alice1), ("bob", bob1)):
         cross = np.einsum("vaij,vbjk->vabik", ops, ops)
         cross[:, np.arange(c), np.arange(c)] = 0.0
@@ -478,7 +459,7 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 
     trace = NormalizationTrace(
         schmidt_coefficients=tuple(float(x) for x in coeffs),
-        support_projector=support, rho=rho, stages=tuple(stages))
+        rho=rho, stages=tuple(stages))
     return NormalFormResult(normal=final, trace=trace)
 
 

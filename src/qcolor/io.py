@@ -2,6 +2,8 @@
 
 Complex scalars are serialized as [re, im] pairs; matrices as row-major flat
 lists of such pairs.  NaN and infinities are rejected on input everywhere.
+Each certificate kind has one (encode, decode) pair in CODECS, between the
+package's objects and the JSON payload of a certificate file.
 """
 from __future__ import annotations
 
@@ -13,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .coloring import ColoringCertificate
 from .game import POVMStrategy
 from .graphs import Graph, make_graph
 from .ks import VectorSet
-
-CERTIFICATE_KINDS = ("coloring", "orthrep", "matrixrep", "qcoloring",
-                     "ks-witness", "psd-witness")
+from .reps import (MatrixRepresentation, OrthogonalRepresentation, PSDWitness,
+                   QuantumColoring)
 
 
 class FormatError(ValueError):
@@ -110,15 +112,32 @@ def _unpack_vector(pairs, what: str) -> np.ndarray:
     return np.array([_unpack_scalar(p, what) for p in pairs], dtype=complex)
 
 
-def _unpack_matrix(pairs, d: int, what: str) -> np.ndarray:
+def _unpack_array(pairs, shape: tuple[int, ...], what: str) -> np.ndarray:
     flat = _unpack_vector(pairs, what)
-    if flat.shape[0] != d * d:
-        raise FormatError(f"{what} has {flat.shape[0]} entries, expected {d * d}")
-    return flat.reshape(d, d)
+    size = math.prod(shape)
+    if flat.shape[0] != size:
+        raise FormatError(f"{what} has {flat.shape[0]} entries, expected {size}")
+    return flat.reshape(shape)
 
 
 def _pack_vector(vec) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(vec).ravel()]
+
+
+def _pack_table(ops) -> list:
+    """An (n, c, ...) operator table as [vertex][color] packed lists."""
+    return [[_pack_vector(op) for op in row] for row in ops]
+
+
+def _unpack_table(rows, c: int, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Inverse of _pack_table: an (n, c, *shape) array, n = len(rows)."""
+    out = np.zeros((len(rows), c) + shape, dtype=complex)
+    for v, row in enumerate(rows):
+        if len(row) != c:
+            raise FormatError(f"vertex {v} does not list exactly {c} operators")
+        for a in range(c):
+            out[v, a] = _unpack_array(row[a], shape, f"{what} ({v},{a})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +200,8 @@ def strategy_to_dict(s: POVMStrategy) -> dict:
         "dim_a": s.dim_a,
         "dim_b": s.dim_b,
         "state": _pack_vector(s.state),
-        "alice": [[_pack_vector(s.alice[v, a]) for a in range(s.colors)]
-                  for v in range(s.n_vertices)],
-        "bob": [[_pack_vector(s.bob[v, a]) for a in range(s.colors)]
-                for v in range(s.n_vertices)],
+        "alice": _pack_table(s.alice),
+        "bob": _pack_table(s.bob),
     }
 
 
@@ -202,17 +219,8 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
         raise FormatError(f"strategy missing or malformed field: {err}")
     if len(alice_raw) != len(bob_raw):
         raise FormatError("alice and bob cover different vertex counts")
-    n = len(alice_raw)
-    alice = np.zeros((n, c, da, da), dtype=complex)
-    bob = np.zeros((n, c, db, db), dtype=complex)
-    for v in range(n):
-        if len(alice_raw[v]) != c or len(bob_raw[v]) != c:
-            raise FormatError(f"vertex {v} does not list exactly {c} operators")
-        for a in range(c):
-            alice[v, a] = _unpack_matrix(alice_raw[v][a], da,
-                                         f"alice operator ({v},{a})")
-            bob[v, a] = _unpack_matrix(bob_raw[v][a], db,
-                                       f"bob operator ({v},{a})")
+    alice = _unpack_table(alice_raw, c, (da, da), "alice operator")
+    bob = _unpack_table(bob_raw, c, (db, db), "bob operator")
     try:
         return POVMStrategy(c, da, db, state, alice, bob)
     except ValueError as err:
@@ -231,6 +239,99 @@ def write_strategy(s: POVMStrategy, path) -> None:
 # certificates
 
 
+def _encode_coloring(cert: ColoringCertificate) -> dict:
+    return {"colors": cert.c, "assignment": list(cert.colors)}
+
+
+def _decode_coloring(p: dict) -> ColoringCertificate:
+    return ColoringCertificate(c=int(p["colors"]),
+                               colors=tuple(int(x) for x in p["assignment"]))
+
+
+def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
+    return {"dimension": rep.dimension,
+            "vectors": [_pack_vector(v) for v in rep.vectors]}
+
+
+def _decode_orthrep(p: dict) -> OrthogonalRepresentation:
+    vecs = np.array([_unpack_vector(row, f"vector {i}")
+                     for i, row in enumerate(p["vectors"])])
+    return OrthogonalRepresentation(int(p["dimension"]), vecs)
+
+
+def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
+    return {"dimension": rep.dimension,
+            "matrices": [_pack_vector(m) for m in rep.matrices]}
+
+
+def _decode_matrixrep(p: dict) -> MatrixRepresentation:
+    d = int(p["dimension"])
+    mats = np.array([_unpack_array(m, (d, d), f"matrix {i}")
+                     for i, m in enumerate(p["matrices"])])
+    return MatrixRepresentation(d, mats)
+
+
+def _encode_qcoloring(qc: QuantumColoring) -> dict:
+    form = "vectors" if qc.vectors is not None else "projectors"
+    return {"colors": qc.colors, "rank": qc.rank,
+            form: _pack_table(getattr(qc, form))}
+
+
+def _decode_qcoloring(p: dict) -> QuantumColoring:
+    c, r = int(p["colors"]), int(p["rank"])
+    if "vectors" in p:
+        rows = p["vectors"]
+        shape = (len(rows[0][0]) if rows else c,)  # rank 1: d-vectors
+        return QuantumColoring(c, r, vectors=_unpack_table(rows, c, shape,
+                                                           "vector"))
+    d = r * c
+    return QuantumColoring(c, r, projectors=_unpack_table(
+        p["projectors"], c, (d, d), "projector"))
+
+
+def _encode_psd_witness(w: PSDWitness) -> dict:
+    return {"rank": w.rank, "matrix": _pack_vector(w.matrix)}
+
+
+def _decode_psd_witness(p: dict) -> PSDWitness:
+    flat = _unpack_vector(p["matrix"], "witness matrix")
+    n = math.isqrt(flat.shape[0])
+    if n * n != flat.shape[0]:
+        raise FormatError("witness matrix is not square")
+    return PSDWitness(flat.reshape(n, n), int(p["rank"]))
+
+
+# kind -> (object -> payload dict, payload dict -> object)
+CODECS = {
+    "coloring": (_encode_coloring, _decode_coloring),
+    "orthrep": (_encode_orthrep, _decode_orthrep),
+    "matrixrep": (_encode_matrixrep, _decode_matrixrep),
+    "qcoloring": (_encode_qcoloring, _decode_qcoloring),
+    "psd-witness": (_encode_psd_witness, _decode_psd_witness),
+}
+CERTIFICATE_KINDS = tuple(CODECS)
+
+
+def _check_kind(kind) -> None:
+    if kind not in CERTIFICATE_KINDS:
+        raise FormatError(f"unknown certificate kind {kind!r}")
+
+
+def encode_payload(kind: str, obj) -> dict:
+    _check_kind(kind)
+    return CODECS[kind][0](obj)
+
+
+def decode_payload(kind: str, payload: dict):
+    """The object a certificate payload describes; any defect of the payload
+    raises FormatError naming the kind."""
+    _check_kind(kind)
+    try:
+        return CODECS[kind][1](payload)
+    except (KeyError, TypeError, ValueError, IndexError) as err:
+        raise FormatError(f"malformed {kind} payload: {err}")
+
+
 def make_metadata(tol: float, rank_tol: float, seed: int | None = None) -> dict:
     meta = {"tool": "qcolor", "version": __version__,
             "tol": float(tol), "rank_tol": float(rank_tol)}
@@ -240,8 +341,7 @@ def make_metadata(tol: float, rank_tol: float, seed: int | None = None) -> dict:
 
 
 def certificate_to_dict(kind: str, payload: dict, metadata: dict) -> dict:
-    if kind not in CERTIFICATE_KINDS:
-        raise FormatError(f"unknown certificate kind {kind!r}")
+    _check_kind(kind)
     return {"kind": kind, "payload": payload, "metadata": metadata}
 
 
@@ -249,8 +349,7 @@ def certificate_from_dict(data: dict) -> tuple[str, dict, dict]:
     if not isinstance(data, dict):
         raise FormatError("certificate must be a JSON object")
     kind = data.get("kind")
-    if kind not in CERTIFICATE_KINDS:
-        raise FormatError(f"unknown certificate kind {kind!r}")
+    _check_kind(kind)
     payload = data.get("payload")
     if not isinstance(payload, dict):
         raise FormatError("certificate payload must be an object")

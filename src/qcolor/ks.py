@@ -99,8 +99,11 @@ def canonicalize(raw_vectors, tol: float = DEFAULT_TOL, labels=None) -> VectorSe
 def enumerate_bases(s: VectorSet, tol: float = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """All orthonormal bases inside s, i.e. all d-cliques of its orthogonality
     graph, each a sorted index tuple; the list is sorted lexicographically."""
-    g = orthogonality_graph(s.vectors, tol=tol)
-    d = s.dimension
+    return _bases(orthogonality_graph(s.vectors, tol=tol), s.dimension)
+
+
+def _bases(g: Graph, d: int) -> list[tuple[int, ...]]:
+    """All d-cliques of g, as enumerate_bases lists them."""
     adj = [set(int(u) for u in g.neighbors(v)) for v in range(g.n)]
     bases: list[tuple[int, ...]] = []
 
@@ -118,11 +121,6 @@ def enumerate_bases(s: VectorSet, tol: float = DEFAULT_TOL) -> list[tuple[int, .
     return bases
 
 
-def _orthogonal_pairs(s: VectorSet, tol: float) -> list[tuple[int, int]]:
-    g = orthogonality_graph(s.vectors, tol=tol)
-    return [(int(u), int(v)) for u, v in g.edges()]
-
-
 def verify_ks_witness(s: VectorSet, witness, weak: bool = False,
                       tol: float = DEFAULT_TOL) -> bool:
     """Mechanical validation: exactly one 1 per enumerated basis, and (for the
@@ -130,9 +128,10 @@ def verify_ks_witness(s: VectorSet, witness, weak: bool = False,
     f = list(witness)
     if len(f) != s.size or any(x not in (0, 1) for x in f):
         raise KSError("witness must assign 0/1 to every ray")
-    if any(sum(f[r] for r in b) != 1 for b in enumerate_bases(s, tol)):
+    g = orthogonality_graph(s.vectors, tol=tol)
+    if any(sum(f[r] for r in b) != 1 for b in _bases(g, s.dimension)):
         return False
-    if weak and any(f[u] and f[v] for u, v in _orthogonal_pairs(s, tol)):
+    if weak and any(f[u] and f[v] for u, v in g.edge_array.tolist()):
         return False
     return True
 
@@ -227,43 +226,28 @@ def _search_labeling(n: int, bases: list[tuple[int, ...]],
             return None
 
 
-def _decide(s: VectorSet, tol: float, method: str,
-            searcher) -> KSDecision:
-    bases = enumerate_bases(s, tol)
+def ks_check(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
+    """Decide whether s is a KS set and whether it is weak KS; exhaustive, so
+    both answers are definitive.  The weak search (1s on orthogonal rays
+    forbidden) runs first, since its witness settles both flags."""
+    g = orthogonality_graph(s.vectors, tol=tol)
+    bases = _bases(g, s.dimension)
     n = s.size
     if not bases:
         # Any labeling vacuously satisfies the basis condition, including the
         # all-zero one, which also has no orthogonal 1-1 pair.
-        return KSDecision(False, False, (0,) * n, method)
-    weak_witness = searcher(bases, independent=True)
-    if weak_witness is not None:
-        return KSDecision(False, False, tuple(weak_witness), method)
-    ks_witness = searcher(bases, independent=False)
-    if ks_witness is None:
-        return KSDecision(True, True, None, method)
-    return KSDecision(False, True, tuple(ks_witness), method)
-
-
-def ks_check(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
-    """Decide whether s is a KS set (and, along the way, whether it is weak
-    KS); exhaustive, so both answers are definitive."""
-    pairs = _orthogonal_pairs(s, tol)
-    neighbor_sets = [set() for _ in range(s.size)]
-    for u, v in pairs:
+        return KSDecision(False, False, (0,) * n, "backtracking")
+    neighbor_sets = [set() for _ in range(n)]
+    for u, v in g.edge_array.tolist():
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
-
-    def searcher(bases, independent):
-        return _search_labeling(s.size, bases,
-                                neighbor_sets if independent else None)
-
-    return _decide(s, tol, "backtracking", searcher)
-
-
-def weak_ks_check(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
-    """Decide whether s is a weak KS set.  Same exhaustive engine as ks_check;
-    both flags of the returned decision are settled."""
-    return ks_check(s, tol)
+    weak_witness = _search_labeling(n, bases, neighbor_sets)
+    if weak_witness is not None:
+        return KSDecision(False, False, tuple(weak_witness), "backtracking")
+    ks_witness = _search_labeling(n, bases, None)
+    if ks_witness is None:
+        return KSDecision(True, True, None, "backtracking")
+    return KSDecision(False, True, tuple(ks_witness), "backtracking")
 
 
 def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
@@ -275,11 +259,12 @@ def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
     k = s.size
     if k > BRUTE_FORCE_LIMIT:
         raise KSError(f"brute force limited to {BRUTE_FORCE_LIMIT} rays, got {k}")
-    bases = enumerate_bases(s, tol)
+    g = orthogonality_graph(s.vectors, tol=tol)
+    bases = _bases(g, s.dimension)
     if not bases:
         return KSDecision(False, False, (0,) * k, "brute_force")
     basis_masks = [sum(1 << r for r in b) for b in bases]
-    pair_masks = [(1 << u) | (1 << v) for u, v in _orthogonal_pairs(s, tol)]
+    pair_masks = [(1 << u) | (1 << v) for u, v in g.edge_array.tolist()]
 
     first_ks: int | None = None
     chunk = 1 << 20

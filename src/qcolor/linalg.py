@@ -26,24 +26,6 @@ class LinalgError(ValueError):
     pass
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """<u|v>, conjugating u."""
-    u = np.asarray(u, dtype=complex).ravel()
-    v = np.asarray(v, dtype=complex).ravel()
-    if u.shape != v.shape:
-        raise LinalgError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise LinalgError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def pair_values(x: np.ndarray, z: np.ndarray, vs: np.ndarray,
                 ws: np.ndarray) -> np.ndarray:
     """Per-pair, per-color bilinear values of two (n, c, k) arrays:
@@ -69,19 +51,6 @@ def pair_values(x: np.ndarray, z: np.ndarray, vs: np.ndarray,
             t = x[lo:lo + PAIR_BLOCK, a] @ z[cols, a].T
             out[sel, a] = t[rows, col_of]
     return out
-
-
-def is_orthonormal_basis(vecs, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the vectors number exactly their common dimension and their
-    Gram matrix is the identity entrywise within tol."""
-    mat = np.asarray(list(vecs), dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise LinalgError("need a nonempty list of equal-dimension vectors")
-    k, d = mat.shape
-    if k != d:
-        return False
-    gram = mat.conj() @ mat.T
-    return bool(np.max(np.abs(gram - np.eye(d))) <= tol)
 
 
 @dataclass(frozen=True)
@@ -122,22 +91,29 @@ def schmidt(state: np.ndarray, d_a: int, d_b: int,
 def support_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors of a PSD matrix with
-    eigenvalue above rank_tol relative to the largest."""
+    eigenvalue above rank_tol relative to the largest (zero for a matrix with
+    no positive eigenvalue).  Rejects a Hermitian defect above tol, an
+    eigenvalue below -tol relative to the largest, and, as ambiguous, an
+    eigenvalue within a factor 10 of the rank cutoff."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinalgError("support requires a square matrix")
-    herm_defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if herm_defect > tol:
-        raise LinalgError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    lam_max = w[-1] if w.size else 0.0
-    if w.size and w[0] < -tol * max(1.0, lam_max):
-        raise LinalgError(f"matrix has a negative eigenvalue {w[0]:.3e}")
-    keep = w > rank_tol * max(lam_max, 0.0)
-    if lam_max <= 0:
-        keep = np.zeros_like(keep)
-    vk = v[:, keep]
-    return vk @ vk.conj().T
+    herm = np.max(np.abs(a - a.conj().T), initial=0.0)
+    if herm > tol:
+        raise LinalgError(f"matrix is not Hermitian (defect {herm:.3g})")
+    w, v = np.linalg.eigh(a)
+    top = float(w[-1]) if w.size else 0.0
+    if top <= 0.0:
+        return np.zeros_like(a)
+    if w[0] < -tol * top:
+        raise LinalgError(f"matrix is not PSD (eigenvalue {w[0]:.3g})")
+    cut = rank_tol * top
+    band = (w > cut / 10) & (w < cut * 10)
+    if np.any(band):
+        raise LinalgError(f"ambiguous eigenvalue {w[band][0]:.3g} near the "
+                          f"rank cutoff {cut:.3g}")
+    keep = v[:, w > cut]
+    return keep @ keep.conj().T
 
 
 def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
@@ -171,8 +147,3 @@ def maximally_entangled(d: int) -> np.ndarray:
     """sum_i |ii> / sqrt(d) as a flat vector of length d*d."""
     return (np.eye(d, dtype=complex) / np.sqrt(d)).ravel()
 
-
-def outer(v: np.ndarray) -> np.ndarray:
-    """|v><v|."""
-    v = np.asarray(v, dtype=complex).ravel()
-    return np.outer(v, v.conj())

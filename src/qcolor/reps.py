@@ -10,13 +10,12 @@ failure is reported as "not found", never as infeasibility.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import (DEFAULT_BUDGET, ColoringCertificate, chromatic_number,
-                       clique_number, greedy_coloring, is_c_colorable,
-                       verify_coloring)
+from .coloring import (DEFAULT_BUDGET, ColoringCertificate, clique_number,
+                       greedy_coloring, is_c_colorable, verify_coloring)
 from .graphs import Graph, cartesian_product, complete_graph, complement
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, matrix_rank, pair_values
 
@@ -91,12 +90,6 @@ class QuantumColoring:
         if self.vectors is not None:
             return self.vectors.shape[2]
         return self.projectors.shape[2]
-
-    def projector(self, v: int, alpha: int) -> np.ndarray:
-        if self.projectors is not None:
-            return self.projectors[v, alpha]
-        a = self.vectors[v, alpha]
-        return np.outer(a, a.conj())
 
 
 @dataclass(frozen=True, eq=False)

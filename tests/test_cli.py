@@ -186,10 +186,13 @@ def test_hadamard_certificate_reverifies(capsys, tmp_path):
 
 def test_verify_rejects_wrong_kind(capsys, c5_file, tmp_path):
     cert = tmp_path / "cert.json"
-    io.write_certificate(cert, "ks-witness", {"labeling": [0], "weak": False},
+    io.write_certificate(cert, "psd-witness",
+                         io.encode_payload("psd-witness",
+                                           reps.PSDWitness(np.eye(5), 5)),
                          io.make_metadata(1e-9, 1e-7))
     code, report, _ = run(capsys, "verify-rep", c5_file, str(cert))
     assert code == 2
+    assert "'psd-witness'" in report["error"]
 
 
 def test_tampered_certificate_fails(capsys, c5_file, tmp_path):
@@ -299,7 +302,7 @@ def test_psd_witness_flow(capsys, c5_file, tmp_path):
     gram[np.abs(gram) < 1e-12] = 0.0
     w = tmp_path / "w.json"
     io.write_certificate(w, "psd-witness",
-                         {"rank": 3, "matrix": io._pack_vector(gram.astype(complex))},
+                         io.encode_payload("psd-witness", reps.PSDWitness(gram, 3)),
                          io.make_metadata(1e-9, 1e-7))
     rep_out = str(tmp_path / "rep.json")
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w), "-o", rep_out)
@@ -311,8 +314,8 @@ def test_psd_witness_flow(capsys, c5_file, tmp_path):
 def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
     w = tmp_path / "w.json"
     io.write_certificate(w, "psd-witness",
-                         {"rank": 5,
-                          "matrix": io._pack_vector(np.eye(5, dtype=complex))},
+                         io.encode_payload("psd-witness",
+                                           reps.PSDWitness(np.eye(5), 5)),
                          io.make_metadata(1e-9, 1e-7))
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w))
     assert code == 1 and not report["ok"]

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import cycle
-from qcolor import datasets, game, io, ks
+from qcolor import coloring, datasets, game, io, ks, reps
 from qcolor.graphs import complete_graph
 from qcolor.linalg import maximally_entangled
 
@@ -163,6 +164,80 @@ def test_certificate_unknown_kind():
         io.certificate_to_dict("nonsense", {}, {})
     with pytest.raises(io.FormatError, match="unknown certificate kind"):
         io.certificate_from_dict({"kind": "nonsense", "payload": {}})
+
+
+def test_removed_ks_witness_kind_is_unknown():
+    assert io.CERTIFICATE_KINDS == tuple(io.CODECS)
+    with pytest.raises(io.FormatError, match="unknown certificate kind"):
+        io.decode_payload("ks-witness", {"labeling": [0], "weak": False})
+
+
+def _rank2_projector_coloring() -> reps.QuantumColoring:
+    """C5's proper 3-coloring (0, 1, 0, 1, 2) lifted to rank 2: color a of
+    vertex v is the 2-dimensional block (col[v] + a) mod 3 of C^6."""
+    col = (0, 1, 0, 1, 2)
+    projs = np.zeros((5, 3, 6, 6), dtype=complex)
+    for v in range(5):
+        for a in range(3):
+            blk = 2 * ((col[v] + a) % 3)
+            projs[v, a, blk:blk + 2, blk:blk + 2] = np.eye(2)
+    return reps.QuantumColoring(3, 2, projectors=projs)
+
+
+def _codec_examples():
+    rng = np.random.default_rng(7)
+
+    def z(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return [
+        ("coloring", coloring.ColoringCertificate(3, (0, 1, 0, 1, 2))),
+        ("orthrep", reps.OrthogonalRepresentation(3, z(5, 3))),
+        ("matrixrep", reps.MatrixRepresentation(2, z(4, 2, 2))),
+        ("qcoloring", reps.hadamard_quantum_coloring(4)),
+        ("qcoloring", _rank2_projector_coloring()),
+        ("psd-witness", reps.PSDWitness(z(4, 4), 2)),
+    ]
+
+
+@pytest.mark.parametrize("kind, obj", _codec_examples(),
+                         ids=["coloring", "orthrep", "matrixrep",
+                              "qcoloring-vectors", "qcoloring-projectors",
+                              "psd-witness"])
+def test_payload_roundtrip(tmp_path, kind, obj):
+    p = tmp_path / "cert.json"
+    io.write_certificate(p, kind, io.encode_payload(kind, obj),
+                         io.make_metadata(1e-9, 1e-7))
+    got_kind, payload, _ = io.read_certificate(p)
+    back = io.decode_payload(got_kind, payload)
+    assert got_kind == kind and type(back) is type(obj)
+    for f in dataclasses.fields(obj):
+        want, got = getattr(obj, f.name), getattr(back, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("kind, payload, match", [
+    ("coloring", {"colors": 3}, "'assignment'"),
+    ("coloring", {"colors": 3, "assignment": ["x"]}, "invalid literal"),
+    ("orthrep", {"dimension": 2, "vectors": [[[1.0, 0.0]]]}, r"\(n, 2\)"),
+    ("orthrep", {"dimension": 1, "vectors": [[[np.nan, 0.0]]]}, "non-finite"),
+    ("matrixrep", {"dimension": 2, "matrices": [[[1.0, 0.0]] * 3]},
+     "3 entries, expected 4"),
+    ("qcoloring", {"colors": 2, "rank": 1, "vectors": [[[[1.0, 0.0]]]]},
+     "exactly 2"),
+    ("qcoloring", {"colors": 2, "rank": 1,
+                   "projectors": [[[[1.0, 0.0]] * 4, [[1.0, 0.0]] * 3]]},
+     r"projector \(0,1\) has 3 entries"),
+    ("qcoloring", {"colors": 2, "rank": 1}, "'projectors'"),
+    ("psd-witness", {"rank": 2, "matrix": [[1.0, 0.0]] * 3}, "not square"),
+    ("psd-witness", {"rank": 2, "matrix": [[1.0]]}, r"\[re, im\]"),
+])
+def test_malformed_payload_is_format_error(kind, payload, match):
+    with pytest.raises(io.FormatError, match=f"malformed {kind} payload: .*{match}"):
+        io.decode_payload(kind, payload)
 
 
 def test_invalid_json_reports_path(tmp_path):

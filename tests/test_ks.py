@@ -156,6 +156,22 @@ def test_decision_deterministic(peres):
     assert a.witness == b.witness
 
 
+@pytest.mark.parametrize("decide", [ks.ks_check, ks.brute_force_ks])
+def test_one_orthogonality_graph_per_call(monkeypatch, yu_oh, decide):
+    # bases and orthogonal pairs come from the same k x k Gram matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orthogonality_graph(*args, **kwargs)
+
+    monkeypatch.setattr(ks, "orthogonality_graph", counted)
+    dec = decide(yu_oh)
+    assert len(calls) == 1
+    assert ks.verify_ks_witness(yu_oh, dec.witness, weak=True)
+    assert len(calls) == 2
+
+
 # -- solver vs oracle on random instances ------------------------------------
 
 

@@ -16,19 +16,6 @@ def random_state(d_a, d_b, seed, rank=None):
     return v / np.linalg.norm(v)
 
 
-def test_inner_conjugates_first_argument():
-    x = np.array([1j, 0.0])
-    y = np.array([1.0, 0.0])
-    assert linalg.inner(x, y) == pytest.approx(-1j)
-
-
-def test_is_orthonormal_basis():
-    assert linalg.is_orthonormal_basis(np.eye(4))
-    tilted = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    assert linalg.is_orthonormal_basis(tilted)
-    assert not linalg.is_orthonormal_basis(np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 50))
 @settings(max_examples=40, deadline=None)
 def test_schmidt_reconstructs(d_a, d_b, seed):
@@ -88,6 +75,15 @@ def test_support_projector_rejects_negative():
         linalg.support_projector(np.diag([1.0, -0.5]))
 
 
+def test_support_projector_rejects_ambiguous_eigenvalue():
+    # cutoff 1e-7 relative to the top eigenvalue 1: 2e-7 is inside the band
+    # (1e-8, 1e-6), 1e-4 and 1e-10 are clear of it
+    with pytest.raises(linalg.LinalgError, match="ambiguous"):
+        linalg.support_projector(np.diag([1.0, 2e-7]))
+    p = linalg.support_projector(np.diag([1.0, 1e-4, 1e-10]))
+    assert np.allclose(p, np.diag([1.0, 1.0, 0.0]))
+
+
 def test_support_projector_zero_matrix():
     p = linalg.support_projector(np.zeros((3, 3)))
     assert np.allclose(p, 0.0)
@@ -110,13 +106,6 @@ def test_maximally_entangled_reduction_identity():
         f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         naive = psi.conj() @ (np.kron(e, f) @ psi)
         assert naive == pytest.approx(np.trace(e @ f.T) / d, abs=1e-12)
-
-
-def test_hs_inner_matches_trace():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert linalg.hs_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b))
 
 
 @pytest.mark.parametrize("n, c, k, m", [
