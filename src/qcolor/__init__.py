@@ -22,12 +22,11 @@ from .reps import (MatrixRepresentation, OrthogonalRepresentation, PSDWitness,
                    xi_bounds)
 from .datasets import BUNDLED, bundled_path, load_vector_set
 from .game import (ClassicalStrategy, GameError, NormalFormError,
-                   POVMStrategy, QuestionDistribution,
-                   best_classical_win_probability, check_consistency,
-                   classical_win_probability, normal_form_properties,
-                   normalize_strategy, quantum_outcome_distribution,
-                   quantum_win_probability, simulate_game,
-                   strategy_from_quantum_coloring, uniform_questions,
+                   POVMStrategy, best_classical_win_probability,
+                   check_consistency, classical_win_probability,
+                   normal_form_properties, normalize_strategy,
+                   quantum_outcome_distribution, quantum_win_probability,
+                   simulate_game, strategy_from_quantum_coloring,
                    validate_strategy)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

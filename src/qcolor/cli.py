@@ -135,17 +135,20 @@ def _metadata(opts: dict) -> dict:
     return {"tool": "qcolor", "version": __version__, **opts}
 
 
-def _emit_certificate(report: dict, args, kind: str, obj, opts: dict) -> None:
-    payload = io.encode_payload(kind, obj)
-    meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
+def _emit(report: dict, args, key: str, doc: dict) -> None:
+    """Write doc to the -o file if one is given, else put it under
+    report[key]; report["written_to"] says which."""
     out = getattr(args, "output", None)
     if out:
-        io.write_certificate(out, kind, payload, meta)
-        report["certificate"] = None
-        report["written_to"] = out
-    else:
-        report["certificate"] = io.certificate_to_dict(kind, payload, meta)
-        report["written_to"] = None
+        io.write_json(doc, out)
+    report[key] = None if out else doc
+    report["written_to"] = out or None
+
+
+def _emit_certificate(report: dict, args, kind: str, obj, opts: dict) -> None:
+    meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
+    _emit(report, args, "certificate",
+          io.certificate_to_dict(kind, io.encode_payload(kind, obj), meta))
 
 
 def _read_certificate(path, kinds: tuple[str, ...]):
@@ -341,14 +344,7 @@ def _cmd_game(args, opts):
                   "rank": nf.dim_a // nf.colors,
                   "properties": game.normal_form_properties(nf, g, opts["tol"]),
                   "win_probability": game.quantum_win_probability(g, nf)}
-        out = getattr(args, "output", None)
-        if out:
-            io.write_strategy(nf, out)
-            report["strategy"] = None
-            report["written_to"] = out
-        else:
-            report["strategy"] = io.strategy_to_dict(nf)
-            report["written_to"] = None
+        _emit(report, args, "strategy", io.strategy_to_dict(nf))
         return report, EXIT_YES, (f"normal form: {nf.colors} colors, rank "
                                   f"{report['rank']}, local dimension {nf.dim_a}")
     raise io.FormatError(f"unknown game command {args.game_command!r}")

@@ -2,11 +2,11 @@
 (equal or adjacent); they win when equal vertices get equal colors and
 adjacent vertices different ones.
 
-The referee's question distribution is not part of the game's definition;
-winning with certainty is independent of it as long as every legal pair has
-positive probability.  The DEFAULT used throughout is uniform over
-{(v, v) : v in V} union {(v, w), (w, v) : (v, w) in E}.  Distributions carry
-exact rational weights so classical probabilities are exact fractions.
+The referee asks uniformly over the legal pairs
+{(v, v) : v in V} union {(v, w), (w, v) : (v, w) in E}.  That is the game's
+only distribution, and it is enough: whether a strategy wins with certainty
+does not depend on the distribution, as long as every legal pair has positive
+probability.  Classical probabilities are exact fractions.
 
 normalize_strategy implements the constructive normal-form transformation for
 winning strategies: Schmidt restriction, support replacement, conjugation
@@ -48,39 +48,19 @@ class NormalFormError(GameError):
 # questions and strategies
 
 
-@dataclass(frozen=True)
-class QuestionDistribution:
-    """Probability over ordered question pairs; weights are exact fractions
-    summing to 1, support restricted to v == w or (v, w) an edge."""
-    pairs: tuple[tuple[int, int], ...]
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.pairs) != len(self.weights):
-            raise GameError("pairs and weights differ in length")
-        if any(w < 0 for w in self.weights):
-            raise GameError("negative question weight")
-        if sum(self.weights, Fraction(0)) != 1:
-            raise GameError("question weights must sum to 1")
-
-    def validate_support(self, g: Graph) -> None:
-        for v, w in self.pairs:
-            if not (0 <= v < g.n and 0 <= w < g.n):
-                raise GameError(f"question ({v},{w}) out of range")
-            if v != w and not g.has_edge(v, w):
-                raise GameError(f"question ({v},{w}) is neither diagonal nor an edge")
-
-
-def uniform_questions(g: Graph) -> QuestionDistribution:
-    """Uniform over all diagonal pairs and both orientations of each edge."""
-    pairs = [(v, v) for v in range(g.n)]
-    for u, v in g.edges():
-        pairs.append((u, v))
-        pairs.append((v, u))
-    if not pairs:
+def _questions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The legal question pairs (vs[k], ws[k]): the diagonal 0..n-1, then each
+    row (u, v) of g.edge_array as (u, v) directly followed by (v, u)."""
+    if g.n == 0:
         raise GameError("no legal questions on the empty graph")
-    w = Fraction(1, len(pairs))
-    return QuestionDistribution(tuple(pairs), tuple(w for _ in pairs))
+    diag = np.arange(g.n)
+    return (np.concatenate([diag, g.edge_array.ravel()]),
+            np.concatenate([diag, g.edge_array[:, ::-1].ravel()]))
+
+
+def _classical_wins(alice, bob, vs: list[int], ws: list[int]) -> int:
+    """Questions won: equal answers on the diagonal, different on edges."""
+    return sum((alice[v] == bob[w]) == (v == w) for v, w in zip(vs, ws))
 
 
 @dataclass(frozen=True)
@@ -169,41 +149,29 @@ def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
 # exact probabilities
 
 
-def classical_win_probability(g: Graph, s: ClassicalStrategy,
-                              q: QuestionDistribution | None = None) -> Fraction:
-    """Exact q-mass of the question pairs the deterministic pair answers
+def classical_win_probability(g: Graph, s: ClassicalStrategy) -> Fraction:
+    """Exact fraction of the question pairs the deterministic pair answers
     correctly."""
     if len(s.alice) != g.n or len(s.bob) != g.n:
         raise GameError("strategy does not cover the vertex set")
-    if q is None:
-        q = uniform_questions(g)
-    q.validate_support(g)
-    total = Fraction(0)
-    for (v, w), weight in zip(q.pairs, q.weights):
-        if v == w:
-            if s.alice[v] == s.bob[w]:
-                total += weight
-        elif s.alice[v] != s.bob[w]:
-            total += weight
-    return total
+    vs, ws = _questions(g)
+    return Fraction(_classical_wins(s.alice, s.bob, vs.tolist(), ws.tolist()),
+                    len(vs))
 
 
-def best_classical_win_probability(g: Graph, colors: int,
-                                   q: QuestionDistribution | None = None):
+def best_classical_win_probability(g: Graph, colors: int):
     """Exhaustive maximum over all deterministic strategy pairs (c^n x c^n);
     returns (best probability as an exact Fraction, best strategy)."""
     import itertools
 
-    if q is None:
-        q = uniform_questions(g)
+    vs, ws = (x.tolist() for x in _questions(g))
     best = Fraction(-1)
     best_s = None
     for alice in itertools.product(range(colors), repeat=g.n):
         for bob in itertools.product(range(colors), repeat=g.n):
-            s = ClassicalStrategy(colors, alice, bob)
-            p = classical_win_probability(g, s, q)
+            p = Fraction(_classical_wins(alice, bob, vs, ws), len(vs))
             if p > best:
-                best, best_s = p, s
+                best, best_s = p, ClassicalStrategy(colors, alice, bob)
                 if best == 1:
                     return best, best_s
     return best, best_s
@@ -232,25 +200,20 @@ def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
     return np.einsum("aij,bij->ab", x, z).real
 
 
-def quantum_win_probability(g: Graph, s: POVMStrategy,
-                            q: QuestionDistribution | None = None) -> float:
+def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     """Exact (up to float arithmetic) winning probability: diagonal questions
     win on equal outcomes, edge questions on differing outcomes."""
     if s.n_vertices != g.n:
         raise GameError("strategy does not cover the vertex set")
-    if q is None:
-        q = uniform_questions(g)
-    q.validate_support(g)
+    vs, ws = _questions(g)
     x, z = _products(s)
     # extra last color: (sum_a E_va) (x) (sum_b F_wb), the pair's total mass
     x = np.concatenate([x, x.sum(axis=1, keepdims=True)], axis=1)
     z = np.concatenate([z, z.sum(axis=1, keepdims=True)], axis=1)
-    pairs = np.array(q.pairs)
-    weights = np.array([float(w) for w in q.weights])
-    vals = pair_values(x, z, pairs[:, 0], pairs[:, 1]).real
+    vals = pair_values(x, z, vs, ws).real
     agree = vals[:, :-1].sum(axis=1)
-    win = np.where(pairs[:, 0] == pairs[:, 1], agree, vals[:, -1] - agree)
-    return float(weights @ win)
+    win = np.where(vs == ws, agree, vals[:, -1] - agree)
+    return float(np.full(len(vs), 1 / len(vs)) @ win)
 
 
 @dataclass(frozen=True)
@@ -306,10 +269,13 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 # normal form
 
 
+# post-condition tolerance of the normal form's stage checks
+CHECK_TOL = 1e-7
+
+
 @dataclass(frozen=True, eq=False)
 class NormalizationTrace:
     schmidt_coefficients: tuple[float, ...]  # of the input state, descending
-    rho: np.ndarray  # reduced state after restriction, renormalized
     stages: tuple[tuple[str, POVMStrategy], ...]
 
 
@@ -329,8 +295,7 @@ def _stage_consistency(s: POVMStrategy, g: Graph, stage: str, tol: float) -> Non
 
 
 def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
-                       rank_tol: float = DEFAULT_RANK_TOL,
-                       check_tol: float = 1e-7) -> NormalFormResult:
+                       rank_tol: float = DEFAULT_RANK_TOL) -> NormalFormResult:
     """Transform a winning strategy into normal form.
 
     Stages, each with post-condition checks that abort with the stage name:
@@ -349,8 +314,8 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     with probability 1.  Inputs that are not winning strategies are rejected
     up front with their violation list.
     """
-    validate_strategy(s, check_tol)
-    pre = check_consistency(s, g, check_tol)
+    validate_strategy(s, CHECK_TOL)
+    pre = check_consistency(s, g, CHECK_TOL)
     if not pre.ok:
         raise NormalFormError("precondition", "input is not a winning strategy "
                               f"({len(pre.violations)} consistency violations)",
@@ -379,9 +344,8 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     state2 = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(state2, lam)
     s2 = POVMStrategy(s.colors, d, d, state2.ravel(), alice2, bob2)
-    validate_strategy(s2, check_tol)
-    _stage_consistency(s2, g, stage, check_tol)
-    rho = np.diag(lam.astype(complex) ** 2)
+    validate_strategy(s2, CHECK_TOL)
+    _stage_consistency(s2, g, stage, CHECK_TOL)
     stages.append((stage, s2))
 
     # stage 2: support replacement ------------------------------------------
@@ -405,52 +369,47 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
         cross = np.einsum("vaij,vbjk->vabik", ops, ops)
         cross[:, np.arange(c), np.arange(c)] = 0.0
         worst = float(np.max(np.abs(cross))) if cross.size else 0.0
-        if worst > check_tol:
+        if worst > CHECK_TOL:
             raise NormalFormError(stage, f"{name} supports are not mutually "
                                   f"orthogonal (worst product {worst:.3g})")
         defect = float(np.max(np.abs(ops.sum(axis=1) - np.eye(d))))
-        if defect > check_tol:
+        if defect > CHECK_TOL:
             raise NormalFormError(stage, f"{name} supports do not resolve the "
                                   f"identity (defect {defect:.3g})")
     s1 = POVMStrategy(c, d, d, s2.state, alice1, bob1)
-    _stage_consistency(s1, g, stage, check_tol)
+    _stage_consistency(s1, g, stage, CHECK_TOL)
     stages.append((stage, s1))
 
     # stage 3: conjugation identity -----------------------------------------
     stage = "conjugation identity"
     defect = float(np.max(np.abs(s1.alice - s1.bob.conj())))
-    if defect > check_tol:
+    if defect > CHECK_TOL:
         raise NormalFormError(stage, "E != conj(F) after support replacement "
                               f"(defect {defect:.3g})", detail=defect)
     bob_conj = s1.alice.conj()
     s1c = POVMStrategy(c, d, d, s1.state, s1.alice, bob_conj)
-    _stage_consistency(s1c, g, stage, check_tol)
+    _stage_consistency(s1c, g, stage, CHECK_TOL)
     stages.append((stage, s1c))
 
     # stage 4: schmidt flattening -------------------------------------------
     stage = "schmidt flattening"
     s_flat = POVMStrategy(c, d, d, maximally_entangled(d), s1c.alice, s1c.bob)
-    _stage_consistency(s_flat, g, stage, check_tol)
+    _stage_consistency(s_flat, g, stage, CHECK_TOL)
     stages.append((stage, s_flat))
 
     # stage 5: rank padding --------------------------------------------------
     stage = "rank padding"
     dd = d * c
     alice_pad = np.zeros((n, c, dd, dd), dtype=complex)
-    for v in range(n):
-        for a in range(c):
-            blocks = [s_flat.alice[v, (a + i) % c] for i in range(c)]
-            for i, blk in enumerate(blocks):
-                alice_pad[v, a, i * d:(i + 1) * d, i * d:(i + 1) * d] = blk
-    # careful: the block layout above is (register, support) = A2-major; the
-    # paper's E' (x) |i><i| is A1-major.  Reorder to A1-major indexing so the
-    # maximally entangled state on C^{dc} matches kron semantics.
-    perm = np.arange(dd).reshape(c, d).T.ravel()
-    alice_pad = alice_pad[:, :, perm[:, None], perm[None, :]]
+    # the padded index is p*c + i (A1-major, as the paper's E' (x) |i><i|, so
+    # the maximally entangled state on C^{dc} matches kron semantics), and
+    # register i carries color (a + i) mod c
+    for i in range(c):
+        alice_pad[:, :, i::c, i::c] = s_flat.alice[:, np.roll(np.arange(c), -i)]
     final = POVMStrategy(c, dd, dd, maximally_entangled(dd), alice_pad,
                          alice_pad.conj())
-    validate_strategy(final, check_tol)
-    _stage_consistency(final, g, stage, check_tol)
+    validate_strategy(final, CHECK_TOL)
+    _stage_consistency(final, g, stage, CHECK_TOL)
     flags = normal_form_properties(final, g, tol)
     failed = [k for k, ok in flags.items() if not ok]
     if failed:
@@ -459,7 +418,7 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 
     trace = NormalizationTrace(
         schmidt_coefficients=tuple(float(x) for x in coeffs),
-        rho=rho, stages=tuple(stages))
+        stages=tuple(stages))
     return NormalFormResult(normal=final, trace=trace)
 
 
@@ -498,34 +457,28 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
 # simulation
 
 
-def simulate_game(g: Graph, strategy, q: QuestionDistribution | None = None,
-                  rounds: int = 10_000, seed: int = 0) -> float:
-    """Monte-Carlo win rate under the question distribution; reproducible for
-    a fixed seed.  Accepts a ClassicalStrategy or a POVMStrategy."""
+def simulate_game(g: Graph, strategy, rounds: int = 10_000,
+                  seed: int = 0) -> float:
+    """Monte-Carlo win rate under the uniform questions; reproducible for a
+    fixed seed.  Accepts a ClassicalStrategy or a POVMStrategy."""
     if rounds < 1:
         raise GameError("rounds must be >= 1")
-    if q is None:
-        q = uniform_questions(g)
-    q.validate_support(g)
+    vs, ws = _questions(g)
     rng = np.random.default_rng(seed)
-    weights = np.array([float(w) for w in q.weights])
-    weights = weights / weights.sum()
-    picks = rng.choice(len(q.pairs), size=rounds, p=weights)
-    wins = 0
+    weights = np.full(len(vs), 1 / len(vs))
+    picks = rng.choice(len(vs), size=rounds, p=weights / weights.sum())
+    vs, ws = vs[picks].tolist(), ws[picks].tolist()
     if isinstance(strategy, ClassicalStrategy):
-        for k in picks:
-            v, w = q.pairs[k]
-            a, b = strategy.alice[v], strategy.bob[w]
-            wins += (a == b) if v == w else (a != b)
-        return float(wins / rounds)
+        return float(_classical_wins(strategy.alice, strategy.bob, vs, ws)
+                     / rounds)
     if not isinstance(strategy, POVMStrategy):
         raise GameError(f"unsupported strategy type {type(strategy).__name__}")
     validate_strategy(strategy)
     x, z = _products(strategy)
     cache: dict[tuple[int, int], np.ndarray] = {}
     c = strategy.colors
-    for k in picks:
-        v, w = q.pairs[k]
+    wins = 0
+    for v, w in zip(vs, ws):
         if (v, w) not in cache:
             p = (x[v] @ z[w].T).real  # quantum_outcome_distribution(v, w)
             p = np.clip(p, 0.0, None).ravel()

@@ -96,7 +96,10 @@ def read_graph(path) -> Graph:
 
 
 def _check_real(x, what: str) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise FormatError(f"{what} contains a non-number: {x!r}")
     if math.isnan(x) or math.isinf(x):
         raise FormatError(f"{what} contains a non-finite value")
     return x
@@ -109,6 +112,8 @@ def _unpack_scalar(pair, what: str) -> complex:
 
 
 def _unpack_vector(pairs, what: str) -> np.ndarray:
+    if not isinstance(pairs, (list, tuple)):
+        raise FormatError(f"{what} must be a list of [re, im] pairs")
     return np.array([_unpack_scalar(p, what) for p in pairs], dtype=complex)
 
 
@@ -133,7 +138,7 @@ def _unpack_table(rows, c: int, shape: tuple[int, ...], what: str) -> np.ndarray
     """Inverse of _pack_table: an (n, c, *shape) array, n = len(rows)."""
     out = np.zeros((len(rows), c) + shape, dtype=complex)
     for v, row in enumerate(rows):
-        if len(row) != c:
+        if not isinstance(row, list) or len(row) != c:
             raise FormatError(f"vertex {v} does not list exactly {c} operators")
         for a in range(c):
             out[v, a] = _unpack_array(row[a], shape, f"{what} ({v},{a})")
@@ -158,7 +163,7 @@ def vector_set_from_dict(data: dict) -> tuple[VectorSet, float | None]:
         raise FormatError("vector set must be a JSON object")
     try:
         d = int(data["dimension"])
-        entries = data["vectors"]
+        entries = list(data["vectors"])
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"vector set missing or malformed field: {err}")
     tolerance = None
@@ -187,7 +192,7 @@ def read_vector_set(path) -> tuple[VectorSet, float | None]:
 
 
 def write_vector_set(s: VectorSet, path, tolerance: float | None = None) -> None:
-    _dump_json(vector_set_to_dict(s, tolerance), path)
+    write_json(vector_set_to_dict(s, tolerance), path)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +218,8 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
         da = int(data["dim_a"])
         db = int(data["dim_b"])
         state = _unpack_vector(data["state"], "state")
-        alice_raw = data["alice"]
-        bob_raw = data["bob"]
+        alice_raw = list(data["alice"])
+        bob_raw = list(data["bob"])
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"strategy missing or malformed field: {err}")
     if len(alice_raw) != len(bob_raw):
@@ -232,7 +237,7 @@ def read_strategy(path) -> POVMStrategy:
 
 
 def write_strategy(s: POVMStrategy, path) -> None:
-    _dump_json(strategy_to_dict(s), path)
+    write_json(strategy_to_dict(s), path)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +369,7 @@ def read_certificate(path) -> tuple[str, dict, dict]:
 
 
 def write_certificate(path, kind: str, payload: dict, metadata: dict) -> None:
-    _dump_json(certificate_to_dict(kind, payload, metadata), path)
+    write_json(certificate_to_dict(kind, payload, metadata), path)
 
 
 # ---------------------------------------------------------------------------
@@ -387,5 +392,7 @@ def _reject_constant(name: str):
     raise FormatError(f"non-finite JSON constant {name!r} is not allowed")
 
 
-def _dump_json(data, path) -> None:
+def write_json(data, path) -> None:
+    """Write a JSON document as every qcolor file is written: indented, NaN
+    and infinities refused."""
     Path(path).write_text(json.dumps(data, indent=1, allow_nan=False) + "\n")

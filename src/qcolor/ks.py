@@ -68,7 +68,10 @@ def canonicalize(raw_vectors, tol: float = DEFAULT_TOL, labels=None) -> VectorSe
     elif len(labels) != len(vecs):
         raise KSError("label count does not match vector count")
 
-    canon = []
+    kept = np.empty((len(vecs), d), dtype=complex)  # rays kept[:m]
+    m = 0
+    kept_labels: list[str] = []
+    merged: list[list[int]] = []
     for i, v in enumerate(vecs):
         norm = np.linalg.norm(v)
         if norm <= tol:
@@ -76,21 +79,16 @@ def canonicalize(raw_vectors, tol: float = DEFAULT_TOL, labels=None) -> VectorSe
         v = v / norm
         nz = np.flatnonzero(np.abs(v) > tol)[0]
         v = v * (np.conj(v[nz]) / np.abs(v[nz]))
-        canon.append(v)
-
-    kept: list[np.ndarray] = []
-    kept_labels: list[str] = []
-    merged: list[list[int]] = []
-    for i, v in enumerate(canon):
-        for j, u in enumerate(kept):
-            if abs(np.vdot(u, v)) >= 1.0 - tol:
-                merged[j].append(i)
-                break
+        # the first kept ray equal to v up to phase absorbs it
+        hits = np.flatnonzero(np.abs(kept[:m].conj() @ v) >= 1.0 - tol)
+        if hits.size:
+            merged[hits[0]].append(i)
         else:
-            kept.append(v)
+            kept[m] = v
+            m += 1
             kept_labels.append(str(labels[i]))
             merged.append([i])
-    mat = np.array(kept, dtype=complex)
+    mat = kept[:m].copy()
     mat.flags.writeable = False
     return VectorSet(dimension=d, vectors=mat, labels=tuple(kept_labels),
                      merged_ids=tuple(tuple(g) for g in merged))

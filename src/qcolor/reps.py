@@ -225,18 +225,21 @@ def matrixrep_to_orthrep(g: Graph, rep: MatrixRepresentation,
     return OrthogonalRepresentation(dimension=c, vectors=vecs)
 
 
+# gradient iterations per restart, and the initial step of their schedule
+SEARCH_ITERATIONS = 300
+SEARCH_STEP = 0.6
+POLISH_SWEEPS = 150
+# polish only near-feasible points; stalled penalties mean a bad basin
+# (or true infeasibility) and another restart is cheaper than projection
+POLISH_THRESHOLD = 1e-3
+
+
 @dataclass(frozen=True)
 class SearchParams:
     seed: int = 0
-    iterations: int = 300
     restarts: int = 24
     real: bool = False
     tol: float = DEFAULT_TOL
-    polish_sweeps: int = 150
-    step: float = 0.6
-    # polish only near-feasible points; stalled penalties mean a bad basin
-    # (or true infeasibility) and another restart is cheaper than projection
-    polish_threshold: float = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +303,7 @@ def search_orthogonal_representation(g: Graph, c: int,
         x = x.astype(complex)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         penalty = np.inf
-        for it in range(params.iterations):
+        for it in range(SEARCH_ITERATIONS):
             pe = np.einsum("ec,ec->e", x[e0].conj(), x[e1])
             penalty = float(np.sum(np.abs(pe) ** 2))
             if penalty < best_penalty:
@@ -310,7 +313,7 @@ def search_orthogonal_representation(g: Graph, c: int,
             grad = np.zeros_like(x)
             np.add.at(grad, e0, x[e1] * pe.conj()[:, None])
             np.add.at(grad, e1, x[e0] * pe[:, None])
-            step = params.step / (1.0 + it / 60.0)
+            step = SEARCH_STEP / (1.0 + it / 60.0)
             x = x - step * grad
             norms = np.linalg.norm(x, axis=1, keepdims=True)
             if not np.all(norms > 0):
@@ -318,9 +321,9 @@ def search_orthogonal_representation(g: Graph, c: int,
                 penalty = np.inf
                 break
             x /= norms
-        if penalty > params.polish_threshold:
+        if penalty > POLISH_THRESHOLD:
             continue
-        if _polish(x, neighbors, params.polish_sweeps, params.tol):
+        if _polish(x, neighbors, POLISH_SWEEPS, params.tol):
             rep = OrthogonalRepresentation(c, x.copy())
             if verify_orthogonal_representation(g, rep, params.tol):
                 return SearchResult(True, rep, 0.0, restart)

@@ -236,6 +236,22 @@ def test_ks_check_report_schema(capsys):
                            "method", "property", "witness"}
 
 
+@pytest.mark.parametrize("vectors, message", [
+    ([{"coords": [["a", 0.0], [0.0, 0.0]]}], "vector 0 contains a non-number"),
+    ([{"coords": [[None, 0.0], [0.0, 0.0]]}], "vector 0 contains a non-number"),
+    ([{"coords": 5}], "vector 0 must be a list"),
+    (5, "malformed field"),
+], ids=["string-coordinate", "null-coordinate", "coords-not-a-list",
+        "vectors-not-a-list"])
+def test_ks_check_malformed_vector_set_is_input_error(capsys, tmp_path,
+                                                      vectors, message):
+    p = tmp_path / "set.json"
+    p.write_text(json.dumps({"dimension": 2, "vectors": vectors}))
+    code, report, _ = run(capsys, "ks-check", str(p))
+    assert code == 2
+    assert message in report["error"]
+
+
 # -- game -----------------------------------------------------------------------
 
 
@@ -281,6 +297,23 @@ def test_game_normalize_rejects_bad_strategy(capsys, k2_file, tmp_path):
     code, report, _ = run(capsys, "game", "normalize", k2_file, str(p))
     assert code == 1
     assert report["rejected_stage"] == "precondition"
+
+
+@pytest.mark.parametrize("alice, message", [
+    ([5, 5], "vertex 0 does not list exactly 3 operators"),
+    (5, "malformed field"),
+], ids=["row-not-a-list", "table-not-a-list"])
+def test_game_malformed_operator_table_is_input_error(capsys, k2_file, tmp_path,
+                                                      alice, message):
+    strat = winning_k2_strategy_file(tmp_path)
+    with open(strat) as f:
+        data = json.load(f)
+    data["alice"] = alice
+    with open(strat, "w") as f:
+        json.dump(data, f)
+    code, report, _ = run(capsys, "game", "exact", k2_file, strat)
+    assert code == 2
+    assert message in report["error"]
 
 
 def test_game_dimension_mismatch(capsys, c5_file, tmp_path):

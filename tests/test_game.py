@@ -16,6 +16,15 @@ def classical_derived(g, seed=None):
     return game.strategy_from_quantum_coloring(qc)
 
 
+def uniform_pairs(g):
+    """The game's question pairs in order: the diagonal, then each edge in
+    both orientations."""
+    pairs = [(v, v) for v in range(g.n)]
+    for u, v in g.edges():
+        pairs += [(u, v), (v, u)]
+    return pairs
+
+
 def perturbed_k2_strategy(extra_colors=1, lam=(0.8, 0.6)):
     """Winning K_2 strategy with a non-uniform Schmidt state and appended
     all-zero colors."""
@@ -30,30 +39,20 @@ def perturbed_k2_strategy(extra_colors=1, lam=(0.8, 0.6)):
     return game.POVMStrategy(c, 2, 2, state, alice, alice.conj())
 
 
-# -- question distributions ----------------------------------------------------
-
-
-def test_uniform_questions_support():
-    g = cycle(5)
-    q = game.uniform_questions(g)
-    assert len(q.pairs) == 5 + 2 * 5
-    assert sum(q.weights) == 1
-    q.validate_support(g)
-
-
-def test_questions_reject_illegal_support():
-    g = make_graph(3, [(0, 1)])
-    with pytest.raises(game.GameError):
-        game.QuestionDistribution(((0, 2),), (Fraction(1),)).validate_support(g)
-    with pytest.raises(game.GameError):
-        game.QuestionDistribution(((0, 1),), (Fraction(1, 2),))
-    with pytest.raises(game.GameError):
-        game.QuestionDistribution(((0, 1),), (Fraction(3, 2), Fraction(-1, 2)))
+# -- questions -------------------------------------------------------------------
 
 
 def test_uniform_questions_empty_graph():
-    with pytest.raises(game.GameError):
-        game.uniform_questions(make_graph(0, []))
+    """The empty graph has no legal question, so no game to play."""
+    g = make_graph(0, [])
+    with pytest.raises(game.GameError, match="no legal questions"):
+        game.classical_win_probability(g, game.ClassicalStrategy(1, (), ()))
+    s = game.POVMStrategy(1, 1, 1, np.ones(1), np.ones((0, 1, 1, 1)),
+                          np.ones((0, 1, 1, 1)))
+    with pytest.raises(game.GameError, match="no legal questions"):
+        game.quantum_win_probability(g, s)
+    with pytest.raises(game.GameError, match="no legal questions"):
+        game.simulate_game(g, s, rounds=10)
 
 
 # -- classical probabilities ----------------------------------------------------
@@ -142,12 +141,12 @@ def test_outcome_distribution_validates():
 def test_win_probability_matches_naive(seed):
     g = random_graph(5, 0.5, seed=seed + 40)
     s = classical_derived(g)
-    q = game.uniform_questions(g)
+    pairs = uniform_pairs(g)
     naive = 0.0
-    for (v, w), weight in zip(q.pairs, q.weights):
+    for v, w in pairs:
         p = game.quantum_outcome_distribution(s, v, w)
         mass = np.trace(p) if v == w else p.sum() - np.trace(p)
-        naive += float(weight) * mass
+        naive += mass / len(pairs)
     assert game.quantum_win_probability(g, s) == pytest.approx(naive, abs=1e-12)
 
 
@@ -260,8 +259,9 @@ def test_normalize_perturbed_k2():
     assert game.quantum_win_probability(g, nf) == pytest.approx(1.0, abs=1e-9)
     # the recorded schmidt spectrum is the input one
     assert res.trace.schmidt_coefficients[:2] == pytest.approx((0.8, 0.6))
-    # rho is the renormalized reduced state on the support
-    assert np.allclose(np.diag(res.trace.rho), [0.64, 0.36])
+    # the renormalized reduced state on the support is diag(lambda^2)
+    lam = np.array(res.trace.schmidt_coefficients[:2])
+    assert np.allclose(lam ** 2 / np.sum(lam ** 2), [0.64, 0.36])
 
 
 def test_normalize_stage_order_and_win_preservation():
@@ -380,13 +380,13 @@ def test_simulate_validates_once(monkeypatch):
     state = np.zeros(s.dim_a * s.dim_b, dtype=complex)
     state[0] = 1.0  # a product state: the strategy is no longer perfect
     s = game.POVMStrategy(s.colors, s.dim_a, s.dim_b, state, s.alice, s.bob)
-    q = game.uniform_questions(g)
+    pairs = uniform_pairs(g)
     rng = np.random.default_rng(3)
-    weights = np.array([float(w) for w in q.weights])
-    picks = rng.choice(len(q.pairs), size=400, p=weights / weights.sum())
+    weights = np.full(len(pairs), 1 / len(pairs))
+    picks = rng.choice(len(pairs), size=400, p=weights / weights.sum())
     wins = 0
     for k in picks:
-        v, w = q.pairs[k]
+        v, w = pairs[k]
         p = np.clip(game.quantum_outcome_distribution(s, v, w), 0.0, None)
         a, b = divmod(int(rng.choice(p.size, p=p.ravel() / p.sum())), s.colors)
         wins += (a == b) if v == w else (a != b)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,49 @@ def test_canonicalize_merges_phase_duplicates():
                          np.array([0.0, 1.0])])
     assert s.size == 2
     assert len(s.merged_ids) == 2
+
+
+def canonicalize_by_loop(raw, tol=1e-9):
+    """Reference: compare each canonical ray with every kept one in turn."""
+    kept, merged = [], []
+    for i, v in enumerate(raw):
+        v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
+        nz = np.flatnonzero(np.abs(v) > tol)[0]
+        v = v * (np.conj(v[nz]) / np.abs(v[nz]))
+        for j, u in enumerate(kept):
+            if abs(np.vdot(u, v)) >= 1.0 - tol:
+                merged[j].append(i)
+                break
+        else:
+            kept.append(v)
+            merged.append([i])
+    return np.array(kept), tuple(tuple(m) for m in merged)
+
+
+def phase_duplicated_sets():
+    for name in datasets.BUNDLED:
+        yield pytest.param(datasets.load_vector_set(name)[0].vectors, id=name)
+    for d in (3, 4):
+        yield pytest.param([np.array(v, dtype=float) for v in
+                            itertools.product((-1, 0, 1), repeat=d) if any(v)],
+                           id=f"signs{d}")
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        base = rng.normal(size=(8, d)) + 1j * rng.normal(size=(8, d))
+        yield pytest.param([base[int(rng.integers(0, 8))]
+                            * np.exp(1j * rng.uniform(0, 7))
+                            * rng.uniform(0.5, 2) for _ in range(30)],
+                           id=f"phases{seed}")
+
+
+@pytest.mark.parametrize("raw", list(phase_duplicated_sets()))
+def test_canonicalize_matches_pairwise_loop(raw):
+    s = ks.canonicalize(raw)
+    vecs, merged = canonicalize_by_loop(raw)
+    assert np.array_equal(s.vectors, vecs)
+    assert s.merged_ids == merged
+    assert s.labels == tuple(f"r{g[0]}" for g in merged)
 
 
 def test_canonicalize_rejects_zero_and_ragged():
@@ -229,7 +274,8 @@ def test_labeling_search_depth_is_not_bounded_by_recursion():
     for _ in range(1500):
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         rays.extend(q.T)
-    s = ks.VectorSet(2, np.array(rays), tuple(f"r{i}" for i in range(3000)))
+    s = ks.canonicalize(rays)
+    assert s.size == 3000
     dec = ks.ks_check(s)
     assert not dec.is_ks and not dec.is_weak_ks
     assert ks.verify_ks_witness(s, dec.witness, weak=True)
