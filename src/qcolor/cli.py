@@ -276,15 +276,15 @@ def _cmd_ks_check(args, opts):
         dec = ks.brute_force_ks(s, tol=tol)
     else:
         dec = ks.ks_check(s, tol=tol)
-    bases = ks.enumerate_bases(s, tol)
-    report = {"rays": s.size, "dimension": s.dimension, "bases": len(bases),
+    report = {"rays": s.size, "dimension": s.dimension, "bases": dec.bases,
               "merged": len(s.merged_ids), "is_ks": dec.is_ks,
               "is_weak_ks": dec.is_weak_ks, "method": dec.method,
               "property": "weak-ks" if args.weak else "ks",
               "witness": None}
     if dec.witness is not None:
-        assert ks.verify_ks_witness(s, dec.witness, weak=not dec.is_weak_ks,
-                                    tol=tol)
+        if not ks.verify_ks_witness(s, dec.witness, weak=not dec.is_weak_ks,
+                                    tol=tol):
+            raise RuntimeError("the KS witness failed verification")
         report["witness"] = list(dec.witness)
     holds = dec.is_weak_ks if args.weak else dec.is_ks
     name = "weak KS" if args.weak else "KS"

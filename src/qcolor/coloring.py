@@ -8,13 +8,13 @@ runs), and at most one fresh color may be introduced per branch.  "no" answers
 are exhaustive.  Budgets count node expansions, not wall time, so runs are
 reproducible.
 
-Both exact searches work on int bitsets (one adjacency mask per vertex) and
-keep their branch state in an explicit stack of frames, not in recursion, so
-their depth is bounded by memory rather than the interpreter.  DSATUR keeps,
-per color, the uncolored vertices with a neighbour of that color, and per
-saturation level the uncolored vertices at that level; coloring a vertex
-shifts the newly saturated neighbours up one level, and backtracking shifts
-them back.
+Both exact searches work on int bitsets (Graph.masks, one adjacency mask per
+vertex) and keep their branch state in an explicit stack of frames, not in
+recursion, so their depth is bounded by memory rather than the interpreter.
+DSATUR keeps, per color, the uncolored vertices with a neighbour of that
+color, and per saturation level the uncolored vertices at that level; coloring
+a vertex shifts the newly saturated neighbours up one level, and backtracking
+shifts them back.
 """
 from __future__ import annotations
 
@@ -81,15 +81,7 @@ def verify_coloring(g: Graph, cert: ColoringCertificate) -> bool:
 
 def greedy_clique(g: Graph) -> list[int]:
     """Highest-degree-first greedy clique; deterministic, used for seeding."""
-    return _greedy_clique(_adjacency_masks(g.n, g.edge_array.tolist()))
-
-
-def _adjacency_masks(n: int, pairs: list[list[int]]) -> list[int]:
-    adj = [0] * n
-    for u, v in pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+    return _greedy_clique(g.masks)
 
 
 def _by_degree(degree: list[int]) -> list[int]:
@@ -97,7 +89,7 @@ def _by_degree(degree: list[int]) -> list[int]:
     return sorted(range(len(degree)), key=lambda v: (-degree[v], v))
 
 
-def _greedy_clique(adj: list[int]) -> list[int]:
+def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
     # each pick is the first vertex in degree order adjacent to all earlier picks
     clique: list[int] = []
     cand = (1 << len(adj)) - 1
@@ -108,7 +100,7 @@ def _greedy_clique(adj: list[int]) -> list[int]:
     return sorted(clique)
 
 
-def _color_sort(adj: list[int], pmask: int) -> tuple[list[int], list[int]]:
+def _color_sort(adj: tuple[int, ...], pmask: int) -> tuple[list[int], list[int]]:
     # vertices of pmask in nondecreasing greedy-color order, with their colors
     order: list[int] = []
     bounds: list[int] = []
@@ -133,7 +125,7 @@ def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
     n = g.n
     if n == 0:
         return CliqueResult(0, (), "exact", 0)
-    adj = _adjacency_masks(n, g.edge_array.tolist())
+    adj = g.masks
     best = _greedy_clique(adj)
     current: list[int] = []
     full = (1 << n) - 1
@@ -170,7 +162,7 @@ def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
     return CliqueResult(len(best), tuple(sorted(best)), status, nodes)
 
 
-def _dsatur(adj: list[int], c: int, seed: list[int],
+def _dsatur(adj: tuple[int, ...], c: int, seed: list[int],
             budget: int) -> tuple[str, list[int] | None, int]:
     """Explicit-stack DSATUR over adjacency bitsets.
 
@@ -262,9 +254,9 @@ def greedy_coloring(g: Graph) -> ColoringCertificate:
     order = _by_degree(np.bincount(g.edge_array.ravel(), minlength=n).tolist())
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    status, colors, _ = _dsatur(_adjacency_masks(n, rank[g.edge_array].tolist()),
-                                n, [], n)
-    assert status == YES and colors is not None
+    status, colors, _ = _dsatur(Graph(n, rank[g.edge_array]).masks, n, [], n)
+    if colors is None:
+        raise RuntimeError(f"greedy DSATUR stopped with status {status!r}")
     relabeled = tuple(colors[r] for r in rank.tolist())
     return ColoringCertificate(max(relabeled) + 1, relabeled)
 
@@ -281,7 +273,7 @@ def is_c_colorable(g: Graph, c: int, budget: int = DEFAULT_BUDGET) -> ColoringRe
     n = g.n
     if n == 0:
         return ColoringResult(YES, ColoringCertificate(c, ()), 0)
-    adj = _adjacency_masks(n, g.edge_array.tolist())
+    adj = g.masks
     clique = _greedy_clique(adj)
     if len(clique) > c:
         return ColoringResult(NO, None, 0)
@@ -290,7 +282,8 @@ def is_c_colorable(g: Graph, c: int, budget: int = DEFAULT_BUDGET) -> ColoringRe
     if colors is None:
         return ColoringResult(status, None, nodes)
     cert = ColoringCertificate(c, tuple(colors))
-    assert verify_coloring(g, cert)
+    if not verify_coloring(g, cert):
+        raise RuntimeError(f"DSATUR returned an improper {c}-coloring")
     return ColoringResult(YES, cert, nodes)
 
 
@@ -316,6 +309,5 @@ def chromatic_number(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:
             return ChromaticResult(None, best_cert, c, upper, BUDGET_EXCEEDED,
                                    nodes, clique)
         if res.status == YES:
-            assert res.certificate is not None
             return ChromaticResult(c, res.certificate, c, c, "exact", nodes, clique)
     return ChromaticResult(upper, best_cert, upper, upper, "exact", nodes, clique)

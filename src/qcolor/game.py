@@ -18,6 +18,7 @@ Hilbert-Schmidt orthogonality across edges.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,15 +163,14 @@ def classical_win_probability(g: Graph, s: ClassicalStrategy) -> Fraction:
 def best_classical_win_probability(g: Graph, colors: int):
     """Exhaustive maximum over all deterministic strategy pairs (c^n x c^n);
     returns (best probability as an exact Fraction, best strategy)."""
-    import itertools
-
+    if colors < 1:
+        raise GameError(f"color count must be >= 1, got {colors}")
     vs, ws = (x.tolist() for x in _questions(g))
-    best = Fraction(-1)
-    best_s = None
+    best, best_s = Fraction(0), None
     for alice in itertools.product(range(colors), repeat=g.n):
         for bob in itertools.product(range(colors), repeat=g.n):
             p = Fraction(_classical_wins(alice, bob, vs, ws), len(vs))
-            if p > best:
+            if best_s is None or p > best:
                 best, best_s = p, ClassicalStrategy(colors, alice, bob)
                 if best == 1:
                     return best, best_s
@@ -463,6 +463,14 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
     fixed seed.  Accepts a ClassicalStrategy or a POVMStrategy."""
     if rounds < 1:
         raise GameError("rounds must be >= 1")
+    if isinstance(strategy, ClassicalStrategy):
+        covered = len(strategy.alice) == len(strategy.bob) == g.n
+    elif isinstance(strategy, POVMStrategy):
+        covered = strategy.n_vertices == g.n
+    else:
+        raise GameError(f"unsupported strategy type {type(strategy).__name__}")
+    if not covered:
+        raise GameError("strategy does not cover the vertex set")
     vs, ws = _questions(g)
     rng = np.random.default_rng(seed)
     weights = np.full(len(vs), 1 / len(vs))
@@ -471,8 +479,6 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
     if isinstance(strategy, ClassicalStrategy):
         return float(_classical_wins(strategy.alice, strategy.bob, vs, ws)
                      / rounds)
-    if not isinstance(strategy, POVMStrategy):
-        raise GameError(f"unsupported strategy type {type(strategy).__name__}")
     validate_strategy(strategy)
     x, z = _products(strategy)
     cache: dict[tuple[int, int], np.ndarray] = {}

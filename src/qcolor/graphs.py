@@ -4,6 +4,10 @@ Vertices are integers 0..n-1.  Edges are unordered pairs stored once with
 u < v, lexicographically sorted, so two graphs compare equal iff they have
 identical vertex counts and edge sets.  Labels are carried along purely for
 human-readable certificates and never participate in equality.
+
+Neighbour queries read sorted per-vertex arrays, O(m) in all.  The exact
+searches (DSATUR, clique, basis enumeration, KS labeling) all read one int
+bitset per vertex, Graph.masks, and keep explicit stacks, never recursion.
 """
 from __future__ import annotations
 
@@ -74,11 +78,22 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> tuple[np.ndarray, ...]:
-        neigh: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edge_array:
-            neigh[u].append(int(v))
-            neigh[v].append(int(u))
-        return tuple(np.array(sorted(a), dtype=np.int64) for a in neigh)
+        # both orientations sorted by (source, target), split per source: O(m)
+        arcs = np.concatenate([self.edge_array, self.edge_array[:, ::-1]])
+        arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+        cuts = np.searchsorted(arcs[:, 0], np.arange(1, self.n))
+        return tuple(np.split(arcs[:, 1].copy(), cuts)) if self.n else ()
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency bitsets for the exact searches: bit w of masks[v] is set
+        iff v ~ w.  They take up to n^2/8 bytes in all, so neighbors, degree
+        and has_edge read the O(m) lists instead."""
+        masks = [0] * self.n
+        for u, v in self.edge_array.tolist():
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     def neighbors(self, v: int) -> np.ndarray:
         return self._adjacency[v]

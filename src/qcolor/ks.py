@@ -8,9 +8,12 @@ two orthogonal rays.  Every KS set is weak KS; the converse fails.
 Bases are found exhaustively as d-cliques of the orthogonality graph (d
 mutually orthogonal unit vectors in C^d always form a basis).  The decision
 itself is a small backtracking solver with unit propagation on the
-exactly-one constraints, which keeps its branches on an explicit stack (no
-recursion, so any set that fits in memory can be decided), plus an
-independent brute-force oracle for sets of at most 25 rays.
+exactly-one constraints, plus an independent brute-force oracle for sets of at
+most 25 rays.  Basis enumeration and the solver both work on int bitsets (the
+graph's Graph.masks, one mask per basis, and the rays labeled 1 and 0) and
+keep their branches on explicit stacks: there is no recursion, so any set
+that fits in memory can be decided, and a branch backtracks by restoring two
+ints.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ class KSDecision:
     is_weak_ks: bool
     witness: tuple[int, ...] | None  # labeling over rays, present iff not KS
     method: str  # backtracking | brute_force
+    bases: int  # orthonormal bases inside the set
 
 
 def canonicalize(raw_vectors, tol: float = DEFAULT_TOL, labels=None) -> VectorSet:
@@ -79,8 +83,9 @@ def canonicalize(raw_vectors, tol: float = DEFAULT_TOL, labels=None) -> VectorSe
         v = v / norm
         nz = np.flatnonzero(np.abs(v) > tol)[0]
         v = v * (np.conj(v[nz]) / np.abs(v[nz]))
-        # the first kept ray equal to v up to phase absorbs it
-        hits = np.flatnonzero(np.abs(kept[:m].conj() @ v) >= 1.0 - tol)
+        # the first kept ray equal to v up to phase absorbs it; |<k, v>| is
+        # taken as |k . conj(v)|, which spares a conjugated copy of kept
+        hits = np.flatnonzero(np.abs(kept[:m] @ v.conj()) >= 1.0 - tol)
         if hits.size:
             merged[hits[0]].append(i)
         else:
@@ -101,21 +106,27 @@ def enumerate_bases(s: VectorSet, tol: float = DEFAULT_TOL) -> list[tuple[int, .
 
 
 def _bases(g: Graph, d: int) -> list[tuple[int, ...]]:
-    """All d-cliques of g, as enumerate_bases lists them."""
-    adj = [set(int(u) for u in g.neighbors(v)) for v in range(g.n)]
+    """All d-cliques of g, as enumerate_bases lists them: each step extends
+    the clique by its lowest candidate left, which gives lexicographic order."""
+    adj = g.masks
     bases: list[tuple[int, ...]] = []
-
-    def extend(clique: list[int], cand: list[int]):
-        if len(clique) == d:
-            bases.append(tuple(clique))
-            return
-        need = d - len(clique)
-        for idx, v in enumerate(cand):
-            if len(cand) - idx < need:
-                return
-            extend(clique + [v], [u for u in cand[idx + 1:] if u in adj[v]])
-
-    extend([], list(range(g.n)))
+    clique: list[int] = []
+    cands = [(1 << g.n) - 1]  # cands[i]: the vertices left to extend clique[:i]
+    while cands:
+        cand = cands[-1]
+        if cand.bit_count() < d - len(clique):
+            cands.pop()
+            if clique:
+                clique.pop()
+            continue
+        low = cand & -cand
+        cands[-1] = cand ^ low
+        v = low.bit_length() - 1
+        if len(clique) + 1 == d:
+            bases.append((*clique, v))
+        else:
+            clique.append(v)
+            cands.append(cand & adj[v])
     return bases
 
 
@@ -135,89 +146,78 @@ def verify_ks_witness(s: VectorSet, witness, weak: bool = False,
 
 
 def _search_labeling(n: int, bases: list[tuple[int, ...]],
-                     neighbor_sets: list[set[int]] | None) -> list[int] | None:
+                     masks: tuple[int, ...] | None) -> list[int] | None:
     """Exhaustive backtracking for a labeling with exactly one 1 per basis.
 
-    neighbor_sets, when given, additionally forbids two 1s on orthogonal rays.
-    Branch order: rays by decreasing basis-membership count (ties by index),
-    label 0 tried before 1.  Returns the first labeling found, or None.
+    masks, when given (the orthogonality graph's Graph.masks), additionally
+    forbids two 1s on orthogonal rays.  Branch order: rays by decreasing
+    basis-membership count (ties by index), label 0 tried before 1.  Returns
+    the first labeling found, or None.
     """
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for bi, b in enumerate(bases):
+    membership: list[list[int]] = [[] for _ in range(n)]  # basis masks per ray
+    # kill[r]: the rays a 1 on ray r sets to 0, its basis mates and (in the
+    # weak search) its orthogonal rays
+    kill = list(masks) if masks is not None else [0] * n
+    for b in bases:
+        bm = sum(1 << r for r in b)
         for r in b:
-            membership[r].append(bi)
+            membership[r].append(bm)
+            kill[r] |= bm ^ (1 << r)
     order = sorted(range(n), key=lambda r: (-len(membership[r]), r))
-    assign = [-1] * n
-    ones = [0] * len(bases)
-    zeros = [0] * len(bases)
-    trail: list[int] = []
 
-    def set_val(root: int, val: int) -> bool:
+    def propagate(ones: int, zeros: int, root: int, val: int):
+        # unit propagation from root := val: (ones, zeros), or None on conflict
         queue = [(root, val)]
         while queue:
             r, v = queue.pop()
-            if assign[r] == v:
-                continue
-            if assign[r] == 1 - v:
-                return False
-            assign[r] = v
-            trail.append(r)
-            # counters first, checks second: a conflict return must leave the
-            # counters matching the trail exactly or undo() would desync them
-            for bi in membership[r]:
-                if v == 1:
-                    ones[bi] += 1
-                else:
-                    zeros[bi] += 1
-            for bi in membership[r]:
-                b = bases[bi]
-                if v == 1:
-                    if ones[bi] > 1:
-                        return False
-                    for u in b:
-                        if assign[u] == -1:
-                            queue.append((u, 0))
-                elif ones[bi] == 0:
-                    free = [u for u in b if assign[u] == -1]
-                    if not free:
-                        return False
-                    if len(free) == 1:
-                        queue.append((free[0], 1))
-            if v == 1 and neighbor_sets is not None:
-                for u in neighbor_sets[r]:
-                    if assign[u] != 0:
-                        queue.append((u, 0))
-        return True
+            bit = 1 << r
+            if v:
+                if ones & bit:
+                    continue
+                if zeros & bit or ones & kill[r]:
+                    return None
+                ones |= bit
+                fresh = kill[r] & ~zeros
+            else:
+                if zeros & bit:
+                    continue
+                if ones & bit:
+                    return None
+                fresh = bit
+            zeros |= fresh
+            while fresh:  # a basis with no 1 and one free ray left forces it
+                low = fresh & -fresh
+                fresh ^= low
+                for bm in membership[low.bit_length() - 1]:
+                    if not bm & ones:
+                        free = bm & ~zeros
+                        if not free:
+                            return None
+                        if not free & (free - 1):
+                            queue.append((free.bit_length() - 1, 1))
+        return ones, zeros
 
-    def undo(mark: int):
-        while len(trail) > mark:
-            r = trail.pop()
-            v = assign[r]
-            assign[r] = -1
-            for bi in membership[r]:
-                if v == 1:
-                    ones[bi] -= 1
-                else:
-                    zeros[bi] -= 1
-
-    # frames [pos, next value, trail mark]: ray order[pos] is being branched
+    # frames [pos, next value, ones, zeros]: ray order[pos] is being branched
+    # from the state (ones, zeros) saved before the branch
     stack: list[list[int]] = []
-    pos = 0
+    ones = zeros = pos = 0
     while True:
-        while pos < n and assign[order[pos]] != -1:
+        done = ones | zeros
+        while pos < n and done >> order[pos] & 1:
             pos += 1
         if pos == n:
-            return list(assign)
-        stack.append([pos, 0, len(trail)])
+            return [ones >> r & 1 for r in range(n)]
+        stack.append([pos, 0, ones, zeros])
         while stack:
             frame = stack[-1]
-            pos, val, mark = frame
-            undo(mark)
+            pos, val, ones, zeros = frame
             if val == 2:
                 stack.pop()
                 continue
             frame[1] = val + 1
-            if set_val(order[pos], val):
+            state = propagate(ones, zeros, order[pos], val)
+            if state is not None:
+                ones, zeros = state
                 pos += 1
                 break
         else:
@@ -230,22 +230,18 @@ def ks_check(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
     forbidden) runs first, since its witness settles both flags."""
     g = orthogonality_graph(s.vectors, tol=tol)
     bases = _bases(g, s.dimension)
-    n = s.size
+    n, count = s.size, len(bases)
     if not bases:
         # Any labeling vacuously satisfies the basis condition, including the
         # all-zero one, which also has no orthogonal 1-1 pair.
-        return KSDecision(False, False, (0,) * n, "backtracking")
-    neighbor_sets = [set() for _ in range(n)]
-    for u, v in g.edge_array.tolist():
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    weak_witness = _search_labeling(n, bases, neighbor_sets)
+        return KSDecision(False, False, (0,) * n, "backtracking", 0)
+    weak_witness = _search_labeling(n, bases, g.masks)
     if weak_witness is not None:
-        return KSDecision(False, False, tuple(weak_witness), "backtracking")
+        return KSDecision(False, False, tuple(weak_witness), "backtracking", count)
     ks_witness = _search_labeling(n, bases, None)
     if ks_witness is None:
-        return KSDecision(True, True, None, "backtracking")
-    return KSDecision(False, True, tuple(ks_witness), "backtracking")
+        return KSDecision(True, True, None, "backtracking", count)
+    return KSDecision(False, True, tuple(ks_witness), "backtracking", count)
 
 
 def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
@@ -260,7 +256,7 @@ def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
     g = orthogonality_graph(s.vectors, tol=tol)
     bases = _bases(g, s.dimension)
     if not bases:
-        return KSDecision(False, False, (0,) * k, "brute_force")
+        return KSDecision(False, False, (0,) * k, "brute_force", 0)
     basis_masks = [sum(1 << r for r in b) for b in bases]
     pair_masks = [(1 << u) | (1 << v) for u, v in g.edge_array.tolist()]
 
@@ -280,10 +276,11 @@ def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
             ok &= (idx & m) != m
         if ok.any():  # a weak witness settles both flags
             return KSDecision(False, False, _bits(int(idx[np.argmax(ok)]), k),
-                              "brute_force")
+                              "brute_force", len(bases))
     if first_ks is not None:
-        return KSDecision(False, True, _bits(first_ks, k), "brute_force")
-    return KSDecision(True, True, None, "brute_force")
+        return KSDecision(False, True, _bits(first_ks, k), "brute_force",
+                          len(bases))
+    return KSDecision(True, True, None, "brute_force", len(bases))
 
 
 def _bits(i: int, k: int) -> tuple[int, ...]:

@@ -106,6 +106,13 @@ class PSDWitness:
         object.__setattr__(self, "matrix", a)
 
 
+def _edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> bool:
+    """Whether |<x[u, a], x[w, a]>| <= tol for every edge (u, w) and color a;
+    x is (n, colors, k)."""
+    e = g.edge_array
+    return bool(np.all(np.abs(pair_values(x.conj(), x, e[:, 0], e[:, 1])) <= tol))
+
+
 def verify_orthogonal_representation(g: Graph, rep: OrthogonalRepresentation,
                                      tol: float = DEFAULT_TOL) -> bool:
     vecs = rep.vectors
@@ -113,9 +120,7 @@ def verify_orthogonal_representation(g: Graph, rep: OrthogonalRepresentation,
         raise RepsError(f"representation covers {vecs.shape[0]} vertices, graph has {g.n}")
     if np.any(np.linalg.norm(vecs, axis=1) <= tol):
         return False
-    e = g.edge_array
-    prods = pair_values(vecs.conj()[:, None], vecs[:, None], e[:, 0], e[:, 1])
-    return bool(np.all(np.abs(prods) <= tol))
+    return _edges_orthogonal(g, vecs[:, None], tol)
 
 
 def verify_matrix_representation(g: Graph, rep: MatrixRepresentation,
@@ -129,23 +134,7 @@ def verify_matrix_representation(g: Graph, rep: MatrixRepresentation,
     if np.max(np.abs(gram - eye[None])) > tol:
         return False
     # diag(U_u† U_w)[j] = sum_i conj(U_u[i, j]) U_w[i, j]: columns as colors
-    cols = mats.transpose(0, 2, 1)
-    e = g.edge_array
-    diag = pair_values(cols.conj(), cols, e[:, 0], e[:, 1])
-    return bool(np.all(np.abs(diag) <= tol))
-
-
-def _verify_projective_measurement(ops: np.ndarray, rank: int, tol: float) -> bool:
-    # ops: (c, d, d); Hermitian idempotents of trace `rank` summing to identity
-    d = ops.shape[-1]
-    if np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))) > tol:
-        return False
-    if np.max(np.abs(np.einsum("aij,ajk->aik", ops, ops) - ops)) > tol:
-        return False
-    traces = np.einsum("aii->a", ops).real
-    if np.max(np.abs(traces - rank)) > d * tol:
-        return False
-    return np.max(np.abs(ops.sum(axis=0) - np.eye(d))) <= d * tol
+    return _edges_orthogonal(g, mats.transpose(0, 2, 1), tol)
 
 
 def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
@@ -169,14 +158,15 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
         if d != qc.rank * qc.colors:
             # c orthogonal rank-r projectors summing to I_d force d = r*c
             return False
-        for v in range(g.n):
-            if not _verify_projective_measurement(ops[v], qc.rank, tol):
-                return False
+        # per vertex: Hermitian idempotents of trace r summing to identity
+        if g.n and (np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2))) > tol
+                    or np.max(np.abs(np.einsum("vaij,vajk->vaik", ops, ops) - ops)) > tol
+                    or np.max(np.abs(np.einsum("vaii->va", ops).real - qc.rank)) > d * tol
+                    or np.max(np.abs(ops.sum(axis=1) - np.eye(d))) > d * tol):
+            return False
         vecs = ops.reshape(g.n, qc.colors, d * d)
     # rank-1: <a_u,alpha, a_w,alpha>; rank-r: Tr(P_u,alpha† P_w,alpha)
-    e = g.edge_array
-    prods = pair_values(vecs.conj(), vecs, e[:, 0], e[:, 1])
-    return bool(np.all(np.abs(prods) <= tol))
+    return _edges_orthogonal(g, vecs, tol)
 
 
 def quantum_coloring_from_classical(g: Graph, cert: ColoringCertificate) -> QuantumColoring:
@@ -186,11 +176,8 @@ def quantum_coloring_from_classical(g: Graph, cert: ColoringCertificate) -> Quan
     if not verify_coloring(g, cert):
         raise RepsError("certificate is not a proper coloring")
     c = cert.c
-    vecs = np.zeros((g.n, c, c), dtype=complex)
-    for v, k in enumerate(cert.colors):
-        for alpha in range(c):
-            vecs[v, alpha, (alpha + k) % c] = 1.0
-    return QuantumColoring(colors=c, rank=1, vectors=vecs)
+    shifted = (np.arange(c) + np.asarray(cert.colors, dtype=np.int64)[:, None]) % c
+    return QuantumColoring(colors=c, rank=1, vectors=np.eye(c, dtype=complex)[shifted])
 
 
 def orthrep_to_matrixrep(g: Graph, rep: OrthogonalRepresentation,
@@ -201,10 +188,9 @@ def orthrep_to_matrixrep(g: Graph, rep: OrthogonalRepresentation,
     product = cartesian_product(g, complete_graph(c))
     if not verify_orthogonal_representation(product, rep, tol):
         raise RepsError("input does not verify as a representation of G□K_c")
-    mats = np.empty((g.n, c, c), dtype=complex)
-    for v in range(g.n):
-        block = rep.vectors[v * c:(v + 1) * c]
-        mats[v] = (block / np.linalg.norm(block, axis=1, keepdims=True)).T
+    blocks = rep.vectors.reshape(g.n, c, c)
+    mats = np.ascontiguousarray(
+        (blocks / np.linalg.norm(blocks, axis=2, keepdims=True)).transpose(0, 2, 1))
     out = MatrixRepresentation(dimension=c, matrices=mats)
     if not verify_matrix_representation(g, out, max(tol * c, tol)):
         raise RepsError("internal inconsistency: verified product representation "
@@ -219,9 +205,7 @@ def matrixrep_to_orthrep(g: Graph, rep: MatrixRepresentation,
     if not verify_matrix_representation(g, rep, tol):
         raise RepsError("input does not verify as a matrix representation")
     c = rep.dimension
-    vecs = np.empty((g.n * c, c), dtype=complex)
-    for v in range(g.n):
-        vecs[v * c:(v + 1) * c] = rep.matrices[v].T
+    vecs = rep.matrices.transpose(0, 2, 1).reshape(g.n * c, c)
     return OrthogonalRepresentation(dimension=c, vectors=vecs)
 
 
@@ -333,10 +317,8 @@ def search_orthogonal_representation(g: Graph, c: int,
 def representation_from_coloring(cert: ColoringCertificate) -> OrthogonalRepresentation:
     """Color-class basis vectors: vertex with color k gets e_k in C^c.  A
     proper coloring makes this a verified orthogonal representation."""
-    vecs = np.zeros((len(cert.colors), cert.c), dtype=complex)
-    for v, k in enumerate(cert.colors):
-        vecs[v, k] = 1.0
-    return OrthogonalRepresentation(cert.c, vecs)
+    colors = np.asarray(cert.colors, dtype=np.int64)
+    return OrthogonalRepresentation(cert.c, np.eye(cert.c, dtype=complex)[colors])
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +345,8 @@ def xi_bounds(g: Graph, params: SearchParams = SearchParams(),
     greedy = greedy_coloring(g)
     upper = greedy.c
     witness = representation_from_coloring(greedy)
-    assert verify_orthogonal_representation(g, witness, params.tol)
+    if not verify_orthogonal_representation(g, witness, params.tol):
+        raise RuntimeError("the greedy coloring's representation failed verification")
     for c in range(lower, upper):
         res = search_orthogonal_representation(g, c, params)
         if res.found:

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import cycle, path_plus_triangle, petersen
-from qcolor import cli, game, io, reps
-from qcolor.graphs import complete_graph, hadamard_graph
+import qcolor
+from qcolor import cli, game, io, ks, reps
+from qcolor.graphs import complete_graph, hadamard_graph, make_graph
 
 
 def run(capsys, *argv):
@@ -100,7 +105,6 @@ def test_budget_exit_code(capsys, tmp_path):
     rng = np.random.default_rng(0)
     edges = [(u, v) for u in range(18) for v in range(u + 1, 18)
              if rng.random() < 0.5]
-    from qcolor.graphs import make_graph
     p.write_text(io.write_dimacs(make_graph(18, edges)))
     code, report, _ = run(capsys, "colorable", str(p), "-c", "6",
                           "--budget", "2")
@@ -126,6 +130,35 @@ def test_internal_error_exit_code(capsys, monkeypatch, c5_file, exc):
     assert report["command"] == "chi"
     assert type(exc).__name__ in report["error"]
     assert "internal error" in err
+
+
+# the CLI with one verifier replaced by a rejecting stub, under python -O
+REJECTING_CLI = """
+import sys
+from qcolor import cli, coloring, ks
+coloring.verify_coloring = ks.verify_ks_witness = lambda *args, **kwargs: False
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["ks-check", "yu-oh-13"],
+                                  ["colorable", "P3", "-c", "2"]],
+                         ids=["ks-check", "colorable"])
+def test_failed_self_check_exits_4_under_optimize(tmp_path, argv):
+    # a certificate that fails its own check is an internal error, also
+    # when assert statements are compiled away
+    p = tmp_path / "p3.col"
+    p.write_text(io.write_dimacs(make_graph(3, [(0, 1), (1, 2)])))
+    argv = [str(p) if a == "P3" else a for a in argv]
+    src = str(Path(qcolor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", REJECTING_CLI, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    report = json.loads(proc.stdout)
+    assert "internal error: RuntimeError" in report["error"]
+    assert "certificate" not in report and "witness" not in report
 
 
 def test_malformed_dimacs_exit_code(capsys, tmp_path):
@@ -222,6 +255,19 @@ def test_ks_check_bundled_names(capsys):
 
     code, report, _ = run(capsys, "ks-check", "yu-oh-13", "--weak")
     assert code == 1 and report["witness"] is not None
+
+
+def test_ks_check_standard_basis_beyond_recursion_limit(capsys, monkeypatch):
+    # the set is handed over as loaded: reading 1.44M coordinates from JSON
+    # takes seconds and is not what this checks
+    raw = ks.VectorSet(1200, np.eye(1200, dtype=complex),
+                       tuple(f"e{i}" for i in range(1200)))
+    monkeypatch.setattr(cli.datasets, "load_vector_set", lambda name: (raw, None))
+    code, report, _ = run(capsys, "ks-check", "e1200")
+    assert code == 1
+    assert (report["rays"], report["bases"], report["is_ks"],
+            report["is_weak_ks"]) == (1200, 1, False, False)
+    assert sum(report["witness"]) == 1
 
 
 def test_ks_check_oracle_flag(capsys):

@@ -410,3 +410,20 @@ def test_simulate_classical_tracks_exact(c5):
 def test_simulate_rejects_zero_rounds(c5):
     with pytest.raises(game.GameError):
         game.simulate_game(c5, classical_derived(c5), rounds=0)
+
+
+@pytest.mark.parametrize("strategy", [
+    game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4)),
+    game.ClassicalStrategy(2, (0, 1, 0), (0, 1, 0)),
+    game.ClassicalStrategy(2, (0,), (0,)),
+], ids=["omega4-povm", "classical-3", "classical-1"])
+def test_simulate_rejects_strategy_of_another_vertex_count(strategy):
+    # a 16-vertex strategy used to score 0.82 on K2, and a 1-vertex one to
+    # raise IndexError
+    with pytest.raises(game.GameError, match="does not cover"):
+        game.simulate_game(complete_graph(2), strategy, rounds=50)
+
+
+def test_best_classical_rejects_zero_colors():
+    with pytest.raises(game.GameError, match="color count"):
+        game.best_classical_win_probability(complete_graph(2), 0)

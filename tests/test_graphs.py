@@ -29,6 +29,49 @@ def test_neighbors_and_degree():
     assert sorted(g.neighbors(0)) == [1, 4, 5]
 
 
+def adjacency_by_loop(g):
+    """Reference: sorted neighbour arrays and bitsets from a loop over edges."""
+    neigh = [[] for _ in range(g.n)]
+    masks = [0] * g.n
+    for u, v in g.edges():
+        neigh[u].append(v)
+        neigh[v].append(u)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return [np.array(sorted(a), dtype=np.int64) for a in neigh], tuple(masks)
+
+
+def sparse_graphs():
+    """Random graphs with isolated vertices (the top ids among them), plus
+    the graphs on zero and one vertex."""
+    yield pytest.param(make_graph(0, []), id="n0")
+    yield pytest.param(make_graph(1, []), id="n1")
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        live = int(rng.integers(1, n))
+        edges = [(u, v) for u in range(live) for v in range(u + 1, live)
+                 if rng.random() < rng.uniform(0.05, 0.6)]
+        yield pytest.param(make_graph(n, edges), id=f"seed{seed}")
+
+
+@pytest.mark.parametrize("g", list(sparse_graphs()))
+def test_adjacency_matches_edge_loop(g):
+    neigh, _ = adjacency_by_loop(g)
+    assert len(g._adjacency) == g.n
+    for v in range(g.n):
+        assert g.neighbors(v).dtype == np.int64
+        assert np.array_equal(g.neighbors(v), neigh[v])
+        assert g.degree(v) == len(neigh[v])
+        for w in range(g.n):
+            assert g.has_edge(v, w) == (w in neigh[v].tolist())
+
+
+@pytest.mark.parametrize("g", list(sparse_graphs()))
+def test_masks_match_edge_loop(g):
+    assert g.masks == adjacency_by_loop(g)[1]
+
+
 def test_complement_involution():
     g = petersen()
     assert np.array_equal(complement(complement(g)).edge_array, g.edge_array)

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcolor import datasets, ks
+from qcolor import cli, datasets, ks, reps
 from qcolor.graphs import orthogonality_graph
 
 
@@ -181,6 +182,7 @@ def test_brute_force_agrees_on_small_sets(cabello, yu_oh):
         fast = ks.ks_check(s)
         slow = ks.brute_force_ks(s)
         assert (fast.is_ks, fast.is_weak_ks) == (slow.is_ks, slow.is_weak_ks)
+        assert fast.bases == slow.bases == len(ks.enumerate_bases(s))
 
 
 def test_brute_force_size_limit(peres):
@@ -201,9 +203,9 @@ def test_decision_deterministic(peres):
     assert a.witness == b.witness
 
 
-@pytest.mark.parametrize("decide", [ks.ks_check, ks.brute_force_ks])
-def test_one_orthogonality_graph_per_call(monkeypatch, yu_oh, decide):
-    # bases and orthogonal pairs come from the same k x k Gram matrix
+@pytest.fixture
+def graph_calls(monkeypatch):
+    """Records each orthogonality_graph call made through the ks module."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -211,10 +213,26 @@ def test_one_orthogonality_graph_per_call(monkeypatch, yu_oh, decide):
         return orthogonality_graph(*args, **kwargs)
 
     monkeypatch.setattr(ks, "orthogonality_graph", counted)
+    return calls
+
+
+@pytest.mark.parametrize("decide", [ks.ks_check, ks.brute_force_ks])
+def test_one_orthogonality_graph_per_call(graph_calls, yu_oh, decide):
+    # bases and orthogonal pairs come from the same k x k Gram matrix
     dec = decide(yu_oh)
-    assert len(calls) == 1
+    assert len(graph_calls) == 1
     assert ks.verify_ks_witness(yu_oh, dec.witness, weak=True)
-    assert len(calls) == 2
+    assert len(graph_calls) == 2
+
+
+@pytest.mark.parametrize("flag", [[], ["--oracle"]], ids=["search", "oracle"])
+def test_ks_check_command_builds_two_orthogonality_graphs(graph_calls, capsys,
+                                                          flag):
+    # the decision, then the independent witness check; the reported basis
+    # count comes with the decision
+    assert cli.main(["ks-check", "yu-oh-13", *flag]) == 1
+    assert len(graph_calls) == 2
+    assert '"bases": 4' in capsys.readouterr().out
 
 
 # -- solver vs oracle on random instances ------------------------------------
@@ -279,6 +297,129 @@ def test_labeling_search_depth_is_not_bounded_by_recursion():
     dec = ks.ks_check(s)
     assert not dec.is_ks and not dec.is_weak_ks
     assert ks.verify_ks_witness(s, dec.witness, weak=True)
+
+
+def test_standard_basis_beyond_recursion_limit():
+    # 1200 rays, one basis: deeper than the interpreter's default recursion
+    # limit of 1000, which a per-ray recursion cannot enumerate or decide
+    s = ks.canonicalize(list(np.eye(1200)))
+    assert ks.enumerate_bases(s) == [tuple(range(1200))]
+    dec = ks.ks_check(s)
+    assert (dec.is_ks, dec.is_weak_ks, dec.bases) == (False, False, 1)
+    assert sum(dec.witness) == 1
+    assert ks.verify_ks_witness(s, dec.witness, weak=True)
+
+
+# -- golden decisions ----------------------------------------------------------
+
+
+def sign_rays(values, d):
+    """Every nonzero vector of C^d with coordinates in values."""
+    return [np.array(v, dtype=float) for v in itertools.product(values, repeat=d)
+            if any(v)]
+
+
+def union_of_bases(d: int, k: int) -> list[np.ndarray]:
+    """k random orthonormal bases of C^d, seeded by (d, k)."""
+    rng = np.random.default_rng(100 * d + k)
+    rays = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rays.extend(q.T)
+    return rays
+
+
+def golden_set(name: str) -> ks.VectorSet:
+    if name in datasets.BUNDLED:
+        return load(name)
+    if name.startswith("signs"):
+        return ks.canonicalize(sign_rays((-1, 0, 1), int(name[5:])))
+    if name == "twos3":
+        return ks.canonicalize(sign_rays((-2, -1, 0, 1, 2), 3))
+    if name.startswith("union"):
+        return ks.canonicalize(union_of_bases(*map(int, name[5:].split("x"))))
+    if name.startswith("omega"):
+        n = int(name[5:])  # the rank-1 coloring rays of the Hadamard graph
+        return ks.canonicalize(reps.hadamard_quantum_coloring(n).vectors.reshape(-1, n))
+    return random_ray_set(int(name[6:]))
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# name: (rays, bases, digest of the enumerate_bases list, is_ks, is_weak_ks,
+# witness as a 0/1 string, or its digest above 50 rays)
+GOLDEN_KS = {
+    'cabello-18': (18, 9, '606c1419e450488c', True, True, None),
+    'peres-33': (33, 16, 'a859963f4f85e035', False, True, '000000000000010100000000111111111'),
+    'yu-oh-13': (13, 4, '08fee56524a1adc7', False, False, '0010000110000'),
+    'signs3': (13, 4, 'e926542f27ba5624', False, False, '0000010000011'),
+    'signs4': (40, 32, 'a2ede4b46cdf7ed5', True, True, None),
+    'signs5': (121, 136, 'b332db1499846540', True, True, None),
+    'signs6': (364, 1408, '41e43e4d0314d5a8', True, True, None),
+    'twos3': (49, 26, '43d9fe533f7890d9', False, True,
+              '0000000010000010100000000100111111111001100001111'),
+    'union3x6': (18, 6, '93baf85843b607f5', False, False, '001001001001001001'),
+    'union4x5': (20, 5, '569e3d19f68983a1', False, False, '00010001000100010001'),
+    'union3x60': (180, 60, 'ee15bdd5a8a19d2e', False, False, 'b36441dc6faffac7'),
+    'union4x60': (240, 60, 'adec10f0fce6f5e2', False, False, '9cd115468ef4708b'),
+    'omega4': (16, 8, '2e87ea7ea035ade5', False, False, '0001000100100010'),
+    'omega6': (96, 64, '95634cc7a8a8bfef', False, False, '49302e805931e36e'),
+    'random0': (8, 2, '6910028940344fa6', False, False, '00100100'),
+    'random1': (5, 2, 'bd222625cb8df7ff', False, False, '01010'),
+    'random2': (3, 1, 'eba5825b4e5cf199', False, False, '001'),
+    'random3': (6, 1, 'eba5825b4e5cf199', False, False, '001000'),
+    'random4': (10, 3, '76ddbb4924f08ce0', False, False, '0010010010'),
+    'random5': (9, 3, '76ddbb4924f08ce0', False, False, '001001001'),
+    'random6': (6, 2, 'bd222625cb8df7ff', False, False, '010100'),
+    'random7': (8, 2, '6910028940344fa6', False, False, '00100100'),
+    'random8': (4, 1, 'eba5825b4e5cf199', False, False, '0010'),
+    'random9': (9, 3, 'c94d8db945d7c65e', False, False, '010101000'),
+    'random10': (12, 3, '76ddbb4924f08ce0', False, False, '001001001000'),
+    'random11': (5, 1, '4c461d4a0ab0fe42', False, False, '01000'),
+    'random12': (5, 1, 'eba5825b4e5cf199', False, False, '00100'),
+    'random13': (11, 3, '76ddbb4924f08ce0', False, False, '00100100100'),
+    'random14': (9, 3, 'c94d8db945d7c65e', False, False, '010101000'),
+    'random15': (11, 3, '76ddbb4924f08ce0', False, False, '00100100100'),
+    'random16': (8, 2, '6910028940344fa6', False, False, '00100100'),
+    'random17': (12, 3, '76ddbb4924f08ce0', False, False, '001001001000'),
+    'random18': (8, 2, '6910028940344fa6', False, False, '00100100'),
+    'random19': (6, 2, '6910028940344fa6', False, False, '001001'),
+    'random20': (5, 1, 'eba5825b4e5cf199', False, False, '00100'),
+    'random21': (9, 3, 'c94d8db945d7c65e', False, False, '010101000'),
+    'random22': (7, 2, '6910028940344fa6', False, False, '0010010'),
+    'random23': (9, 3, 'c94d8db945d7c65e', False, False, '010101000'),
+    'random24': (3, 1, '4c461d4a0ab0fe42', False, False, '010'),
+    'random25': (6, 1, 'eba5825b4e5cf199', False, False, '001000'),
+    'random26': (7, 2, '6910028940344fa6', False, False, '0010010'),
+    'random27': (7, 3, 'c94d8db945d7c65e', False, False, '0101010'),
+    'random28': (9, 3, '76ddbb4924f08ce0', False, False, '001001001'),
+    'random29': (4, 1, 'eba5825b4e5cf199', False, False, '0010'),
+    'random30': (4, 1, '4c461d4a0ab0fe42', False, False, '0100'),
+    'random31': (11, 3, '76ddbb4924f08ce0', False, False, '00100100100'),
+    'random32': (6, 1, 'eba5825b4e5cf199', False, False, '001000'),
+    'random33': (7, 2, '6910028940344fa6', False, False, '0010010'),
+    'random34': (4, 1, '4c461d4a0ab0fe42', False, False, '0100'),
+    'random35': (5, 2, 'bd222625cb8df7ff', False, False, '01010'),
+    'random36': (2, 1, '4c461d4a0ab0fe42', False, False, '01'),
+    'random37': (7, 3, 'c94d8db945d7c65e', False, False, '0101010'),
+    'random38': (5, 2, 'bd222625cb8df7ff', False, False, '01010'),
+    'random39': (9, 2, '6910028940344fa6', False, False, '001001000'),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_KS))
+def test_golden_bases_and_decisions(name):
+    s = golden_set(name)
+    bases = ks.enumerate_bases(s)
+    dec = ks.ks_check(s)
+    w = dec.witness
+    if w is not None:
+        w = "".join(map(str, w)) if s.size <= 50 else digest(w)
+    assert (s.size, len(bases), digest(bases), dec.is_ks, dec.is_weak_ks,
+            w) == GOLDEN_KS[name]
+    assert dec.method == "backtracking" and dec.bases == len(bases)
 
 
 @given(st.integers(0, 10_000))
