@@ -261,7 +261,10 @@ def _cmd_hadamard(args, opts):
     valid = reps.verify_quantum_coloring(g, qc, opts["tol"])
     report = {"bits": args.bits, "n": g.n, "m": int(g.edge_array.shape[0]),
               "colors": qc.colors, "rank": qc.rank, "verified": bool(valid)}
-    if not valid:  # cannot happen for valid N; defensive
+    if not valid:
+        # not an internal failure: the construction's inner products are
+        # zero only up to float rounding (about 1e-16), so a --tol below
+        # that rejects it, and "does not verify at this tol" is the answer
         return report, EXIT_NO, "construction failed verification"
     _emit_certificate(report, args, "qcoloring", qc, opts)
     return report, EXIT_YES, (f"Hadamard graph N={args.bits}: verified "
@@ -294,12 +297,7 @@ def _cmd_ks_check(args, opts):
 
 
 def _load_game_inputs(args):
-    g = io.read_graph(args.graph)
-    s = io.read_strategy(args.strategy)
-    if s.n_vertices != g.n:
-        raise io.FormatError(f"strategy covers {s.n_vertices} vertices, "
-                             f"graph has {g.n}")
-    return g, s
+    return io.read_graph(args.graph), io.read_strategy(args.strategy)
 
 
 def _cmd_game(args, opts):

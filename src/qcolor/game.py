@@ -28,7 +28,7 @@ from .graphs import Graph
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError,
                      maximally_entangled, pair_values, schmidt,
                      support_projector)
-from .reps import QuantumColoring
+from .reps import QuantumColoring, edges_orthogonal, projectors_ok
 
 
 class GameError(ValueError):
@@ -57,6 +57,21 @@ def _questions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     diag = np.arange(g.n)
     return (np.concatenate([diag, g.edge_array.ravel()]),
             np.concatenate([diag, g.edge_array[:, ::-1].ravel()]))
+
+
+def _check_cover(g: Graph, s) -> tuple[np.ndarray, np.ndarray]:
+    """The legal questions of g, once s answers on exactly its vertices."""
+    if isinstance(s, ClassicalStrategy):
+        counts = {len(s.alice), len(s.bob)}
+    elif isinstance(s, POVMStrategy):
+        counts = {s.n_vertices}
+    else:
+        raise GameError(f"unsupported strategy type {type(s).__name__}")
+    if counts != {g.n}:
+        raise GameError("strategy does not cover the vertex set (it covers "
+                        f"{'/'.join(map(str, sorted(counts)))} vertices, "
+                        f"graph has {g.n})")
+    return _questions(g)
 
 
 def _classical_wins(alice, bob, vs: list[int], ws: list[int]) -> int:
@@ -153,9 +168,7 @@ def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
 def classical_win_probability(g: Graph, s: ClassicalStrategy) -> Fraction:
     """Exact fraction of the question pairs the deterministic pair answers
     correctly."""
-    if len(s.alice) != g.n or len(s.bob) != g.n:
-        raise GameError("strategy does not cover the vertex set")
-    vs, ws = _questions(g)
+    vs, ws = _check_cover(g, s)
     return Fraction(_classical_wins(s.alice, s.bob, vs.tolist(), ws.tolist()),
                     len(vs))
 
@@ -203,9 +216,7 @@ def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
 def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     """Exact (up to float arithmetic) winning probability: diagonal questions
     win on equal outcomes, edge questions on differing outcomes."""
-    if s.n_vertices != g.n:
-        raise GameError("strategy does not cover the vertex set")
-    vs, ws = _questions(g)
+    vs, ws = _check_cover(g, s)
     x, z = _products(s)
     # extra last color: (sum_a E_va) (x) (sum_b F_wb), the pair's total mass
     x = np.concatenate([x, x.sum(axis=1, keepdims=True)], axis=1)
@@ -238,8 +249,7 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     mass vanishes; across every edge the equal-color mass vanishes.  Lists
     each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol:
     vertex violations first, then edges as (u, v), then edges as (v, u)."""
-    if s.n_vertices != g.n:
-        raise GameError("strategy does not cover the vertex set")
+    _check_cover(g, s)
     x, z = _products(s)
     violations: list[Violation] = []
     per_vertex = np.einsum("vak,vbk->vab", x, z).real
@@ -314,6 +324,7 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     with probability 1.  Inputs that are not winning strategies are rejected
     up front with their violation list.
     """
+    _check_cover(g, s)
     validate_strategy(s, CHECK_TOL)
     pre = check_consistency(s, g, CHECK_TOL)
     if not pre.ok:
@@ -430,27 +441,17 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
     inner product."""
     c, d = s.colors, s.dim_a
     ops = s.alice
-    herm = float(np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2))))
-    idem = float(np.max(np.abs(np.einsum("vaij,vajk->vaik", ops, ops) - ops)))
-    traces = np.einsum("vaii->va", ops).real
-    r = float(np.mean(traces))
-    projective = (herm <= tol and idem <= tol
-                  and float(np.max(np.abs(traces - round(r)))) <= d * tol
-                  and round(r) >= 1)
-    rank = int(round(r))
+    rank = round(float(np.mean(np.einsum("vaii->va", ops).real)))
     mes = maximally_entangled(d)
     state_ok = (s.dim_a == s.dim_b
                 and float(np.max(np.abs(s.state - mes))) <= tol
                 and d == rank * c)
     conj_ok = float(np.max(np.abs(s.bob - s.alice.conj()))) <= tol
-    e = g.edge_array
-    flat = ops.reshape(ops.shape[0], c, -1)
-    hs = pair_values(flat.conj(), flat, e[:, 0], e[:, 1])
-    edge_ok = float(np.max(np.abs(hs), initial=0.0)) <= c * tol
-    return {"projective_equal_rank": projective,
+    return {"projective_equal_rank": rank >= 1 and projectors_ok(ops, rank, tol),
             "maximally_entangled_rc": state_ok,
             "bob_is_conjugate": conj_ok,
-            "edge_hs_orthogonality": edge_ok}
+            "edge_hs_orthogonality": edges_orthogonal(
+                g, ops.reshape(ops.shape[0], c, -1), c * tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +464,7 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
     fixed seed.  Accepts a ClassicalStrategy or a POVMStrategy."""
     if rounds < 1:
         raise GameError("rounds must be >= 1")
-    if isinstance(strategy, ClassicalStrategy):
-        covered = len(strategy.alice) == len(strategy.bob) == g.n
-    elif isinstance(strategy, POVMStrategy):
-        covered = strategy.n_vertices == g.n
-    else:
-        raise GameError(f"unsupported strategy type {type(strategy).__name__}")
-    if not covered:
-        raise GameError("strategy does not cover the vertex set")
-    vs, ws = _questions(g)
+    vs, ws = _check_cover(g, strategy)
     rng = np.random.default_rng(seed)
     weights = np.full(len(vs), 1 / len(vs))
     picks = rng.choice(len(vs), size=rounds, p=weights / weights.sum())

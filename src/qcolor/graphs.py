@@ -2,17 +2,16 @@
 
 Vertices are integers 0..n-1.  Edges are unordered pairs stored once with
 u < v, lexicographically sorted, so two graphs compare equal iff they have
-identical vertex counts and edge sets.  Labels are carried along purely for
-human-readable certificates and never participate in equality.
+identical vertex counts and edge sets.
 
 Neighbour queries read sorted per-vertex arrays, O(m) in all.  The exact
-searches (DSATUR, clique, basis enumeration, KS labeling) all read one int
+searches (DSATUR, clique, basis enumeration, the KS search) all read one int
 bitset per vertex, Graph.masks, and keep explicit stacks, never recursion.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,11 +27,9 @@ class Graph:
     ----------
     n : vertex count.
     edges : iterable of (u, v) pairs, or an (m, 2) integer array.
-    labels : optional per-vertex text labels (advisory only).
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
-                 labels: Sequence[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
@@ -59,13 +56,8 @@ class Graph:
                 raise GraphError(f"duplicate edge rejected: {tuple(arr[i])}")
         arr = arr.copy()
         arr.flags.writeable = False
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise GraphError("labels must cover every vertex")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edge_array", arr)
-        object.__setattr__(self, "labels", labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -112,10 +104,7 @@ class Graph:
         for u, v in self.edge_array:
             yield int(u), int(v)
 
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
-    # -- structural equality (labels advisory) -----------------------------
+    # -- structural equality ----------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -129,10 +118,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def make_graph(n: int, edges: Iterable[tuple[int, int]],
-               labels: Sequence[str] | None = None) -> Graph:
+def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a normalized :class:`Graph`, rejecting loops and duplicates."""
-    return Graph(n, edges, labels)
+    return Graph(n, edges)
 
 
 def complete_graph(c: int) -> Graph:
@@ -149,14 +137,14 @@ def complement(g: Graph) -> Graph:
         adj[g.edge_array[:, 0], g.edge_array[:, 1]] = True
     iu = np.triu_indices(g.n, k=1)
     keep = ~adj[iu]
-    return Graph(g.n, np.stack([iu[0][keep], iu[1][keep]], axis=1), labels=g.labels)
+    return Graph(g.n, np.stack([iu[0][keep], iu[1][keep]], axis=1))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (v,i) ~ (w,j) iff v=w and i~j, or v~w and i=j.
 
     Vertex (v, i) gets id v*|V(h)| + i, so factor coordinates are recoverable
-    by divmod; labels record the pair.
+    by divmod.
     """
     nh = h.n
     parts = []
@@ -167,9 +155,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         he = h.edge_array[None, :, :] + (np.arange(g.n) * nh)[:, None, None]
         parts.append(he.reshape(-1, 2))
     edges = np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.int64)
-    labels = tuple(f"({g.label(v)},{h.label(i)})"
-                   for v in range(g.n) for i in range(nh))
-    return Graph(g.n * nh, edges, labels=labels)
+    return Graph(g.n * nh, edges)
 
 
 def hadamard_graph(n_bits: int) -> Graph:
@@ -194,23 +180,21 @@ def hadamard_graph(n_bits: int) -> Graph:
         if targets.size:
             rows.append(np.stack([np.full(targets.size, u, dtype=np.int64), targets], axis=1))
     edges = np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
-    labels = tuple(format(u, f"0{n_bits}b") for u in range(size))
-    return Graph(size, edges, labels=labels)
+    return Graph(size, edges)
 
 
 def orthogonality_graph(vector_set, tol: float = 1e-9) -> Graph:
     """One vertex per ray; edge iff the rays are orthogonal within ``tol``
     (absolute, on the inner-product modulus).
 
-    Accepts a canonicalized vector set (anything with .vectors and .labels)
-    or a bare (k, d) array of rays.
+    Accepts a canonicalized vector set (anything with .vectors) or a bare
+    (k, d) array of rays.
     """
     vecs = np.asarray(getattr(vector_set, "vectors", vector_set), dtype=complex)
-    labels = getattr(vector_set, "labels", None)
     if vecs.ndim != 2 or vecs.shape[0] == 0:
         raise GraphError("orthogonality graph needs a nonempty (k, d) ray array")
     gram = np.abs(vecs.conj() @ vecs.T)
     iu = np.triu_indices(vecs.shape[0], k=1)
     keep = gram[iu] <= tol
     edges = np.stack([iu[0][keep], iu[1][keep]], axis=1)
-    return Graph(vecs.shape[0], edges, labels=labels)
+    return Graph(vecs.shape[0], edges)

@@ -27,6 +27,11 @@ class FormatError(ValueError):
     pass
 
 
+# what reading a malformed JSON document raises: a missing key or index, a
+# wrong type, a bad value, or a number too large for an int or a float
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
+
 # ---------------------------------------------------------------------------
 # DIMACS graphs
 
@@ -98,7 +103,7 @@ def read_graph(path) -> Graph:
 def _check_real(x, what: str) -> float:
     try:
         x = float(x)
-    except (TypeError, ValueError):
+    except _MALFORMED:
         raise FormatError(f"{what} contains a non-number: {x!r}")
     if math.isnan(x) or math.isinf(x):
         raise FormatError(f"{what} contains a non-finite value")
@@ -164,7 +169,7 @@ def vector_set_from_dict(data: dict) -> tuple[VectorSet, float | None]:
     try:
         d = int(data["dimension"])
         entries = list(data["vectors"])
-    except (KeyError, TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise FormatError(f"vector set missing or malformed field: {err}")
     tolerance = None
     if "tolerance" in data and data["tolerance"] is not None:
@@ -220,8 +225,11 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
         state = _unpack_vector(data["state"], "state")
         alice_raw = list(data["alice"])
         bob_raw = list(data["bob"])
-    except (KeyError, TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise FormatError(f"strategy missing or malformed field: {err}")
+    if min(c, da, db) < 0:
+        raise FormatError(f"strategy sizes must be nonnegative, got colors {c}, "
+                          f"dim_a {da}, dim_b {db}")
     if len(alice_raw) != len(bob_raw):
         raise FormatError("alice and bob cover different vertex counts")
     alice = _unpack_table(alice_raw, c, (da, da), "alice operator")
@@ -333,7 +341,7 @@ def decode_payload(kind: str, payload: dict):
     _check_kind(kind)
     try:
         return CODECS[kind][1](payload)
-    except (KeyError, TypeError, ValueError, IndexError) as err:
+    except _MALFORMED as err:
         raise FormatError(f"malformed {kind} payload: {err}")
 
 
@@ -384,7 +392,9 @@ def _load_json(path):
     try:
         # reject NaN/Infinity literals outright rather than letting them leak
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as err:
+    except FormatError:
+        raise
+    except _MALFORMED as err:  # a syntax error, or an integer of > 4300 digits
         raise FormatError(f"{path}: invalid JSON: {err}")
 
 

@@ -106,7 +106,19 @@ class PSDWitness:
         object.__setattr__(self, "matrix", a)
 
 
-def _edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> bool:
+def projectors_ok(ops: np.ndarray, rank: int, tol: float) -> bool:
+    """Whether every operator of an (n, c, d, d) table is a Hermitian
+    idempotent (each within tol) of trace rank (within d * tol)."""
+    d = ops.shape[2]
+    return bool(
+        np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), initial=0.0) <= tol
+        and np.max(np.abs(np.einsum("vaij,vajk->vaik", ops, ops) - ops),
+                   initial=0.0) <= tol
+        and np.max(np.abs(np.einsum("vaii->va", ops).real - rank),
+                   initial=0.0) <= d * tol)
+
+
+def edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> bool:
     """Whether |<x[u, a], x[w, a]>| <= tol for every edge (u, w) and color a;
     x is (n, colors, k)."""
     e = g.edge_array
@@ -120,21 +132,18 @@ def verify_orthogonal_representation(g: Graph, rep: OrthogonalRepresentation,
         raise RepsError(f"representation covers {vecs.shape[0]} vertices, graph has {g.n}")
     if np.any(np.linalg.norm(vecs, axis=1) <= tol):
         return False
-    return _edges_orthogonal(g, vecs[:, None], tol)
+    return edges_orthogonal(g, vecs[:, None], tol)
 
 
 def verify_matrix_representation(g: Graph, rep: MatrixRepresentation,
                                  tol: float = DEFAULT_TOL) -> bool:
+    """A c x c matrix representation is the rank-1 quantum c-coloring whose
+    color vectors are the columns of the unitaries."""
     mats = rep.matrices
     if mats.shape[0] != g.n:
         raise RepsError(f"representation covers {mats.shape[0]} vertices, graph has {g.n}")
-    c = rep.dimension
-    eye = np.eye(c)
-    gram = np.einsum("vij,vik->vjk", mats.conj(), mats)  # U† U per vertex
-    if np.max(np.abs(gram - eye[None])) > tol:
-        return False
-    # diag(U_u† U_w)[j] = sum_i conj(U_u[i, j]) U_w[i, j]: columns as colors
-    return _edges_orthogonal(g, mats.transpose(0, 2, 1), tol)
+    return verify_quantum_coloring(
+        g, QuantumColoring(rep.dimension, 1, vectors=mats.transpose(0, 2, 1)), tol)
 
 
 def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
@@ -150,7 +159,7 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
             # a rank-1 projective measurement with c outcomes lives in C^c
             return False
         gram = np.einsum("vad,vbd->vab", vecs.conj(), vecs)
-        if np.max(np.abs(gram - np.eye(qc.colors)[None])) > tol:
+        if np.max(np.abs(gram - np.eye(qc.colors)[None]), initial=0.0) > tol:
             return False
     else:
         ops = qc.projectors
@@ -158,15 +167,13 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
         if d != qc.rank * qc.colors:
             # c orthogonal rank-r projectors summing to I_d force d = r*c
             return False
-        # per vertex: Hermitian idempotents of trace r summing to identity
-        if g.n and (np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2))) > tol
-                    or np.max(np.abs(np.einsum("vaij,vajk->vaik", ops, ops) - ops)) > tol
-                    or np.max(np.abs(np.einsum("vaii->va", ops).real - qc.rank)) > d * tol
-                    or np.max(np.abs(ops.sum(axis=1) - np.eye(d))) > d * tol):
+        if not (projectors_ok(ops, qc.rank, tol)
+                and np.max(np.abs(ops.sum(axis=1) - np.eye(d)),
+                           initial=0.0) <= d * tol):
             return False
         vecs = ops.reshape(g.n, qc.colors, d * d)
     # rank-1: <a_u,alpha, a_w,alpha>; rank-r: Tr(P_u,alpha† P_w,alpha)
-    return _edges_orthogonal(g, vecs, tol)
+    return edges_orthogonal(g, vecs, tol)
 
 
 def quantum_coloring_from_classical(g: Graph, cert: ColoringCertificate) -> QuantumColoring:

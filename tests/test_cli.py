@@ -118,6 +118,30 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "error" in report and "error" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("ks-check", "{file}"),
+     '{"dimension": 1e400, "vectors": [{"coords": [[1, 0]]}]}'),
+    (("ks-check", "{file}"),
+     '{"dimension": 1, "vectors": [{"coords": [[1%s, 0]]}]}' % ("0" * 400)),
+    (("ks-check", "{file}"),
+     '{"dimension": 1, "vectors": [{"coords": [[1%s, 0]]}]}' % ("0" * 5000)),
+    (("verify-rep", "{c5}", "{file}"),
+     '{"kind": "coloring", "payload": {"colors": 1e400, "assignment": [0]}}'),
+    (("game", "exact", "{k2}", "{file}"),
+     '{"colors": -1, "dim_a": 1, "dim_b": 1, "state": [[1, 0]], '
+     '"alice": [[], []], "bob": [[], []]}'),
+], ids=["dimension-1e400", "coordinate-401-digits", "coordinate-5001-digits",
+        "colors-1e400", "negative-colors"])
+def test_malformed_numbers_in_json_are_input_errors(capsys, tmp_path, c5_file,
+                                                    k2_file, argv, text):
+    p = tmp_path / "input.json"
+    p.write_text(text)
+    code, report, _ = run(capsys, *(a.format(file=p, c5=c5_file, k2=k2_file)
+                                    for a in argv))
+    assert code == 2
+    assert "internal error" not in report["error"]
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"),
                                  RecursionError("maximum recursion depth")])
 def test_internal_error_exit_code(capsys, monkeypatch, c5_file, exc):
@@ -215,6 +239,32 @@ def test_hadamard_certificate_reverifies(capsys, tmp_path):
     assert code == 0 and report["verified"]
     code, report, _ = run(capsys, "verify-qcoloring", str(g), cert)
     assert code == 0 and report["valid"]
+
+
+def test_hadamard_below_rounding_tolerance_is_exit_1(capsys):
+    # the construction's inner products are about 1e-16, not exactly 0
+    code, report, _ = run(capsys, "hadamard-coloring", "-N", "6",
+                          "--tol", "1e-15")
+    assert code == 1 and report["verified"] is False
+    assert "certificate" not in report
+
+
+def test_empty_graph(capsys, tmp_path):
+    g = tmp_path / "empty.col"
+    g.write_text("p edge 0 0\n")
+    cert = tmp_path / "qc.json"
+    io.write_certificate(cert, "qcoloring", {"colors": 2, "rank": 1,
+                                             "vectors": []},
+                         io.make_metadata(1e-9, 1e-7))
+    code, report, _ = run(capsys, "verify-qcoloring", str(g), str(cert))
+    assert code == 0 and report["valid"]
+    strat = tmp_path / "strat.json"
+    strat.write_text(json.dumps({"colors": 1, "dim_a": 1, "dim_b": 1,
+                                 "state": [[1, 0]], "alice": [], "bob": []}))
+    for command in ("check", "normalize"):
+        code, report, _ = run(capsys, "game", command, str(g), str(strat))
+        assert code == 2
+        assert report["error"] == "no legal questions on the empty graph"
 
 
 def test_verify_rejects_wrong_kind(capsys, c5_file, tmp_path):
@@ -366,6 +416,8 @@ def test_game_dimension_mismatch(capsys, c5_file, tmp_path):
     strat = winning_k2_strategy_file(tmp_path)
     code, report, _ = run(capsys, "game", "exact", c5_file, strat)
     assert code == 2
+    assert report["error"] == ("strategy does not cover the vertex set "
+                               "(it covers 2 vertices, graph has 5)")
 
 
 # -- psd-witness ------------------------------------------------------------------

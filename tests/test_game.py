@@ -53,6 +53,10 @@ def test_uniform_questions_empty_graph():
         game.quantum_win_probability(g, s)
     with pytest.raises(game.GameError, match="no legal questions"):
         game.simulate_game(g, s, rounds=10)
+    with pytest.raises(game.GameError, match="no legal questions"):
+        game.check_consistency(s, g)
+    with pytest.raises(game.GameError, match="no legal questions"):
+        game.normalize_strategy(s, g)
 
 
 # -- classical probabilities ----------------------------------------------------
@@ -248,6 +252,41 @@ def test_normalize_rejects_non_winning():
     assert exc.value.stage == "precondition"
 
 
+def _break_projector(alice, bob, state, g):
+    alice[0, 0] *= 0.5  # Hermitian, still orthogonal across edges
+    return alice, alice.conj(), state
+
+
+def _break_state(alice, bob, state, g):
+    return alice, bob, np.eye(len(state))[0]
+
+
+def _break_conjugate(alice, bob, state, g):
+    return alice, alice, state  # the Omega_4 projectors are not real
+
+
+def _break_edge(alice, bob, state, g):
+    u, w = g.edge_array[0]
+    alice[w] = alice[u]
+    return alice, alice.conj(), state
+
+
+@pytest.mark.parametrize("mutate, flag", [
+    (_break_projector, "projective_equal_rank"),
+    (_break_state, "maximally_entangled_rc"),
+    (_break_conjugate, "bob_is_conjugate"),
+    (_break_edge, "edge_hs_orthogonality"),
+], ids=["projector", "state", "conjugate", "edge"])
+def test_normal_form_properties_flag_each_defect(mutate, flag):
+    g = hadamard_graph(4)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
+    assert all(game.normal_form_properties(s, g).values())
+    alice, bob, state = mutate(s.alice.copy(), s.bob.copy(), s.state.copy(), g)
+    broken = game.POVMStrategy(s.colors, s.dim_a, s.dim_b, state, alice, bob)
+    flags = game.normal_form_properties(broken, g)
+    assert [k for k, ok in flags.items() if not ok] == [flag]
+
+
 def test_normalize_perturbed_k2():
     g = complete_graph(2)
     s = perturbed_k2_strategy()
@@ -422,6 +461,21 @@ def test_simulate_rejects_strategy_of_another_vertex_count(strategy):
     # raise IndexError
     with pytest.raises(game.GameError, match="does not cover"):
         game.simulate_game(complete_graph(2), strategy, rounds=50)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda g, s: game.classical_win_probability(
+        g, game.ClassicalStrategy(2, (0,) * s.n_vertices, (0,) * s.n_vertices)),
+    game.quantum_win_probability,
+    lambda g, s: game.check_consistency(s, g),
+    lambda g, s: game.normalize_strategy(s, g),
+    lambda g, s: game.simulate_game(g, s, rounds=50),
+], ids=["classical", "win", "check", "normalize", "simulate"])
+def test_cover_error_names_both_vertex_counts(evaluate):
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
+    with pytest.raises(game.GameError, match=r"does not cover the vertex set "
+                       r"\(it covers 16 vertices, graph has 2\)"):
+        evaluate(complete_graph(2), s)
 
 
 def test_best_classical_rejects_zero_colors():

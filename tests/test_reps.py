@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cycle, petersen, random_graph
-from qcolor import coloring, datasets, ks, reps
+from qcolor import coloring, datasets, game, ks, reps
 from qcolor.graphs import (cartesian_product, complete_graph, hadamard_graph,
                            make_graph)
+from qcolor.linalg import maximally_entangled
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -34,6 +35,94 @@ def test_verify_orthrep_shape_mismatch():
     rep = reps.OrthogonalRepresentation(2, np.eye(2, dtype=complex))
     with pytest.raises(reps.RepsError):
         reps.verify_orthogonal_representation(g, rep)
+
+
+def test_verifiers_accept_the_empty_graph():
+    g = make_graph(0, [])
+    assert reps.verify_quantum_coloring(
+        g, reps.QuantumColoring(2, 1, vectors=np.zeros((0, 2, 2))))
+    assert reps.verify_quantum_coloring(
+        g, reps.QuantumColoring(2, 2, projectors=np.zeros((0, 2, 4, 4))))
+    assert reps.verify_matrix_representation(
+        g, reps.MatrixRepresentation(2, np.zeros((0, 2, 2))))
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _noise(rng, shape, hermitian=False):
+    """Complex noise of a log-uniform scale in [1e-13, 1e-7], straddling the
+    default tolerance 1e-9, so about half of the perturbed tables verify."""
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if hermitian:
+        z = (z + np.swapaxes(z, -1, -2).conj()) / 2
+    return 10 ** rng.uniform(-13, -7) * z
+
+
+def _golden_verdicts():
+    """Verdicts on seeded perturbations of rank-1 colorings (shifted bases of
+    classical colorings of K2, C5, Petersen and the Omega_4 Hadamard
+    coloring), each rotated by a random unitary: as matrix representations,
+    as rank-1 and as rank-2 projector colorings, and the four
+    normal_form_properties flags of the projector tables used as strategies
+    (maximally entangled state, Bob = conj(Alice), each perturbed)."""
+    bases = [(g, reps.quantum_coloring_from_classical(
+        g, coloring.chromatic_number(g).certificate).vectors)
+        for g in (complete_graph(2), cycle(5), petersen())]
+    bases.append((hadamard_graph(4), reps.hadamard_quantum_coloring(4).vectors))
+    out = {"matrixrep": "", "rank1": "", "rank2": "", "nf": ""}
+    for k, (g, vecs) in enumerate(bases):
+        n, c = vecs.shape[:2]
+        for case in range(25):
+            rng = np.random.default_rng([k, case])
+            v = vecs @ _unitary(rng, c).T
+            mats = v.transpose(0, 2, 1) + _noise(rng, (n, c, c))
+            out["matrixrep"] += "01"[bool(reps.verify_matrix_representation(
+                g, reps.MatrixRepresentation(c, mats)))]
+            p1 = np.einsum("vai,vaj->vaij", v, v.conj())
+            w = _unitary(rng, 2 * c)
+            p2 = w @ np.kron(p1, np.eye(2)) @ w.conj().T
+            for rank, p in ((1, p1), (2, p2)):
+                p = p + _noise(rng, p.shape, hermitian=case % 2 == 0)
+                out[f"rank{rank}"] += "01"[bool(reps.verify_quantum_coloring(
+                    g, reps.QuantumColoring(c, rank, projectors=p)))]
+                d = p.shape[2]
+                s = game.POVMStrategy(
+                    c, d, d, maximally_entangled(d) + _noise(rng, d * d), p,
+                    p.conj() + _noise(rng, p.shape))
+                flags = game.normal_form_properties(s, g)
+                out["nf"] += "".join("01"[bool(f)] for f in flags.values())
+    return out
+
+
+# recorded before projectors_ok and edges_orthogonal took over the checks
+GOLDEN_VERDICTS = {
+    "matrixrep": ("0011111110001010110100101111011110101001011101101110011100111100"
+                  "010101000010100111111101011001010100"),
+    "rank1": ("0110110001111111100100101010111111111100000111100001110110111011"
+              "010010110100100111010000110001000100"),
+    "rank2": ("1101110110101010011100101000000111111010101011000010100011011101"
+              "101110000100010011111010011010110111"),
+    "nf": ("0110100111011111111101100110111111011101101111010110000001001101"
+           "0100100111110100111111011111010110111111111101101111110111010000"
+           "1111011000101011011111011001110101110110011001001011100101100010"
+           "1101101100000100101100100010001011110100101100101111010011111111"
+           "1101110110011101110111011011110111011001101100000000111100100010"
+           "0111111101100100000010011001011011011101110111111111010001100110"
+           "0000011000100000000010011001001011111101110101100000011111110110"
+           "1101110101101101111101101011111111111111001010111101011011111001"
+           "0000100110110010011010010110111110111011010000111001011010010011"
+           "0110000011011101000010110010111110010000001011110110011010010000"
+           "1111111111011011001110011111111101101111011100000110101101000010"
+           "1111011010111111010111010000010000001011101100000111101101101101"
+           "01100000111111110011110101001011"),
+}
+
+
+def test_golden_verdicts():
+    assert _golden_verdicts() == GOLDEN_VERDICTS
 
 
 def test_matrixrep_unitarity_required():
