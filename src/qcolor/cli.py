@@ -132,7 +132,8 @@ def _resolve(args) -> dict:
 
 
 def _metadata(opts: dict) -> dict:
-    return {"tool": "qcolor", "version": __version__, **opts}
+    return {**io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"]),
+            "budget": opts["budget"]}
 
 
 def _emit(report: dict, args, key: str, doc: dict) -> None:

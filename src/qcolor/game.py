@@ -132,14 +132,14 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
-        herm = np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)))
+        # initial=: a strategy on no vertices passes vacuously
+        herm = np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), initial=0.0)
         if herm > tol:
             raise GameError(f"{name} POVM element not Hermitian (defect {herm:.3g})")
-        evals = np.linalg.eigvalsh(ops.reshape(-1, d, d))
-        if float(evals.min()) < -tol:
-            raise GameError(f"{name} POVM element not PSD "
-                            f"(eigenvalue {float(evals.min()):.3g})")
-        defect = np.max(np.abs(ops.sum(axis=1) - np.eye(d)))
+        low = float(np.linalg.eigvalsh(ops.reshape(-1, d, d)).min(initial=0.0))
+        if low < -tol:
+            raise GameError(f"{name} POVM element not PSD (eigenvalue {low:.3g})")
+        defect = np.max(np.abs(ops.sum(axis=1) - np.eye(d)), initial=0.0)
         if defect > d * tol:
             raise GameError(f"{name} POVM does not sum to identity "
                             f"(defect {defect:.3g})")
@@ -441,6 +441,9 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
     inner product."""
     c, d = s.colors, s.dim_a
     ops = s.alice
+    if not s.n_vertices:
+        raise GameError("normal-form properties of an empty strategy "
+                        "(0 vertices) are undefined")
     rank = round(float(np.mean(np.einsum("vaii->va", ops).real)))
     mes = maximally_entangled(d)
     state_ok = (s.dim_a == s.dim_b

@@ -1,7 +1,8 @@
 """File formats: DIMACS graphs, JSON vector sets, strategies, certificates.
 
-Complex scalars are serialized as [re, im] pairs; matrices as row-major flat
-lists of such pairs.  NaN and infinities are rejected on input everywhere.
+Complex arrays are [re, im] pairs, matrices row-major flat lists of pairs,
+packed and unpacked whole by numpy (_pack, _unpack).  Files are compact JSON
+from json's C encoder; NaN and infinities are refused everywhere.
 Each certificate kind has one (encode, decode) pair in CODECS, between the
 package's objects and the JSON payload of a certificate file.
 """
@@ -100,53 +101,46 @@ def read_graph(path) -> Graph:
 # complex packing
 
 
-def _check_real(x, what: str) -> float:
-    try:
-        x = float(x)
-    except _MALFORMED:
-        raise FormatError(f"{what} contains a non-number: {x!r}")
-    if math.isnan(x) or math.isinf(x):
-        raise FormatError(f"{what} contains a non-finite value")
-    return x
+def _pack(a, keep: int) -> list:
+    """A complex array as [re, im] pairs: the first keep axes stay nested,
+    the rest is one row-major flat list of pairs."""
+    a = np.asarray(a, dtype=complex)
+    pairs = np.stack([a.real, a.imag], -1)
+    return pairs.reshape(a.shape[:keep] + (math.prod(a.shape[keep:]), 2)).tolist()
 
 
-def _unpack_scalar(pair, what: str) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FormatError(f"{what} must be [re, im] pairs")
-    return complex(_check_real(pair[0], what), _check_real(pair[1], what))
-
-
-def _unpack_vector(pairs, what: str) -> np.ndarray:
+def _unpack(pairs, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
+    """Inverse of _pack for one flat list of pairs: a complex array of the
+    given shape, or flat of any length when shape is None."""
     if not isinstance(pairs, (list, tuple)):
         raise FormatError(f"{what} must be a list of [re, im] pairs")
-    return np.array([_unpack_scalar(p, what) for p in pairs], dtype=complex)
-
-
-def _unpack_array(pairs, shape: tuple[int, ...], what: str) -> np.ndarray:
-    flat = _unpack_vector(pairs, what)
-    size = math.prod(shape)
-    if flat.shape[0] != size:
-        raise FormatError(f"{what} has {flat.shape[0]} entries, expected {size}")
-    return flat.reshape(shape)
-
-
-def _pack_vector(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec).ravel()]
-
-
-def _pack_table(ops) -> list:
-    """An (n, c, ...) operator table as [vertex][color] packed lists."""
-    return [[_pack_vector(op) for op in row] for row in ops]
+    try:
+        a = np.array(pairs, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise FormatError(f"{what} contains a number beyond the float range")
+    except (TypeError, ValueError) as err:  # a string, an object, a ragged list
+        raise FormatError(f"{what} contains a non-number or is not [re, im] "
+                          f"pairs: {err}")
+    if not np.isfinite(a).all():  # None converts to NaN
+        raise FormatError(f"{what} contains a non-number or a non-finite value")
+    if pairs and (a.ndim != 2 or a.shape[1] != 2):
+        raise FormatError(f"{what} must be [re, im] pairs")
+    z = a.reshape(-1, 2).view(complex)[:, 0]
+    if shape is not None and z.shape[0] != math.prod(shape):
+        raise FormatError(f"{what} has {z.shape[0]} entries, expected "
+                          f"{math.prod(shape)}")
+    return z.reshape(shape or -1)
 
 
 def _unpack_table(rows, c: int, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Inverse of _pack_table: an (n, c, *shape) array, n = len(rows)."""
+    """An (n, c, *shape) operator table from [vertex][color] pair lists,
+    n = len(rows)."""
     out = np.zeros((len(rows), c) + shape, dtype=complex)
     for v, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != c:
             raise FormatError(f"vertex {v} does not list exactly {c} operators")
         for a in range(c):
-            out[v, a] = _unpack_array(row[a], shape, f"{what} ({v},{a})")
+            out[v, a] = _unpack(row[a], shape, f"{what} ({v},{a})")
     return out
 
 
@@ -156,8 +150,8 @@ def _unpack_table(rows, c: int, shape: tuple[int, ...], what: str) -> np.ndarray
 
 def vector_set_to_dict(s: VectorSet, tolerance: float | None = None) -> dict:
     out = {"dimension": s.dimension,
-           "vectors": [{"id": s.labels[i], "coords": _pack_vector(s.vectors[i])}
-                       for i in range(s.size)]}
+           "vectors": [{"id": label, "coords": coords}
+                       for label, coords in zip(s.labels, _pack(s.vectors, 1))]}
     if tolerance is not None:
         out["tolerance"] = float(tolerance)
     return out
@@ -169,18 +163,17 @@ def vector_set_from_dict(data: dict) -> tuple[VectorSet, float | None]:
     try:
         d = int(data["dimension"])
         entries = list(data["vectors"])
+        tolerance = data.get("tolerance")
+        tolerance = None if tolerance is None else float(tolerance)
     except _MALFORMED as err:
         raise FormatError(f"vector set missing or malformed field: {err}")
-    tolerance = None
-    if "tolerance" in data and data["tolerance"] is not None:
-        tolerance = _check_real(data["tolerance"], "tolerance")
-        if tolerance <= 0:
-            raise FormatError("tolerance must be positive")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise FormatError("tolerance must be a positive finite number")
     vectors, labels = [], []
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or "coords" not in entry:
             raise FormatError(f"vector {k} must be an object with 'coords'")
-        vec = _unpack_vector(entry["coords"], f"vector {k}")
+        vec = _unpack(entry["coords"], None, f"vector {k}")
         if vec.shape[0] != d:
             raise FormatError(f"vector {k} has dimension {vec.shape[0]}, "
                               f"expected {d}")
@@ -209,9 +202,9 @@ def strategy_to_dict(s: POVMStrategy) -> dict:
         "colors": s.colors,
         "dim_a": s.dim_a,
         "dim_b": s.dim_b,
-        "state": _pack_vector(s.state),
-        "alice": _pack_table(s.alice),
-        "bob": _pack_table(s.bob),
+        "state": _pack(s.state, 0),
+        "alice": _pack(s.alice, 2),
+        "bob": _pack(s.bob, 2),
     }
 
 
@@ -222,7 +215,7 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
         c = int(data["colors"])
         da = int(data["dim_a"])
         db = int(data["dim_b"])
-        state = _unpack_vector(data["state"], "state")
+        state = _unpack(data["state"], None, "state")
         alice_raw = list(data["alice"])
         bob_raw = list(data["bob"])
     except _MALFORMED as err:
@@ -263,23 +256,23 @@ def _decode_coloring(p: dict) -> ColoringCertificate:
 
 def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
     return {"dimension": rep.dimension,
-            "vectors": [_pack_vector(v) for v in rep.vectors]}
+            "vectors": _pack(rep.vectors, 1)}
 
 
 def _decode_orthrep(p: dict) -> OrthogonalRepresentation:
-    vecs = np.array([_unpack_vector(row, f"vector {i}")
+    vecs = np.array([_unpack(row, None, f"vector {i}")
                      for i, row in enumerate(p["vectors"])])
     return OrthogonalRepresentation(int(p["dimension"]), vecs)
 
 
 def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
     return {"dimension": rep.dimension,
-            "matrices": [_pack_vector(m) for m in rep.matrices]}
+            "matrices": _pack(rep.matrices, 1)}
 
 
 def _decode_matrixrep(p: dict) -> MatrixRepresentation:
     d = int(p["dimension"])
-    mats = np.array([_unpack_array(m, (d, d), f"matrix {i}")
+    mats = np.array([_unpack(m, (d, d), f"matrix {i}")
                      for i, m in enumerate(p["matrices"])])
     return MatrixRepresentation(d, mats)
 
@@ -287,7 +280,7 @@ def _decode_matrixrep(p: dict) -> MatrixRepresentation:
 def _encode_qcoloring(qc: QuantumColoring) -> dict:
     form = "vectors" if qc.vectors is not None else "projectors"
     return {"colors": qc.colors, "rank": qc.rank,
-            form: _pack_table(getattr(qc, form))}
+            form: _pack(getattr(qc, form), 2)}
 
 
 def _decode_qcoloring(p: dict) -> QuantumColoring:
@@ -303,11 +296,11 @@ def _decode_qcoloring(p: dict) -> QuantumColoring:
 
 
 def _encode_psd_witness(w: PSDWitness) -> dict:
-    return {"rank": w.rank, "matrix": _pack_vector(w.matrix)}
+    return {"rank": w.rank, "matrix": _pack(w.matrix, 0)}
 
 
 def _decode_psd_witness(p: dict) -> PSDWitness:
-    flat = _unpack_vector(p["matrix"], "witness matrix")
+    flat = _unpack(p["matrix"], None, "witness matrix")
     n = math.isqrt(flat.shape[0])
     if n * n != flat.shape[0]:
         raise FormatError("witness matrix is not square")
@@ -403,6 +396,6 @@ def _reject_constant(name: str):
 
 
 def write_json(data, path) -> None:
-    """Write a JSON document as every qcolor file is written: indented, NaN
-    and infinities refused."""
-    Path(path).write_text(json.dumps(data, indent=1, allow_nan=False) + "\n")
+    """Write a JSON document as every qcolor file is written: compact, through
+    json's C encoder, NaN and infinities refused."""
+    Path(path).write_text(json.dumps(data, allow_nan=False) + "\n")

@@ -59,6 +59,21 @@ def test_uniform_questions_empty_graph():
         game.normalize_strategy(s, g)
 
 
+def test_empty_strategy_validates_vacuously():
+    ops = np.zeros((0, 2, 2, 2))
+    game.validate_strategy(game.POVMStrategy(2, 2, 2, maximally_entangled(2),
+                                             ops, ops))
+    with pytest.raises(game.GameError, match="state norm"):
+        game.validate_strategy(game.POVMStrategy(2, 2, 2, np.ones(4), ops, ops))
+
+
+def test_empty_strategy_has_no_normal_form_properties():
+    s = game.POVMStrategy(1, 1, 1, np.ones(1), np.ones((0, 1, 1, 1)),
+                          np.ones((0, 1, 1, 1)))
+    with pytest.raises(game.GameError, match="empty strategy"):
+        game.normal_form_properties(s, make_graph(0, []))
+
+
 # -- classical probabilities ----------------------------------------------------
 
 

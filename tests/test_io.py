@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -94,6 +95,41 @@ def test_vector_set_dimension_mismatch():
     with pytest.raises(io.FormatError, match="dimension"):
         io.vector_set_from_dict({"dimension": 3,
                                  "vectors": [{"coords": [[1, 0], [0, 0]]}]})
+
+
+@pytest.mark.parametrize("coords, want", [
+    ("[[1, 0], [0, -1]]", [1, -1j]),
+    ("[[true, false], [false, true]]", [1, 1j]),
+    ('[["1.5", 0], [0, " -2 "]]', [1.5, -2j]),
+    (f"[[{2 ** 70}, 0], [0, 0]]", [2.0 ** 70, 0]),
+    ("[]", []),
+    ("[[NaN, 0], [0, 0]]", "'NaN' is not allowed"),
+    ("[[Infinity, 0], [0, 0]]", "'Infinity' is not allowed"),
+    ("[[1e400, 0], [0, 0]]", "vector 0 contains a non-number or a non-finite"),
+    ("[[null, 0], [0, 0]]", "vector 0 contains a non-number"),
+    ('[["one", 0], [0, 0]]', "vector 0 contains a non-number"),
+    ("[[{}, 0], [0, 0]]", "vector 0 contains a non-number"),
+    ("[[1, 0], [0]]", r"vector 0 .*\[re, im\] pairs"),
+    ("[[1.0], [0.0]]", r"vector 0 must be \[re, im\] pairs"),
+    ("[[[1, 0]], [[0, 0]]]", r"vector 0 must be \[re, im\] pairs"),
+    ("[[], []]", r"vector 0 must be \[re, im\] pairs"),
+    (f"[[1{'0' * 400}, 0], [0, 0]]", "vector 0 contains a number beyond the float"),
+], ids=["ints", "bools", "numeric-strings", "int-beyond-int64", "empty",
+        "nan", "infinity", "1e400", "null", "string", "object", "ragged",
+        "singletons", "nested-pairs", "empty-pairs", "401-digits"])
+def test_vector_coordinate_contract(tmp_path, coords, want):
+    """What a coordinate may be: a list is the decoded vector, a string the
+    FormatError (exit 2 in the CLI) that rejects the file."""
+    p = tmp_path / "set.json"
+    d = 2 if isinstance(want, str) else len(want)
+    p.write_text(f'{{"dimension": {d}, "vectors": [{{"coords": {coords}}}]}}')
+    if isinstance(want, str):
+        with pytest.raises(io.FormatError, match=want) as err:
+            io.read_vector_set(p)
+        assert "0" * 20 not in str(err.value)
+    else:
+        s, _ = io.read_vector_set(p)
+        assert np.array_equal(s.vectors, np.array([want], dtype=complex))
 
 
 def test_vector_set_default_ids():
@@ -268,3 +304,77 @@ def test_peres_golden_counts():
     ids = [v["id"] for v in raw["vectors"]]
     assert len(set(ids)) == 33
     assert all(len(v["coords"]) == 3 for v in raw["vectors"])
+
+
+# -- golden codec: documents and decoded bytes pinned -------------------------------
+
+
+def _array_digest(a: np.ndarray) -> str:
+    h = hashlib.sha256(f"{a.dtype.str} {a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _golden_cases():
+    """name -> (write(path), read(path) -> decoded object)."""
+    def strategy(bits):
+        s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(bits))
+        return lambda p: io.write_strategy(s, p), io.read_strategy
+
+    def certificate(kind, obj):
+        def write(p):
+            io.write_certificate(p, kind, io.encode_payload(kind, obj),
+                                 io.make_metadata(1e-9, 1e-7, seed=1))
+
+        def read(p):
+            return io.decode_payload(*io.read_certificate(p)[:2])
+        return write, read
+
+    def vector_set(s, tol):
+        return (lambda p: io.write_vector_set(s, p, tol),
+                lambda p: io.read_vector_set(p)[0])
+
+    rng = np.random.default_rng(40)
+    rays = ks.VectorSet(4, rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4)),
+                        tuple(f"r{i}" for i in range(40)))
+    ids = ["coloring", "orthrep", "matrixrep", "qcoloring-vectors",
+           "qcoloring-projectors", "psd-witness"]
+    return {"omega4-strategy": strategy(4), "omega6-strategy": strategy(6),
+            **{name: certificate(*ex) for name, ex in zip(ids, _codec_examples())},
+            "yu-oh-13": vector_set(*datasets.load_vector_set("yu-oh-13")),
+            "rays40": vector_set(rays, 1e-9)}
+
+
+# name -> (sha256 of the file as written indented, digests of the decoded arrays)
+GOLDEN_CODEC = {
+    "omega4-strategy": ("1c6872096b845a40", ["120ac16cf7aa8201", "371d7ddf6a8a4a11",
+                                             "cff19bac6efc2165"]),
+    "omega6-strategy": ("26fff72aea0c95c2", ["dc249a440983a1ab", "7e7734999af471e4",
+                                             "34b0f0f59a99b77c"]),
+    "coloring": ("0e89bc4f9aad1bfd", []),
+    "orthrep": ("1b481fd402009825", ["417623217174da02"]),
+    "matrixrep": ("4da578c1f2088fc6", ["1b00e6d08e23f4be"]),
+    "qcoloring-vectors": ("fa830657906498d4", ["85d130276da8ee1c"]),
+    "qcoloring-projectors": ("666438fea894db49", ["e61d2b495a571979"]),
+    "psd-witness": ("a3cf4c599c1fb9c6", ["2d8c3894ed41c750"]),
+    "yu-oh-13": ("0ddcada9193a198d", ["fe39274ecdae0220"]),
+    "rays40": ("3d7ddba9b4456323", ["70f249df158a10fd"]),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CODEC))
+def test_codec_golden(tmp_path, name):
+    write, read = _golden_cases()[name]
+    want_file, want_arrays = GOLDEN_CODEC[name]
+    p = tmp_path / "doc.json"
+    write(p)
+    # the document, indented as files were once written, is the pinned file
+    indented = json.dumps(json.loads(p.read_text()), indent=1) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest()[:16] == want_file
+    old = tmp_path / "indented.json"
+    old.write_text(indented)
+    for path in (p, old):
+        obj = read(path)
+        got = [_array_digest(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+               if isinstance(getattr(obj, f.name), np.ndarray)]
+        assert got == want_arrays
