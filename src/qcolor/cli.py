@@ -29,10 +29,22 @@ INPUT_ERRORS = (io.FormatError, ks.KSError, reps.RepsError, game.GameError,
                 coloring.ColoringError, GraphError, OSError)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol and --rank-tol: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help=f"absolute tolerance (default {DEFAULT_TOL})")
-    p.add_argument("--rank-tol", type=float, default=None,
+    p.add_argument("--rank-tol", type=_tolerance, default=None,
                    help=f"relative rank tolerance (default {DEFAULT_RANK_TOL})")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized searches and simulation (default 0)")

@@ -223,6 +223,9 @@ POLISH_SWEEPS = 150
 # polish only near-feasible points; stalled penalties mean a bad basin
 # (or true infeasibility) and another restart is cheaper than projection
 POLISH_THRESHOLD = 1e-3
+# restarts run in lockstep, in consecutive blocks whose (R, 2m, c) complex
+# half-edge array stays within this many bytes
+BLOCK_BYTES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -232,9 +235,18 @@ class SearchParams:
     real: bool = False
     tol: float = DEFAULT_TOL
 
+    def __post_init__(self):
+        if not self.restarts >= 1:
+            raise RepsError(f"restarts must be >= 1, got {self.restarts}")
+        if not 0 < self.tol < np.inf:
+            raise RepsError(f"tol must be positive and finite, got {self.tol}")
+
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """restarts_tried is the 1-based index of the winning restart (0 for a
+    graph without edges, which needs no search), or params.restarts on a
+    miss."""
     found: bool
     representation: OrthogonalRepresentation | None
     best_penalty: float
@@ -266,14 +278,70 @@ def _polish(x: np.ndarray, neighbors: list[np.ndarray], sweeps: int,
     return False
 
 
+class _HalfEdges:
+    """Both orientations of every edge, sorted by source vertex once, so one
+    reduceat sums each vertex's gradient terms."""
+
+    def __init__(self, e: np.ndarray):
+        self.e0, self.e1 = e[:, 0], e[:, 1]
+        src = np.concatenate([self.e0, self.e1])
+        self.order = np.argsort(src, kind="stable")
+        self.other = np.concatenate([self.e1, self.e0])[self.order]
+        self.sources, self.starts = np.unique(src[self.order], return_index=True)
+
+    def penalty_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For an (R, n, c) stack of vector sets: each one's penalty, the sum
+        over edges of |<x_u, x_w>|^2, and its gradient (R, n, c), whose row u
+        is the sum over neighbors w of x_w <x_w, x_u>."""
+        pe = np.einsum("rec,rec->re", x[:, self.e0].conj(), x[:, self.e1])
+        coef = np.concatenate([pe.conj(), pe], axis=1)[:, self.order]
+        grad = np.zeros_like(x)
+        grad[:, self.sources] = np.add.reduceat(
+            x[:, self.other] * coef[:, :, None], self.starts, axis=1)
+        return np.sum(np.abs(pe) ** 2, axis=1), grad
+
+
+def _descend(x: np.ndarray, half: _HalfEdges) -> tuple[np.ndarray, float]:
+    """Normalized projected gradient on an (R, n, c) block of restarts in
+    lockstep, in place.  A restart leaves the active set once its penalty is
+    below 1e-6 (keeping that point) or when a vector steps onto zero
+    (penalty inf).  Returns each restart's last penalty and the lowest
+    penalty seen."""
+    penalty = np.full(x.shape[0], np.inf)
+    best = np.inf
+    active = np.arange(x.shape[0])
+    xa = x
+    for it in range(SEARCH_ITERATIONS):
+        if active.size == 0:
+            break
+        pen, grad = half.penalty_and_gradient(xa)
+        penalty[active] = pen
+        best = min(best, float(pen.min()))
+        done = pen < 1e-6
+        if done.any():
+            x[active[done]] = xa[done]
+            active, xa, grad = active[~done], xa[~done], grad[~done]
+        xa = xa - SEARCH_STEP / (1.0 + it / 60.0) * grad
+        norms = np.linalg.norm(xa, axis=2, keepdims=True)
+        alive = np.all(norms > 0, axis=(1, 2))
+        if not alive.all():
+            # a vector stepped onto zero has no direction: restart lost
+            penalty[active[~alive]] = np.inf
+            active, xa, norms = active[alive], xa[alive], norms[alive]
+        xa /= norms
+    x[active] = xa
+    return penalty, best
+
+
 def search_orthogonal_representation(g: Graph, c: int,
                                      params: SearchParams = SearchParams()) -> SearchResult:
     """Randomized penalty search for an orthogonal representation in C^c.
 
     Minimizes sum over edges of |<x_u, x_v>|^2 by projected gradient from
-    random starts, then polishes by cyclic projection; a result counts as
-    found only if the final vectors verify at params.tol.  not_found is not a
-    proof of nonexistence.
+    seeded random starts, all restarts of a block in lockstep, then polishes
+    the near-feasible ones by cyclic projection in restart order; a result
+    counts as found only if the final vectors verify at params.tol.
+    not_found is not a proof of nonexistence.
     """
     if c < 1:
         raise RepsError("dimension must be >= 1")
@@ -285,39 +353,24 @@ def search_orthogonal_representation(g: Graph, c: int,
         rep = OrthogonalRepresentation(c, vecs)
         return SearchResult(True, rep, 0.0, 0)
     neighbors = [np.asarray(g.neighbors(v), dtype=np.int64) for v in range(g.n)]
-    e0, e1 = e[:, 0], e[:, 1]
+    half = _HalfEdges(e)
+    block = max(1, BLOCK_BYTES // (2 * e.shape[0] * c * 16))
     best_penalty = np.inf
-    for restart in range(1, params.restarts + 1):
-        x = rng.normal(size=(g.n, c))
-        if not params.real:
-            x = x + 1j * rng.normal(size=(g.n, c))
-        x = x.astype(complex)
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        penalty = np.inf
-        for it in range(SEARCH_ITERATIONS):
-            pe = np.einsum("ec,ec->e", x[e0].conj(), x[e1])
-            penalty = float(np.sum(np.abs(pe) ** 2))
-            if penalty < best_penalty:
-                best_penalty = penalty
-            if penalty < 1e-6:
-                break
-            grad = np.zeros_like(x)
-            np.add.at(grad, e0, x[e1] * pe.conj()[:, None])
-            np.add.at(grad, e1, x[e0] * pe[:, None])
-            step = SEARCH_STEP / (1.0 + it / 60.0)
-            x = x - step * grad
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-            if not np.all(norms > 0):
-                # a vector stepped onto zero has no direction: restart lost
-                penalty = np.inf
-                break
-            x /= norms
-        if penalty > POLISH_THRESHOLD:
-            continue
-        if _polish(x, neighbors, POLISH_SWEEPS, params.tol):
-            rep = OrthogonalRepresentation(c, x.copy())
-            if verify_orthogonal_representation(g, rep, params.tol):
-                return SearchResult(True, rep, 0.0, restart)
+    for lo in range(0, params.restarts, block):
+        size = min(block, params.restarts - lo)
+        if params.real:
+            x = rng.normal(size=(size, g.n, c)).astype(complex)
+        else:
+            z = rng.normal(size=(size, 2, g.n, c))
+            x = z[:, 0] + 1j * z[:, 1]
+        x /= np.linalg.norm(x, axis=2, keepdims=True)
+        penalty, best = _descend(x, half)
+        best_penalty = min(best_penalty, best)
+        for i in np.flatnonzero(penalty <= POLISH_THRESHOLD):
+            if _polish(x[i], neighbors, POLISH_SWEEPS, params.tol):
+                rep = OrthogonalRepresentation(c, x[i].copy())
+                if verify_orthogonal_representation(g, rep, params.tol):
+                    return SearchResult(True, rep, 0.0, lo + int(i) + 1)
     return SearchResult(False, None, best_penalty, params.restarts)
 
 

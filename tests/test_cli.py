@@ -193,6 +193,27 @@ def test_malformed_dimacs_exit_code(capsys, tmp_path):
     assert "line 2" in report["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("ks-check", "peres-33", "--tol", "-1"),
+    ("ks-check", "peres-33", "--tol", "nan"),
+    ("hadamard-coloring", "-N", "4", "--tol", "nan"),
+    ("xi-bounds", "{c5}", "--tol", "nan"),
+    ("chi", "{c5}", "--tol", "inf"),
+    ("chi", "{c5}", "--tol", "0"),
+    ("chi", "{c5}", "--tol", "abc"),
+    ("chi", "{c5}", "--rank-tol=-inf"),
+    ("psd-witness", "{c5}", "w.json", "--rank-tol=-1e-7"),
+    ("game", "check", "{c5}", "s.json", "--tol", "NaN"),
+])
+def test_bad_tolerance_is_usage_error(capsys, c5_file, argv):
+    """A tolerance that is not positive and finite would turn a check into a
+    false "no" (--tol -1) or crash it (nan); argparse rejects it first."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(c5=c5_file) for a in argv])
+    assert exc.value.code == 2
+    assert "must be a positive finite number" in capsys.readouterr().err
+
+
 # -- certificates re-verify through the CLI -----------------------------------------
 
 

@@ -222,6 +222,169 @@ def test_search_dimension_one_fails_cleanly(g, real):
     assert np.isfinite(res.best_penalty)
 
 
+@pytest.mark.parametrize("kw", [{"restarts": 0}, {"restarts": -3},
+                                {"tol": 0.0}, {"tol": -1e-9},
+                                {"tol": float("nan")}, {"tol": float("inf")}])
+def test_search_params_rejects_bad_values(kw):
+    with pytest.raises(reps.RepsError):
+        reps.SearchParams(**kw)
+
+
+def _add_at_terms(x, e):
+    """Penalty and gradient of one vector set, summed edge by edge with
+    np.add.at."""
+    e0, e1 = e[:, 0], e[:, 1]
+    pe = np.einsum("ec,ec->e", x[e0].conj(), x[e1])
+    grad = np.zeros_like(x)
+    np.add.at(grad, e0, x[e1] * pe.conj()[:, None])
+    np.add.at(grad, e1, x[e0] * pe[:, None])
+    return float(np.sum(np.abs(pe) ** 2)), grad
+
+
+@pytest.mark.parametrize("g", [petersen(), random_graph(12, 0.4, 3),
+                               make_graph(7, [(0, 3), (3, 5), (0, 5), (1, 3)])],
+                         ids=["petersen", "gnp", "isolated"])
+def test_lockstep_terms_match_the_per_restart_sum(g):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, g.n, 4)) + 1j * rng.normal(size=(6, g.n, 4))
+    penalty, grad = reps._HalfEdges(g.edge_array).penalty_and_gradient(x)
+    assert penalty.shape == (6,) and grad.shape == x.shape
+    for r in range(6):
+        p, gr = _add_at_terms(x[r], g.edge_array)
+        assert penalty[r] == pytest.approx(p, rel=1e-12)
+        np.testing.assert_allclose(grad[r], gr, rtol=0, atol=1e-12)
+    isolated = np.setdiff1d(np.arange(g.n), g.edge_array)
+    assert np.all(grad[:, isolated] == 0)
+
+
+def test_real_search_finds_a_real_representation():
+    g = cycle(5)
+    res = reps.search_orthogonal_representation(g, 3,
+                                                reps.SearchParams(seed=1, real=True))
+    assert res.found
+    assert reps.verify_orthogonal_representation(g, res.representation)
+    assert np.all(res.representation.vectors.imag == 0)
+
+
+@pytest.mark.parametrize("g,c", [(cycle(7), 3), (petersen(), 3)],
+                         ids=["C7-found", "petersen-miss"])
+def test_search_repeats_bit_for_bit(g, c):
+    a, b = (reps.search_orthogonal_representation(g, c, reps.SearchParams(seed=3))
+            for _ in range(2))
+    assert (a.found, a.restarts_tried) == (b.found, b.restarts_tried)
+    assert a.best_penalty == b.best_penalty
+    if a.found:
+        assert np.array_equal(a.representation.vectors, b.representation.vectors)
+
+
+@pytest.mark.parametrize("per_block", [1, 5])
+@pytest.mark.parametrize("g,c", [(cycle(5), 3), (petersen(), 3),
+                                 (complete_graph(3), 2)],
+                         ids=["C5-found", "petersen-miss", "K3-infeasible"])
+def test_restart_blocks_give_the_single_block_result(monkeypatch, g, c, per_block):
+    params = reps.SearchParams(seed=2)
+    whole = reps.search_orthogonal_representation(g, c, params)
+    sizes = []
+    descend = reps._descend
+
+    def spy(x, half):
+        sizes.append(x.shape[0])
+        return descend(x, half)
+    monkeypatch.setattr(reps, "_descend", spy)
+    monkeypatch.setattr(reps, "BLOCK_BYTES",
+                        per_block * 2 * g.edge_array.shape[0] * c * 16)
+    split = reps.search_orthogonal_representation(g, c, params)
+    assert (split.found, split.restarts_tried) == (whole.found, whole.restarts_tried)
+    assert split.best_penalty == pytest.approx(whole.best_penalty, rel=1e-12)
+    blocks = [per_block] * (params.restarts // per_block)
+    blocks += [params.restarts % per_block] * (params.restarts % per_block > 0)
+    assert sizes == blocks[:len(sizes)]
+    if split.found:  # the winner is in the last block that ran
+        assert sum(sizes[:-1]) < split.restarts_tried <= sum(sizes)
+    else:
+        assert sum(sizes) == params.restarts
+
+
+def _golden_graphs():
+    """C5, C7, C9, Petersen and six G(n, p) graphs (10-20 vertices, p in
+    [0.2, 0.5]) drawn from default_rng(0) the way the reps benchmark
+    workload draws its graphs, without its per-seed relabeling."""
+    out = {"C5": cycle(5), "C7": cycle(7), "C9": cycle(9), "petersen": petersen()}
+    fixed = np.random.default_rng(0)
+    for i in range(6):
+        n = int(fixed.integers(10, 21))
+        p = float(fixed.uniform(0.2, 0.5))
+        iu = np.triu_indices(n, 1)
+        keep = fixed.random(iu[0].size) < p
+        out[f"gnp{i}"] = make_graph(n, np.stack([iu[0][keep], iu[1][keep]], axis=1))
+    return out
+
+
+GOLDEN_GRAPHS = _golden_graphs()
+
+# (graph, seed) -> xi_bounds upper, chi_q1_upper_via_product c (c_max = chi),
+# and found, restarts_tried and best_penalty of the search in C^3, all at
+# SearchParams(seed=seed); recorded when the restarts still ran one by one
+GOLDEN_SEARCH = {
+    ("C5", 0): (3, 3, True, 1, 0.0),
+    ("C5", 1): (3, 3, True, 1, 0.0),
+    ("C5", 2): (3, 3, True, 1, 0.0),
+    ("C5", 3): (3, 3, True, 1, 0.0),
+    ("C7", 0): (3, 3, True, 1, 0.0),
+    ("C7", 1): (3, 3, True, 1, 0.0),
+    ("C7", 2): (3, 3, True, 1, 0.0),
+    ("C7", 3): (3, 3, True, 1, 0.0),
+    ("C9", 0): (3, 3, True, 1, 0.0),
+    ("C9", 1): (3, 3, True, 1, 0.0),
+    ("C9", 2): (3, 3, True, 1, 0.0),
+    ("C9", 3): (3, 3, True, 1, 0.0),
+    ("petersen", 0): (3, 3, False, 24, 9.340375075523784e-07),
+    ("petersen", 1): (3, 3, False, 24, 8.148451846811106e-07),
+    ("petersen", 2): (3, 3, False, 24, 9.747181015160126e-07),
+    ("petersen", 3): (3, 3, False, 24, 9.409134065454753e-07),
+    ("gnp0", 0): (4, 4, False, 24, 1.0760495357354263),
+    ("gnp0", 1): (4, 4, False, 24, 1.0761163613493294),
+    ("gnp0", 2): (4, 4, False, 24, 1.076199744235151),
+    ("gnp0", 3): (4, 4, False, 24, 1.0760345420266746),
+    ("gnp1", 0): (4, 3, False, 24, 9.876746595028531e-07),
+    ("gnp1", 1): (4, 3, False, 24, 9.7281691891669e-07),
+    ("gnp1", 2): (4, 3, False, 24, 9.82238206143525e-07),
+    ("gnp1", 3): (4, 3, False, 24, 9.804997682414158e-07),
+    ("gnp2", 0): (4, 4, False, 24, 0.7075991266009469),
+    ("gnp2", 1): (4, 4, False, 24, 0.7070249946198286),
+    ("gnp2", 2): (4, 4, False, 24, 0.7071939729450798),
+    ("gnp2", 3): (4, 4, False, 24, 0.7073933326096777),
+    ("gnp3", 0): (4, 4, False, 24, 0.7265507372035471),
+    ("gnp3", 1): (4, 4, False, 24, 0.7265507468725119),
+    ("gnp3", 2): (4, 4, False, 24, 0.7265509106715623),
+    ("gnp3", 3): (4, 4, False, 24, 0.7265507411181557),
+    ("gnp4", 0): (4, 4, False, 24, 0.466918568282994),
+    ("gnp4", 1): (4, 4, False, 24, 0.46701821252017817),
+    ("gnp4", 2): (4, 4, False, 24, 0.46741781487037987),
+    ("gnp4", 3): (4, 4, False, 24, 0.4677629184776359),
+    ("gnp5", 0): (6, 5, False, 24, 6.7360998356898945),
+    ("gnp5", 1): (6, 5, False, 24, 6.736099972875926),
+    ("gnp5", 2): (6, 5, False, 24, 6.736099855672752),
+    ("gnp5", 3): (6, 5, False, 24, 6.7360998366012685),
+}
+
+
+@pytest.mark.parametrize("name,seed", list(GOLDEN_SEARCH))
+def test_search_golden(name, seed):
+    g = GOLDEN_GRAPHS[name]
+    params = reps.SearchParams(seed=seed)
+    upper, c, found, tried, best = GOLDEN_SEARCH[name, seed]
+    xb = reps.xi_bounds(g, params)
+    assert xb.upper == upper
+    assert reps.verify_orthogonal_representation(g, xb.upper_witness, params.tol)
+    cq = reps.chi_q1_upper_via_product(g, coloring.chromatic_number(g).chi, params)
+    assert cq.c == c
+    assert reps.verify_matrix_representation(g, cq.witness, params.tol)
+    res = reps.search_orthogonal_representation(g, 3, params)
+    assert (res.found, res.restarts_tried) == (found, tried)
+    assert res.best_penalty == pytest.approx(best, rel=1e-6, abs=0)
+
+
 def test_representation_from_coloring_verifies():
     g = petersen()
     res = coloring.chromatic_number(g)
