@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 from . import __version__, coloring, datasets, game, graphs, io, ks, reps
 from .graphs import GraphError
@@ -309,13 +310,9 @@ def _cmd_ks_check(args, opts):
             f"({dec.method})")
 
 
-def _load_game_inputs(args):
-    return io.read_graph(args.graph), io.read_strategy(args.strategy)
-
-
 def _cmd_game(args, opts):
+    g, s = io.read_graph(args.graph), io.read_strategy(args.strategy)
     if args.game_command == "exact":
-        g, s = _load_game_inputs(args)
         wp = game.quantum_win_probability(g, s)
         perfect = abs(wp - 1.0) <= opts["tol"]
         report = {"win_probability": wp, "questions": "uniform",
@@ -323,42 +320,34 @@ def _cmd_game(args, opts):
         return (report, EXIT_YES if perfect else EXIT_NO,
                 f"win probability {wp:.12f}")
     if args.game_command == "simulate":
-        g, s = _load_game_inputs(args)
         rate = game.simulate_game(g, s, rounds=args.rounds, seed=opts["seed"])
         report = {"rounds": args.rounds, "win_rate": rate,
                   "questions": "uniform"}
         return report, EXIT_YES, f"simulated win rate {rate:.4f} ({args.rounds} rounds)"
     if args.game_command == "check":
-        g, s = _load_game_inputs(args)
         rep = game.check_consistency(s, g, opts["tol"])
         report = {"ok": rep.ok,
-                  "violations": [{"kind": v.kind, "v": v.v, "w": v.w,
-                                  "alpha": v.alpha, "beta": v.beta,
-                                  "value": v.value}
-                                 for v in rep.violations[:100]]}
+                  "violations": [asdict(v) for v in rep.violations[:100]]}
         return (report, EXIT_YES if rep.ok else EXIT_NO,
                 "consistent" if rep.ok
-                else f"{len(rep.violations)} violations (first 100 listed)")
-    if args.game_command == "normalize":
-        g, s = _load_game_inputs(args)
-        try:
-            res = game.normalize_strategy(s, g, opts["tol"], opts["rank_tol"])
-        except game.NormalFormError as err:
-            report = {"normalized": False, "rejected_stage": err.stage,
-                      "message": str(err)}
-            return report, EXIT_NO, f"rejected at stage: {err.stage}"
-        nf = res.normal
-        report = {"normalized": True,
-                  "stages": [name for name, _ in res.trace.stages],
-                  "schmidt_coefficients": list(res.trace.schmidt_coefficients),
-                  "colors": nf.colors, "local_dimension": nf.dim_a,
-                  "rank": nf.dim_a // nf.colors,
-                  "properties": game.normal_form_properties(nf, g, opts["tol"]),
-                  "win_probability": game.quantum_win_probability(g, nf)}
-        _emit(report, args, "strategy", io.strategy_to_dict(nf))
-        return report, EXIT_YES, (f"normal form: {nf.colors} colors, rank "
-                                  f"{report['rank']}, local dimension {nf.dim_a}")
-    raise io.FormatError(f"unknown game command {args.game_command!r}")
+                else f"{rep.count_text} violations (first 100 listed)")
+    try:  # normalize
+        res = game.normalize_strategy(s, g, opts["tol"], opts["rank_tol"])
+    except game.NormalFormError as err:
+        report = {"normalized": False, "rejected_stage": err.stage,
+                  "message": str(err)}
+        return report, EXIT_NO, f"rejected at stage: {err.stage}"
+    nf = res.normal
+    report = {"normalized": True,
+              "stages": [name for name, _ in res.trace.stages],
+              "schmidt_coefficients": list(res.trace.schmidt_coefficients),
+              "colors": nf.colors, "local_dimension": nf.dim_a,
+              "rank": nf.dim_a // nf.colors,
+              "properties": game.normal_form_properties(nf, g, opts["tol"]),
+              "win_probability": game.quantum_win_probability(g, nf)}
+    _emit(report, args, "strategy", io.strategy_to_dict(nf))
+    return report, EXIT_YES, (f"normal form: {nf.colors} colors, rank "
+                              f"{report['rank']}, local dimension {nf.dim_a}")
 
 
 HANDLERS = {

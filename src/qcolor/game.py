@@ -37,12 +37,11 @@ class GameError(ValueError):
 
 class NormalFormError(GameError):
     """Raised when a normal-form stage's post-condition fails; .stage names
-    the pipeline stage, .detail carries the offending quantity."""
+    the pipeline stage."""
 
-    def __init__(self, stage: str, message: str, detail=None):
+    def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-        self.detail = detail
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,6 @@ def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
     of the coloring's local dimension, Alice the projectors, Bob their
     entrywise conjugates."""
     d = qc.local_dimension
-    n = qc.n_vertices
     if qc.projectors is not None:
         ops = np.asarray(qc.projectors, dtype=complex)
     else:
@@ -190,14 +188,13 @@ def best_classical_win_probability(g: Graph, colors: int):
     return best, best_s
 
 
-def _products(s: POVMStrategy):
-    """X[v,a] = E_va @ Psi and Z[w,b] = conj(Psi) @ F_wb, each flattened to
-    length dA*dB; then <psi| E_va (x) F_wb |psi> = sum(X[v,a] * Z[w,b])."""
-    psi = s.state_matrix()
-    x = np.einsum("vaij,jk->vaik", s.alice, psi)
-    z = np.einsum("jk,vbkl->vbjl", psi.conj(), s.bob)
-    n, c = x.shape[:2]
-    return x.reshape(n, c, -1), z.reshape(n, c, -1)
+def _products(alice: np.ndarray, bob: np.ndarray, psi: np.ndarray):
+    """X[..., a] = E_a @ Psi and Z[..., b] = conj(Psi) @ F_b for operator
+    tables (..., c, dA, dA) and (..., c, dB, dB), each flattened to length
+    dA*dB; then <psi| E_a (x) F_b |psi> = sum(X[..., a] * Z[..., b])."""
+    x = np.einsum("...ij,jk->...ik", alice, psi)
+    z = np.einsum("jk,...kl->...jl", psi.conj(), bob)
+    return x.reshape(*x.shape[:-2], -1), z.reshape(*z.shape[:-2], -1)
 
 
 def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
@@ -207,17 +204,15 @@ def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
     validate_strategy(s, tol)
     if not (0 <= v < s.n_vertices and 0 <= w < s.n_vertices):
         raise GameError(f"vertex pair ({v},{w}) out of range")
-    psi = s.state_matrix()
-    x = np.einsum("aij,jk->aik", s.alice[v], psi)
-    z = np.einsum("jk,bkl->bjl", psi.conj(), s.bob[w])
-    return np.einsum("aij,bij->ab", x, z).real
+    x, z = _products(s.alice[v], s.bob[w], s.state_matrix())
+    return np.einsum("ak,bk->ab", x, z).real
 
 
 def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     """Exact (up to float arithmetic) winning probability: diagonal questions
     win on equal outcomes, edge questions on differing outcomes."""
     vs, ws = _check_cover(g, s)
-    x, z = _products(s)
+    x, z = _products(s.alice, s.bob, s.state_matrix())
     # extra last color: (sum_a E_va) (x) (sum_b F_wb), the pair's total mass
     x = np.concatenate([x, x.sum(axis=1, keepdims=True)], axis=1)
     z = np.concatenate([z, z.sum(axis=1, keepdims=True)], axis=1)
@@ -241,6 +236,12 @@ class Violation:
 class ConsistencyReport:
     ok: bool
     violations: tuple[Violation, ...]
+    truncated: bool  # the list stopped at max_violations; more may exist
+
+    @property
+    def count_text(self) -> str:
+        """The violation count, as "at least N" when the list was cut."""
+        return f"{'at least ' if self.truncated else ''}{len(self.violations)}"
 
 
 def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
@@ -250,29 +251,29 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol:
     vertex violations first, then edges as (u, v), then edges as (v, u)."""
     _check_cover(g, s)
-    x, z = _products(s)
-    violations: list[Violation] = []
+    if not (0 < tol < np.inf and max_violations >= 1):
+        raise GameError("tol must be positive and finite and max_violations "
+                        f">= 1, got tol={tol}, max_violations={max_violations}")
+    x, z = _products(s.alice, s.bob, s.state_matrix())
     per_vertex = np.einsum("vak,vbk->vab", x, z).real
-    c = s.colors
-    off = ~np.eye(c, dtype=bool)
-    bad = np.abs(per_vertex) > tol
-    bad &= off[None, :, :]
-    for v, a, b in zip(*np.nonzero(bad)):
-        if len(violations) >= max_violations:
-            break
-        violations.append(Violation("vertex", int(v), int(v), int(a), int(b),
-                                    float(per_vertex[v, a, b])))
-    e = g.edge_array
-    if e.shape[0] and len(violations) < max_violations:
+    bad = (np.abs(per_vertex) > tol) & ~np.eye(s.colors, dtype=bool)
+    vertex = (Violation("vertex", int(v), int(v), int(a), int(b),
+                        float(per_vertex[v, a, b]))
+              for v, a, b in zip(*np.nonzero(bad)))
+
+    def edge():  # evaluated only when the vertex violations leave room
+        e = g.edge_array
         vs = np.concatenate([e[:, 0], e[:, 1]])
         ws = np.concatenate([e[:, 1], e[:, 0]])
         vals = pair_values(x, z, vs, ws).real
         for ei, a in zip(*np.nonzero(np.abs(vals) > tol)):
-            if len(violations) >= max_violations:
-                break
-            violations.append(Violation("edge", int(vs[ei]), int(ws[ei]),
-                                        int(a), int(a), float(vals[ei, a])))
-    return ConsistencyReport(ok=not violations, violations=tuple(violations))
+            yield Violation("edge", int(vs[ei]), int(ws[ei]), int(a), int(a),
+                            float(vals[ei, a]))
+
+    violations = tuple(itertools.islice(itertools.chain(vertex, edge()),
+                                        max_violations))
+    return ConsistencyReport(ok=not violations, violations=violations,
+                             truncated=len(violations) == max_violations)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +296,15 @@ class NormalFormResult:
     trace: NormalizationTrace
 
 
-def _stage_consistency(s: POVMStrategy, g: Graph, stage: str, tol: float) -> None:
-    report = check_consistency(s, g, tol)
+def _record_stage(stages: list, stage: str, s: POVMStrategy, g: Graph) -> None:
+    """Append (stage, s) once s still passes the consistency check."""
+    report = check_consistency(s, g, CHECK_TOL)
     if not report.ok:
         worst = max(abs(v.value) for v in report.violations)
         raise NormalFormError(stage, f"consistency violated after this stage "
-                              f"(worst {worst:.3g}, {len(report.violations)} "
-                              "entries)", detail=report.violations[:10])
+                              f"(worst {worst:.3g}, {report.count_text} "
+                              "entries)")
+    stages.append((stage, s))
 
 
 def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
@@ -329,20 +332,16 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     pre = check_consistency(s, g, CHECK_TOL)
     if not pre.ok:
         raise NormalFormError("precondition", "input is not a winning strategy "
-                              f"({len(pre.violations)} consistency violations)",
-                              detail=pre.violations[:10])
+                              f"({pre.count_text} consistency violations)")
     stages: list[tuple[str, POVMStrategy]] = [("input", s)]
 
     # stage 1: schmidt restriction ------------------------------------------
     stage = "schmidt restriction"
-    sd = schmidt(s.state, s.dim_a, s.dim_b, rank_tol)
+    try:
+        sd = schmidt(s.state, s.dim_a, s.dim_b, rank_tol)
+    except LinalgError as err:
+        raise NormalFormError(stage, str(err)) from err
     coeffs = sd.coefficients
-    cut = rank_tol * float(coeffs[0])
-    band = (coeffs > cut / 10) & (coeffs < cut * 10)
-    if np.any(band):
-        raise NormalFormError(stage, "ambiguous Schmidt coefficient near the "
-                              f"rank cutoff {cut:.3g}",
-                              detail=float(coeffs[band][0]))
     d = sd.rank
     if d == 0:
         raise NormalFormError(stage, "state has no Schmidt support")
@@ -352,30 +351,22 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     u, w = sd.left, sd.right
     alice2 = np.einsum("pi,vaij,jq->vapq", u.conj().T, s.alice, u)[:, :, :d, :d]
     bob2 = np.einsum("pi,vbij,jq->vbpq", w.T.conj(), s.bob, w)[:, :, :d, :d]
-    state2 = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(state2, lam)
-    s2 = POVMStrategy(s.colors, d, d, state2.ravel(), alice2, bob2)
+    # diag(lambda) is both the new state matrix and sqrt(rho) of either side
+    sqrt_rho = np.diag(lam.astype(complex))
+    s2 = POVMStrategy(s.colors, d, d, sqrt_rho.ravel(), alice2, bob2)
     validate_strategy(s2, CHECK_TOL)
-    _stage_consistency(s2, g, stage, CHECK_TOL)
-    stages.append((stage, s2))
+    _record_stage(stages, stage, s2, g)
 
     # stage 2: support replacement ------------------------------------------
     stage = "support replacement"
-    sqrt_rho = np.diag(lam.astype(complex))
-    n, c = s2.n_vertices, s2.colors
-    alice1 = np.empty_like(s2.alice)
-    bob1 = np.empty_like(s2.bob)
-
-    def support(m):
-        try:
-            return support_projector(m, rank_tol, tol=1e-8)
-        except LinalgError as err:
-            raise NormalFormError(stage, f"support input: {err}") from err
-
-    for v in range(n):
-        for a in range(c):
-            alice1[v, a] = support(sqrt_rho @ s2.bob[v, a].conj() @ sqrt_rho)
-            bob1[v, a] = support(sqrt_rho @ s2.alice[v, a].conj() @ sqrt_rho)
+    c = s2.colors
+    try:
+        alice1 = support_projector(sqrt_rho @ s2.bob.conj() @ sqrt_rho,
+                                   rank_tol, tol=1e-8)
+        bob1 = support_projector(sqrt_rho @ s2.alice.conj() @ sqrt_rho,
+                                 rank_tol, tol=1e-8)
+    except LinalgError as err:
+        raise NormalFormError(stage, f"support input: {err}") from err
     for name, ops in (("alice", alice1), ("bob", bob1)):
         cross = np.einsum("vaij,vbjk->vabik", ops, ops)
         cross[:, np.arange(c), np.arange(c)] = 0.0
@@ -388,30 +379,26 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
             raise NormalFormError(stage, f"{name} supports do not resolve the "
                                   f"identity (defect {defect:.3g})")
     s1 = POVMStrategy(c, d, d, s2.state, alice1, bob1)
-    _stage_consistency(s1, g, stage, CHECK_TOL)
-    stages.append((stage, s1))
+    _record_stage(stages, stage, s1, g)
 
     # stage 3: conjugation identity -----------------------------------------
     stage = "conjugation identity"
     defect = float(np.max(np.abs(s1.alice - s1.bob.conj())))
     if defect > CHECK_TOL:
         raise NormalFormError(stage, "E != conj(F) after support replacement "
-                              f"(defect {defect:.3g})", detail=defect)
-    bob_conj = s1.alice.conj()
-    s1c = POVMStrategy(c, d, d, s1.state, s1.alice, bob_conj)
-    _stage_consistency(s1c, g, stage, CHECK_TOL)
-    stages.append((stage, s1c))
+                              f"(defect {defect:.3g})")
+    s1c = POVMStrategy(c, d, d, s1.state, s1.alice, s1.alice.conj())
+    _record_stage(stages, stage, s1c, g)
 
     # stage 4: schmidt flattening -------------------------------------------
     stage = "schmidt flattening"
     s_flat = POVMStrategy(c, d, d, maximally_entangled(d), s1c.alice, s1c.bob)
-    _stage_consistency(s_flat, g, stage, CHECK_TOL)
-    stages.append((stage, s_flat))
+    _record_stage(stages, stage, s_flat, g)
 
     # stage 5: rank padding --------------------------------------------------
     stage = "rank padding"
     dd = d * c
-    alice_pad = np.zeros((n, c, dd, dd), dtype=complex)
+    alice_pad = np.zeros((s.n_vertices, c, dd, dd), dtype=complex)
     # the padded index is p*c + i (A1-major, as the paper's E' (x) |i><i|, so
     # the maximally entangled state on C^{dc} matches kron semantics), and
     # register i carries color (a + i) mod c
@@ -420,12 +407,11 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     final = POVMStrategy(c, dd, dd, maximally_entangled(dd), alice_pad,
                          alice_pad.conj())
     validate_strategy(final, CHECK_TOL)
-    _stage_consistency(final, g, stage, CHECK_TOL)
+    _record_stage(stages, stage, final, g)
     flags = normal_form_properties(final, g, tol)
     failed = [k for k, ok in flags.items() if not ok]
     if failed:
         raise NormalFormError(stage, f"final properties failed: {failed}")
-    stages.append((stage, final))
 
     trace = NormalizationTrace(
         schmidt_coefficients=tuple(float(x) for x in coeffs),
@@ -476,7 +462,7 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
         return float(_classical_wins(strategy.alice, strategy.bob, vs, ws)
                      / rounds)
     validate_strategy(strategy)
-    x, z = _products(strategy)
+    x, z = _products(strategy.alice, strategy.bob, strategy.state_matrix())
     cache: dict[tuple[int, int], np.ndarray] = {}
     c = strategy.colors
     wins = 0

@@ -190,6 +190,8 @@ def orthogonality_graph(vector_set, tol: float = 1e-9) -> Graph:
     Accepts a canonicalized vector set (anything with .vectors) or a bare
     (k, d) array of rays.
     """
+    if not 0 < tol < np.inf:
+        raise GraphError(f"tol must be positive and finite, got {tol}")
     vecs = np.asarray(getattr(vector_set, "vectors", vector_set), dtype=complex)
     if vecs.ndim != 2 or vecs.shape[0] == 0:
         raise GraphError("orthogonality graph needs a nonempty (k, d) ray array")

@@ -57,9 +57,12 @@ class KSDecision:
 def canonicalize(raw_vectors, tol: float = DEFAULT_TOL, labels=None) -> VectorSet:
     """Normalize, fix global phases, and merge phase-duplicates.
 
-    Raises on zero vectors and ragged/mismatched dimensions.  Order of first
-    occurrence is preserved, so ray indices are stable across runs.
+    Raises on a tol that is not positive and finite, zero vectors and
+    ragged/mismatched dimensions.  Order of first occurrence is preserved,
+    so ray indices are stable across runs.
     """
+    if not 0 < tol < np.inf:
+        raise KSError(f"tol must be positive and finite, got {tol}")
     vecs = [np.asarray(v, dtype=complex).ravel() for v in raw_vectors]
     if not vecs:
         raise KSError("empty vector set")

@@ -72,6 +72,19 @@ class SchmidtDecomposition:
         return (terms * self.coefficients).sum(axis=2).ravel()
 
 
+def _above_cutoff(values: np.ndarray, top, rank_tol: float,
+                  what: str) -> np.ndarray:
+    """Which entries of values exceed the rank cutoff rank_tol * top (top
+    holds one scale per index but the last); rejects as ambiguous an entry
+    within a factor 10 of its cutoff."""
+    cut = np.broadcast_to(rank_tol * np.asarray(top)[..., None], values.shape)
+    band = (values > cut / 10) & (values < cut * 10)
+    if np.any(band):
+        raise LinalgError(f"ambiguous {what} {values[band][0]:.3g} near the "
+                          f"rank cutoff {cut[band][0]:.3g}")
+    return values > cut
+
+
 def schmidt(state: np.ndarray, d_a: int, d_b: int,
             rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtDecomposition:
     state = np.asarray(state, dtype=complex).ravel()
@@ -84,36 +97,33 @@ def schmidt(state: np.ndarray, d_a: int, d_b: int,
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     # state = sum_i s[i] * u[:, i] (x) vh[i, :].T  (no conjugation: vh rows
     # are already the B-side kets in this matrix picture)
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
-    return SchmidtDecomposition(coefficients=s, left=u, right=vh.T, rank=rank)
+    kept = _above_cutoff(s, s[0], rank_tol, "Schmidt coefficient")
+    return SchmidtDecomposition(coefficients=s, left=u, right=vh.T,
+                                rank=int(np.count_nonzero(kept)))
 
 
 def support_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors of a PSD matrix with
     eigenvalue above rank_tol relative to the largest (zero for a matrix with
-    no positive eigenvalue).  Rejects a Hermitian defect above tol, an
-    eigenvalue below -tol relative to the largest, and, as ambiguous, an
-    eigenvalue within a factor 10 of the rank cutoff."""
+    no positive eigenvalue), for one (d, d) matrix or each of an (..., d, d)
+    stack.  Rejects a Hermitian defect above tol, an eigenvalue below -tol
+    relative to the largest, and, as ambiguous, an eigenvalue within a
+    factor 10 of the rank cutoff."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise LinalgError("support requires a square matrix")
-    herm = np.max(np.abs(a - a.conj().T), initial=0.0)
+    herm = np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0)
     if herm > tol:
         raise LinalgError(f"matrix is not Hermitian (defect {herm:.3g})")
     w, v = np.linalg.eigh(a)
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(a)
-    if w[0] < -tol * top:
-        raise LinalgError(f"matrix is not PSD (eigenvalue {w[0]:.3g})")
-    cut = rank_tol * top
-    band = (w > cut / 10) & (w < cut * 10)
-    if np.any(band):
-        raise LinalgError(f"ambiguous eigenvalue {w[band][0]:.3g} near the "
-                          f"rank cutoff {cut:.3g}")
-    keep = v[:, w > cut]
-    return keep @ keep.conj().T
+    top = np.max(w, axis=-1, initial=0.0)  # 0: no positive eigenvalue
+    low = np.min(w, axis=-1, initial=0.0)
+    bad = (top > 0) & (low < -tol * top)
+    if np.any(bad):
+        raise LinalgError(f"matrix is not PSD (eigenvalue {low[bad][0]:.3g})")
+    keep = _above_cutoff(w, top, rank_tol, "eigenvalue")
+    return (v * keep[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:

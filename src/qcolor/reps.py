@@ -266,7 +266,11 @@ def _polish(x: np.ndarray, neighbors: list[np.ndarray], sweeps: int,
                 continue
             m = x[nb]
             _, s, vh = np.linalg.svd(m, full_matrices=False)
-            basis = vh[s > 1e-12 * max(s[0], 1e-300)]
+            # at most c - 1 directions: near a feasible point the neighbors
+            # span C^c up to a tiny singular value, and projecting that out
+            # too would leave x[u] nothing
+            keep = s[:x.shape[1] - 1] > 1e-12 * max(s[0], 1e-300)
+            basis = vh[:keep.size][keep]
             xu = x[u] - basis.T @ (basis.conj() @ x[u])
             norm = np.linalg.norm(xu)
             if norm < 1e-8:

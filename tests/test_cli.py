@@ -433,6 +433,29 @@ def test_game_malformed_operator_table_is_input_error(capsys, k2_file, tmp_path,
     assert message in report["error"]
 
 
+def test_game_reports_cut_violation_list(capsys, tmp_path):
+    """With every vertex of Omega_6 measuring in vertex 0's basis, each of
+    the 1280 ordered edges violates all 6 colors: 7680 violations, more
+    than check_consistency lists by default."""
+    g = hadamard_graph(6)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(6))
+    ops = np.repeat(s.alice[:1], g.n, axis=0)
+    const = game.POVMStrategy(6, 6, 6, s.state, ops, ops.conj())
+    assert len(game.check_consistency(const, g, max_violations=10 ** 4)
+               .violations) == 7680
+    graph_file, strat = tmp_path / "omega6.col", tmp_path / "const.json"
+    graph_file.write_text(io.write_dimacs(g))
+    io.write_strategy(const, strat)
+    code, report, err = run(capsys, "game", "check", str(graph_file),
+                            str(strat))
+    assert code == 1 and len(report["violations"]) == 100
+    assert "at least 1000 violations (first 100 listed)" in err
+    code, report, _ = run(capsys, "game", "normalize", str(graph_file),
+                          str(strat))
+    assert code == 1
+    assert "(at least 1000 consistency violations)" in report["message"]
+
+
 def test_game_dimension_mismatch(capsys, c5_file, tmp_path):
     strat = winning_k2_strategy_file(tmp_path)
     code, report, _ = run(capsys, "game", "exact", c5_file, strat)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cycle, graphs_st, random_graph
+from test_acceptance import perturbed_winning_strategy
 from qcolor import coloring, game, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
 from qcolor.linalg import maximally_entangled
@@ -223,6 +224,21 @@ def test_consistency_lists_violations():
     assert abs(v0.value) > 1e-3
 
 
+@pytest.mark.parametrize("tol, cap", [(0.0, 10), (-1.0, 10),
+                                      (float("nan"), 10), (1e-9, 0),
+                                      (1e-9, -1)])
+def test_consistency_rejects_bad_tol_or_cap(tol, cap):
+    """At tol=nan no value exceeded tol, and at a cap below 1 none was
+    listed, so this losing K_2 strategy (both vertices answer alike) was
+    reported ok."""
+    g = complete_graph(2)
+    e0 = np.diag([1.0, 0.0]).astype(complex)
+    alice = np.array([[e0, np.eye(2) - e0], [e0, np.eye(2) - e0]])
+    s = game.POVMStrategy(2, 2, 2, maximally_entangled(2), alice, alice.conj())
+    with pytest.raises(game.GameError, match="tol must be positive"):
+        game.check_consistency(s, g, tol, max_violations=cap)
+
+
 def test_consistency_vertex_violation():
     g = make_graph(1, [])
     # non-orthogonal POVM on the diagonal question
@@ -248,9 +264,11 @@ def test_consistency_orders_and_caps_violations():
         ("edge", 1, 2, 0, 0), ("edge", 1, 2, 1, 1),
         ("edge", 2, 1, 0, 0), ("edge", 2, 1, 1, 1)]
     assert all(v.value == pytest.approx(0.5) for v in rep.violations)
-    for cap in (1, 3):
+    assert not rep.truncated and rep.count_text == "4"
+    for cap in (1, 3, 4):
         capped = game.check_consistency(s, g, max_violations=cap)
         assert capped.violations == rep.violations[:cap]
+        assert capped.truncated and capped.count_text == f"at least {cap}"
 
 
 # -- normal form ------------------------------------------------------------------
@@ -414,6 +432,164 @@ def test_normalize_random_winning_strategies(seed):
     assert all(game.normal_form_properties(res.normal, g).values())
     assert game.quantum_win_probability(g, res.normal) == pytest.approx(
         1.0, abs=1e-9)
+
+
+def _normal_form_case(name):
+    """Criterion 09's perturbed winning strategies and the Hadamard
+    strategies of Omega_4 and Omega_6."""
+    if name.startswith("omega"):
+        n = int(name[len("omega"):])
+        return hadamard_graph(n), game.strategy_from_quantum_coloring(
+            reps.hadamard_quantum_coloring(n))
+    return perturbed_winning_strategy(int(name[len("perturbed"):]))
+
+
+def _fingerprint(*arrays):
+    """(w . a, sum |w|) over the concatenated entries a, for fixed weights
+    w: entries within delta of the recorded ones keep w . a within
+    delta * sum |w| of the recorded value."""
+    a = np.concatenate([np.asarray(x, dtype=complex).ravel() for x in arrays])
+    w = np.random.default_rng(a.size).standard_normal(a.size)
+    return complex(w @ a), float(np.abs(w).sum())
+
+
+# name -> (Schmidt coefficients, fingerprint of each stage's state, alice and
+# bob, fingerprint of quantum_outcome_distribution(input, 0, w) over all w),
+# recorded when support replacement still ran one matrix at a time
+GOLDEN_NORMAL_FORM = {
+    'perturbed0': ((0.8818336305150289, 0.3776947447468384, 0.282340446771808,
+        0.0), (-1.3669320148798993, 2.0851522574858086, 2.0851522574858086,
+        2.0851522574858086, 2.4615292490280414, 12.908562057825648),
+        -4.986859243945406),
+    'perturbed1': ((0.9383569822981502, 0.34566772162339515, 0.0, 0.0),
+        (-7.512867054555013, 1.2762487577804382, 1.2762487577804382,
+        1.2762487577804382, 1.7405456690442398, -3.268802431974999),
+        -0.896297151028635),
+    'perturbed2': ((0.7593653210282588, 0.5880732560168589,
+        0.27844955517540254), (-5.832062903252301, -5.832062903252301,
+        -5.832062903252301, -5.832062903252301, -5.867076896252971,
+        -17.103230084265558), 1.2171896113222287),
+    'perturbed3': ((0.7603344488058588, 0.5850684956808759,
+        0.28211058349662776), (-1.2629820809605903, -1.2629820809605903,
+        -1.2629820809605903, -1.2629820809605903, -1.2976476542068145,
+        -7.103230891788576), 2.6003291553523225),
+    'perturbed4': ((0.9504730436153768, 0.3108070033968381, 0.0, 0.0),
+        (-3.6447698143538974, 1.3990714364468761, 1.3990714364468761,
+        1.3990714364468761, 1.2668925387080066, 3.1903951362212526),
+        0.9349676392188708),
+    'perturbed5': ((0.8584686380874478, 0.5128660618721836),
+        (1.3405035447627753, 1.3405035447627753, 1.3405035447627753,
+        1.3405035447627753, 1.2668925387080066, 3.1903951362212526),
+        0.6467253023771831),
+    'perturbed6': ((0.79938320388072, 0.4581766215673254, 0.38866525031516097,
+        0.0), (1.0345709822421956, 3.4621906465027426, 3.4621906465027426,
+        3.4621906465027426, 3.1195950216553845, -13.62033725472017),
+        -1.4884532949762805),
+    'perturbed7': ((0.7967029661934062, 0.48042595185842235,
+        0.36668145363456445, 0.0, 0.0), (9.91008125136382, 6.923284845135749,
+        6.923284845135749, 6.923284845135749, 7.196431104583655,
+        6.257210888692068), -2.543803096436602),
+    'perturbed8': ((0.7102236621870648, 0.6118292279056331,
+        0.3482058953406602), (-2.269280280144355, -2.269280280144355,
+        -2.269280280144355, -2.269280280144355, -2.346609771627129,
+        3.480334248396335), 2.617430472477235),
+    'perturbed9': ((0.6683200922867958, 0.5787355927279196, 0.467347159995257,
+        0.0, 0.0), (-2.824958014203538, 3.236103517849785, 3.236103517849785,
+        3.236103517849785, 3.1195950216553845, -13.62033725472017),
+        -1.2368376041685947),
+    'perturbed10': ((0.9288883575756673, 0.3703598509023073),
+        (5.455765428701016, 5.455765428701016, 5.455765428701016,
+        5.455765428701016, 5.428645369875276, -1.8375614862115999),
+        0.029681141504084185),
+    'perturbed11': ((0.9356410315065319, 0.3529530565973227, 0.0, 0.0),
+        (-4.556071077138137, 5.225552260999787, 5.225552260999787,
+        5.225552260999787, 5.380890918738046, -2.5487907210486385),
+        -0.8713458026562699),
+    'perturbed12': ((0.7289849032742715, 0.5320963687100293,
+        0.4306442443639545, 0.0, 0.0), (6.0522319243836025, -8.647898238524652,
+        -8.647898238524652, -8.647898238524652, -8.791653406273708,
+        4.915780997408081), 1.5163116512525447),
+    'perturbed13': ((0.830900325627291, 0.47008695160121505,
+        0.2976959972971396, 0.0, 0.0), (-1.2796255966966448, 4.930826253109136,
+        4.930826253109136, 4.930826253109136, 5.270816366164059,
+        0.36701944890297833), -2.595948854638223),
+    'perturbed14': ((0.809806698354379, 0.5866967796915029, 0.0),
+        (-3.280579384403918, 0.4523241435707883, 0.4523241435707883,
+        0.4523241435707883, 0.26225899246835715, -9.703962293045809),
+        0.5280719842704895),
+    'perturbed15': ((0.7707339039183354, 0.5587813759368103,
+        0.3061578404303366, 0.0, 0.0), (2.9365128948337036, 3.155307593335834,
+        3.155307593335834, 3.155307593335834, 3.4573138937133048,
+        -2.5022759700430033), -1.8442571434141255),
+    'perturbed16': ((0.8881420028096718, 0.4595691273847981, 0.0, 0.0),
+        (2.4985042125373935, -2.0339142036274502, -2.0339142036274502,
+        -2.0339142036274502, -2.1244607096230466, 6.118362133070199),
+        0.03927734565465474),
+    'perturbed17': ((0.7373061063633384, 0.5528555126304798,
+        0.3882402447884851), (-3.4604415817918373, -3.4604415817918373,
+        -3.4604415817918373, -3.4604415817918373, -3.4857851732992304,
+        15.61576622865377), -0.842100167910499),
+    'perturbed18': ((0.8497043227911927, 0.44690779930997127,
+        0.27977845296927134), (4.002809468016262, 4.002809468016262,
+        4.002809468016262, 4.002809468016262, 3.9792958179547853,
+        -10.155531789402668), -0.5406840658633345),
+    'perturbed19': ((0.8866631844853414, 0.4624158272359557, 0.0),
+        (4.626164672996863, 1.944073212079495, 1.944073212079495,
+        1.944073212079495, 2.2850240934038943, -2.323784808445323),
+        1.2870238053672187),
+    'perturbed20': ((0.6760686022075465, 0.56696597655547, 0.3689164846960724,
+        0.29220105040387706), (3.3699835933515914, 3.3699835933515914,
+        3.3699835933515914, 3.3699835933515914, 3.8291424474906828,
+        12.541529959556236), -2.5336559706244075),
+    'perturbed21': ((0.9315970179369009, 0.3634927732033657, 0.0),
+        (6.085509810642016, 1.2937701104164216, 1.2937701104164216,
+        1.2937701104164216, 1.7405456690442398, -3.268802431974999),
+        -0.89227606003541),
+    'perturbed22': ((0.7566248527893544, 0.5775920584564146, 0.306441260520788,
+        0.0), (5.843003965246572, -5.83420534185867, -5.83420534185867,
+        -5.83420534185867, -5.867076896252971, -17.103230084265558),
+        1.263924045036526),
+    'perturbed23': ((0.834277656740019, 0.5513445306379513, 0.0),
+        (-3.247126977612866, 0.49751643062384443, 0.49751643062384443,
+        0.49751643062384443, 0.26225899246835715, -9.703962293045809),
+        0.5939864480347621),
+    'perturbed24': ((0.8068921125093272, 0.5906988393168173, 0.0, 0.0),
+        (3.2751283913446128, 0.9618197720507835, 0.9618197720507835,
+        0.9618197720507835, 1.0777738998693034, 1.160283585783451),
+        0.43544856801968224),
+    'omega4': ((0.5, 0.5, 0.5, 0.5), ((9.190340825611074+14.312949968989642j),
+        (9.190340825611074+14.312949968989642j),
+        (9.190340825611079+14.312949968989646j),
+        (9.190340825611079+14.312949968989646j),
+        (9.190340825611079+14.312949968989646j),
+        (-22.197098788194346+0.44268144319513647j)), 2.1007496539109107),
+    'omega6': ((0.4082482904638631, 0.4082482904638631, 0.4082482904638631,
+        0.4082482904638631, 0.4082482904638631, 0.4082482904638631),
+        ((-15.81885833024754-3.303380650518328j),
+        (-15.81885833024754-3.303380650518328j),
+        (-15.81885833024754-3.303380650518312j),
+        (-15.81885833024754-3.303380650518312j),
+        (-15.81885833024754-3.303380650518312j),
+        (25.1727112261715+31.206981614194103j)), -0.7254590364249414),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_NORMAL_FORM))
+def test_normal_form_golden(name):
+    g, s = _normal_form_case(name)
+    coeffs, stages, dist = GOLDEN_NORMAL_FORM[name]
+    res = game.normalize_strategy(s, g)
+    assert res.trace.schmidt_coefficients == coeffs
+    assert [stage for stage, _ in res.trace.stages] == [
+        "input", "schmidt restriction", "support replacement",
+        "conjugation identity", "schmidt flattening", "rank padding"]
+    for want, (stage, st_) in zip(stages, res.trace.stages):
+        got, bound = _fingerprint(st_.state, st_.alice, st_.bob)
+        assert abs(got - want) <= 1e-15 * bound, stage
+        assert game.check_consistency(st_, g, game.CHECK_TOL).ok, stage
+    got, bound = _fingerprint(*(game.quantum_outcome_distribution(s, 0, w)
+                                for w in range(g.n)))
+    assert abs(got - dist) <= 1e-15 * bound
 
 
 # -- simulation --------------------------------------------------------------------

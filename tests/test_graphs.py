@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cycle, graphs_st, petersen
-from qcolor.graphs import (cartesian_product, complement, complete_graph,
-                           hadamard_graph, make_graph, orthogonality_graph)
+from qcolor.graphs import (GraphError, cartesian_product, complement,
+                           complete_graph, hadamard_graph, make_graph,
+                           orthogonality_graph)
 
 
 def test_make_graph_normalizes_and_sorts():
@@ -147,6 +148,9 @@ def test_orthogonality_graph_tolerance():
     vecs = np.array([[1.0, 0.0], [1e-12, 1.0]], dtype=complex)
     assert orthogonality_graph(vecs).edge_array.shape[0] == 1
     assert orthogonality_graph(vecs, tol=1e-15).edge_array.shape[0] == 0
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(GraphError, match="tol must be positive"):
+            orthogonality_graph(vecs, tol=bad)
 
 
 @given(st.integers(min_value=1, max_value=6))

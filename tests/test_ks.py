@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcolor import cli, datasets, ks, reps
-from qcolor.graphs import orthogonality_graph
+from qcolor.graphs import GraphError, orthogonality_graph
 
 
 def load(name):
@@ -99,6 +99,12 @@ def test_canonicalize_rejects_zero_and_ragged():
         ks.canonicalize([np.ones(2), np.ones(3)])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_canonicalize_rejects_bad_tol(tol):
+    with pytest.raises(ks.KSError, match="tol must be positive and finite"):
+        ks.canonicalize(list(np.eye(3)), tol=tol)
+
+
 # -- basis enumeration ------------------------------------------------------
 
 
@@ -146,6 +152,20 @@ def test_verify_witness_weak_requires_independence():
     assert not ks.verify_ks_witness(s, lab, weak=True)
     lab2 = (0, 1, 0, 1, 0, 0)  # e2 and f1 are not orthogonal: weak witness
     assert ks.verify_ks_witness(s, lab2, weak=True)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_decisions_reject_bad_tol(peres, yu_oh, tol):
+    """A tol that is not positive and finite gave false answers: at tol=-1
+    ks_check called Peres-33 not weak KS, and at tol=nan verify_ks_witness
+    accepted the all-ones labeling of Peres-33."""
+    calls = [lambda: ks.ks_check(peres, tol=tol),
+             lambda: ks.verify_ks_witness(peres, (1,) * peres.size, tol=tol),
+             lambda: ks.enumerate_bases(peres, tol=tol),
+             lambda: ks.brute_force_ks(yu_oh, tol=tol)]
+    for call in calls:
+        with pytest.raises(GraphError, match="tol must be positive"):
+            call()
 
 
 def test_witness_length_checked(yu_oh):

@@ -84,6 +84,42 @@ def test_support_projector_rejects_ambiguous_eigenvalue():
     assert np.allclose(p, np.diag([1.0, 1.0, 0.0]))
 
 
+def _support_reference(m, rank_tol=linalg.DEFAULT_RANK_TOL):
+    """One matrix at a time: the eigenvectors above the cutoff, or zero."""
+    w, v = np.linalg.eigh(m)
+    if w[-1] <= 0:
+        return np.zeros_like(m)
+    keep = v[:, w > rank_tol * w[-1]]
+    return keep @ keep.conj().T
+
+
+def test_support_projector_stack_matches_each_matrix():
+    rng = np.random.default_rng(4)
+    stack = np.empty((2, 5, 4, 4), dtype=complex)
+    for idx in np.ndindex(2, 5):
+        rank = (idx[0] * 5 + idx[1]) % 5  # ranks 0 to 4, zero matrix included
+        f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        stack[idx] = f @ f.conj().T
+    stack[1, 0] = -np.eye(4)  # no positive eigenvalue: zero projector
+    got = linalg.support_projector(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(2, 5):
+        assert np.allclose(got[idx], _support_reference(stack[idx]),
+                           rtol=0, atol=1e-12), idx
+    stack[0, 1] = np.diag([1.0, 2e-7, 0.0, 0.0])
+    with pytest.raises(linalg.LinalgError, match="ambiguous eigenvalue 2e-07"):
+        linalg.support_projector(stack)
+
+
+def test_schmidt_rejects_ambiguous_coefficient():
+    # the coefficient 1e-7 sits inside (1e-8, 1e-6), around the cutoff
+    psi = np.array([1.0, 0.0, 0.0, 1e-7]) / np.sqrt(1 + 1e-14)
+    with pytest.raises(linalg.LinalgError,
+                       match="ambiguous Schmidt coefficient"):
+        linalg.schmidt(psi, 2, 2)
+    assert linalg.schmidt(np.array([1.0, 0.0, 0.0, 1e-4]), 2, 2).rank == 2
+
+
 def test_support_projector_zero_matrix():
     p = linalg.support_projector(np.zeros((3, 3)))
     assert np.allclose(p, 0.0)

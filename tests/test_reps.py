@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import cycle, petersen, random_graph
 from qcolor import coloring, datasets, game, ks, reps
 from qcolor.graphs import (cartesian_product, complete_graph, hadamard_graph,
-                           make_graph)
+                           make_graph, orthogonality_graph)
 from qcolor.linalg import maximally_entangled
 
 
@@ -324,7 +324,12 @@ GOLDEN_GRAPHS = _golden_graphs()
 
 # (graph, seed) -> xi_bounds upper, chi_q1_upper_via_product c (c_max = chi),
 # and found, restarts_tried and best_penalty of the search in C^3, all at
-# SearchParams(seed=seed); recorded when the restarts still ran one by one
+# SearchParams(seed=seed); recorded when the restarts still ran one by one.
+# The petersen, gnp1 and gnp5 rows were recorded again once _polish kept at
+# most c - 1 directions of the neighbors' span: before, a near-feasible
+# restart projected out all of C^c and was dropped, so Petersen and gnp1
+# were missed in C^3 on every restart, and the xi upper bound of gnp1 was 4
+# (now 3) and of gnp5 6 (now 5, its clique bound).
 GOLDEN_SEARCH = {
     ("C5", 0): (3, 3, True, 1, 0.0),
     ("C5", 1): (3, 3, True, 1, 0.0),
@@ -338,18 +343,18 @@ GOLDEN_SEARCH = {
     ("C9", 1): (3, 3, True, 1, 0.0),
     ("C9", 2): (3, 3, True, 1, 0.0),
     ("C9", 3): (3, 3, True, 1, 0.0),
-    ("petersen", 0): (3, 3, False, 24, 9.340375075523784e-07),
-    ("petersen", 1): (3, 3, False, 24, 8.148451846811106e-07),
-    ("petersen", 2): (3, 3, False, 24, 9.747181015160126e-07),
-    ("petersen", 3): (3, 3, False, 24, 9.409134065454753e-07),
+    ("petersen", 0): (3, 3, True, 1, 0.0),
+    ("petersen", 1): (3, 3, True, 2, 0.0),
+    ("petersen", 2): (3, 3, True, 3, 0.0),
+    ("petersen", 3): (3, 3, True, 1, 0.0),
     ("gnp0", 0): (4, 4, False, 24, 1.0760495357354263),
     ("gnp0", 1): (4, 4, False, 24, 1.0761163613493294),
     ("gnp0", 2): (4, 4, False, 24, 1.076199744235151),
     ("gnp0", 3): (4, 4, False, 24, 1.0760345420266746),
-    ("gnp1", 0): (4, 3, False, 24, 9.876746595028531e-07),
-    ("gnp1", 1): (4, 3, False, 24, 9.7281691891669e-07),
-    ("gnp1", 2): (4, 3, False, 24, 9.82238206143525e-07),
-    ("gnp1", 3): (4, 3, False, 24, 9.804997682414158e-07),
+    ("gnp1", 0): (3, 3, True, 1, 0.0),
+    ("gnp1", 1): (3, 3, True, 2, 0.0),
+    ("gnp1", 2): (3, 3, True, 1, 0.0),
+    ("gnp1", 3): (3, 3, True, 1, 0.0),
     ("gnp2", 0): (4, 4, False, 24, 0.7075991266009469),
     ("gnp2", 1): (4, 4, False, 24, 0.7070249946198286),
     ("gnp2", 2): (4, 4, False, 24, 0.7071939729450798),
@@ -362,10 +367,10 @@ GOLDEN_SEARCH = {
     ("gnp4", 1): (4, 4, False, 24, 0.46701821252017817),
     ("gnp4", 2): (4, 4, False, 24, 0.46741781487037987),
     ("gnp4", 3): (4, 4, False, 24, 0.4677629184776359),
-    ("gnp5", 0): (6, 5, False, 24, 6.7360998356898945),
-    ("gnp5", 1): (6, 5, False, 24, 6.736099972875926),
-    ("gnp5", 2): (6, 5, False, 24, 6.736099855672752),
-    ("gnp5", 3): (6, 5, False, 24, 6.7360998366012685),
+    ("gnp5", 0): (5, 5, False, 24, 6.736100001988298),
+    ("gnp5", 1): (5, 5, False, 24, 6.736099920282408),
+    ("gnp5", 2): (5, 5, False, 24, 6.7360999887624615),
+    ("gnp5", 3): (5, 5, False, 24, 6.7360998907419),
 }
 
 
@@ -487,6 +492,18 @@ def test_yu_oh_separates_xi_from_chi():
     rep = reps.OrthogonalRepresentation(3, s.vectors)
     assert reps.verify_orthogonal_representation(g, rep)  # xi <= 3
     assert coloring.chromatic_number(g).chi == 4          # chi = 4
+
+
+@pytest.mark.parametrize("name, c", [("yu-oh-13", 3), ("peres-33", 3),
+                                     ("cabello-18", 4)])
+def test_search_finds_bundled_sets_in_their_dimension(name, c):
+    """The rays of each bundled set represent its orthogonality graph in
+    C^d; the search finds such a representation too, not only near one."""
+    vs, _ = datasets.load_vector_set(name)
+    g = orthogonality_graph(ks.canonicalize(vs.vectors).vectors)
+    res = reps.search_orthogonal_representation(g, c, reps.SearchParams(seed=0))
+    assert res.found
+    assert reps.verify_orthogonal_representation(g, res.representation)
 
 
 # -- Hadamard construction ----------------------------------------------------
