@@ -292,7 +292,7 @@ def _cmd_ks_check(args, opts):
     if args.oracle:
         dec = ks.brute_force_ks(s, tol=tol)
     else:
-        dec = ks.ks_check(s, tol=tol)
+        dec = ks.ks_check(s, tol=tol, budget=opts["budget"])
     report = {"rays": s.size, "dimension": s.dimension, "bases": dec.bases,
               "merged": len(s.merged_ids), "is_ks": dec.is_ks,
               "is_weak_ks": dec.is_weak_ks, "method": dec.method,
@@ -304,6 +304,8 @@ def _cmd_ks_check(args, opts):
             raise RuntimeError("the KS witness failed verification")
         report["witness"] = list(dec.witness)
     holds = dec.is_weak_ks if args.weak else dec.is_ks
+    if holds is None:
+        return report, EXIT_BUDGET, "budget exceeded: undecided"
     name = "weak KS" if args.weak else "KS"
     return (report, EXIT_YES if holds else EXIT_NO,
             f"{args.set}: {'is' if holds else 'is NOT'} a {name} set "

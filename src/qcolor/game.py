@@ -192,9 +192,13 @@ def _products(alice: np.ndarray, bob: np.ndarray, psi: np.ndarray):
     """X[..., a] = E_a @ Psi and Z[..., b] = conj(Psi) @ F_b for operator
     tables (..., c, dA, dA) and (..., c, dB, dB), each flattened to length
     dA*dB; then <psi| E_a (x) F_b |psi> = sum(X[..., a] * Z[..., b])."""
-    x = np.einsum("...ij,jk->...ik", alice, psi)
-    z = np.einsum("jk,...kl->...jl", psi.conj(), bob)
-    return x.reshape(*x.shape[:-2], -1), z.reshape(*z.shape[:-2], -1)
+    return ((alice @ psi).reshape(*alice.shape[:-2], psi.size),
+            (psi.conj() @ bob).reshape(*bob.shape[:-2], psi.size))
+
+
+def _outcomes(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Real (c, c) outcome distribution of a pair from rows X[v], Z[w]."""
+    return (x @ z.T).real
 
 
 def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
@@ -204,8 +208,7 @@ def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
     validate_strategy(s, tol)
     if not (0 <= v < s.n_vertices and 0 <= w < s.n_vertices):
         raise GameError(f"vertex pair ({v},{w}) out of range")
-    x, z = _products(s.alice[v], s.bob[w], s.state_matrix())
-    return np.einsum("ak,bk->ab", x, z).real
+    return _outcomes(*_products(s.alice[v], s.bob[w], s.state_matrix()))
 
 
 def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
@@ -255,7 +258,7 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
         raise GameError("tol must be positive and finite and max_violations "
                         f">= 1, got tol={tol}, max_violations={max_violations}")
     x, z = _products(s.alice, s.bob, s.state_matrix())
-    per_vertex = np.einsum("vak,vbk->vab", x, z).real
+    per_vertex = (x @ z.swapaxes(1, 2)).real
     bad = (np.abs(per_vertex) > tol) & ~np.eye(s.colors, dtype=bool)
     vertex = (Violation("vertex", int(v), int(v), int(a), int(b),
                         float(per_vertex[v, a, b]))
@@ -349,8 +352,8 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     # rotate: A-side by U^dagger, B-side by conj(V)^T with V = sd.right; the
     # state matrix becomes diag(lambda) on the kept d-dimensional corner
     u, w = sd.left, sd.right
-    alice2 = np.einsum("pi,vaij,jq->vapq", u.conj().T, s.alice, u)[:, :, :d, :d]
-    bob2 = np.einsum("pi,vbij,jq->vbpq", w.T.conj(), s.bob, w)[:, :, :d, :d]
+    alice2 = (u.conj().T @ s.alice @ u)[:, :, :d, :d]
+    bob2 = (w.conj().T @ s.bob @ w)[:, :, :d, :d]
     # diag(lambda) is both the new state matrix and sqrt(rho) of either side
     sqrt_rho = np.diag(lam.astype(complex))
     s2 = POVMStrategy(s.colors, d, d, sqrt_rho.ravel(), alice2, bob2)
@@ -368,7 +371,7 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     except LinalgError as err:
         raise NormalFormError(stage, f"support input: {err}") from err
     for name, ops in (("alice", alice1), ("bob", bob1)):
-        cross = np.einsum("vaij,vbjk->vabik", ops, ops)
+        cross = ops[:, :, None] @ ops[:, None]
         cross[:, np.arange(c), np.arange(c)] = 0.0
         worst = float(np.max(np.abs(cross))) if cross.size else 0.0
         if worst > CHECK_TOL:
@@ -468,8 +471,7 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
     wins = 0
     for v, w in zip(vs, ws):
         if (v, w) not in cache:
-            p = (x[v] @ z[w].T).real  # quantum_outcome_distribution(v, w)
-            p = np.clip(p, 0.0, None).ravel()
+            p = np.clip(_outcomes(x[v], z[w]), 0.0, None).ravel()
             cache[(v, w)] = p / p.sum()
         outcome = int(rng.choice(c * c, p=cache[(v, w)]))
         a, b = divmod(outcome, c)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coloring import BUDGET_EXCEEDED, DEFAULT_BUDGET
 from .graphs import Graph, orthogonality_graph
 from .linalg import DEFAULT_TOL
 
@@ -47,11 +48,13 @@ class VectorSet:
 
 @dataclass(frozen=True)
 class KSDecision:
-    is_ks: bool
-    is_weak_ks: bool
+    is_ks: bool | None  # None: the budget ran out before it was decided
+    is_weak_ks: bool | None
     witness: tuple[int, ...] | None  # labeling over rays, present iff not KS
     method: str  # backtracking | brute_force
     bases: int  # orthonormal bases inside the set
+    status: str = "exact"  # exact | budget_exceeded
+    decisions: int = 0  # labeling decisions of the backtracking search
 
 
 def canonicalize(raw_vectors, tol: float = DEFAULT_TOL, labels=None) -> VectorSet:
@@ -149,13 +152,15 @@ def verify_ks_witness(s: VectorSet, witness, weak: bool = False,
 
 
 def _search_labeling(n: int, bases: list[tuple[int, ...]],
-                     masks: tuple[int, ...] | None) -> list[int] | None:
+                     masks: tuple[int, ...] | None,
+                     budget: int) -> tuple[list[int] | None, int]:
     """Exhaustive backtracking for a labeling with exactly one 1 per basis.
 
     masks, when given (the orthogonality graph's Graph.masks), additionally
     forbids two 1s on orthogonal rays.  Branch order: rays by decreasing
     basis-membership count (ties by index), label 0 tried before 1.  Returns
-    the first labeling found, or None.
+    the first labeling found, or None, and the labeling decisions (propagate
+    calls) made; the search stops undecided once they pass budget.
     """
     membership: list[list[int]] = [[] for _ in range(n)]  # basis masks per ray
     # kill[r]: the rays a 1 on ray r sets to 0, its basis mates and (in the
@@ -203,13 +208,13 @@ def _search_labeling(n: int, bases: list[tuple[int, ...]],
     # frames [pos, next value, ones, zeros]: ray order[pos] is being branched
     # from the state (ones, zeros) saved before the branch
     stack: list[list[int]] = []
-    ones = zeros = pos = 0
+    ones = zeros = pos = decisions = 0
     while True:
         done = ones | zeros
         while pos < n and done >> order[pos] & 1:
             pos += 1
         if pos == n:
-            return [ones >> r & 1 for r in range(n)]
+            return [ones >> r & 1 for r in range(n)], decisions
         stack.append([pos, 0, ones, zeros])
         while stack:
             frame = stack[-1]
@@ -217,6 +222,9 @@ def _search_labeling(n: int, bases: list[tuple[int, ...]],
             if val == 2:
                 stack.pop()
                 continue
+            decisions += 1
+            if decisions > budget:
+                return None, decisions
             frame[1] = val + 1
             state = propagate(ones, zeros, order[pos], val)
             if state is not None:
@@ -224,13 +232,16 @@ def _search_labeling(n: int, bases: list[tuple[int, ...]],
                 pos += 1
                 break
         else:
-            return None
+            return None, decisions
 
 
-def ks_check(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
+def ks_check(s: VectorSet, tol: float = DEFAULT_TOL,
+             budget: int = DEFAULT_BUDGET) -> KSDecision:
     """Decide whether s is a KS set and whether it is weak KS; exhaustive, so
     both answers are definitive.  The weak search (1s on orthogonal rays
-    forbidden) runs first, since its witness settles both flags."""
+    forbidden) runs first, since its witness settles both flags.  The two
+    searches share budget labeling decisions; past it the result has status
+    budget_exceeded, no witness and None for each flag left undecided."""
     g = orthogonality_graph(s.vectors, tol=tol)
     bases = _bases(g, s.dimension)
     n, count = s.size, len(bases)
@@ -238,13 +249,23 @@ def ks_check(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
         # Any labeling vacuously satisfies the basis condition, including the
         # all-zero one, which also has no orthogonal 1-1 pair.
         return KSDecision(False, False, (0,) * n, "backtracking", 0)
-    weak_witness = _search_labeling(n, bases, g.masks)
+    weak_witness, used = _search_labeling(n, bases, g.masks, budget)
+    if used > budget:
+        return KSDecision(None, None, None, "backtracking", count,
+                          BUDGET_EXCEEDED, used)
     if weak_witness is not None:
-        return KSDecision(False, False, tuple(weak_witness), "backtracking", count)
-    ks_witness = _search_labeling(n, bases, None)
+        return KSDecision(False, False, tuple(weak_witness), "backtracking",
+                          count, decisions=used)
+    ks_witness, more = _search_labeling(n, bases, None, budget - used)
+    used += more
+    if used > budget:
+        return KSDecision(None, True, None, "backtracking", count,
+                          BUDGET_EXCEEDED, used)
     if ks_witness is None:
-        return KSDecision(True, True, None, "backtracking", count)
-    return KSDecision(False, True, tuple(ks_witness), "backtracking", count)
+        return KSDecision(True, True, None, "backtracking", count,
+                          decisions=used)
+    return KSDecision(False, True, tuple(ks_witness), "backtracking", count,
+                      decisions=used)
 
 
 def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:

@@ -7,7 +7,9 @@ Conventions, fixed package-wide:
   bipartite state of local dimensions (dA, dB) reshapes to a dA x dB matrix;
 * orthogonality-style checks use an absolute entrywise tolerance
   (default 1e-9), rank decisions a relative cutoff against the largest
-  singular / eigen value (default 1e-7).
+  singular / eigen value (default 1e-7);
+* products of operator stacks use @ (BLAS); einsum is kept for outer
+  products, traces and elementwise sums, which contract nothing.
 """
 from __future__ import annotations
 
@@ -66,10 +68,6 @@ class SchmidtDecomposition:
     left: np.ndarray
     right: np.ndarray
     rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        terms = self.left[:, None, :] * self.right[None, :, :]  # (dA, dB, k)
-        return (terms * self.coefficients).sum(axis=2).ravel()
 
 
 def _above_cutoff(values: np.ndarray, top, rank_tol: float,

@@ -112,8 +112,7 @@ def projectors_ok(ops: np.ndarray, rank: int, tol: float) -> bool:
     d = ops.shape[2]
     return bool(
         np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), initial=0.0) <= tol
-        and np.max(np.abs(np.einsum("vaij,vajk->vaik", ops, ops) - ops),
-                   initial=0.0) <= tol
+        and np.max(np.abs(ops @ ops - ops), initial=0.0) <= tol
         and np.max(np.abs(np.einsum("vaii->va", ops).real - rank),
                    initial=0.0) <= d * tol)
 
@@ -158,7 +157,7 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
         if vecs.shape[2] != qc.colors:
             # a rank-1 projective measurement with c outcomes lives in C^c
             return False
-        gram = np.einsum("vad,vbd->vab", vecs.conj(), vecs)
+        gram = vecs.conj() @ vecs.swapaxes(1, 2)
         if np.max(np.abs(gram - np.eye(qc.colors)[None]), initial=0.0) > tol:
             return False
     else:

@@ -341,6 +341,16 @@ def test_ks_check_standard_basis_beyond_recursion_limit(capsys, monkeypatch):
     assert sum(report["witness"]) == 1
 
 
+def test_ks_check_honours_budget(capsys):
+    for flags in ((), ("--weak",)):
+        code, report, err = run(capsys, "ks-check", "peres-33", "--budget", "1",
+                                *flags)
+        assert code == 3 and "budget exceeded: undecided" in err
+        assert (report["is_ks"], report["is_weak_ks"], report["witness"]) == (
+            None, None, None)
+        assert report["metadata"]["budget"] == 1
+
+
 def test_ks_check_oracle_flag(capsys):
     code, report, _ = run(capsys, "ks-check", "yu-oh-13", "--oracle")
     assert code == 1 and report["method"] == "brute_force"

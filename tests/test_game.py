@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import cycle, graphs_st, random_graph
 from test_acceptance import perturbed_winning_strategy
 from qcolor import coloring, game, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
-from qcolor.linalg import maximally_entangled
+from qcolor.linalg import DEFAULT_TOL, maximally_entangled, schmidt
 
 
 def classical_derived(g, seed=None):
@@ -590,6 +591,125 @@ def test_normal_form_golden(name):
     got, bound = _fingerprint(*(game.quantum_outcome_distribution(s, 0, w)
                                 for w in range(g.n)))
     assert abs(got - dist) <= 1e-15 * bound
+
+
+# -- operator contractions ---------------------------------------------------------
+
+
+def _random_povm_strategy(n, c, d_a=3, d_b=5, seed=0):
+    """Seeded POVMs on n vertices with c outcomes on C^d_a and C^d_b, and a
+    random state: E_a = S^-1/2 G_a G_a^dagger S^-1/2 with S = sum_a G_a G_a^dagger."""
+    rng = np.random.default_rng([seed, n, c])
+
+    def side(d):
+        gm = rng.standard_normal((n, c, d, d)) + 1j * rng.standard_normal((n, c, d, d))
+        e = gm @ gm.conj().swapaxes(-2, -1)
+        w, v = np.linalg.eigh(e.sum(axis=1))
+        isqrt = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-2, -1)
+        return isqrt[:, None] @ e @ isqrt[:, None]
+
+    alice, bob = side(d_a), side(d_b)
+    state = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
+    return game.POVMStrategy(c, d_a, d_b, state / np.linalg.norm(state),
+                             alice, bob)
+
+
+def _rotated_omega4():
+    """Omega_4's strategy with Bob padded by one unused dimension and both
+    sides turned by seeded unitaries: still winning, with d_A != d_B and a
+    nontrivial Schmidt rotation."""
+    g, s = _normal_form_case("omega4")
+    rng = np.random.default_rng(11)
+    bob = np.zeros((g.n, s.colors, 5, 5), dtype=complex)
+    bob[:, :, :4, :4] = s.bob
+    bob[:, 0, 4, 4] = 1.0
+    state = np.zeros((4, 5), dtype=complex)
+    state[:, :4] = s.state_matrix()
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    w, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    return g, game.POVMStrategy(s.colors, 4, 5, (u @ state @ w.T).ravel(),
+                                u @ s.alice @ u.conj().T,
+                                w @ bob @ w.conj().T)
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_case(name):
+    """(graph, strategy, whether to check the stage-1 rotation) of a
+    contraction test case.  The rotation needs a winning strategy, and
+    omega6-normal is left out: its normal form pads to local dimension 216."""
+    if name.startswith("random"):
+        n, c = (int(x) for x in name.split("-")[1:])
+        return make_graph(n, []), _random_povm_strategy(n, c), False
+    if name == "omega4-rotated":
+        return (*_rotated_omega4(), True)
+    g, s = _normal_form_case(name.split("-")[0])
+    if name.endswith("-normal"):
+        s = game.normalize_strategy(s, g).normal
+    return g, s, name != "omega6-normal"
+
+
+CONTRACTION_CASES = ([f"random-{n}-{c}" for n in (0, 1, 7) for c in (1, 3)]
+                     + ["omega4", "omega6", "omega4-normal", "omega6-normal",
+                        "omega4-rotated"])
+
+
+def _assert_close(got, want, scale=None):
+    """Same shape, and within 1e-13 of the largest entry of want."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0) if scale is None else scale
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", CONTRACTION_CASES)
+def test_contractions_match_einsum(name):
+    """The matmul products of game and reps against the einsum contractions
+    they replaced."""
+    g, s, rotate = _contraction_case(name)
+    n, c = s.n_vertices, s.colors
+    psi = s.state_matrix()
+    k = s.dim_a * s.dim_b
+    rx = np.einsum("...ij,jk->...ik", s.alice, psi).reshape(n, c, k)
+    rz = np.einsum("jk,...kl->...jl", psi.conj(), s.bob).reshape(n, c, k)
+    x, z = game._products(s.alice, s.bob, psi)
+    _assert_close(x, rx)
+    _assert_close(z, rz)
+
+    # check_consistency lists exactly the off-diagonal per-vertex values
+    # above tol (g has no edges unless the strategy wins)
+    per_vertex = np.einsum("vak,vbk->vab", rx, rz).real
+    if n:
+        tol = DEFAULT_TOL
+        report = game.check_consistency(s, g, tol, max_violations=n * c * c)
+        listed = {(v.v, v.alpha, v.beta): v.value for v in report.violations}
+        want = (np.abs(per_vertex) > tol) & ~np.eye(c, dtype=bool)
+        keys = sorted(listed)
+        assert keys == [tuple(map(int, key)) for key in zip(*np.nonzero(want))]
+        _assert_close(np.array([listed[key] for key in keys]),
+                      np.array([per_vertex[key] for key in keys]),
+                      np.max(np.abs(per_vertex)))
+        for v, w in {(0, 0), (0, n - 1), (n - 1, 0), (n // 2, n - 1)}:
+            _assert_close(game.quantum_outcome_distribution(s, v, w),
+                          np.einsum("ak,bk->ab", rx[v], rz[w]).real)
+
+    # projectors_ok on an exactly Hermitian, traceless table: the
+    # idempotence defect max|T T - T| alone decides the answer
+    rng = np.random.default_rng(5)
+    t = s.alice + rng.standard_normal(s.alice.shape)
+    t = (t + t.conj().swapaxes(-2, -1)) / 2
+    t -= np.einsum("vaii->va", t)[..., None, None] / s.dim_a * np.eye(s.dim_a)
+    defect = np.max(np.abs(np.einsum("vaij,vajk->vaik", t, t) - t), initial=0.0)
+    assert reps.projectors_ok(t, 0, defect * (1 + 1e-13))
+    if n:
+        assert not reps.projectors_ok(t, 0, defect * (1 - 1e-13))
+
+    if rotate:  # the stage-1 rotation into the Schmidt basis
+        sd = schmidt(s.state, s.dim_a, s.dim_b)
+        u, w, d = sd.left, sd.right, sd.rank
+        stage = game.normalize_strategy(s, g).trace.stages[1][1]
+        _assert_close(stage.alice, np.einsum(
+            "pi,vaij,jq->vapq", u.conj().T, s.alice, u)[:, :, :d, :d])
+        _assert_close(stage.bob, np.einsum(
+            "pi,vbij,jq->vbpq", w.T.conj(), s.bob, w)[:, :, :d, :d])
 
 
 # -- simulation --------------------------------------------------------------------

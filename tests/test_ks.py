@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcolor import cli, datasets, ks, reps
+from qcolor import cli, coloring, datasets, ks, reps
 from qcolor.graphs import GraphError, orthogonality_graph
 
 
@@ -328,6 +328,25 @@ def test_standard_basis_beyond_recursion_limit():
     assert (dec.is_ks, dec.is_weak_ks, dec.bases) == (False, False, 1)
     assert sum(dec.witness) == 1
     assert ks.verify_ks_witness(s, dec.witness, weak=True)
+
+
+def test_ks_check_budget_counts_both_searches(peres, cabello, yu_oh):
+    """The weak and the plain labeling search share one budget of labeling
+    decisions; past it no witness and no verdict on the flag still open."""
+    for s in (peres, cabello, yu_oh):
+        full = ks.ks_check(s)
+        assert full.status == "exact" and full.decisions >= 4
+        assert ks.ks_check(s, budget=full.decisions) == full
+        for budget in (1, full.decisions // 2, full.decisions - 1):
+            short = ks.ks_check(s, budget=budget)
+            # the searches stop at the first decision past the shared budget
+            assert (short.status, short.witness, short.is_ks,
+                    short.decisions) == (coloring.BUDGET_EXCEEDED, None, None,
+                                         budget + 1)
+            assert short.is_weak_ks in (None, full.is_weak_ks)
+        # Peres-33 and Cabello-18 are weak KS: the weak search ends first
+        assert short.is_weak_ks == (True if full.is_weak_ks else None)
+        assert ks.ks_check(s, budget=1).is_weak_ks is None
 
 
 # -- golden decisions ----------------------------------------------------------
