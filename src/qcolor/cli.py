@@ -296,6 +296,7 @@ def _cmd_ks_check(args, opts):
     report = {"rays": s.size, "dimension": s.dimension, "bases": dec.bases,
               "merged": len(s.merged_ids), "is_ks": dec.is_ks,
               "is_weak_ks": dec.is_weak_ks, "method": dec.method,
+              "status": dec.status, "decisions": dec.decisions,
               "property": "weak-ks" if args.weak else "ks",
               "witness": None}
     if dec.witness is not None:
@@ -380,7 +381,7 @@ def main(argv=None) -> int:
                f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
         report, code, summary = {"error": msg}, EXIT_INTERNAL, f"error: {msg}"
     full = {"command": name, "metadata": _metadata(opts), **report}
-    print(json.dumps(full, indent=1))
+    print(json.dumps(full, indent=1, default=lambda a: a.tolist()))
     print(f"qcolor {name}: {summary} [exit {code}]", file=sys.stderr)
     return code
 

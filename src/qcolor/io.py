@@ -1,8 +1,9 @@
 """File formats: DIMACS graphs, JSON vector sets, strategies, certificates.
 
 Complex arrays are [re, im] pairs, matrices row-major flat lists of pairs,
-packed and unpacked whole by numpy (_pack, _unpack).  Files are compact JSON
-from json's C encoder; NaN and infinities are refused everywhere.
+packed and unpacked whole by numpy (_pack, _unpack).  Files come from one
+array writer, byte-identical to json's compact form, that formats each distinct
+number once (write_json); NaN and infinities are refused everywhere.
 Each certificate kind has one (encode, decode) pair in CODECS, between the
 package's objects and the JSON payload of a certificate file.
 """
@@ -101,18 +102,18 @@ def read_graph(path) -> Graph:
 # complex packing
 
 
-def _pack(a, keep: int) -> list:
-    """A complex array as [re, im] pairs: the first keep axes stay nested,
-    the rest is one row-major flat list of pairs."""
+def _pack(a, keep: int) -> np.ndarray:
+    """A complex array as (..., N, 2) float [re, im] pairs: the first keep
+    axes stay, the rest is one row-major flat axis of pairs."""
     a = np.asarray(a, dtype=complex)
     pairs = np.stack([a.real, a.imag], -1)
-    return pairs.reshape(a.shape[:keep] + (math.prod(a.shape[keep:]), 2)).tolist()
+    return pairs.reshape(a.shape[:keep] + (math.prod(a.shape[keep:]), 2))
 
 
 def _unpack(pairs, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
-    """Inverse of _pack for one flat list of pairs: a complex array of the
-    given shape, or flat of any length when shape is None."""
-    if not isinstance(pairs, (list, tuple)):
+    """Inverse of _pack for one flat list (or array) of pairs: a complex
+    array of the given shape, or flat of any length when shape is None."""
+    if not isinstance(pairs, (list, tuple, np.ndarray)):
         raise FormatError(f"{what} must be a list of [re, im] pairs")
     try:
         a = np.array(pairs, dtype=float)
@@ -123,7 +124,7 @@ def _unpack(pairs, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
                           f"pairs: {err}")
     if not np.isfinite(a).all():  # None converts to NaN
         raise FormatError(f"{what} contains a non-number or a non-finite value")
-    if pairs and (a.ndim != 2 or a.shape[1] != 2):
+    if len(pairs) and (a.ndim != 2 or a.shape[1] != 2):
         raise FormatError(f"{what} must be [re, im] pairs")
     z = a.reshape(-1, 2).view(complex)[:, 0]
     if shape is not None and z.shape[0] != math.prod(shape):
@@ -137,7 +138,7 @@ def _unpack_table(rows, c: int, shape: tuple[int, ...], what: str) -> np.ndarray
     n = len(rows)."""
     out = np.zeros((len(rows), c) + shape, dtype=complex)
     for v, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != c:
+        if not isinstance(row, (list, np.ndarray)) or len(row) != c:
             raise FormatError(f"vertex {v} does not list exactly {c} operators")
         for a in range(c):
             out[v, a] = _unpack(row[a], shape, f"{what} ({v},{a})")
@@ -287,7 +288,7 @@ def _decode_qcoloring(p: dict) -> QuantumColoring:
     c, r = int(p["colors"]), int(p["rank"])
     if "vectors" in p:
         rows = p["vectors"]
-        shape = (len(rows[0][0]) if rows else c,)  # rank 1: d-vectors
+        shape = (len(rows[0][0]) if len(rows) else c,)  # rank 1: d-vectors
         return QuantumColoring(c, r, vectors=_unpack_table(rows, c, shape,
                                                            "vector"))
     d = r * c
@@ -395,7 +396,29 @@ def _reject_constant(name: str):
     raise FormatError(f"non-finite JSON constant {name!r} is not allowed")
 
 
+def _to_json(x) -> str:
+    """x as json.dumps(x, allow_nan=False) writes it, float arrays as nested
+    lists with each distinct bit pattern (-0.0 is not 0.0) formatted once."""
+    if isinstance(x, dict):
+        return "{%s}" % ", ".join(f"{json.dumps(k)}: {_to_json(v)}"
+                                  for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return "[%s]" % ", ".join(map(_to_json, x))
+    if not isinstance(x, np.ndarray):
+        return json.dumps(x, allow_nan=False)
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), object)
+    template = "%s"
+    for k in reversed(a.shape):
+        template = "[" + ", ".join([template] * k) + "]"
+    return template % tuple(text.take(inverse.ravel()).tolist())
+
+
 def write_json(data, path) -> None:
-    """Write a JSON document as every qcolor file is written: compact, through
-    json's C encoder, NaN and infinities refused."""
-    Path(path).write_text(json.dumps(data, allow_nan=False) + "\n")
+    """Write a JSON document with string keys as every qcolor file is
+    written: compact, byte-identical to json.dumps(data, allow_nan=False)
+    with every array as its nested list."""
+    Path(path).write_text(_to_json(data) + "\n")

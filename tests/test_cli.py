@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -348,19 +349,23 @@ def test_ks_check_honours_budget(capsys):
         assert code == 3 and "budget exceeded: undecided" in err
         assert (report["is_ks"], report["is_weak_ks"], report["witness"]) == (
             None, None, None)
+        assert report["status"] == "budget_exceeded" and report["decisions"] > 1
         assert report["metadata"]["budget"] == 1
 
 
 def test_ks_check_oracle_flag(capsys):
     code, report, _ = run(capsys, "ks-check", "yu-oh-13", "--oracle")
     assert code == 1 and report["method"] == "brute_force"
+    assert (report["status"], report["decisions"]) == ("exact", 0)
 
 
 def test_ks_check_report_schema(capsys):
     _, report, _ = run(capsys, "ks-check", "yu-oh-13")
     assert set(report) == {"command", "metadata", "rays", "dimension",
                            "bases", "merged", "is_ks", "is_weak_ks",
-                           "method", "property", "witness"}
+                           "method", "status", "decisions", "property",
+                           "witness"}
+    assert report["status"] == "exact" and report["decisions"] > 0
 
 
 @pytest.mark.parametrize("vectors, message", [
@@ -377,6 +382,64 @@ def test_ks_check_malformed_vector_set_is_input_error(capsys, tmp_path,
     code, report, _ = run(capsys, "ks-check", str(p))
     assert code == 2
     assert message in report["error"]
+
+
+# -- output bytes: the array writer against the json.dumps encoding ---------------
+
+
+def _cli_inputs(tmp_path) -> dict:
+    files = {"pet": tmp_path / "pet.col", "c5": tmp_path / "c5.col",
+             "omega4": tmp_path / "omega4.col", "s4": tmp_path / "s4.json"}
+    files["pet"].write_text(io.write_dimacs(petersen()))
+    files["c5"].write_text(io.write_dimacs(cycle(5)))
+    files["omega4"].write_text(io.write_dimacs(hadamard_graph(4)))
+    io.write_strategy(game.strategy_from_quantum_coloring(
+        reps.hadamard_quantum_coloring(4)), files["s4"])
+    return {k: str(v) for k, v in files.items()}
+
+
+# name -> argv; "{out}" is the -o file, if any
+CLI_BYTES_CASES = {
+    "normalize-stdout": ["game", "normalize", "{omega4}", "{s4}"],
+    "hadamard-stdout": ["hadamard-coloring", "-N", "4"],
+    "xi-bounds-file": ["xi-bounds", "{pet}", "-o", "{out}"],
+    "chiq1-file": ["chiq1", "{c5}", "--cmax", "4", "-o", "{out}"],
+    "normalize-file": ["game", "normalize", "{omega4}", "{s4}", "-o", "{out}"],
+    "hadamard-file": ["hadamard-coloring", "-N", "4", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_BYTES_CASES))
+def test_cli_output_bytes_match_json_dumps_encoding(capsys, monkeypatch,
+                                                    tmp_path, name):
+    """Reports and -o files are byte for byte what they were when _pack made
+    nested lists and every file went through json.dumps(allow_nan=False)."""
+    out = tmp_path / "out.json"
+    argv = [a.format(out=out, **_cli_inputs(tmp_path))
+            for a in CLI_BYTES_CASES[name]]
+
+    def outputs():
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+    new = outputs()
+    out.unlink(missing_ok=True)
+    pack = io._pack
+    monkeypatch.setattr(io, "_pack", lambda a, keep: pack(a, keep).tolist())
+    monkeypatch.setattr(io, "write_json", lambda data, path: Path(path).write_text(
+        json.dumps(data, allow_nan=False) + "\n"))
+    assert outputs() == new
+
+
+def test_hadamard_outputs_pinned(capsys, tmp_path):
+    """sha256 prefixes of what qcolor wrote before the array writer."""
+    cli.main(["hadamard-coloring", "-N", "4"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest[:16] == "a15d2bec40b82dd1"
+    out = tmp_path / "qc.json"
+    cli.main(["hadamard-coloring", "-N", "4", "-o", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest[:16] == "5c7345dcf0df5bbc"
 
 
 # -- game -----------------------------------------------------------------------

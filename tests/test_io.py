@@ -245,8 +245,12 @@ def test_payload_roundtrip(tmp_path, kind, obj):
     io.write_certificate(p, kind, io.encode_payload(kind, obj),
                          io.make_metadata(1e-9, 1e-7))
     got_kind, payload, _ = io.read_certificate(p)
-    back = io.decode_payload(got_kind, payload)
-    assert got_kind == kind and type(back) is type(obj)
+    assert got_kind == kind
+    _assert_same_fields(io.decode_payload(got_kind, payload), obj)
+
+
+def _assert_same_fields(back, obj):
+    assert type(back) is type(obj)
     for f in dataclasses.fields(obj):
         want, got = getattr(obj, f.name), getattr(back, f.name)
         if isinstance(want, np.ndarray):
@@ -378,3 +382,85 @@ def test_codec_golden(tmp_path, name):
         got = [_array_digest(getattr(obj, f.name)) for f in dataclasses.fields(obj)
                if isinstance(getattr(obj, f.name), np.ndarray)]
         assert got == want_arrays
+
+
+# -- the array writer: byte-identical to json's compact form -----------------------
+
+
+def _parent_bytes(monkeypatch, build) -> bytes:
+    """The reference writer: _pack's pairs as nested lists (.tolist()), then
+    json.dumps(allow_nan=False), as every file was once written."""
+    pack = io._pack
+    with monkeypatch.context() as m:
+        m.setattr(io, "_pack", lambda a, keep: pack(a, keep).tolist())
+        doc = build()
+    return (json.dumps(doc, allow_nan=False) + "\n").encode()
+
+
+def _zero_strategy(n, c, d):
+    """Zero operators on n vertices with c colors; either may be 0."""
+    ops = np.zeros((n, c, d, d), dtype=complex)
+    return game.POVMStrategy(c, d, d, np.arange(d * d) / 7, ops, ops)
+
+
+def _writer_cases():
+    """name -> () -> document, built afresh under whichever _pack is active."""
+    rng = np.random.default_rng(12)
+    edge = np.array([-0.0, 0.0, complex(0.0, -0.0), -0.0j, 5e-324, -5e-324,
+                     1e308, -1e308, 0.1, 1.0, 1e16, 1e-7, 2.0 ** 70, 1 / 3])
+    odd_labels = ks.VectorSet(2, rng.normal(size=(3, 2)) + 0j,
+                              ('say "hi"', "back\\slash", "ω-ray é ✓"))
+    table = rng.normal(size=(16, 4, 8, 8)) + 1j * rng.normal(size=(16, 4, 8, 8))
+    cases = {
+        f"codec-{i}-{kind}": (lambda kind=kind, obj=obj: io.certificate_to_dict(
+            kind, io.encode_payload(kind, obj), io.make_metadata(1e-9, 1e-7, seed=2)))
+        for i, (kind, obj) in enumerate(_codec_examples())}
+    cases.update({
+        "odd-labels": lambda: io.vector_set_to_dict(odd_labels, 1e-9),
+        "no-vertices": lambda: io.strategy_to_dict(_zero_strategy(0, 3, 2)),
+        "no-colors": lambda: io.strategy_to_dict(_zero_strategy(4, 0, 2)),
+        "edge-values": lambda: io.certificate_to_dict(
+            "orthrep", io.encode_payload(
+                "orthrep", reps.OrthogonalRepresentation(2, edge.reshape(7, 2))),
+            io.make_metadata(1e-9, 1e-7)),
+        "all-distinct": lambda: io.strategy_to_dict(game.POVMStrategy(
+            4, 8, 8, np.ones(64), table, table)),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_writer_cases()))
+def test_writer_matches_json_dumps(tmp_path, monkeypatch, name):
+    build = _writer_cases()[name]
+    p = tmp_path / "doc.json"
+    io.write_json(build(), p)
+    assert p.read_bytes() == _parent_bytes(monkeypatch, build)
+
+
+def test_writer_formats_signed_zero_and_subnormals():
+    text = io._to_json(np.array([[-0.0, 0.0], [5e-324, 1e308]]))
+    assert text == "[[-0.0, 0.0], [5e-324, 1e+308]]"
+    assert io._to_json(np.zeros((2, 0, 2))) == "[[], []]"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_non_finite(tmp_path, bad):
+    p = tmp_path / "doc.json"
+    vectors = np.array([[1.0, bad]])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        io.write_json(io.vector_set_to_dict(ks.VectorSet(2, vectors, ("x",))), p)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        io.write_json({"tolerance": bad}, p)
+    assert not p.exists()
+
+
+def test_encoders_round_trip_in_memory():
+    """Every encoder's output, arrays and all, decodes without a file."""
+    for kind, obj in _codec_examples():
+        _assert_same_fields(io.decode_payload(kind, io.encode_payload(kind, obj)), obj)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
+    _assert_same_fields(io.strategy_from_dict(io.strategy_to_dict(s)), s)
+    vs, tol = datasets.load_vector_set("peres-33")
+    back, back_tol = io.vector_set_from_dict(io.vector_set_to_dict(vs, tol))
+    assert back_tol == tol and back.labels == vs.labels
+    assert np.array_equal(back.vectors, vs.vectors)
