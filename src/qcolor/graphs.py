@@ -168,19 +168,10 @@ def hadamard_graph(n_bits: int) -> Graph:
     if n_bits < 2 or n_bits % 2 != 0:
         raise GraphError(
             f"hadamard graph needs even length >= 2 (distance N/2 must be integral), got {n_bits}")
-    size = 1 << n_bits
-    verts = np.arange(size, dtype=np.uint32)
-    popcount = np.bitwise_count(np.arange(size, dtype=np.uint32)).astype(np.int8)
-    half = n_bits // 2
-    rows = []
-    # row-by-row keeps peak memory at O(2^N) per chunk
-    for u in range(size):
-        targets = np.flatnonzero(popcount[np.bitwise_xor(np.uint32(u), verts)] == half)
-        targets = targets[targets > u]
-        if targets.size:
-            rows.append(np.stack([np.full(targets.size, u, dtype=np.int64), targets], axis=1))
-    edges = np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
-    return Graph(size, edges)
+    u = np.arange(1 << n_bits, dtype=np.int64)
+    v = u[:, None] ^ u[np.bitwise_count(u) == n_bits // 2]  # u xor t, |t| = N/2
+    rows, cols = np.nonzero(u[:, None] < v)
+    return Graph(u.size, np.stack([rows, v[rows, cols]], axis=1))
 
 
 def orthogonality_graph(vector_set, tol: float = 1e-9) -> Graph:

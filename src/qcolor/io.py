@@ -261,9 +261,10 @@ def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
 
 
 def _decode_orthrep(p: dict) -> OrthogonalRepresentation:
+    d = int(p["dimension"])
     vecs = np.array([_unpack(row, None, f"vector {i}")
-                     for i, row in enumerate(p["vectors"])])
-    return OrthogonalRepresentation(int(p["dimension"]), vecs)
+                     for i, row in enumerate(p["vectors"])] or np.zeros((0, d)))
+    return OrthogonalRepresentation(d, vecs)
 
 
 def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
@@ -274,7 +275,7 @@ def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
 def _decode_matrixrep(p: dict) -> MatrixRepresentation:
     d = int(p["dimension"])
     mats = np.array([_unpack(m, (d, d), f"matrix {i}")
-                     for i, m in enumerate(p["matrices"])])
+                     for i, m in enumerate(p["matrices"])] or np.zeros((0, d, d)))
     return MatrixRepresentation(d, mats)
 
 

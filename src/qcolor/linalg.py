@@ -141,16 +141,6 @@ def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
     raise LinalgError(f"side must be 'A' or 'B', got {side!r}")
 
 
-def matrix_rank(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
-
-
 def maximally_entangled(d: int) -> np.ndarray:
     """sum_i |ii> / sqrt(d) as a flat vector of length d*d."""
     return (np.eye(d, dtype=complex) / np.sqrt(d)).ravel()

@@ -16,8 +16,9 @@ import numpy as np
 
 from .coloring import (DEFAULT_BUDGET, ColoringCertificate, clique_number,
                        greedy_coloring, is_c_colorable, verify_coloring)
-from .graphs import Graph, cartesian_product, complete_graph, complement
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, matrix_rank, pair_values
+from .graphs import Graph, cartesian_product, complete_graph
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, _above_cutoff,
+                     pair_values)
 
 
 class RepsError(ValueError):
@@ -95,7 +96,7 @@ class QuantumColoring:
 @dataclass(frozen=True, eq=False)
 class PSDWitness:
     """Candidate certificate for a minimum-PSD-rank style bound: a PSD matrix
-    whose off-diagonal support must match the complement graph."""
+    whose off-diagonal support must be exactly the non-edges of the graph."""
     matrix: np.ndarray
     rank: int
 
@@ -472,37 +473,42 @@ class PSDCheckResult:
 def psd_witness_check(g: Graph, witness: PSDWitness,
                       tol: float = DEFAULT_TOL,
                       rank_tol: float = DEFAULT_RANK_TOL) -> PSDCheckResult:
-    """Accepts a PSD matrix whose off-diagonal support equals the complement
-    graph's edges and whose rank is at most the claimed rank; on acceptance
-    the top-rank Gram factor is returned as a verified orthogonal
-    representation of g (checks run in the order: PSD, pattern, rank, zero
-    Gram vector)."""
+    """Accepts a PSD matrix whose off-diagonal support is exactly the
+    non-edges of g and whose rank is at most the claimed rank r; on
+    acceptance the Gram factor of the top min(r, n) eigenpairs is returned
+    as a verified orthogonal representation of g.  One eigendecomposition
+    answers PSD, rank (the package cutoff, whose ambiguity band rejects) and
+    the factor; checks run in the order: PSD, pattern, rank, zero Gram
+    vector."""
     a = witness.matrix
     n = g.n
     if a.shape[0] != n:
         raise RepsError(f"matrix is {a.shape[0]}x{a.shape[0]}, graph has {n} vertices")
-    if np.max(np.abs(a - a.conj().T)) > tol:
+    if np.max(np.abs(a - a.conj().T), initial=0.0) > tol:
         raise RepsError("witness matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(a)
-    if evals[0] < -tol:
+    if np.min(evals, initial=0.0) < -tol:
         return PSDCheckResult(False, "not PSD", None)
-    comp = complement(g)
-    want = np.zeros((n, n), dtype=bool)
-    ce = comp.edge_array
-    want[ce[:, 0], ce[:, 1]] = True
-    want[ce[:, 1], ce[:, 0]] = True
+    want = np.ones((n, n), dtype=bool)  # off the diagonal: the non-edges
+    e = g.edge_array
+    want[e[:, 0], e[:, 1]] = want[e[:, 1], e[:, 0]] = False
     have = np.abs(a) > tol
-    np.fill_diagonal(have, False)
+    np.fill_diagonal(have, True)
     if not np.array_equal(want, have):
         return PSDCheckResult(False, "wrong pattern", None)
+    try:
+        kept = _above_cutoff(evals, np.max(evals, initial=0.0), rank_tol,
+                             "eigenvalue")
+    except LinalgError as err:
+        return PSDCheckResult(False, f"ambiguous rank: {err}", None)
     r = witness.rank
-    if matrix_rank(a, rank_tol) > r:
+    if np.count_nonzero(kept) > r:
         return PSDCheckResult(False, "rank too high", None)
     if np.any(np.abs(np.diag(a)) <= tol):
         return PSDCheckResult(False, "zero Gram vector", None)
-    top = evals[-r:]
-    factor = evecs[:, -r:] * np.sqrt(np.clip(top, 0.0, None))
-    rep = OrthogonalRepresentation(r, factor.conj())
+    k = min(r, n)
+    factor = evecs[:, n - k:] * np.sqrt(np.clip(evals[n - k:], 0.0, None))
+    rep = OrthogonalRepresentation(k, factor.conj())
     if not verify_orthogonal_representation(g, rep, tol):
         return PSDCheckResult(False, "Gram factor failed edge verification", None)
     return PSDCheckResult(True, None, rep)

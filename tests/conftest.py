@@ -16,6 +16,19 @@ def petersen() -> Graph:
     return make_graph(10, outer + spokes + inner)
 
 
+def umbrella_gram() -> np.ndarray:
+    """Gram matrix of the Lovasz umbrella: a rank-3 orthogonal
+    representation of C5, with the edge entries set to exact zeros."""
+    ct = np.cos(4 * np.pi / 5) / (np.cos(4 * np.pi / 5) - 1)
+    st_ = np.sqrt(1 - ct)
+    u = np.array([[st_ * np.cos(4 * np.pi * k / 5),
+                   st_ * np.sin(4 * np.pi * k / 5),
+                   np.sqrt(ct)] for k in range(5)])
+    gram = u @ u.T
+    gram[np.abs(gram) < 1e-12] = 0.0
+    return gram.astype(complex)
+
+
 def path_plus_triangle(n: int) -> Graph:
     """A path on n vertices and a disjoint triangle (chi = 3)."""
     edges = [(i, i + 1) for i in range(n - 1)]

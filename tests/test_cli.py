@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cycle, path_plus_triangle, petersen
+from conftest import cycle, path_plus_triangle, petersen, umbrella_gram
 import qcolor
 from qcolor import cli, game, io, ks, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
+from qcolor.linalg import DEFAULT_RANK_TOL
 
 
 def run(capsys, *argv):
@@ -568,3 +569,41 @@ def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w))
     assert code == 1 and not report["ok"]
     assert report["reason"]
+
+
+def write_witness(tmp_path, matrix, rank):
+    w = tmp_path / "w.json"
+    io.write_certificate(w, "psd-witness",
+                         io.encode_payload("psd-witness",
+                                           reps.PSDWitness(matrix, rank)),
+                         io.make_metadata(1e-9, 1e-7))
+    return str(w)
+
+
+def test_psd_witness_empty_graph_round_trips(capsys, tmp_path):
+    g = tmp_path / "empty.col"
+    g.write_text(io.write_dimacs(make_graph(0, [])))
+    rep_out = str(tmp_path / "rep.json")
+    w = write_witness(tmp_path, np.zeros((0, 0)), 0)
+    code, report, _ = run(capsys, "psd-witness", str(g), w, "-o", rep_out)
+    assert code == 0 and report["ok"]
+    code, report, _ = run(capsys, "verify-rep", str(g), rep_out)
+    assert code == 0 and report["valid"]
+
+
+def test_psd_witness_rank_above_n_exits_0(capsys, c5_file, tmp_path):
+    rep_out = str(tmp_path / "rep.json")
+    code, report, _ = run(capsys, "psd-witness", c5_file,
+                          write_witness(tmp_path, umbrella_gram(), 6),
+                          "-o", rep_out)
+    assert code == 0 and report["ok"]
+    code, report, _ = run(capsys, "verify-rep", c5_file, rep_out)
+    assert code == 0 and report["valid"]
+
+
+def test_psd_witness_ambiguous_rank_exits_1(capsys, tmp_path):
+    g = tmp_path / "k3.col"
+    g.write_text(io.write_dimacs(complete_graph(3)))
+    w = write_witness(tmp_path, np.diag([1.0, 1.0, 3 * DEFAULT_RANK_TOL]), 3)
+    code, report, _ = run(capsys, "psd-witness", str(g), w)
+    assert code == 1 and report["reason"].startswith("ambiguous rank")

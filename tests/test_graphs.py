@@ -133,6 +133,15 @@ def test_hadamard_graph_small():
     assert g.edge_array.shape[0] == 16 * 6 // 2
 
 
+@pytest.mark.parametrize("n_bits", [2, 4, 6, 8])
+def test_hadamard_graph_matches_definition(n_bits):
+    """Edges are exactly the pairs u < v at Hamming distance N/2."""
+    u, v = np.triu_indices(1 << n_bits, k=1)
+    far = np.bitwise_count(u ^ v) == n_bits // 2
+    want = np.stack([u[far], v[far]], axis=1)
+    assert np.array_equal(hadamard_graph(n_bits).edge_array, want)
+
+
 def test_hadamard_graph_rejects_odd():
     with pytest.raises(ValueError):
         hadamard_graph(5)

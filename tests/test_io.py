@@ -456,7 +456,10 @@ def test_writer_refuses_non_finite(tmp_path, bad):
 
 def test_encoders_round_trip_in_memory():
     """Every encoder's output, arrays and all, decodes without a file."""
-    for kind, obj in _codec_examples():
+    empty = [("orthrep", reps.OrthogonalRepresentation(3, np.zeros((0, 3)))),
+             ("orthrep", reps.OrthogonalRepresentation(0, np.zeros((0, 0)))),
+             ("matrixrep", reps.MatrixRepresentation(2, np.zeros((0, 2, 2))))]
+    for kind, obj in _codec_examples() + empty:
         _assert_same_fields(io.decode_payload(kind, io.encode_payload(kind, obj)), obj)
     s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
     _assert_same_fields(io.strategy_from_dict(io.strategy_to_dict(s)), s)

@@ -127,12 +127,6 @@ def test_support_projector_zero_matrix():
     assert np.allclose(p, 0.0)
 
 
-def test_matrix_rank_relative_cutoff():
-    m = np.diag([1.0, 1e-3, 1e-12])
-    assert linalg.matrix_rank(m) == 2
-    assert linalg.matrix_rank(m, rank_tol=1e-15) == 3
-
-
 def test_maximally_entangled_reduction_identity():
     # the reduction <psi| E (x) F |psi> = Tr(E F^T)/d on the maximally
     # entangled state, against a naive computation

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle, petersen, random_graph
+from conftest import cycle, petersen, random_graph, umbrella_gram
 from qcolor import coloring, datasets, game, ks, reps
 from qcolor.graphs import (cartesian_product, complete_graph, hadamard_graph,
                            make_graph, orthogonality_graph)
-from qcolor.linalg import maximally_entangled
+from qcolor.linalg import DEFAULT_RANK_TOL, maximally_entangled
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -439,17 +439,6 @@ def test_chi_q1_no_witness_below_clique():
 # -- PSD witness --------------------------------------------------------------
 
 
-def umbrella_gram():
-    ct = np.cos(4 * np.pi / 5) / (np.cos(4 * np.pi / 5) - 1)
-    st_ = np.sqrt(1 - ct)
-    u = np.array([[st_ * np.cos(4 * np.pi * k / 5),
-                   st_ * np.sin(4 * np.pi * k / 5),
-                   np.sqrt(ct)] for k in range(5)])
-    gram = u @ u.T
-    gram[np.abs(gram) < 1e-12] = 0.0
-    return gram.astype(complex)
-
-
 def test_psd_witness_umbrella_accepted(c5):
     res = reps.psd_witness_check(c5, reps.PSDWitness(umbrella_gram(), 3))
     assert res.ok
@@ -479,6 +468,26 @@ def test_psd_witness_malformed_raises(c5):
     herm_bad[0, 1] += 1e-3
     with pytest.raises(reps.RepsError):
         reps.psd_witness_check(c5, reps.PSDWitness(herm_bad, 3))
+
+
+def test_psd_witness_empty_graph():
+    res = reps.psd_witness_check(make_graph(0, []),
+                                 reps.PSDWitness(np.zeros((0, 0)), 0))
+    assert res.ok and res.representation.vectors.shape == (0, 0)
+
+
+def test_psd_witness_rank_above_n_accepted(c5):
+    res = reps.psd_witness_check(c5, reps.PSDWitness(umbrella_gram(), 6))
+    assert res.ok and res.representation.dimension == 5
+    assert reps.verify_orthogonal_representation(c5, res.representation)
+
+
+def test_psd_witness_ambiguous_rank_rejected():
+    # K3's non-edges are empty, so a diagonal witness has the right pattern;
+    # its third eigenvalue is 3x the cutoff rank_tol * 1, inside the band
+    w = reps.PSDWitness(np.diag([1.0, 1.0, 3 * DEFAULT_RANK_TOL]), 3)
+    res = reps.psd_witness_check(complete_graph(3), w)
+    assert not res.ok and res.reason.startswith("ambiguous rank")
 
 
 # -- the 13-ray separation -----------------------------------------------------
