@@ -2,11 +2,12 @@
 """Walk through the separations the library is built around, on instances
 small enough to verify while you watch.
 
-Three acts: the sandwich xi <= chi_q1 <= chi on named graphs, the 13-ray set
-whose orthogonal rank sits strictly below its chromatic number, and the
-coloring game on C_5, where two colors are classically losing but a quantum
-strategy built from a 3-coloring wins every round and survives the
-normal-form pipeline.
+Three acts: the sandwich xi <= chi_q1 <= chi on named graphs, with the
+certified Lovasz theta bound below xi (which makes xi exact on C_5 and
+Petersen), the 13-ray set whose orthogonal rank sits strictly below its
+chromatic number, and the coloring game on C_5, where two colors are
+classically losing but a quantum strategy built from a 3-coloring wins every
+round and survives the normal-form pipeline.
 """
 from __future__ import annotations
 
@@ -35,15 +36,19 @@ def petersen():
 
 
 def act_sandwich() -> None:
-    print("== sandwich: xi <= chi_q1 <= chi ==")
+    print("== sandwich: omega <= ceil(theta) <= xi <= chi_q1 <= chi ==")
     named = [("K_3", complete_graph(3)), ("K_5", complete_graph(5)),
              ("C_5", cycle(5)), ("Petersen", petersen())]
     for name, g in named:
         chi = coloring.chromatic_number(g)
         xb = reps.xi_bounds(g)
         cq = reps.chi_q1_upper_via_product(g, c_max=chi.chi)
-        print(f"  {name:9s} xi in [{xb.lower},{xb.upper}]  "
-              f"chi_q1 <= {cq.c}  chi = {chi.chi}")
+        lower = max(xb.lower, xb.lower_theta or 0)
+        exact = "  (exact)" if lower == xb.upper else ""
+        theta = "-" if xb.lower_theta is None else xb.lower_theta
+        print(f"  {name:9s} omega = {xb.lower}  ceil(theta) = {theta}  "
+              f"xi in [{lower},{xb.upper}]{exact}  chi_q1 <= {cq.c}  "
+              f"chi = {chi.chi}")
 
 
 def act_thirteen_rays() -> None:

@@ -12,14 +12,14 @@ from .coloring import (ColoringCertificate, ColoringError, chromatic_number,
 from .ks import (KSDecision, KSError, VectorSet, brute_force_ks, canonicalize,
                  enumerate_bases, ks_check, verify_ks_witness)
 from .reps import (MatrixRepresentation, OrthogonalRepresentation, PSDWitness,
-                   QuantumColoring, RepsError, SearchParams,
+                   QuantumColoring, RepsError, SearchParams, ThetaCertificate,
                    chi_q1_upper_via_product, hadamard_quantum_coloring,
                    matrixrep_to_orthrep, orthrep_to_matrixrep,
                    psd_witness_check, quantum_coloring_from_classical,
-                   search_orthogonal_representation,
+                   search_orthogonal_representation, theta_certificate,
                    verify_matrix_representation,
                    verify_orthogonal_representation, verify_quantum_coloring,
-                   xi_bounds)
+                   verify_theta_certificate, xi_bounds)
 from .datasets import BUNDLED, bundled_path, load_vector_set
 from .game import (ClassicalStrategy, GameError, NormalFormError,
                    POVMStrategy, best_classical_win_probability,

@@ -78,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("xi-bounds", "certified bounds on the orthogonal rank")
     p.add_argument("graph")
     p.add_argument("-o", "--output")
+    p.add_argument("--theta-output",
+                   help="write the theta certificate here, when theta was solved")
 
     p = add("chiq1", "rank-1 quantum chromatic number via the product "
                      "characterization")
@@ -86,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest color count to try")
     p.add_argument("-o", "--output")
 
-    p = add("verify-rep", "verify a coloring / orthrep / matrixrep certificate")
+    p = add("verify-rep", "verify a coloring / orthrep / matrixrep / theta "
+                          "certificate")
     p.add_argument("graph")
     p.add_argument("certificate")
 
@@ -179,6 +182,7 @@ REP_VERIFIERS = {
     "coloring": lambda g, cert, tol: coloring.verify_coloring(g, cert),
     "orthrep": reps.verify_orthogonal_representation,
     "matrixrep": reps.verify_matrix_representation,
+    "theta": reps.verify_theta_certificate,
 }
 
 
@@ -218,9 +222,16 @@ def _cmd_xi_bounds(args, opts):
     params = reps.SearchParams(seed=opts["seed"], tol=opts["tol"])
     xb = reps.xi_bounds(g, params, budget=opts["budget"])
     report = {"n": g.n, "lower": xb.lower, "upper": xb.upper,
-              "clique": list(xb.lower_clique)}
+              "clique": list(xb.lower_clique), "lower_theta": xb.lower_theta}
+    theta_out = args.theta_output if xb.theta_witness is not None else None
+    if theta_out:
+        meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
+        io.write_certificate(theta_out, "theta",
+                             io.encode_payload("theta", xb.theta_witness), meta)
+    report["theta_written_to"] = theta_out
     _emit_certificate(report, args, "orthrep", xb.upper_witness, opts)
-    return report, EXIT_YES, f"{xb.lower} <= xi <= {xb.upper}"
+    lower = max(xb.lower, xb.lower_theta or 0)
+    return report, EXIT_YES, f"{lower} <= xi <= {xb.upper}"
 
 
 def _cmd_chiq1(args, opts):
@@ -243,8 +254,11 @@ def _cmd_verify_rep(args, opts):
     kind, cert = _read_certificate(args.certificate, tuple(REP_VERIFIERS))
     valid = REP_VERIFIERS[kind](g, cert, opts["tol"])
     report = {"kind": kind, "valid": bool(valid)}
-    return (report, EXIT_YES if valid else EXIT_NO,
-            f"{kind} certificate {'verifies' if valid else 'FAILS'}")
+    summary = f"{kind} certificate {'verifies' if valid else 'FAILS'}"
+    if kind == "theta":
+        report.update(lower_theta=valid.bound, reason=valid.reason)
+        summary += f": xi >= {valid.bound}" if valid else f": {valid.reason}"
+    return report, EXIT_YES if valid else EXIT_NO, summary
 
 
 def _cmd_verify_qcoloring(args, opts):

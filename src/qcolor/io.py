@@ -22,7 +22,7 @@ from .game import POVMStrategy
 from .graphs import Graph, make_graph
 from .ks import VectorSet
 from .reps import (MatrixRepresentation, OrthogonalRepresentation, PSDWitness,
-                   QuantumColoring)
+                   QuantumColoring, ThetaCertificate)
 
 
 class FormatError(ValueError):
@@ -301,12 +301,24 @@ def _encode_psd_witness(w: PSDWitness) -> dict:
     return {"rank": w.rank, "matrix": _pack(w.matrix, 0)}
 
 
-def _decode_psd_witness(p: dict) -> PSDWitness:
-    flat = _unpack(p["matrix"], None, "witness matrix")
+def _unpack_square(pairs, what: str) -> np.ndarray:
+    flat = _unpack(pairs, None, what)
     n = math.isqrt(flat.shape[0])
     if n * n != flat.shape[0]:
-        raise FormatError("witness matrix is not square")
-    return PSDWitness(flat.reshape(n, n), int(p["rank"]))
+        raise FormatError(f"{what} is not square")
+    return flat.reshape(n, n)
+
+
+def _decode_psd_witness(p: dict) -> PSDWitness:
+    return PSDWitness(_unpack_square(p["matrix"], "witness matrix"), int(p["rank"]))
+
+
+def _encode_theta(cert: ThetaCertificate) -> dict:
+    return {"matrix": _pack(cert.matrix, 0)}
+
+
+def _decode_theta(p: dict) -> ThetaCertificate:
+    return ThetaCertificate(_unpack_square(p["matrix"], "theta matrix"))
 
 
 # kind -> (object -> payload dict, payload dict -> object)
@@ -316,6 +328,7 @@ CODECS = {
     "matrixrep": (_encode_matrixrep, _decode_matrixrep),
     "qcoloring": (_encode_qcoloring, _decode_qcoloring),
     "psd-witness": (_encode_psd_witness, _decode_psd_witness),
+    "theta": (_encode_theta, _decode_theta),
 }
 CERTIFICATE_KINDS = tuple(CODECS)
 

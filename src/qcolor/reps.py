@@ -6,10 +6,13 @@ representation stores one unitary per vertex whose column i is the vector of
 product vertex (v, i) under the vertex id scheme of cartesian_product (id =
 v * c + i).  Upper bounds on the orthogonal rank and on the rank-1 quantum
 chromatic number are only ever claimed with a verified witness; search
-failure is reported as "not found", never as infeasibility.
+failure is reported as "not found", never as infeasibility.  A dimension is
+called infeasible only from a certificate: a clique, or a Lovasz theta
+certificate that passed verify_theta_certificate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +107,25 @@ class PSDWitness:
         a = np.asarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise RepsError(f"witness matrix must be square, got {a.shape}")
+        if self.rank < 0:
+            raise RepsError(f"claimed rank must be >= 0, got {self.rank}")
+        object.__setattr__(self, "matrix", a)
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaCertificate:
+    """Candidate certificate of a lower bound on the orthogonal rank: a real
+    symmetric matrix, zero on every non-adjacent pair of the graph, PSD, of
+    trace 1 (checked by verify_theta_certificate, not the constructor)."""
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.matrix)
+        if np.iscomplexobj(a) and np.any(a.imag != 0):
+            raise RepsError("theta certificate matrix must be real")
+        a = np.asarray(a.real, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise RepsError(f"theta certificate matrix must be square, got {a.shape}")
         object.__setattr__(self, "matrix", a)
 
 
@@ -385,47 +407,197 @@ def representation_from_coloring(cert: ColoringCertificate) -> OrthogonalReprese
     return OrthogonalRepresentation(cert.c, np.eye(cert.c, dtype=complex)[colors])
 
 
+def _adjacency_mask(g: Graph) -> np.ndarray:
+    mask = np.zeros((g.n, g.n), dtype=bool)
+    e = g.edge_array
+    mask[e[:, 0], e[:, 1]] = mask[e[:, 1], e[:, 0]] = True
+    return mask
+
+
+def _psd_with_zeros(a: np.ndarray, zeros: np.ndarray, tol: float,
+                    floor: float) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """The one check of "Hermitian PSD with this exact zero pattern".  Raises
+    RepsError when a is farther than tol from Hermitian; else returns a's
+    eigenvalues and eigenvectors with a reason to reject: "not PSD" when an
+    eigenvalue is below floor, then "wrong pattern" when an entry where zeros
+    is True exceeds tol in modulus, else None."""
+    if np.max(np.abs(a - a.conj().T), initial=0.0) > tol:
+        raise RepsError("witness matrix is not Hermitian")
+    evals, evecs = np.linalg.eigh(a)
+    if np.min(evals, initial=np.inf) < floor:
+        return evals, evecs, "not PSD"
+    if np.any(np.abs(a[zeros]) > tol):
+        return evals, evecs, "wrong pattern"
+    return evals, evecs, None
+
+
+# -- certified lower bound from the Lovasz theta function ---------------------
+#
+# Every orthogonal representation of G in C^d is an orthonormal
+# representation of the complement H, and theta(H) <= d for those (Lovasz
+# 1979; over C map u to u u*, with handle I / sqrt(d)).  So
+# omega(G) <= ceil(theta(H)) <= xi(G) <= chi_q1(G), and any real symmetric
+# PSD X of trace 1, zero on the non-adjacent pairs of G, has
+# sum(X) <= theta(H).
+
+# ADMM iterations of the theta solver, one n x n eigh each
+THETA_ITERATIONS = 300
+# the theta verifier's float margins, in units of n * eps.  An eigenvalue
+# must clear eta = THETA_EIG_MARGIN * n * eps * ||X||_F: LAPACK's symmetric
+# eigensolvers are backward stable, each computed eigenvalue within a small
+# multiple of n * eps * ||X||_2 of the exact one, so the stored X is PSD.
+# The claim is ceil(sum X / tr X - delta), delta = THETA_SUM_MARGIN * n *
+# eps: both sums are correctly rounded (math.fsum) and the quotient adds one
+# rounding, three half-eps relative errors on a ratio of at most n.
+THETA_EIG_MARGIN = 64
+THETA_SUM_MARGIN = 4
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaCheckResult:
+    """Truthy exactly when the certificate holds; bound is then the
+    certified ceil(theta(complement)) <= xi(G)."""
+    ok: bool
+    bound: int | None
+    reason: str | None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def verify_theta_certificate(g: Graph, cert: ThetaCertificate,
+                             tol: float = DEFAULT_TOL) -> ThetaCheckResult:
+    """Checks a theta certificate without the solver: X is exactly symmetric
+    (else RepsError), no eigenvalue is below eta, X is exactly 0.0 on every
+    non-adjacent pair i != j of g, and tr X is positive and within tol of 1.
+    Then X / tr X is feasible for theta of the complement, and the claim is
+    xi(g) >= ceil(sum X / tr X - delta)."""
+    x = cert.matrix
+    n = g.n
+    if x.shape[0] != n:
+        raise RepsError(f"matrix is {x.shape[0]}x{x.shape[0]}, graph has {n} vertices")
+    zeros = ~_adjacency_mask(g)
+    np.fill_diagonal(zeros, False)
+    eta = THETA_EIG_MARGIN * n * _EPS * float(np.linalg.norm(x))
+    reason = _psd_with_zeros(x, zeros, 0.0, eta)[2]
+    trace = math.fsum(np.diag(x).tolist())
+    if reason is None and not (trace > 0 and abs(trace - 1.0) <= tol):
+        reason = "trace is not 1"
+    if reason is not None:
+        return ThetaCheckResult(False, None, reason)
+    ratio = math.fsum(x.ravel().tolist()) / trace
+    return ThetaCheckResult(True, math.ceil(ratio - THETA_SUM_MARGIN * n * _EPS),
+                            None)
+
+
+def theta_certificate(g: Graph, target: int) -> ThetaCertificate:
+    """ADMM after Wen, Goldfarb and Yin (2010), on the primal, for theta of
+    the complement of g: maximize sum X subject to tr X = 1, X = 0 on the
+    non-adjacent pairs and X PSD, split as X (affine) = Z (PSD) with one
+    eigh per iteration.  Each Z with its pattern entries set to 0.0 is
+    within their Frobenius norm f of Z (Weyl), so shifted by f plus a margin
+    it is exactly feasible; the best such point is returned at trace 1.
+    Stops after THETA_ITERATIONS, or once that point's certified ceiling
+    reaches target.  Only verify_theta_certificate makes a claim of it."""
+    n = g.n
+    if n == 0:
+        raise RepsError("theta of the empty graph is undefined")
+    free = _adjacency_mask(g)
+    np.fill_diagonal(free, True)
+    pattern = np.flatnonzero(~free)
+    diagonal = np.arange(0, n * n, n + 1)
+    margin = 4 * THETA_EIG_MARGIN * n * _EPS
+    z, u = np.eye(n) / n, np.zeros((n, n))
+    best = (-np.inf, z, 0.0)
+    for _ in range(THETA_ITERATIONS):
+        x = z - u + 1.0 / n  # + J / rho, with rho = n the norm of J
+        x.flat[pattern] = 0.0
+        x.flat[diagonal] += (1.0 - x.trace()) / n
+        w, v = np.linalg.eigh(x + u)
+        z = (v * np.maximum(w, 0.0)) @ v.T
+        z = 0.5 * (z + z.T)  # exactly symmetric
+        u += x - z
+        off = z.flat[pattern]
+        shift = math.sqrt(off @ off) + margin * max(z.trace(), 1.0)
+        value = (z.sum() - off.sum() + n * shift) / (z.trace() + n * shift)
+        if value > best[0]:
+            best = (value, z, shift)
+        if math.ceil(value - THETA_SUM_MARGIN * n * _EPS) >= target:
+            break
+    _, z, shift = best
+    x = z.copy()
+    x.flat[pattern] = 0.0
+    x.flat[diagonal] += shift
+    return ThetaCertificate(x / x.trace())
+
+
+def _certified_theta(g: Graph, target: int,
+                     tol: float) -> tuple[int | None, ThetaCertificate | None]:
+    """The verified ceil(theta(complement of g)), solved up to target, with
+    its certificate; (None, None) when the certificate fails the verifier."""
+    cert = theta_certificate(g, target)
+    check = verify_theta_certificate(g, cert, tol)
+    return (check.bound, cert) if check else (None, None)
+
+
 @dataclass(frozen=True, eq=False)
 class XiBounds:
+    """lower is the clique number and lower_clique its clique; lower_theta
+    is the verified ceil(theta(complement)) of theta_witness, both None
+    when theta was not solved (omega meets the greedy coloring count) or
+    its certificate failed the verifier."""
     lower: int
     upper: int
     upper_witness: OrthogonalRepresentation
     lower_clique: tuple[int, ...]
+    lower_theta: int | None
+    theta_witness: ThetaCertificate | None
 
 
 def xi_bounds(g: Graph, params: SearchParams = SearchParams(),
               budget: int = DEFAULT_BUDGET) -> XiBounds:
-    """Certified sandwich for the orthogonal rank: lower = clique number
-    (xi >= omega), upper = smallest dimension with a verified representation.
+    """Certified sandwich for the orthogonal rank: from below the clique
+    number (xi >= omega) and, when it leaves a gap, the verified theta
+    bound; upper = smallest dimension with a verified representation.
 
-    Candidate witnesses come from the randomized search and, at the greedy
-    coloring dimension, from color-class basis vectors (xi <= chi); the upper
-    bound always ships with a representation that passed the verifier.
+    Candidate witnesses come from the randomized search, run only in
+    dimensions no certificate rules out, and, at the greedy coloring
+    dimension, from color-class basis vectors (xi <= chi); the upper bound
+    always ships with a representation that passed the verifier.
     """
     if g.n == 0:
         raise RepsError("xi bounds of the empty graph are undefined")
     cl = clique_number(g, budget)
-    lower = cl.omega
     greedy = greedy_coloring(g)
     upper = greedy.c
     witness = representation_from_coloring(greedy)
     if not verify_orthogonal_representation(g, witness, params.tol):
         raise RuntimeError("the greedy coloring's representation failed verification")
-    for c in range(lower, upper):
+    theta, theta_cert = None, None
+    if cl.omega < upper:
+        theta, theta_cert = _certified_theta(g, upper, params.tol)
+        if theta is not None and theta > upper:
+            raise RuntimeError("a verified theta bound exceeds the dimension "
+                               "of a verified representation")
+    for c in range(max(cl.omega, theta or 0), upper):
         res = search_orthogonal_representation(g, c, params)
         if res.found:
             upper = c
             witness = res.representation
             break
-    return XiBounds(lower=lower, upper=upper, upper_witness=witness,
-                    lower_clique=cl.clique)
+    return XiBounds(lower=cl.omega, upper=upper, upper_witness=witness,
+                    lower_clique=cl.clique, lower_theta=theta,
+                    theta_witness=theta_cert)
 
 
 @dataclass(frozen=True, eq=False)
 class ChiQ1Result:
     c: int | None  # smallest c <= c_max with a verified witness, else None
     witness: MatrixRepresentation | None
-    skipped_infeasible: tuple[int, ...]  # c values ruled out by the clique bound
+    # the c values below the clique number or the verified theta bound:
+    # each is ruled out by a certificate, never by a failed search
+    skipped_infeasible: tuple[int, ...]
 
 
 def chi_q1_upper_via_product(g: Graph, c_max: int,
@@ -436,20 +608,27 @@ def chi_q1_upper_via_product(g: Graph, c_max: int,
     representation of G□K_c in dimension c, returned as a matrix
     representation of G.
 
-    c below the clique number is skipped outright: cliques of a Cartesian
-    product live inside a single fiber, so omega(G□K_c) = max(omega(G), c)
-    and xi(G□K_c) >= omega(G) > c is infeasible.  A proper c-coloring of G,
-    when one exists within budget, supplies a deterministic witness (shifted
-    bases); otherwise the randomized search runs on the product.  Failure at
-    every c <= c_max is not a proof that chi_q1 exceeds c_max.
+    c below the clique number or below the verified theta bound is skipped
+    outright: G is an induced subgraph of G□K_c, so xi(G□K_c) >= xi(G) >=
+    max(omega(G), ceil(theta(complement of G))) > c is infeasible.  Theta is
+    solved only when omega is below both c_max and the greedy coloring count
+    (which bounds theta).  A proper c-coloring of G, when one exists within
+    budget, supplies a deterministic witness (shifted bases); otherwise the
+    randomized search runs on the product.  Failure at every c <= c_max is
+    not a proof that chi_q1 exceeds c_max.
     """
     if c_max < 1:
         raise RepsError("c_max must be >= 1")
     if g.n == 0:
         raise RepsError("chi_q1 of the empty graph is undefined")
-    omega = clique_number(g, budget).omega
-    skipped = tuple(c for c in range(1, min(omega, c_max + 1)))
-    for c in range(max(omega, 1), c_max + 1):
+    lower = clique_number(g, budget).omega
+    greedy = greedy_coloring(g).c
+    if lower < min(c_max, greedy):
+        # theta <= chi <= greedy, and past c_max it prunes nothing
+        target = min(c_max + 1, greedy)
+        lower = max(lower, _certified_theta(g, target, params.tol)[0] or 0)
+    skipped = tuple(range(1, min(lower, c_max + 1)))
+    for c in range(max(lower, 1), c_max + 1):
         col = is_c_colorable(g, c, budget)
         if col.status == "yes":
             qc = quantum_coloring_from_classical(g, col.certificate)
@@ -484,18 +663,14 @@ def psd_witness_check(g: Graph, witness: PSDWitness,
     n = g.n
     if a.shape[0] != n:
         raise RepsError(f"matrix is {a.shape[0]}x{a.shape[0]}, graph has {n} vertices")
-    if np.max(np.abs(a - a.conj().T), initial=0.0) > tol:
-        raise RepsError("witness matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(a)
-    if np.min(evals, initial=0.0) < -tol:
-        return PSDCheckResult(False, "not PSD", None)
-    want = np.ones((n, n), dtype=bool)  # off the diagonal: the non-edges
-    e = g.edge_array
-    want[e[:, 0], e[:, 1]] = want[e[:, 1], e[:, 0]] = False
-    have = np.abs(a) > tol
-    np.fill_diagonal(have, True)
-    if not np.array_equal(want, have):
-        return PSDCheckResult(False, "wrong pattern", None)
+    edges = _adjacency_mask(g)
+    evals, evecs, reason = _psd_with_zeros(a, edges, tol, -tol)
+    support = ~edges  # off the diagonal, the non-edges must be nonzero
+    np.fill_diagonal(support, False)
+    if reason is None and np.any(np.abs(a[support]) <= tol):
+        reason = "wrong pattern"
+    if reason is not None:
+        return PSDCheckResult(False, reason, None)
     try:
         kept = _above_cutoff(evals, np.max(evals, initial=0.0), rank_tol,
                              "eigenvalue")

@@ -607,3 +607,50 @@ def test_psd_witness_ambiguous_rank_exits_1(capsys, tmp_path):
     w = write_witness(tmp_path, np.diag([1.0, 1.0, 3 * DEFAULT_RANK_TOL]), 3)
     code, report, _ = run(capsys, "psd-witness", str(g), w)
     assert code == 1 and report["reason"].startswith("ambiguous rank")
+
+
+def test_psd_witness_negative_rank_exits_2(capsys, c5_file, tmp_path):
+    w = write_witness(tmp_path, umbrella_gram(), 3)
+    doc = json.loads(Path(w).read_text())
+    doc["payload"]["rank"] = -1
+    Path(w).write_text(json.dumps(doc))
+    code, report, _ = run(capsys, "psd-witness", c5_file, w)
+    assert code == 2 and "rank must be >= 0" in report["error"]
+
+
+# -- theta certificates ------------------------------------------------------------
+
+
+def test_theta_certificate_flow(capsys, c5_file, tmp_path):
+    theta, rep = str(tmp_path / "theta.json"), str(tmp_path / "rep.json")
+    code, report, err = run(capsys, "xi-bounds", c5_file, "-o", rep,
+                            "--theta-output", theta)
+    assert code == 0 and report["theta_written_to"] == theta
+    assert (report["lower"], report["lower_theta"], report["upper"]) == (2, 3, 3)
+    assert "3 <= xi <= 3" in err
+    code, report, _ = run(capsys, "verify-rep", c5_file, rep)
+    assert code == 0 and report["kind"] == "orthrep" and report["valid"]
+    code, report, err = run(capsys, "verify-rep", c5_file, theta)
+    assert code == 0 and report["kind"] == "theta" and report["valid"]
+    assert report["lower_theta"] == 3 and "xi >= 3" in err
+    doc = json.loads(Path(theta).read_text())
+    doc["payload"]["matrix"][2] = [1e-300, 0.0]  # entry (0, 2): a non-edge
+    doc["payload"]["matrix"][10] = [1e-300, 0.0]  # and (2, 0)
+    Path(theta).write_text(json.dumps(doc))
+    code, report, _ = run(capsys, "verify-rep", c5_file, theta)
+    assert code == 1 and not report["valid"]
+    assert (report["lower_theta"], report["reason"]) == (None, "wrong pattern")
+    doc["payload"]["matrix"][10] = [0.0, 0.0]  # no longer symmetric
+    Path(theta).write_text(json.dumps(doc))
+    code, report, _ = run(capsys, "verify-rep", c5_file, theta)
+    assert code == 2 and "not Hermitian" in report["error"]
+
+
+def test_xi_bounds_without_gap_solves_no_theta(capsys, tmp_path):
+    g = tmp_path / "k4.col"
+    g.write_text(io.write_dimacs(complete_graph(4)))
+    theta = tmp_path / "theta.json"
+    code, report, _ = run(capsys, "xi-bounds", str(g), "--theta-output", str(theta))
+    assert code == 0 and report["lower_theta"] is None
+    assert report["theta_written_to"] is None and not theta.exists()
+

@@ -233,13 +233,14 @@ def _codec_examples():
         ("qcoloring", reps.hadamard_quantum_coloring(4)),
         ("qcoloring", _rank2_projector_coloring()),
         ("psd-witness", reps.PSDWitness(z(4, 4), 2)),
+        ("theta", reps.ThetaCertificate(z(4, 4).real)),
     ]
 
 
 @pytest.mark.parametrize("kind, obj", _codec_examples(),
                          ids=["coloring", "orthrep", "matrixrep",
                               "qcoloring-vectors", "qcoloring-projectors",
-                              "psd-witness"])
+                              "psd-witness", "theta"])
 def test_payload_roundtrip(tmp_path, kind, obj):
     p = tmp_path / "cert.json"
     io.write_certificate(p, kind, io.encode_payload(kind, obj),
@@ -274,6 +275,10 @@ def _assert_same_fields(back, obj):
     ("qcoloring", {"colors": 2, "rank": 1}, "'projectors'"),
     ("psd-witness", {"rank": 2, "matrix": [[1.0, 0.0]] * 3}, "not square"),
     ("psd-witness", {"rank": 2, "matrix": [[1.0]]}, r"\[re, im\]"),
+    ("psd-witness", {"rank": -1, "matrix": [[1.0, 0.0]]}, "rank must be >= 0"),
+    ("theta", {"matrix": [[1.0, 0.0]] * 3}, "theta matrix is not square"),
+    ("theta", {"matrix": [[1.0, 0.5]]}, "must be real"),
+    ("theta", {}, "'matrix'"),
 ])
 def test_malformed_payload_is_format_error(kind, payload, match):
     with pytest.raises(io.FormatError, match=f"malformed {kind} payload: .*{match}"):

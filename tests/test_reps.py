@@ -482,12 +482,129 @@ def test_psd_witness_rank_above_n_accepted(c5):
     assert reps.verify_orthogonal_representation(c5, res.representation)
 
 
+def test_psd_witness_negative_rank_rejected():
+    with pytest.raises(reps.RepsError, match="rank"):
+        reps.PSDWitness(umbrella_gram(), -1)
+
+
 def test_psd_witness_ambiguous_rank_rejected():
     # K3's non-edges are empty, so a diagonal witness has the right pattern;
     # its third eigenvalue is 3x the cutoff rank_tol * 1, inside the band
     w = reps.PSDWitness(np.diag([1.0, 1.0, 3 * DEFAULT_RANK_TOL]), 3)
     res = reps.psd_witness_check(complete_graph(3), w)
     assert not res.ok and res.reason.startswith("ambiguous rank")
+
+
+# -- Lovasz theta lower bound ---------------------------------------------------
+
+
+def complete_multipartite(*sizes):
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    iu = np.triu_indices(part.size, 1)
+    keep = part[iu[0]] != part[iu[1]]
+    return make_graph(part.size, np.stack([iu[0][keep], iu[1][keep]], axis=1))
+
+
+PERFECT_GRAPHS = {**{f"K{n}": complete_graph(n) for n in range(1, 7)},
+                  "edgeless4": make_graph(4, []), "C6": cycle(6), "C8": cycle(8),
+                  "K3,4": complete_multipartite(3, 4),
+                  "K2,2,3": complete_multipartite(2, 2, 3)}
+
+
+@pytest.mark.parametrize("name", list(PERFECT_GRAPHS))
+def test_theta_certifies_omega_on_perfect_graphs(name):
+    """theta(complement) = omega exactly on a perfect graph.  Solved past its
+    target (all iterations), the sum lands just below omega (on the edgeless
+    graph exactly on 1), and the claim must be omega: never omega + 1 (the
+    summation margin delta), nor less."""
+    g = PERFECT_GRAPHS[name]
+    omega = coloring.clique_number(g).omega
+    check = reps.verify_theta_certificate(g, reps.theta_certificate(g, omega + 1))
+    assert check.ok and check.bound == omega
+
+
+@pytest.mark.parametrize("g", [cycle(5), cycle(7), cycle(9), petersen()],
+                         ids=["C5", "C7", "C9", "petersen"])
+def test_theta_certifies_xi_3(g):
+    check = reps.verify_theta_certificate(g, reps.theta_certificate(g, 3))
+    assert check.ok and check.bound == 3
+    xb = reps.xi_bounds(g)
+    assert xb.lower == len(xb.lower_clique) == 2
+    assert xb.lower_theta == xb.upper == 3
+    assert reps.verify_theta_certificate(g, xb.theta_witness).bound == 3
+
+
+def test_theta_petersen_sum_is_five_halves():
+    # theta(complement of Petersen) = 10 / theta(Petersen) = 10 / 4; an
+    # unreachable target runs every iteration
+    x = reps.theta_certificate(petersen(), 4).matrix
+    assert np.trace(x) == pytest.approx(1.0, abs=1e-12)
+    assert x.sum() == pytest.approx(2.5, abs=1e-3)
+    assert reps.verify_theta_certificate(petersen(), reps.ThetaCertificate(x)).bound == 3
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GRAPHS))
+def test_theta_between_omega_and_xi_upper_on_golden_graphs(name):
+    g = GOLDEN_GRAPHS[name]
+    xb = reps.xi_bounds(g)
+    check = reps.verify_theta_certificate(g, reps.theta_certificate(g, g.n + 1))
+    assert check.ok and xb.lower <= check.bound <= xb.upper
+    if xb.lower_theta is not None:
+        assert xb.lower_theta <= xb.upper
+
+
+def test_theta_certificate_rejections():
+    g = cycle(5)
+    x = reps.theta_certificate(g, 3).matrix
+    assert reps.verify_theta_certificate(g, reps.ThetaCertificate(x)).bound == 3
+    bad = x.copy()
+    bad[0, 2] = bad[2, 0] = 1e-300  # 0 and 2 are not adjacent in C5
+    res = reps.verify_theta_certificate(g, reps.ThetaCertificate(bad))
+    assert (res.ok, res.bound, res.reason) == (False, None, "wrong pattern")
+    res = reps.verify_theta_certificate(g, reps.ThetaCertificate(1.5 * x))
+    assert not res and res.reason == "trace is not 1"
+    res = reps.verify_theta_certificate(g, reps.ThetaCertificate(np.zeros((5, 5))))
+    assert not res  # PSD (eta is 0) with the right pattern, but trace 0
+    eta = reps.THETA_EIG_MARGIN * 5 * np.finfo(float).eps * np.linalg.norm(x)
+    low = x - (np.linalg.eigvalsh(x)[0] - eta / 2) * np.eye(5)
+    assert np.linalg.eigvalsh(low)[0] > 0  # PSD, but not by the margin
+    res = reps.verify_theta_certificate(g, reps.ThetaCertificate(low))
+    assert not res and res.reason == "not PSD"
+
+
+def test_theta_certificate_malformed_raises():
+    g = cycle(5)
+    x = reps.theta_certificate(g, 3).matrix
+    skew = x.copy()
+    skew[0, 1] += 1e-15
+    with pytest.raises(reps.RepsError, match="Hermitian"):
+        reps.verify_theta_certificate(g, reps.ThetaCertificate(skew))
+    with pytest.raises(reps.RepsError):
+        reps.verify_theta_certificate(cycle(6), reps.ThetaCertificate(x))
+    with pytest.raises(reps.RepsError, match="real"):
+        reps.ThetaCertificate(x + 1e-3j)
+    with pytest.raises(reps.RepsError, match="square"):
+        reps.ThetaCertificate(np.zeros((2, 3)))
+
+
+def test_searches_skipped_only_with_a_verified_theta(monkeypatch):
+    searched = []
+    search = reps.search_orthogonal_representation
+
+    def spy(g, c, params=reps.SearchParams()):
+        searched.append(c)
+        return search(g, c, params)
+    monkeypatch.setattr(reps, "search_orthogonal_representation", spy)
+    xb = reps.xi_bounds(cycle(5))
+    cq = reps.chi_q1_upper_via_product(cycle(5), 3)
+    assert searched == [] and cq.skipped_infeasible == (1, 2)
+    assert (xb.upper, cq.c) == (3, 3)
+    monkeypatch.setattr(reps, "verify_theta_certificate",
+                        lambda g, cert, tol: reps.ThetaCheckResult(False, None, "no"))
+    xb = reps.xi_bounds(cycle(5))
+    cq = reps.chi_q1_upper_via_product(cycle(5), 3)
+    assert xb.lower_theta is None and cq.skipped_infeasible == (1,)
+    assert searched == [2, 2] and (xb.upper, cq.c) == (3, 3)
 
 
 # -- the 13-ray separation -----------------------------------------------------
