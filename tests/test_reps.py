@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle, petersen, random_graph, umbrella_gram
+from conftest import cycle, graphs_st, petersen, random_graph, umbrella_gram
 from qcolor import coloring, datasets, game, ks, reps
 from qcolor.graphs import (cartesian_product, complete_graph, hadamard_graph,
                            make_graph, orthogonality_graph)
@@ -551,6 +551,17 @@ def test_theta_between_omega_and_xi_upper_on_golden_graphs(name):
     assert check.ok and xb.lower <= check.bound <= xb.upper
     if xb.lower_theta is not None:
         assert xb.lower_theta <= xb.upper
+
+
+@given(graphs_st())
+@settings(max_examples=40, deadline=None)
+def test_theta_bound_is_sound_on_small_graphs(g):
+    """Solved for all its iterations, the verified bound lies between omega
+    and chi on graphs of up to 8 vertices."""
+    check = reps.verify_theta_certificate(g, reps.theta_certificate(g, g.n + 1))
+    assert check.ok
+    assert coloring.clique_number(g).omega <= check.bound
+    assert check.bound <= coloring.chromatic_number(g).chi
 
 
 def test_theta_certificate_rejections():
