@@ -443,6 +443,32 @@ def test_hadamard_outputs_pinned(capsys, tmp_path):
     assert digest[:16] == "5c7345dcf0df5bbc"
 
 
+
+# graph -> sha256 prefixes of the stdout of chiq1 --cmax 3 -o and of xi-bounds
+# -o --theta-output (the run directory written as "TMP"), and of the three
+# files they write
+BOUND_OUTPUTS = {
+    "c5": ("7dae16c3da1bce85", "ea769ea0294a57d7", "40aa2ee44c55b97b",
+           "55cc63778105ab80", "1a5c8552eec23ab2"),
+    "pet": ("ac8c0828d0a2eadb", "f17fe983b18c9e75", "d9478e0aa9c0b725",
+            "0d668f63f218c2c2", "27d115ed9c298e5a"),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUND_OUTPUTS))
+def test_bound_outputs_pinned(capsys, tmp_path, name):
+    graph = _cli_inputs(tmp_path)[name]
+    files = [tmp_path / f for f in ("chiq1.json", "rep.json", "theta.json")]
+    stdout = []
+    for argv in (["chiq1", graph, "--cmax", "3", "-o", str(files[0])],
+                 ["xi-bounds", graph, "-o", str(files[1]),
+                  "--theta-output", str(files[2])]):
+        assert cli.main(argv) == 0
+        stdout.append(capsys.readouterr().out.replace(str(tmp_path), "TMP"))
+    digests = [hashlib.sha256(b).hexdigest()[:16] for b in
+               [s.encode() for s in stdout] + [f.read_bytes() for f in files]]
+    assert tuple(digests) == BOUND_OUTPUTS[name]
+
 # -- game -----------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -657,3 +658,134 @@ def test_hadamard_quantum_coloring_verifies(n_bits):
 def test_hadamard_rejects_odd_bits():
     with pytest.raises(reps.RepsError):
         reps.hadamard_quantum_coloring(3)
+
+
+# -- golden bound path ---------------------------------------------------------
+
+
+def _digest(*values) -> str:
+    """sha256 prefix of the values; arrays count by dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v = (v.dtype.str, v.shape, np.ascontiguousarray(v).tobytes())
+        h.update(repr(v).encode())
+    return h.hexdigest()[:16]
+
+
+def _yu_oh():
+    vs, _ = datasets.load_vector_set("yu-oh-13")
+    return orthogonality_graph(ks.canonicalize(vs.vectors).vectors)
+
+
+BOUND_PATH_GRAPHS = {**GOLDEN_GRAPHS, "K4": complete_graph(4),
+                     **{f"gnp-{n}-{seed}": random_graph(n, 0.4, seed)
+                        for n in range(5, 12) for seed in range(3)}}
+
+
+def _bound_path_digests(g):
+    xb = reps.xi_bounds(g)
+    theta = None if xb.theta_witness is None else xb.theta_witness.matrix
+    cq = reps.chi_q1_upper_via_product(g, coloring.chromatic_number(g).chi)
+    return (_digest(xb.lower, xb.lower_clique, xb.upper, xb.lower_theta, theta,
+                    xb.upper_witness.dimension, xb.upper_witness.vectors),
+            _digest(cq.c, cq.skipped_infeasible, cq.witness.matrices))
+
+
+# name -> digests of (xi_bounds: lower, lower_clique, upper, lower_theta, the
+# theta matrix, the upper witness) and of (chi_q1_upper_via_product at c_max
+# = chi: c, skipped_infeasible, the witness matrices), default SearchParams
+GOLDEN_BOUND_PATH = {
+    'C5': ('f3f1b6b697927f1e', 'e45f039efe77a6b4'),
+    'C7': ('ec63c12a2538f5a3', '78499982b6244382'),
+    'C9': ('7b006fb5e9781a3a', 'c0520e638eafc0d6'),
+    'petersen': ('9fd47d42086bef53', 'dabd2e9d30c0c685'),
+    'gnp0': ('ce469042cc29561b', 'a0063243be89bd20'),
+    'gnp1': ('31472eb11d326fb6', '1f7d5cbc63774aa9'),
+    'gnp2': ('c2a2e488fbfa09dc', '9f2a5e4bebb611bf'),
+    'gnp3': ('b689a26f517ecc3b', 'ab181ae4b9d6a958'),
+    'gnp4': ('cc68c4298eb8983a', '23aa25068fdd7525'),
+    'gnp5': ('dc0dc531bc0e7fba', '5a2e052771cae613'),
+    'K4': ('61f67b1d6ff2ed87', '128e53e01de56afb'),
+    'gnp-5-0': ('29f769b8a01c5496', '2ea2f3e95b12ea97'),
+    'gnp-5-1': ('8583f69c64b13596', '0552e000a8c17abe'),
+    'gnp-5-2': ('adf1cededc0135c7', '217559dd69c57762'),
+    'gnp-6-0': ('3cfd0d9a4f8b1958', '5d051b094989051a'),
+    'gnp-6-1': ('86b81a68b9fc78a6', '5b4cd544591b9e11'),
+    'gnp-6-2': ('3a87a676bfef86fe', 'e0d593e19e26a16d'),
+    'gnp-7-0': ('5b1488f9d08eb098', '8331f7ca37afabd4'),
+    'gnp-7-1': ('8e11369be716b8e3', '342ebee4ede190db'),
+    'gnp-7-2': ('a1114a199234ffaf', '4a9398d82643f535'),
+    'gnp-8-0': ('4bae85080f3f2bd1', 'c1430f19e85eb7f6'),
+    'gnp-8-1': ('9c0d8954f733f29f', '5d60f76e4b8a50dd'),
+    'gnp-8-2': ('04a7e97e9f47e927', '88df6d635947f2e1'),
+    'gnp-9-0': ('24372f6ad2d21ea3', 'addc126c7d5cd66c'),
+    'gnp-9-1': ('f120a71db879f6a8', 'ad8e89beff158d81'),
+    'gnp-9-2': ('c2470a6b74063af5', 'f0d063ebec80e9a5'),
+    'gnp-10-0': ('84d861b1553fdcb3', 'ff89b2980aef4ee4'),
+    'gnp-10-1': ('4a05846a838e45b8', 'fc144ac060318976'),
+    'gnp-10-2': ('aa6c26220d52af2d', 'bd21e031512b3f89'),
+    'gnp-11-0': ('ca5d25876e05fb52', '60e78b80a8d96577'),
+    'gnp-11-1': ('ce4c8ee1b0f7f40a', '4cf284f63d6b05b7'),
+    'gnp-11-2': ('4a5c927bc4e462bb', '164b7da78b6e2045'),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUND_PATH_GRAPHS))
+def test_bound_path_golden(name):
+    assert _bound_path_digests(BOUND_PATH_GRAPHS[name]) == GOLDEN_BOUND_PATH[name]
+
+
+# (graph, c_max, seed) -> digest of chi_q1_upper_via_product's (c,
+# skipped_infeasible, witness matrices) when no c-coloring is found within
+# budget, so the witness comes from the search on G x K_c
+GOLDEN_SEARCH_BRANCH = {
+    ('C5', 3, 0): 'c1cebaa489588ba2',
+    ('C5', 3, 1): '4d680648764a0f5d',
+    ('petersen', 3, 0): 'a1c42ab9684072a0',
+    ('petersen', 3, 1): '7daaae96bb592749',
+}
+
+
+@pytest.mark.parametrize("name,c_max,seed", list(GOLDEN_SEARCH_BRANCH))
+def test_chi_q1_search_branch_golden(monkeypatch, name, c_max, seed):
+    monkeypatch.setattr(reps, "is_c_colorable", lambda g, c, budget: coloring.ColoringResult(
+        coloring.BUDGET_EXCEEDED, None, budget))
+    g = {"C5": cycle(5), "petersen": petersen()}[name]
+    cq = reps.chi_q1_upper_via_product(g, c_max, reps.SearchParams(seed=seed))
+    assert reps.verify_matrix_representation(g, cq.witness)
+    assert _digest(cq.c, cq.skipped_infeasible,
+                   cq.witness.matrices) == GOLDEN_SEARCH_BRANCH[name, c_max, seed]
+
+
+# graph -> the target of each theta_certificate call made by xi_bounds, and
+# by chi_q1_upper_via_product at c_max = 2, 3 and 4
+THETA_TARGETS = {
+    "C5": ([3], [], [3], [3]),
+    "petersen": ([3], [], [3], [3]),
+    "yu-oh-13": ([4], [], [], [4]),
+    "K4": ([], [], [], []),
+}
+
+
+@pytest.mark.parametrize("name", list(THETA_TARGETS))
+def test_theta_solved_only_on_a_gap(monkeypatch, name):
+    """theta is solved once per call, only when omega leaves a gap below
+    both c_max and the greedy count, and only up to min(c_max + 1, greedy)."""
+    g = {"C5": cycle(5), "petersen": petersen(), "yu-oh-13": _yu_oh(),
+         "K4": complete_graph(4)}[name]
+    targets = []
+    solve = reps.theta_certificate
+
+    def spy(g, target):
+        targets.append(target)
+        return solve(g, target)
+    monkeypatch.setattr(reps, "theta_certificate", spy)
+    calls = []
+    reps.xi_bounds(g)
+    calls.append(targets[:])
+    for c_max in (2, 3, 4):
+        targets.clear()
+        reps.chi_q1_upper_via_product(g, c_max)
+        calls.append(targets[:])
+    assert tuple(calls) == THETA_TARGETS[name]
