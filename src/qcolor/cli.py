@@ -162,10 +162,10 @@ def _emit(report: dict, args, key: str, doc: dict) -> None:
     report["written_to"] = out or None
 
 
-def _emit_certificate(report: dict, args, kind: str, obj, opts: dict) -> None:
+def _certificate(kind: str, obj, opts: dict) -> dict:
+    """The certificate document of obj with the run's metadata."""
     meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
-    _emit(report, args, "certificate",
-          io.certificate_to_dict(kind, io.encode_payload(kind, obj), meta))
+    return io.certificate_to_dict(kind, io.encode_payload(kind, obj), meta)
 
 
 def _read_certificate(path, kinds: tuple[str, ...]):
@@ -199,7 +199,7 @@ def _cmd_chi(args, opts):
     if res.status == coloring.BUDGET_EXCEEDED:
         return report, EXIT_BUDGET, (f"budget exceeded: "
                                      f"{res.lower} <= chi <= {res.upper}")
-    _emit_certificate(report, args, "coloring", res.certificate, opts)
+    _emit(report, args, "certificate", _certificate("coloring", res.certificate, opts))
     return report, EXIT_YES, f"chi = {res.chi}"
 
 
@@ -213,7 +213,7 @@ def _cmd_colorable(args, opts):
     if res.status == coloring.NO:
         report["certificate"] = None
         return report, EXIT_NO, f"not {args.colors}-colorable (exhaustive)"
-    _emit_certificate(report, args, "coloring", res.certificate, opts)
+    _emit(report, args, "certificate", _certificate("coloring", res.certificate, opts))
     return report, EXIT_YES, f"{args.colors}-colorable"
 
 
@@ -225,11 +225,9 @@ def _cmd_xi_bounds(args, opts):
               "clique": list(xb.lower_clique), "lower_theta": xb.lower_theta}
     theta_out = args.theta_output if xb.theta_witness is not None else None
     if theta_out:
-        meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
-        io.write_certificate(theta_out, "theta",
-                             io.encode_payload("theta", xb.theta_witness), meta)
+        io.write_json(_certificate("theta", xb.theta_witness, opts), theta_out)
     report["theta_written_to"] = theta_out
-    _emit_certificate(report, args, "orthrep", xb.upper_witness, opts)
+    _emit(report, args, "certificate", _certificate("orthrep", xb.upper_witness, opts))
     lower = max(xb.lower, xb.lower_theta or 0)
     return report, EXIT_YES, f"{lower} <= xi <= {xb.upper}"
 
@@ -245,7 +243,7 @@ def _cmd_chiq1(args, opts):
         report["certificate"] = None
         return report, EXIT_NO, (f"no rank-1 witness found for c <= {args.cmax} "
                                  "(not a lower-bound proof)")
-    _emit_certificate(report, args, "matrixrep", res.witness, opts)
+    _emit(report, args, "certificate", _certificate("matrixrep", res.witness, opts))
     return report, EXIT_YES, f"chi_q1 <= {res.c} (witnessed)"
 
 
@@ -278,7 +276,7 @@ def _cmd_psd_witness(args, opts):
     report = {"rank": w.rank, "ok": res.ok, "reason": res.reason}
     if not res.ok:
         return report, EXIT_NO, f"witness rejected: {res.reason}"
-    _emit_certificate(report, args, "orthrep", res.representation, opts)
+    _emit(report, args, "certificate", _certificate("orthrep", res.representation, opts))
     return report, EXIT_YES, (f"witness accepted: xi <= {w.rank} with a "
                               "verified representation")
 
@@ -294,7 +292,7 @@ def _cmd_hadamard(args, opts):
         # zero only up to float rounding (about 1e-16), so a --tol below
         # that rejects it, and "does not verify at this tol" is the answer
         return report, EXIT_NO, "construction failed verification"
-    _emit_certificate(report, args, "qcoloring", qc, opts)
+    _emit(report, args, "certificate", _certificate("qcoloring", qc, opts))
     return report, EXIT_YES, (f"Hadamard graph N={args.bits}: verified "
                               f"{qc.colors}-coloring of rank {qc.rank}")
 

@@ -28,7 +28,7 @@ from .graphs import Graph
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError,
                      maximally_entangled, pair_values, schmidt,
                      support_projector)
-from .reps import QuantumColoring, edges_orthogonal, projectors_ok
+from .reps import CheckResult, QuantumColoring, edges_orthogonal, projectors_ok
 
 
 class GameError(ValueError):
@@ -236,7 +236,7 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(CheckResult):
     ok: bool
     violations: tuple[Violation, ...]
     truncated: bool  # the list stopped at max_violations; more may exist

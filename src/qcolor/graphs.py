@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .linalg import DEFAULT_TOL
+
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph input (self-loop, bad endpoint, ...)."""
@@ -130,14 +132,17 @@ def complete_graph(c: int) -> Graph:
     return Graph(c, np.stack(iu, axis=1))
 
 
+def _adjacency_mask(g: Graph) -> np.ndarray:
+    """Dense symmetric (n, n) boolean adjacency, False on the diagonal."""
+    mask = np.zeros((g.n, g.n), dtype=bool)
+    e = g.edge_array
+    mask[e[:, 0], e[:, 1]] = mask[e[:, 1], e[:, 0]] = True
+    return mask
+
+
 def complement(g: Graph) -> Graph:
     """Edge iff not an edge in g (on the same vertex set).  An involution."""
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    if g.m:
-        adj[g.edge_array[:, 0], g.edge_array[:, 1]] = True
-    iu = np.triu_indices(g.n, k=1)
-    keep = ~adj[iu]
-    return Graph(g.n, np.stack([iu[0][keep], iu[1][keep]], axis=1))
+    return Graph(g.n, np.argwhere(np.triu(~_adjacency_mask(g), k=1)))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -174,7 +179,7 @@ def hadamard_graph(n_bits: int) -> Graph:
     return Graph(u.size, np.stack([rows, v[rows, cols]], axis=1))
 
 
-def orthogonality_graph(vector_set, tol: float = 1e-9) -> Graph:
+def orthogonality_graph(vector_set, tol: float = DEFAULT_TOL) -> Graph:
     """One vertex per ray; edge iff the rays are orthogonal within ``tol``
     (absolute, on the inner-product modulus).
 
@@ -186,8 +191,5 @@ def orthogonality_graph(vector_set, tol: float = 1e-9) -> Graph:
     vecs = np.asarray(getattr(vector_set, "vectors", vector_set), dtype=complex)
     if vecs.ndim != 2 or vecs.shape[0] == 0:
         raise GraphError("orthogonality graph needs a nonempty (k, d) ray array")
-    gram = np.abs(vecs.conj() @ vecs.T)
-    iu = np.triu_indices(vecs.shape[0], k=1)
-    keep = gram[iu] <= tol
-    edges = np.stack([iu[0][keep], iu[1][keep]], axis=1)
-    return Graph(vecs.shape[0], edges)
+    orthogonal = np.abs(vecs.conj() @ vecs.T) <= tol
+    return Graph(vecs.shape[0], np.argwhere(np.triu(orthogonal, k=1)))

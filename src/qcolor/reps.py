@@ -17,15 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import (DEFAULT_BUDGET, ColoringCertificate, clique_number,
-                       greedy_coloring, is_c_colorable, verify_coloring)
-from .graphs import Graph, cartesian_product, complete_graph
+from .coloring import (DEFAULT_BUDGET, CliqueResult, ColoringCertificate,
+                       clique_number, greedy_coloring, is_c_colorable,
+                       verify_coloring)
+from .graphs import Graph, _adjacency_mask, cartesian_product, complete_graph
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, _above_cutoff,
                      pair_values)
 
 
 class RepsError(ValueError):
     pass
+
+
+class CheckResult:
+    """Base of every check result with an ok field: truthy exactly when the
+    check passed."""
+    ok: bool
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +227,14 @@ def orthrep_to_matrixrep(g: Graph, rep: OrthogonalRepresentation,
     product = cartesian_product(g, complete_graph(c))
     if not verify_orthogonal_representation(product, rep, tol):
         raise RepsError("input does not verify as a representation of G□K_c")
-    blocks = rep.vectors.reshape(g.n, c, c)
+    return _matrixrep_from_blocks(g, rep.vectors.reshape(g.n, c, c), tol)
+
+
+def _matrixrep_from_blocks(g: Graph, blocks: np.ndarray,
+                           tol: float) -> MatrixRepresentation:
+    """Blocks (n, c, c), row i of block v the vector at product vertex (v, i)
+    of G□K_c -> normalized matrix representation, verified at max(tol * c, tol)."""
+    c = blocks.shape[2]
     mats = np.ascontiguousarray(
         (blocks / np.linalg.norm(blocks, axis=2, keepdims=True)).transpose(0, 2, 1))
     out = MatrixRepresentation(dimension=c, matrices=mats)
@@ -407,20 +424,16 @@ def representation_from_coloring(cert: ColoringCertificate) -> OrthogonalReprese
     return OrthogonalRepresentation(cert.c, np.eye(cert.c, dtype=complex)[colors])
 
 
-def _adjacency_mask(g: Graph) -> np.ndarray:
-    mask = np.zeros((g.n, g.n), dtype=bool)
-    e = g.edge_array
-    mask[e[:, 0], e[:, 1]] = mask[e[:, 1], e[:, 0]] = True
-    return mask
-
-
 def _psd_with_zeros(a: np.ndarray, zeros: np.ndarray, tol: float,
                     floor: float) -> tuple[np.ndarray, np.ndarray, str | None]:
     """The one check of "Hermitian PSD with this exact zero pattern".  Raises
-    RepsError when a is farther than tol from Hermitian; else returns a's
-    eigenvalues and eigenvectors with a reason to reject: "not PSD" when an
-    eigenvalue is below floor, then "wrong pattern" when an entry where zeros
-    is True exceeds tol in modulus, else None."""
+    RepsError when a and zeros differ in shape or a is farther than tol from
+    Hermitian; else returns a's eigenvalues and eigenvectors with a reason to
+    reject: "not PSD" when an eigenvalue is below floor, then "wrong pattern"
+    when an entry where zeros is True exceeds tol in modulus, else None."""
+    if a.shape != zeros.shape:
+        raise RepsError(f"matrix is {a.shape[0]}x{a.shape[0]}, graph has "
+                        f"{zeros.shape[0]} vertices")
     if np.max(np.abs(a - a.conj().T), initial=0.0) > tol:
         raise RepsError("witness matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(a)
@@ -455,15 +468,11 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
-class ThetaCheckResult:
-    """Truthy exactly when the certificate holds; bound is then the
-    certified ceil(theta(complement)) <= xi(G)."""
+class ThetaCheckResult(CheckResult):
+    """bound is the certified ceil(theta(complement)) <= xi(G) when ok."""
     ok: bool
     bound: int | None
     reason: str | None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_theta_certificate(g: Graph, cert: ThetaCertificate,
@@ -475,10 +484,7 @@ def verify_theta_certificate(g: Graph, cert: ThetaCertificate,
     xi(g) >= ceil(sum X / tr X - delta)."""
     x = cert.matrix
     n = g.n
-    if x.shape[0] != n:
-        raise RepsError(f"matrix is {x.shape[0]}x{x.shape[0]}, graph has {n} vertices")
-    zeros = ~_adjacency_mask(g)
-    np.fill_diagonal(zeros, False)
+    zeros = ~_adjacency_mask(g) ^ np.eye(n, dtype=bool)  # non-adjacent i != j
     eta = THETA_EIG_MARGIN * n * _EPS * float(np.linalg.norm(x))
     reason = _psd_with_zeros(x, zeros, 0.0, eta)[2]
     trace = math.fsum(np.diag(x).tolist())
@@ -503,9 +509,7 @@ def theta_certificate(g: Graph, target: int) -> ThetaCertificate:
     n = g.n
     if n == 0:
         raise RepsError("theta of the empty graph is undefined")
-    free = _adjacency_mask(g)
-    np.fill_diagonal(free, True)
-    pattern = np.flatnonzero(~free)
+    pattern = np.flatnonzero(~_adjacency_mask(g) ^ np.eye(n, dtype=bool))
     diagonal = np.arange(0, n * n, n + 1)
     margin = 4 * THETA_EIG_MARGIN * n * _EPS
     z, u = np.eye(n) / n, np.zeros((n, n))
@@ -532,21 +536,29 @@ def theta_certificate(g: Graph, target: int) -> ThetaCertificate:
     return ThetaCertificate(x / x.trace())
 
 
-def _certified_theta(g: Graph, target: int,
-                     tol: float) -> tuple[int | None, ThetaCertificate | None]:
-    """The verified ceil(theta(complement of g)), solved up to target, with
-    its certificate; (None, None) when the certificate fails the verifier."""
-    cert = theta_certificate(g, target)
+def _lower_bound(g: Graph, c_max: int, greedy: int, tol: float, budget: int
+                 ) -> tuple[CliqueResult, int | None, ThetaCertificate | None]:
+    """omega(g) with its clique and, only when omega < min(c_max, greedy),
+    the verified ceil(theta(complement of g)) and its certificate, else None
+    for both.  Theta is solved up to min(c_max + 1, greedy): theta <= chi <=
+    greedy, and past c_max it prunes nothing."""
+    cl = clique_number(g, budget)
+    if cl.omega >= min(c_max, greedy):
+        return cl, None, None
+    cert = theta_certificate(g, min(c_max + 1, greedy))
     check = verify_theta_certificate(g, cert, tol)
-    return (check.bound, cert) if check else (None, None)
+    if not check:
+        return cl, None, None
+    if check.bound > greedy:
+        raise RuntimeError("a verified theta bound exceeds the greedy count")
+    return cl, check.bound, cert
 
 
 @dataclass(frozen=True, eq=False)
 class XiBounds:
     """lower is the clique number and lower_clique its clique; lower_theta
     is the verified ceil(theta(complement)) of theta_witness, both None
-    when theta was not solved (omega meets the greedy coloring count) or
-    its certificate failed the verifier."""
+    unless _lower_bound solved theta and its certificate verified."""
     lower: int
     upper: int
     upper_witness: OrthogonalRepresentation
@@ -568,18 +580,12 @@ def xi_bounds(g: Graph, params: SearchParams = SearchParams(),
     """
     if g.n == 0:
         raise RepsError("xi bounds of the empty graph are undefined")
-    cl = clique_number(g, budget)
     greedy = greedy_coloring(g)
     upper = greedy.c
     witness = representation_from_coloring(greedy)
     if not verify_orthogonal_representation(g, witness, params.tol):
         raise RuntimeError("the greedy coloring's representation failed verification")
-    theta, theta_cert = None, None
-    if cl.omega < upper:
-        theta, theta_cert = _certified_theta(g, upper, params.tol)
-        if theta is not None and theta > upper:
-            raise RuntimeError("a verified theta bound exceeds the dimension "
-                               "of a verified representation")
+    cl, theta, theta_cert = _lower_bound(g, upper, upper, params.tol, budget)
     for c in range(max(cl.omega, theta or 0), upper):
         res = search_orthogonal_representation(g, c, params)
         if res.found:
@@ -610,40 +616,35 @@ def chi_q1_upper_via_product(g: Graph, c_max: int,
 
     c below the clique number or below the verified theta bound is skipped
     outright: G is an induced subgraph of G□K_c, so xi(G□K_c) >= xi(G) >=
-    max(omega(G), ceil(theta(complement of G))) > c is infeasible.  Theta is
-    solved only when omega is below both c_max and the greedy coloring count
-    (which bounds theta).  A proper c-coloring of G, when one exists within
-    budget, supplies a deterministic witness (shifted bases); otherwise the
-    randomized search runs on the product.  Failure at every c <= c_max is
-    not a proof that chi_q1 exceeds c_max.
+    max(omega(G), ceil(theta(complement of G))) > c is infeasible.  A proper
+    c-coloring of G, when one exists within budget, supplies a deterministic
+    witness (shifted bases); otherwise the randomized search runs on the
+    product.  Failure at every c <= c_max is not a proof that chi_q1 exceeds
+    c_max.
     """
     if c_max < 1:
         raise RepsError("c_max must be >= 1")
     if g.n == 0:
         raise RepsError("chi_q1 of the empty graph is undefined")
-    lower = clique_number(g, budget).omega
-    greedy = greedy_coloring(g).c
-    if lower < min(c_max, greedy):
-        # theta <= chi <= greedy, and past c_max it prunes nothing
-        target = min(c_max + 1, greedy)
-        lower = max(lower, _certified_theta(g, target, params.tol)[0] or 0)
+    cl, theta, _ = _lower_bound(g, c_max, greedy_coloring(g).c, params.tol, budget)
+    lower = max(cl.omega, theta or 0)
     skipped = tuple(range(1, min(lower, c_max + 1)))
     for c in range(max(lower, 1), c_max + 1):
         col = is_c_colorable(g, c, budget)
         if col.status == "yes":
-            qc = quantum_coloring_from_classical(g, col.certificate)
-            rep = OrthogonalRepresentation(c, qc.vectors.reshape(g.n * c, c))
-            return ChiQ1Result(c, orthrep_to_matrixrep(g, rep, params.tol), skipped)
-        product = cartesian_product(g, complete_graph(c))
-        res = search_orthogonal_representation(product, c, params)
-        if res.found:
-            return ChiQ1Result(c, orthrep_to_matrixrep(g, res.representation,
-                                                       params.tol), skipped)
+            blocks = quantum_coloring_from_classical(g, col.certificate).vectors
+        else:
+            res = search_orthogonal_representation(
+                cartesian_product(g, complete_graph(c)), c, params)
+            if not res.found:
+                continue
+            blocks = res.representation.vectors.reshape(g.n, c, c)
+        return ChiQ1Result(c, _matrixrep_from_blocks(g, blocks, params.tol), skipped)
     return ChiQ1Result(None, None, skipped)
 
 
 @dataclass(frozen=True, eq=False)
-class PSDCheckResult:
+class PSDCheckResult(CheckResult):
     ok: bool
     reason: str | None
     representation: OrthogonalRepresentation | None
@@ -661,12 +662,9 @@ def psd_witness_check(g: Graph, witness: PSDWitness,
     vector."""
     a = witness.matrix
     n = g.n
-    if a.shape[0] != n:
-        raise RepsError(f"matrix is {a.shape[0]}x{a.shape[0]}, graph has {n} vertices")
     edges = _adjacency_mask(g)
     evals, evecs, reason = _psd_with_zeros(a, edges, tol, -tol)
-    support = ~edges  # off the diagonal, the non-edges must be nonzero
-    np.fill_diagonal(support, False)
+    support = ~edges ^ np.eye(n, dtype=bool)  # the non-edges must be nonzero
     if reason is None and np.any(np.abs(a[support]) <= tol):
         reason = "wrong pattern"
     if reason is not None:

@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cycle, graphs_st, petersen, random_graph, umbrella_gram
+import qcolor
 from qcolor import coloring, datasets, game, ks, reps
 from qcolor.graphs import (cartesian_product, complete_graph, hadamard_graph,
                            make_graph, orthogonality_graph)
@@ -789,3 +793,76 @@ def test_theta_solved_only_on_a_gap(monkeypatch, name):
         reps.chi_q1_upper_via_product(g, c_max)
         calls.append(targets[:])
     assert tuple(calls) == THETA_TARGETS[name]
+
+
+
+@pytest.mark.parametrize("c_max,greedy,targets", [
+    (2, 10, []), (3, 2, []), (3, 10, [4]), (3, 4, [4]), (4, 4, [4]), (10, 3, [3])])
+def test_lower_bound_solves_theta_up_to_c_max_plus_one(monkeypatch, c_max, greedy,
+                                                       targets):
+    """The one lower-bound step, with greedy counts the graphs above never
+    reach: theta only when omega = 2 < min(c_max, greedy), and up to
+    min(c_max + 1, greedy)."""
+    seen = []
+    solve = reps.theta_certificate
+
+    def spy(g, target):
+        seen.append(target)
+        return solve(g, target)
+    monkeypatch.setattr(reps, "theta_certificate", spy)
+    cl, theta, cert = reps._lower_bound(cycle(5), c_max, greedy, 1e-9, 1000)
+    assert seen == targets and cl.omega == 2
+    assert (theta, cert is None) == ((3, False) if targets else (None, True))
+
+# -- check results --------------------------------------------------------------
+
+
+def _omega4_consistency(same_basis):
+    """check_consistency of the Hadamard strategy on Omega_4, or of the one
+    where every vertex measures in vertex 0's basis (384 violations)."""
+    qc = reps.hadamard_quantum_coloring(4)
+    vecs = qc.vectors
+    if same_basis:
+        vecs = np.broadcast_to(vecs[:1], vecs.shape)
+    s = game.strategy_from_quantum_coloring(reps.QuantumColoring(4, 1, vectors=vecs))
+    return game.check_consistency(s, hadamard_graph(4))
+
+
+def _theta_check(cert):
+    return reps.verify_theta_certificate(cycle(5), cert)
+
+
+def _psd_check(matrix, rank):
+    return reps.psd_witness_check(cycle(5), reps.PSDWitness(matrix, rank))
+
+
+# name -> (passing check, failing check)
+CHECK_RESULTS = {
+    "theta": (lambda: _theta_check(reps.theta_certificate(cycle(5), 3)),
+              lambda: _theta_check(reps.ThetaCertificate(np.eye(5)))),
+    "psd": (lambda: _psd_check(umbrella_gram(), 3),
+            lambda: _psd_check(np.eye(5), 1)),  # "wrong pattern"
+    "consistency": (lambda: _omega4_consistency(False),
+                    lambda: _omega4_consistency(True)),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_RESULTS))
+def test_check_results_are_truthy_exactly_when_ok(name):
+    passing, failing = (check() for check in CHECK_RESULTS[name])
+    assert passing.ok and bool(passing)
+    assert not failing.ok and not bool(failing)
+
+
+def test_every_result_with_an_ok_field_is_a_check_result():
+    """A new result type with an ok field cannot drift from the rule."""
+    with_ok = set()
+    for info in pkgutil.iter_modules(qcolor.__path__):
+        module = importlib.import_module(f"qcolor.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls)
+                    and "ok" in {f.name for f in dataclasses.fields(cls)}):
+                with_ok.add(cls.__name__)
+                assert issubclass(cls, reps.CheckResult), cls
+    assert with_ok >= {"ThetaCheckResult", "PSDCheckResult", "ConsistencyReport"}
