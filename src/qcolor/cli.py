@@ -256,6 +256,8 @@ def _cmd_verify_rep(args, opts):
     if kind == "theta":
         report.update(lower_theta=valid.bound, reason=valid.reason)
         summary += f": xi >= {valid.bound}" if valid else f": {valid.reason}"
+    elif not valid and kind != "coloring":  # a reps.VerifyResult says where
+        summary += f": {valid}"
     return report, EXIT_YES if valid else EXIT_NO, summary
 
 
@@ -266,7 +268,7 @@ def _cmd_verify_qcoloring(args, opts):
     report = {"kind": kind, "colors": qc.colors, "rank": qc.rank,
               "valid": bool(valid)}
     return (report, EXIT_YES if valid else EXIT_NO,
-            f"quantum coloring {'verifies' if valid else 'FAILS'}")
+            f"quantum coloring {'verifies' if valid else f'FAILS: {valid}'}")
 
 
 def _cmd_psd_witness(args, opts):

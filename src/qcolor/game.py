@@ -25,10 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError,
-                     maximally_entangled, pair_values, schmidt,
-                     support_projector)
-from .reps import CheckResult, QuantumColoring, edges_orthogonal, projectors_ok
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks,
+                     maximally_entangled, schmidt, support_projector)
+from .reps import (CheckResult, QuantumColoring, _worst_vertex, edges_orthogonal,
+                   projectors_ok)
 
 
 class GameError(ValueError):
@@ -58,8 +58,9 @@ def _questions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([diag, g.edge_array[:, ::-1].ravel()]))
 
 
-def _check_cover(g: Graph, s) -> tuple[np.ndarray, np.ndarray]:
-    """The legal questions of g, once s answers on exactly its vertices."""
+def _check_cover(g: Graph, s) -> None:
+    """Rejects s unless it answers on exactly the vertices of g, and the
+    empty graph, which has no legal question."""
     if isinstance(s, ClassicalStrategy):
         counts = {len(s.alice), len(s.bob)}
     elif isinstance(s, POVMStrategy):
@@ -70,7 +71,8 @@ def _check_cover(g: Graph, s) -> tuple[np.ndarray, np.ndarray]:
         raise GameError("strategy does not cover the vertex set (it covers "
                         f"{'/'.join(map(str, sorted(counts)))} vertices, "
                         f"graph has {g.n})")
-    return _questions(g)
+    if g.n == 0:
+        raise GameError("no legal questions on the empty graph")
 
 
 def _classical_wins(alice, bob, vs: list[int], ws: list[int]) -> int:
@@ -127,21 +129,18 @@ class POVMStrategy:
 
 
 def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
-    """POVM sanity: normalized state, PSD elements, per-vertex sums = identity."""
+    """POVM sanity: normalized state, PSD elements, per-vertex sums = identity;
+    a failure names the side, the check and its worst vertex."""
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
-        # initial=: a strategy on no vertices passes vacuously
-        herm = np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), initial=0.0)
-        if herm > tol:
-            raise GameError(f"{name} POVM element not Hermitian (defect {herm:.3g})")
-        low = float(np.linalg.eigvalsh(ops.reshape(-1, d, d)).min(initial=0.0))
-        if low < -tol:
-            raise GameError(f"{name} POVM element not PSD (eigenvalue {low:.3g})")
-        defect = np.max(np.abs(ops.sum(axis=1) - np.eye(d)), initial=0.0)
-        if defect > d * tol:
-            raise GameError(f"{name} POVM does not sum to identity "
-                            f"(defect {defect:.3g})")
+        verdict = (_worst_vertex(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
+                                 "element not Hermitian")
+                   and _worst_vertex(-np.linalg.eigvalsh(ops), tol, "element not PSD")
+                   and _worst_vertex(np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
+                                     "does not sum to identity"))
+        if not verdict:
+            raise GameError(f"{name} POVM {verdict}")
 
 
 def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
@@ -166,7 +165,8 @@ def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
 def classical_win_probability(g: Graph, s: ClassicalStrategy) -> Fraction:
     """Exact fraction of the question pairs the deterministic pair answers
     correctly."""
-    vs, ws = _check_cover(g, s)
+    _check_cover(g, s)
+    vs, ws = _questions(g)
     return Fraction(_classical_wins(s.alice, s.bob, vs.tolist(), ws.tolist()),
                     len(vs))
 
@@ -188,17 +188,17 @@ def best_classical_win_probability(g: Graph, colors: int):
     return best, best_s
 
 
-def _products(alice: np.ndarray, bob: np.ndarray, psi: np.ndarray):
-    """X[..., a] = E_a @ Psi and Z[..., b] = conj(Psi) @ F_b for operator
-    tables (..., c, dA, dA) and (..., c, dB, dB), each flattened to length
-    dA*dB; then <psi| E_a (x) F_b |psi> = sum(X[..., a] * Z[..., b])."""
-    return ((alice @ psi).reshape(*alice.shape[:-2], psi.size),
-            (psi.conj() @ bob).reshape(*bob.shape[:-2], psi.size))
+def _alice_products(alice: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """W = Psi^dagger E Psi for a table of Alice operators (..., dA, dA), each
+    flattened to dB*dB: then <psi| E (x) F |psi> = sum(W * F) for any Bob
+    operator F (dB, dB), so Bob's table needs no product."""
+    w = psi.conj().T @ alice @ psi
+    return w.reshape(*w.shape[:-2], psi.shape[1] ** 2)
 
 
-def _outcomes(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Real (c, c) outcome distribution of a pair from rows X[v], Z[w]."""
-    return (x @ z.T).real
+def _outcomes(s: POVMStrategy, v: int, w: int, psi: np.ndarray) -> np.ndarray:
+    """Real (c, c) outcome distribution of the question pair (v, w)."""
+    return (_alice_products(s.alice[v], psi) @ s.bob[w].reshape(s.colors, -1).T).real
 
 
 def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
@@ -208,21 +208,26 @@ def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
     validate_strategy(s, tol)
     if not (0 <= v < s.n_vertices and 0 <= w < s.n_vertices):
         raise GameError(f"vertex pair ({v},{w}) out of range")
-    return _outcomes(*_products(s.alice[v], s.bob[w], s.state_matrix()))
+    return _outcomes(s, v, w, s.state_matrix())
 
 
 def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     """Exact (up to float arithmetic) winning probability: diagonal questions
-    win on equal outcomes, edge questions on differing outcomes."""
-    vs, ws = _check_cover(g, s)
-    x, z = _products(s.alice, s.bob, s.state_matrix())
-    # extra last color: (sum_a E_va) (x) (sum_b F_wb), the pair's total mass
-    x = np.concatenate([x, x.sum(axis=1, keepdims=True)], axis=1)
-    z = np.concatenate([z, z.sum(axis=1, keepdims=True)], axis=1)
-    vals = pair_values(x, z, vs, ws).real
-    agree = vals[:, :-1].sum(axis=1)
-    win = np.where(vs == ws, agree, vals[:, -1] - agree)
-    return float(np.full(len(vs), 1 / len(vs)) @ win)
+    win on equal outcomes, edge questions on differing outcomes.  One color a
+    at a time, with W = _alice_products and F Bob's flattened operators, the
+    diagonal adds sum_v W[v] . F[v]; the edges, asked both ways, subtract
+    PairBlocks.total of W against F, and add it for the total mass (color c:
+    sum_a E_a and sum_b F_b)."""
+    _check_cover(g, s)
+    pairs = PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1], both=True)
+    psi, c, n, win = s.state_matrix(), s.colors, s.n_vertices, 0.0
+    for a in range(c + 1):
+        e, f = ((s.alice[:, a], s.bob[:, a]) if a < c else
+                (s.alice.sum(axis=1), s.bob.sum(axis=1)))
+        w, f = _alice_products(e, psi), f.reshape(n, -1)
+        edges = pairs.total(w, f)
+        win += (edges if a == c else np.sum(w * f) - edges).real
+    return float(win / (g.n + 2 * g.m))
 
 
 @dataclass(frozen=True)
@@ -252,31 +257,47 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     """Winning-strategy conditions: on every vertex the off-diagonal outcome
     mass vanishes; across every edge the equal-color mass vanishes.  Lists
     each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol:
-    vertex violations first, then edges as (u, v), then edges as (v, u)."""
+    vertex violations first, then edges as (u, v), then edges as (v, u).
+    One color a at a time: W_a = _alice_products against Bob's whole table
+    for the vertices, and through PairBlocks (both orientations) against F_a
+    for the edges; the hits merge into the smallest keys so far."""
     _check_cover(g, s)
     if not (0 < tol < np.inf and max_violations >= 1):
         raise GameError("tol must be positive and finite and max_violations "
                         f">= 1, got tol={tol}, max_violations={max_violations}")
-    x, z = _products(s.alice, s.bob, s.state_matrix())
-    per_vertex = (x @ z.swapaxes(1, 2)).real
-    bad = (np.abs(per_vertex) > tol) & ~np.eye(s.colors, dtype=bool)
-    vertex = (Violation("vertex", int(v), int(v), int(a), int(b),
-                        float(per_vertex[v, a, b]))
-              for v, a, b in zip(*np.nonzero(bad)))
+    psi, c, n, e = s.state_matrix(), s.colors, s.n_vertices, g.edge_array
+    pairs, cut = PairBlocks(e[:, 0], e[:, 1], both=True), n * c * c
+    bob = s.bob.reshape(n, c, -1)
+    keys, vals = np.empty(0, dtype=np.int64), np.empty(0)
 
-    def edge():  # evaluated only when the vertex violations leave room
-        e = g.edge_array
-        vs = np.concatenate([e[:, 0], e[:, 1]])
-        ws = np.concatenate([e[:, 1], e[:, 0]])
-        vals = pair_values(x, z, vs, ws).real
-        for ei, a in zip(*np.nonzero(np.abs(vals) > tol)):
-            yield Violation("edge", int(vs[ei]), int(ws[ei]), int(a), int(a),
-                            float(vals[ei, a]))
+    def merge(v, key_of):  # the hits of v, by key
+        nonlocal keys, vals
+        hit = np.flatnonzero(np.abs(v) > tol)
+        if hit.size:
+            keys, vals = np.concatenate([keys, key_of(hit)]), np.concatenate([vals, v[hit]])
+            keep = np.argsort(keys)[:max_violations]
+            keys, vals = keys[keep], vals[keep]
 
-    violations = tuple(itertools.islice(itertools.chain(vertex, edge()),
-                                        max_violations))
-    return ConsistencyReport(ok=not violations, violations=violations,
-                             truncated=len(violations) == max_violations)
+    for a in range(c):
+        w = _alice_products(s.alice[:, a], psi)
+        p = (w[:, None] @ bob.swapaxes(1, 2))[:, 0].real  # p[v, b] = W_a[v] . F_b[v]
+        p[:, a] = 0.0
+        merge(p.ravel(), lambda h: (h // c * c + a) * c + h % c)  # key (v, a, b)
+        # key (pair id, a): (v, u) is pair m + e; Re(W . F) = conj(W) . F as floats
+        f = np.ascontiguousarray(bob[:, a]).view(np.float64)
+        for sel, v in pairs.values(w.conj().view(np.float64), f):
+            merge(v, lambda h: cut + sel[h] * c + a)
+    out = []
+    for key, value in zip(keys.tolist(), vals.tolist()):
+        if key < cut:
+            v, (a, b) = key // (c * c), divmod(key % (c * c), c)
+            out.append(Violation("vertex", v, v, a, b, value))
+        else:
+            (side, i), a = divmod((key - cut) // c, len(e)), (key - cut) % c
+            u, w = map(int, e[i, ::-1] if side else e[i])
+            out.append(Violation("edge", u, w, a, a, value))
+    return ConsistencyReport(ok=not out, violations=tuple(out),
+                             truncated=len(out) == max_violations)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +394,11 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     for name, ops in (("alice", alice1), ("bob", bob1)):
         cross = ops[:, :, None] @ ops[:, None]
         cross[:, np.arange(c), np.arange(c)] = 0.0
-        worst = float(np.max(np.abs(cross))) if cross.size else 0.0
-        if worst > CHECK_TOL:
-            raise NormalFormError(stage, f"{name} supports are not mutually "
-                                  f"orthogonal (worst product {worst:.3g})")
-        defect = float(np.max(np.abs(ops.sum(axis=1) - np.eye(d))))
-        if defect > CHECK_TOL:
-            raise NormalFormError(stage, f"{name} supports do not resolve the "
-                                  f"identity (defect {defect:.3g})")
+        verdict = (_worst_vertex(np.abs(cross), CHECK_TOL, "supports are not mutually orthogonal")
+                   and _worst_vertex(np.abs(ops.sum(axis=1) - np.eye(d)), CHECK_TOL,
+                                     "supports do not resolve the identity"))
+        if not verdict:
+            raise NormalFormError(stage, f"{name} {verdict}")
     s1 = POVMStrategy(c, d, d, s2.state, alice1, bob1)
     _record_stage(stages, stage, s1, g)
 
@@ -439,11 +457,11 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
                 and float(np.max(np.abs(s.state - mes))) <= tol
                 and d == rank * c)
     conj_ok = float(np.max(np.abs(s.bob - s.alice.conj()))) <= tol
-    return {"projective_equal_rank": rank >= 1 and projectors_ok(ops, rank, tol),
+    return {"projective_equal_rank": rank >= 1 and bool(projectors_ok(ops, rank, tol)),
             "maximally_entangled_rc": state_ok,
             "bob_is_conjugate": conj_ok,
-            "edge_hs_orthogonality": edges_orthogonal(
-                g, ops.reshape(ops.shape[0], c, -1), c * tol)}
+            "edge_hs_orthogonality": bool(edges_orthogonal(
+                g, ops.reshape(ops.shape[0], c, -1), c * tol))}
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +474,8 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
     fixed seed.  Accepts a ClassicalStrategy or a POVMStrategy."""
     if rounds < 1:
         raise GameError("rounds must be >= 1")
-    vs, ws = _check_cover(g, strategy)
+    _check_cover(g, strategy)
+    vs, ws = _questions(g)
     rng = np.random.default_rng(seed)
     weights = np.full(len(vs), 1 / len(vs))
     picks = rng.choice(len(vs), size=rounds, p=weights / weights.sum())
@@ -465,13 +484,12 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
         return float(_classical_wins(strategy.alice, strategy.bob, vs, ws)
                      / rounds)
     validate_strategy(strategy)
-    x, z = _products(strategy.alice, strategy.bob, strategy.state_matrix())
+    psi, c = strategy.state_matrix(), strategy.colors
     cache: dict[tuple[int, int], np.ndarray] = {}
-    c = strategy.colors
     wins = 0
     for v, w in zip(vs, ws):
         if (v, w) not in cache:
-            p = np.clip(_outcomes(x[v], z[w]), 0.0, None).ravel()
+            p = np.clip(_outcomes(strategy, v, w, psi), 0.0, None).ravel()
             cache[(v, w)] = p / p.sum()
         outcome = int(rng.choice(c * c, p=cache[(v, w)]))
         a, b = divmod(outcome, c)

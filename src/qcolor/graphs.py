@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, PAIR_BLOCK
 
 
 class GraphError(ValueError):
@@ -181,7 +181,8 @@ def hadamard_graph(n_bits: int) -> Graph:
 
 def orthogonality_graph(vector_set, tol: float = DEFAULT_TOL) -> Graph:
     """One vertex per ray; edge iff the rays are orthogonal within ``tol``
-    (absolute, on the inner-product modulus).
+    (absolute, on the inner-product modulus), from PAIR_BLOCK-row blocks of
+    the upper triangle of the Gram matrix.
 
     Accepts a canonicalized vector set (anything with .vectors) or a bare
     (k, d) array of rays.
@@ -191,5 +192,8 @@ def orthogonality_graph(vector_set, tol: float = DEFAULT_TOL) -> Graph:
     vecs = np.asarray(getattr(vector_set, "vectors", vector_set), dtype=complex)
     if vecs.ndim != 2 or vecs.shape[0] == 0:
         raise GraphError("orthogonality graph needs a nonempty (k, d) ray array")
-    orthogonal = np.abs(vecs.conj() @ vecs.T) <= tol
-    return Graph(vecs.shape[0], np.argwhere(np.triu(orthogonal, k=1)))
+    edges = []
+    for lo in range(0, len(vecs), PAIR_BLOCK):
+        i, j = np.nonzero(np.abs(vecs[lo:lo + PAIR_BLOCK].conj() @ vecs[lo:].T) <= tol)
+        edges.append(np.stack([i, j], axis=1)[j > i] + lo)
+    return Graph(len(vecs), np.concatenate(edges))

@@ -9,7 +9,10 @@ Conventions, fixed package-wide:
   (default 1e-9), rank decisions a relative cutoff against the largest
   singular / eigen value (default 1e-7);
 * products of operator stacks use @ (BLAS); einsum is kept for outer
-  products, traces and elementwise sums, which contract nothing.
+  products, traces and elementwise sums, which contract nothing;
+* per-pair values (game evaluators, edge verifiers) go through PairBlocks,
+  one block of rows at a time to a reducer (worst value, values above tol,
+  a sum): memory is one small int per pair plus a block, never (pairs, c).
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-7
-# rows of x per GEMM in pair_values: bounds the (block, columns) scratch
-# product while keeping each product large enough for BLAS
+# rows of x per GEMM of the pair kernel: bounds each block's (rows, columns)
+# scratch while keeping the products large enough for BLAS
 PAIR_BLOCK = 512
 
 
@@ -28,31 +31,57 @@ class LinalgError(ValueError):
     pass
 
 
-def pair_values(x: np.ndarray, z: np.ndarray, vs: np.ndarray,
-                ws: np.ndarray) -> np.ndarray:
-    """Per-pair, per-color bilinear values of two (n, c, k) arrays:
-    out[e, a] = sum_k x[vs[e], a, k] * z[ws[e], a, k], shape (len(vs), c).
+class PairBlocks:
+    """The pair kernel: x[vs[e]] . z[ws[e]] (no conjugation) for rows of two
+    (n, k) arrays, vs sorted as in a Graph's edge_array, and with both=True
+    also x[ws[e]] . z[vs[e]] for each reversed pair, id m + e.  The pairs are
+    grouped once by PAIR_BLOCK-row blocks of x, one small int each (both=True
+    adds an argsort of ws); each block costs one GEMM against only the rows
+    of z it touches (BLAS speed on dense pairs, linear in n on sparse ones),
+    and its reducer keeps what it needs and drops the product."""
 
-    Pairs are grouped by PAIR_BLOCK-row blocks of x; each block and color
-    costs one GEMM against only the columns of z its pairs touch, so dense
-    pair sets run at BLAS speed and sparse ones stay linear in n.  Results
-    land at their original pair index, whatever order the pairs come in."""
-    vs = np.asarray(vs, dtype=np.int64)
-    ws = np.asarray(ws, dtype=np.int64)
-    n, c = x.shape[0], x.shape[1]
-    out = np.empty((vs.shape[0], c), dtype=np.result_type(x, z))
-    order = np.argsort(vs, kind="stable")
-    bounds = np.searchsorted(vs[order], np.arange(0, n + PAIR_BLOCK, PAIR_BLOCK))
-    for b, lo in enumerate(range(0, n, PAIR_BLOCK)):
-        sel = order[bounds[b]:bounds[b + 1]]
-        if sel.size == 0:
-            continue
-        rows = vs[sel] - lo
-        cols, col_of = np.unique(ws[sel], return_inverse=True)
-        for a in range(c):
-            t = x[lo:lo + PAIR_BLOCK, a] @ z[cols, a].T
-            out[sel, a] = t[rows, col_of]
-    return out
+    def __init__(self, vs, ws, both: bool = False):
+        vs, ws = np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.int64)
+        if np.any(vs[1:] < vs[:-1]):
+            raise LinalgError("pairs must be sorted by their first index")
+        rws = ws if both else ws[:0]  # the first index of each reversed pair
+        back = np.argsort(rws, kind="stable")
+        top = int(max(vs.max(initial=-1), rws.max(initial=-1))) + 1
+        starts = np.arange(0, top + PAIR_BLOCK, PAIR_BLOCK)
+        cuts, back_cuts = np.searchsorted(vs, starts), np.searchsorted(rws, starts, sorter=back)
+        # per nonempty block: first row, forward pairs, reversed pairs, touched
+        # columns, and each pair's flat position in the (rows, columns) product
+        self.m, self.blocks = len(vs), []
+        for b, lo in enumerate(starts[:-1]):
+            fwd, rev = slice(cuts[b], cuts[b + 1]), back[back_cuts[b]:back_cuts[b + 1]]
+            at, other = np.concatenate([vs[fwd], ws[rev]]), np.concatenate([ws[fwd], vs[rev]])
+            if other.size:
+                cols = np.unique(other)
+                at -= lo
+                at *= cols.size
+                at += np.searchsorted(cols, other)
+                size = np.min_scalar_type(PAIR_BLOCK * cols.size)
+                self.blocks.append((lo, fwd, rev, cols, at.astype(size)))
+
+    def values(self, x: np.ndarray, z: np.ndarray, f=np.asarray):
+        """Yields (sel, values) per block: values[i] = f(the value of pair id
+        sel[i]); f (np.abs, say) maps the block's product before the pairs
+        are picked from it."""
+        for lo, fwd, rev, cols, at in self.blocks:
+            sel = np.concatenate([np.arange(fwd.start, fwd.stop), rev + self.m])
+            yield sel, f(x[lo:lo + PAIR_BLOCK] @ z[cols].T).ravel()[at]
+
+    def total(self, x: np.ndarray, z: np.ndarray) -> complex:
+        """The sum of all pair values of complex x, z without per-pair values:
+        each block's pair-count matrix times its rows of z (a real GEMM on
+        their float view), dotted with its rows of x."""
+        out = 0j
+        for lo, _, _, cols, at in self.blocks:
+            count = np.zeros((min(PAIR_BLOCK, len(x) - lo), cols.size))
+            np.add.at(count.ravel(), at, 1.0)
+            y = (count @ z[cols].view(np.float64)).view(complex)
+            out += np.sum(x[lo:lo + PAIR_BLOCK] * y)
+        return out
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .coloring import (DEFAULT_BUDGET, CliqueResult, ColoringCertificate,
                        clique_number, greedy_coloring, is_c_colorable,
                        verify_coloring)
 from .graphs import Graph, _adjacency_mask, cartesian_product, complete_graph
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, _above_cutoff,
-                     pair_values)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks,
+                     _above_cutoff)
 
 
 class RepsError(ValueError):
@@ -36,6 +36,21 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+@dataclass(frozen=True, eq=False)
+class VerifyResult(CheckResult):
+    """A verifier's verdict: the worst residual of the failed check named by
+    reason (None when ok), at where: (v,) for a vertex, (v, w, color) for an
+    edge, None for the whole certificate."""
+    ok: bool
+    residual: float
+    where: tuple[int, ...] | None = None
+    reason: str | None = None
+
+    def __str__(self) -> str:
+        at = ("", " at vertex {}", "", " on edge ({}, {}), color {}")[len(self.where or ())]
+        return f"{self.reason}{at.format(*self.where or ())} (residual {self.residual:.3g})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,36 +154,58 @@ class ThetaCertificate:
         object.__setattr__(self, "matrix", a)
 
 
-def projectors_ok(ops: np.ndarray, rank: int, tol: float) -> bool:
+def _worst_vertex(defect: np.ndarray, bound: float, reason: str) -> VerifyResult:
+    """Verdict of a per-vertex check from its (n, ...) defects: passes when
+    each is <= bound; names the worst vertex (a NaN first)."""
+    per = defect.max(axis=tuple(range(1, defect.ndim)), initial=0.0)
+    if not per.size:
+        return VerifyResult(True, 0.0)
+    v = int(np.argmax(per))
+    ok = bool(per[v] <= bound)
+    return VerifyResult(ok, float(per[v]), (v,), None if ok else reason)
+
+
+def projectors_ok(ops: np.ndarray, rank: int, tol: float) -> VerifyResult:
     """Whether every operator of an (n, c, d, d) table is a Hermitian
-    idempotent (each within tol) of trace rank (within d * tol)."""
-    d = ops.shape[2]
-    return bool(
-        np.max(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), initial=0.0) <= tol
-        and np.max(np.abs(ops @ ops - ops), initial=0.0) <= tol
-        and np.max(np.abs(np.einsum("vaii->va", ops).real - rank),
-                   initial=0.0) <= d * tol)
+    idempotent (each within tol) of trace rank (within d * tol); a failure
+    names the first failed check and its worst vertex."""
+    return (_worst_vertex(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
+                          "projector not Hermitian")
+            and _worst_vertex(np.abs(ops @ ops - ops), tol, "projector not idempotent")
+            and _worst_vertex(np.abs(np.einsum("vaii->va", ops).real - rank),
+                              ops.shape[2] * tol, "projector trace is not the rank"))
 
 
-def edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> bool:
+def edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> VerifyResult:
     """Whether |<x[u, a], x[w, a]>| <= tol for every edge (u, w) and color a;
-    x is (n, colors, k)."""
+    x is (n, colors, k).  The verdict carries the worst modulus and its
+    (u, w, a)."""
     e = g.edge_array
-    return bool(np.all(np.abs(pair_values(x.conj(), x, e[:, 0], e[:, 1])) <= tol))
+    pairs = PairBlocks(e[:, 0], e[:, 1])
+    worst, where = 0.0, None
+    for a in range(x.shape[1]):
+        for sel, r in pairs.values(x[:, a].conj(), x[:, a], np.abs):
+            i = int(np.argmax(r))  # the first NaN, if any
+            if worst == worst and not r[i] <= worst:  # a NaN stays the worst
+                worst, where = float(r[i]), (*map(int, e[sel[i]]), a)
+    ok = worst <= tol
+    return VerifyResult(ok, worst, where, None if ok else "edge not orthogonal")
 
 
 def verify_orthogonal_representation(g: Graph, rep: OrthogonalRepresentation,
-                                     tol: float = DEFAULT_TOL) -> bool:
+                                     tol: float = DEFAULT_TOL) -> VerifyResult:
     vecs = rep.vectors
     if vecs.shape[0] != g.n:
         raise RepsError(f"representation covers {vecs.shape[0]} vertices, graph has {g.n}")
-    if np.any(np.linalg.norm(vecs, axis=1) <= tol):
-        return False
+    norms = np.linalg.norm(vecs, axis=1)
+    if not np.all(norms > tol):  # a NaN norm counts as zero
+        v = int(np.argmin(norms > tol))
+        return VerifyResult(False, float(norms[v]), (v,), "zero vector")
     return edges_orthogonal(g, vecs[:, None], tol)
 
 
 def verify_matrix_representation(g: Graph, rep: MatrixRepresentation,
-                                 tol: float = DEFAULT_TOL) -> bool:
+                                 tol: float = DEFAULT_TOL) -> VerifyResult:
     """A c x c matrix representation is the rank-1 quantum c-coloring whose
     color vectors are the columns of the unitaries."""
     mats = rep.matrices
@@ -179,33 +216,28 @@ def verify_matrix_representation(g: Graph, rep: MatrixRepresentation,
 
 
 def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
-                            tol: float = DEFAULT_TOL) -> bool:
+                            tol: float = DEFAULT_TOL) -> VerifyResult:
     """Checks the per-vertex measurement structure and the per-color edge
     orthogonality (rank-1: vector inner products; rank-r: Hilbert-Schmidt
     inner products of the projectors)."""
     if qc.n_vertices != g.n:
         raise RepsError(f"coloring covers {qc.n_vertices} vertices, graph has {g.n}")
+    d, c = qc.local_dimension, qc.colors
+    if d != qc.rank * c:  # c orthogonal rank-r projectors summing to I_d
+        return VerifyResult(False, float(abs(d - qc.rank * c)), None,
+                            "dimension is not rank * colors")
     if qc.vectors is not None:
         vecs = qc.vectors
-        if vecs.shape[2] != qc.colors:
-            # a rank-1 projective measurement with c outcomes lives in C^c
-            return False
-        gram = vecs.conj() @ vecs.swapaxes(1, 2)
-        if np.max(np.abs(gram - np.eye(qc.colors)[None]), initial=0.0) > tol:
-            return False
+        verdict = _worst_vertex(np.abs(vecs.conj() @ vecs.swapaxes(1, 2) - np.eye(c)),
+                                tol, "not an orthonormal basis")
     else:
         ops = qc.projectors
-        d = qc.local_dimension
-        if d != qc.rank * qc.colors:
-            # c orthogonal rank-r projectors summing to I_d force d = r*c
-            return False
-        if not (projectors_ok(ops, qc.rank, tol)
-                and np.max(np.abs(ops.sum(axis=1) - np.eye(d)),
-                           initial=0.0) <= d * tol):
-            return False
-        vecs = ops.reshape(g.n, qc.colors, d * d)
+        verdict = projectors_ok(ops, qc.rank, tol) and _worst_vertex(
+            np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
+            "projectors do not sum to the identity")
+        vecs = ops.reshape(g.n, c, d * d)
     # rank-1: <a_u,alpha, a_w,alpha>; rank-r: Tr(P_u,alpha† P_w,alpha)
-    return edges_orthogonal(g, vecs, tol)
+    return verdict and edges_orthogonal(g, vecs, tol)
 
 
 def quantum_coloring_from_classical(g: Graph, cert: ColoringCertificate) -> QuantumColoring:

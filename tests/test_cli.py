@@ -311,6 +311,29 @@ def test_tampered_certificate_fails(capsys, c5_file, tmp_path):
     assert code == 1 and not report["valid"]
 
 
+def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path):
+    vecs = np.array([[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0], [0, 1, 0], [0, 0, 1]],
+                    dtype=complex)
+    cert = tmp_path / "rep.json"
+    io.write_certificate(cert, "orthrep", io.encode_payload(
+        "orthrep", reps.OrthogonalRepresentation(3, vecs)), io.make_metadata(1e-9, 1e-7))
+    code, report, err = run(capsys, "verify-rep", c5_file, str(cert))
+    assert code == 1 and report == {**report, "kind": "orthrep", "valid": False}
+    assert ("orthrep certificate FAILS: edge not orthogonal on edge (1, 2), "
+            "color 0 (residual 0.8)") in err
+    g = tmp_path / "had4.col"
+    g.write_text(io.write_dimacs(hadamard_graph(4)))
+    vectors = reps.hadamard_quantum_coloring(4).vectors.copy()
+    vectors[9, 1] *= 1.5
+    io.write_certificate(cert, "qcoloring", io.encode_payload(
+        "qcoloring", reps.QuantumColoring(4, 1, vectors=vectors)),
+        io.make_metadata(1e-9, 1e-7))
+    code, report, err = run(capsys, "verify-qcoloring", str(g), str(cert))
+    assert code == 1 and not report["valid"]
+    assert ("quantum coloring FAILS: not an orthonormal basis at vertex 9 "
+            "(residual 1.25)") in err
+
+
 # -- ks-check -------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import cycle, graphs_st, random_graph
 from test_acceptance import perturbed_winning_strategy
 from qcolor import coloring, game, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
-from qcolor.linalg import DEFAULT_TOL, maximally_entangled, schmidt
+from qcolor.linalg import PAIR_BLOCK, DEFAULT_TOL, maximally_entangled, schmidt
 
 
 def classical_derived(g, seed=None):
@@ -270,6 +271,124 @@ def test_consistency_orders_and_caps_violations():
         capped = game.check_consistency(s, g, max_violations=cap)
         assert capped.violations == rep.violations[:cap]
         assert capped.truncated and capped.count_text == f"at least {cap}"
+
+
+# -- the pair kernel against the (pairs, colors) array it replaced ------------------
+
+
+def random_strategy(rng, n, c, d):
+    """Random PSD operators (not summing to I) and a random unit state: every
+    question has mass, so every term of the win sum counts."""
+    def ops():
+        a = rng.normal(size=(n, c, d, d)) + 1j * rng.normal(size=(n, c, d, d))
+        return a @ a.conj().swapaxes(-1, -2) / d
+    state = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    return game.POVMStrategy(c, d, d, state / np.linalg.norm(state), ops(), ops())
+
+
+def random_edges(rng, n, m):
+    """m distinct edges on n vertices, unsorted, each in a random orientation."""
+    u, v = np.triu_indices(n, 1)
+    pick = rng.choice(len(u), size=m, replace=False)
+    flip = rng.random(m) < 0.5
+    return np.stack([np.where(flip, v[pick], u[pick]),
+                     np.where(flip, u[pick], v[pick])], axis=1)
+
+
+def pair_array(s, vs, ws):
+    """The replaced formulation: whole (n, c, k) products x = E Psi and
+    z = conj(Psi) F, then the (pairs, c) values <psi| E_{vs,a} (x) F_{ws,a}
+    |psi> and each pair's total mass."""
+    psi = s.state_matrix()
+    x = np.einsum("...ij,jk->...ik", s.alice, psi).reshape(s.n_vertices, s.colors, -1)
+    z = np.einsum("jk,...kl->...jl", psi.conj(), s.bob).reshape(s.n_vertices, s.colors, -1)
+    return (np.einsum("eak,eak->ea", x[vs], z[ws]).real,
+            np.einsum("ek,ek->e", x.sum(axis=1)[vs], z.sum(axis=1)[ws]).real)
+
+
+@pytest.mark.parametrize("n, m, c", [
+    (2 * PAIR_BLOCK + 37, 3000, 3),  # three row blocks
+    (9, 20, 1),                      # a single color
+    (6, 0, 3),                       # no edges: the diagonal alone
+])
+def test_win_probability_matches_the_pair_array(n, m, c):
+    rng = np.random.default_rng(n + m + c)
+    g = make_graph(n, random_edges(rng, n, m))
+    s = random_strategy(rng, n, c, 2)
+    vs, ws = game._questions(g)
+    vals, total = pair_array(s, vs, ws)
+    agree = vals.sum(axis=1)
+    want = np.mean(np.where(vs == ws, agree, total - agree))
+    assert game.quantum_win_probability(g, s) == pytest.approx(want, abs=1e-12)
+
+
+def test_consistency_matches_the_pair_array_past_the_cap():
+    """Random bases on every vertex break every edge in every color (12,000
+    violations), and one vertex with Bob's colors swapped breaks the
+    diagonal; each cap cuts the same list at the same place."""
+    rng = np.random.default_rng(7)
+    n, c, tol = 2 * PAIR_BLOCK + 37, 2, 1e-3
+    g = make_graph(n, random_edges(rng, n, 3000))
+    u, _ = np.linalg.qr(rng.normal(size=(n, c, c)) + 1j * rng.normal(size=(n, c, c)))
+    s = game.strategy_from_quantum_coloring(
+        reps.QuantumColoring(c, 1, vectors=u.swapaxes(1, 2)))
+    bob = s.bob.copy()
+    bob[600] = bob[600, ::-1]
+    s = game.POVMStrategy(c, c, c, s.state, s.alice, bob)
+    psi = s.state_matrix()
+    x = np.einsum("...ij,jk->...ik", s.alice, psi).reshape(n, c, -1)
+    z = np.einsum("jk,...kl->...jl", psi.conj(), s.bob).reshape(n, c, -1)
+    per_vertex = np.einsum("vak,vbk->vab", x, z).real
+    want = [("vertex", v, v, a, b, per_vertex[v, a, b]) for v, a, b in
+            zip(*np.nonzero((np.abs(per_vertex) > tol) & ~np.eye(c, dtype=bool)))]
+    e = g.edge_array
+    vs, ws = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    vals = pair_array(s, vs, ws)[0]
+    want += [("edge", vs[i], ws[i], a, a, vals[i, a])
+             for i, a in zip(*np.nonzero(np.abs(vals) > tol))]
+    assert len(want) > 10_000
+    for cap in (1, 2, 1000, 7000, 10 ** 6):
+        rep = game.check_consistency(s, g, tol, cap)
+        got = [(v.kind, v.v, v.w, v.alpha, v.beta) for v in rep.violations]
+        assert got == [w[:5] for w in want[:cap]]
+        assert np.allclose([v.value for v in rep.violations],
+                           [w[5] for w in want[:cap]], rtol=0, atol=1e-12)
+        assert rep.truncated == (cap <= len(want)) and not rep.ok
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_reducers_keep_one_block_not_the_pair_array():
+    """On K_1500 with k = 1 the (pairs, colors) complex arrays the reducers
+    used to build take 2m * c * 16 B for the game's edge questions (about 72
+    MB at c = 2, 288 MB at c = 8) and m * c * 16 B for the edge verifier.
+    Each reducer's traced peak must not grow with the color count and must
+    stay at a few block products and the pair index (one small int per pair,
+    and an argsort for both orientations), well under those arrays."""
+    n = 1500
+    g = complete_graph(n)
+
+    def calls(c):
+        ops = np.zeros((n, c, 1, 1), dtype=complex)
+        ops[:, 0] = 1.0  # every vertex answers color 0: every edge violates
+        s = game.POVMStrategy(c, 1, 1, np.ones(1), ops, ops)
+        vecs = np.ones((n, c, 1), dtype=complex)
+        return {"win": (2, lambda: game.quantum_win_probability(g, s)),
+                "consistency": (2, lambda: game.check_consistency(s, g)),
+                "edges": (1, lambda: reps.edges_orthogonal(g, vecs, DEFAULT_TOL))}
+
+    two, eight = calls(2), calls(8)
+    for name, (orientations, call) in eight.items():
+        peak = _traced_peak(call)
+        assert peak <= 1.1 * _traced_peak(two[name][1]), name
+        assert peak < orientations * g.m * 8 * 16 / 4, (name, peak)
 
 
 # -- normal form ------------------------------------------------------------------
@@ -670,9 +789,11 @@ def test_contractions_match_einsum(name):
     k = s.dim_a * s.dim_b
     rx = np.einsum("...ij,jk->...ik", s.alice, psi).reshape(n, c, k)
     rz = np.einsum("jk,...kl->...jl", psi.conj(), s.bob).reshape(n, c, k)
-    x, z = game._products(s.alice, s.bob, psi)
-    _assert_close(x, rx)
-    _assert_close(z, rz)
+    # every value is W . F with W = Psi^dagger E Psi and F Bob's operator
+    rw = np.einsum("ji,...jk,kl->...il", psi.conj(), s.alice, psi).reshape(n, c, s.dim_b ** 2)
+    _assert_close(game._alice_products(s.alice, psi), rw)
+    _assert_close(np.einsum("vak,vbk->vab", rw, s.bob.reshape(n, c, s.dim_b ** 2)),
+                  np.einsum("vak,vbk->vab", rx, rz))
 
     # check_consistency lists exactly the off-diagonal per-vertex values
     # above tol (g has no edges unless the strategy wins)

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cycle, graphs_st, petersen
+from qcolor import datasets, ks, reps
 from qcolor.graphs import (GraphError, cartesian_product, complement,
                            complete_graph, hadamard_graph, make_graph,
                            orthogonality_graph)
@@ -160,6 +163,28 @@ def test_orthogonality_graph_tolerance():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(GraphError, match="tol must be positive"):
             orthogonality_graph(vecs, tol=bad)
+
+
+def ray_array(name):
+    """A bundled set, {0,+-1}^d (signsd), or the rank-1 coloring vectors of
+    Omega_8, canonicalized (omega8) or raw, 2048 rows in four row blocks."""
+    if name in datasets.BUNDLED:
+        return ks.canonicalize(datasets.load_vector_set(name)[0].vectors).vectors
+    if name.startswith("signs"):
+        return ks.canonicalize([np.array(v, dtype=float) for v in itertools.product(
+            (-1, 0, 1), repeat=int(name[5:])) if any(v)]).vectors
+    raw = reps.hadamard_quantum_coloring(8).vectors.reshape(-1, 8)
+    return ks.canonicalize(raw).vectors if name == "omega8" else raw
+
+
+@pytest.mark.parametrize("name", [*datasets.BUNDLED, "signs4", "signs5",
+                                  "signs6", "omega8", "omega8-raw"])
+def test_orthogonality_graph_matches_the_dense_gram(name):
+    """The blocked build keeps exactly the edges of the whole k x k Gram."""
+    vecs = ray_array(name)
+    dense = np.argwhere(np.triu(np.abs(vecs.conj() @ vecs.T) <= 1e-9, k=1))
+    g = orthogonality_graph(vecs)
+    assert g.m > 0 and np.array_equal(g.edge_array, dense)
 
 
 @given(st.integers(min_value=1, max_value=6))

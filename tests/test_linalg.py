@@ -151,10 +151,30 @@ def test_pair_values_matches_einsum(n, c, k, m):
     z = rng.normal(size=(n, c, k)) + 1j * rng.normal(size=(n, c, k))
     vs = rng.integers(0, n, size=m)
     ws = rng.integers(0, n, size=m)
-    # unsorted pairs, then a repeated half, then every pair reversed
+    # random pairs, then a repeated half, then every pair reversed, in the
+    # order the kernel takes them: by first index (a stable sort)
     vs, ws = (np.concatenate([vs, vs[:m // 2], ws]),
               np.concatenate([ws, ws[:m // 2], vs]))
-    got = linalg.pair_values(x, z, vs, ws)
-    assert got.shape == (len(vs), c)
-    want = np.einsum("eak,eak->ea", x[vs], z[ws])
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    order = np.argsort(vs, kind="stable")
+    vs, ws = vs[order], ws[order]
+    for both in (False, True):
+        # pair ids: e for (vs[e], ws[e]), and with both=True M + e for (ws[e], vs[e])
+        pairs = linalg.PairBlocks(vs, ws, both=both)
+        first = np.concatenate([vs, ws]) if both else vs
+        other = np.concatenate([ws, vs]) if both else ws
+        want = np.einsum("eak,eak->ea", x[first], z[other])
+        for a in range(c):
+            got = np.full(len(first), np.nan, dtype=complex)
+            mods = np.full(len(first), np.nan)
+            for (sel, vals), (_, r) in zip(pairs.values(x[:, a], z[:, a]),
+                                           pairs.values(x[:, a], z[:, a], np.abs)):
+                got[sel], mods[sel] = vals, r
+            assert np.allclose(got, want[:, a], rtol=0, atol=1e-12)
+            assert np.allclose(mods, np.abs(want[:, a]), rtol=0, atol=1e-12)
+            total = pairs.total(x[:, a], z[:, a])
+            assert abs(total - want[:, a].sum()) <= 1e-12 * max(1, len(first))
+
+
+def test_pair_blocks_reject_unsorted_pairs():
+    with pytest.raises(linalg.LinalgError, match="sorted"):
+        linalg.PairBlocks([1, 0], [0, 1])

@@ -137,6 +137,53 @@ def test_matrixrep_unitarity_required():
     assert not reps.verify_matrix_representation(g, bad)
 
 
+def test_verdicts_name_what_failed_and_where():
+    g = cycle(5)
+    vecs = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    dtype=complex)
+    ok = reps.verify_orthogonal_representation(g, reps.OrthogonalRepresentation(3, vecs))
+    assert isinstance(ok, reps.VerifyResult) and ok and ok.reason is None
+    assert ok.residual == 0.0
+    bad = vecs.copy()
+    bad[2] = [0.6, 0.8, 0]  # edges (1, 2) and (2, 3) now meet at 0.8
+    verdict = reps.verify_orthogonal_representation(g, reps.OrthogonalRepresentation(3, bad))
+    assert not verdict and verdict.reason == "edge not orthogonal"
+    assert verdict.residual == pytest.approx(0.8) and verdict.where == (1, 2, 0)
+    assert str(verdict) == "edge not orthogonal on edge (1, 2), color 0 (residual 0.8)"
+    bad[2] = 0
+    verdict = reps.verify_orthogonal_representation(g, reps.OrthogonalRepresentation(3, bad))
+    assert not verdict and verdict.where == (2,)
+    assert str(verdict) == "zero vector at vertex 2 (residual 0)"
+    qc = reps.hadamard_quantum_coloring(4)
+    h = hadamard_graph(4)
+    vectors = qc.vectors.copy()
+    vectors[9, 1] *= 1.5  # no longer a unit vector
+    verdict = reps.verify_quantum_coloring(h, reps.QuantumColoring(4, 1, vectors=vectors))
+    assert not verdict and verdict.where == (9,)
+    assert verdict.residual == pytest.approx(1.25)
+    assert verdict.reason == "not an orthonormal basis"
+    verdict = reps.verify_quantum_coloring(
+        h, reps.QuantumColoring(4, 1, vectors=qc.vectors[:, :, :3]))
+    assert not verdict and verdict.where is None and verdict.residual == 1.0
+
+
+@pytest.mark.parametrize("vertex", [0, 5, 15])
+def test_a_nan_makes_every_verifier_reject(vertex):
+    g = hadamard_graph(4)
+    vecs = reps.hadamard_quantum_coloring(4).vectors.copy()
+    vecs[vertex, 2, 1] = np.nan
+    verdict = reps.edges_orthogonal(g, vecs, 1e-9)
+    assert not verdict and np.isnan(verdict.residual)
+    assert vertex in verdict.where[:2] and verdict.where[2] == 2
+    p = np.einsum("vai,vaj->vaij", vecs, vecs.conj())
+    assert not reps.verify_quantum_coloring(g, reps.QuantumColoring(4, 1, vectors=vecs))
+    assert not reps.verify_quantum_coloring(g, reps.QuantumColoring(4, 1, projectors=p))
+    assert not reps.verify_matrix_representation(
+        g, reps.MatrixRepresentation(4, vecs.transpose(0, 2, 1)))
+    assert not reps.verify_orthogonal_representation(
+        g, reps.OrthogonalRepresentation(4, vecs[:, 2]))
+
+
 # -- classical-to-quantum -----------------------------------------------------
 
 
@@ -844,6 +891,10 @@ CHECK_RESULTS = {
             lambda: _psd_check(np.eye(5), 1)),  # "wrong pattern"
     "consistency": (lambda: _omega4_consistency(False),
                     lambda: _omega4_consistency(True)),
+    "verify": (lambda: reps.verify_quantum_coloring(
+                   hadamard_graph(4), reps.hadamard_quantum_coloring(4)),
+               lambda: reps.verify_quantum_coloring(
+                   hadamard_graph(6), reps.hadamard_quantum_coloring(6), 1e-17)),
 }
 
 
@@ -865,4 +916,5 @@ def test_every_result_with_an_ok_field_is_a_check_result():
                     and "ok" in {f.name for f in dataclasses.fields(cls)}):
                 with_ok.add(cls.__name__)
                 assert issubclass(cls, reps.CheckResult), cls
-    assert with_ok >= {"ThetaCheckResult", "PSDCheckResult", "ConsistencyReport"}
+    assert with_ok >= {"ThetaCheckResult", "PSDCheckResult", "ConsistencyReport",
+                       "VerifyResult"}
