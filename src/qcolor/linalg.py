@@ -12,7 +12,7 @@ Conventions, fixed package-wide:
   products, traces and elementwise sums, which contract nothing;
 * per-pair values (game evaluators, edge verifiers) go through PairBlocks,
   one block of rows at a time to a reducer (worst value, values above tol,
-  a sum): memory is one small int per pair plus a block, never (pairs, c).
+  a sum): memory is a few ints per pair plus a block, never (pairs, c).
 """
 from __future__ import annotations
 
