@@ -451,6 +451,9 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
     if not s.n_vertices:
         raise GameError("normal-form properties of an empty strategy "
                         "(0 vertices) are undefined")
+    if not np.isfinite(ops).all():  # a NaN or an infinity: no property holds
+        return dict.fromkeys(("projective_equal_rank", "maximally_entangled_rc",
+                              "bob_is_conjugate", "edge_hs_orthogonality"), False)
     rank = round(float(np.mean(np.einsum("vaii->va", ops).real)))
     mes = maximally_entangled(d)
     state_ok = (s.dim_a == s.dim_b

@@ -6,10 +6,20 @@ array writer, byte-identical to json's compact form, that formats each distinct
 number once (write_json); NaN and infinities are refused everywhere.
 Each certificate kind has one (encode, decode) pair in CODECS, between the
 package's objects and the JSON payload of a certificate file.
+
+Files are read as UTF-8 by one JSON reader (_load_json) that accepts and
+rejects what json.loads does.  A pair array, a regular nested array of
+numbers with an innermost axis of 2 (what _pack writes), becomes one float
+ndarray: with whitespace and number characters removed its text must be the
+bracket and comma skeleton of its shape, no slot empty, and its numbers go
+through one flat json.loads whose float memo converts each distinct number
+text once and gives up after _MEMO_CAP texts.  Every other value, and any
+would-be pair array that breaks these rules, goes to json's own scanner.
 """
 from __future__ import annotations
 
-import json
+import json.decoder
+import json.scanner
 import math
 import warnings
 from pathlib import Path
@@ -95,7 +105,7 @@ def write_dimacs(g: Graph) -> str:
 
 
 def read_graph(path) -> Graph:
-    return parse_dimacs(Path(path).read_text())
+    return parse_dimacs(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +126,7 @@ def _unpack(pairs, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
     if not isinstance(pairs, (list, tuple, np.ndarray)):
         raise FormatError(f"{what} must be a list of [re, im] pairs")
     try:
-        a = np.array(pairs, dtype=float)
+        a = np.ascontiguousarray(pairs, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise FormatError(f"{what} contains a number beyond the float range")
     except (TypeError, ValueError) as err:  # a string, an object, a ragged list
@@ -133,10 +143,27 @@ def _unpack(pairs, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
     return z.reshape(shape or -1)
 
 
+def _unpack_whole(rows, axes: int, size: int | None) -> np.ndarray | None:
+    """rows as complex entries, axes axes and then size of them (any when
+    None), if it converts whole to finite [re, im] pairs of that layout;
+    else None, and the caller unpacks item by item to name the defect."""
+    try:
+        a = np.ascontiguousarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (a.ndim != axes + 2 or a.shape[-1] != 2 or size not in (None, a.shape[-2])
+            or not np.isfinite(a).all()):
+        return None
+    return a.view(complex)[..., 0]
+
+
 def _unpack_table(rows, c: int, shape: tuple[int, ...], what: str) -> np.ndarray:
     """An (n, c, *shape) operator table from [vertex][color] pair lists,
     n = len(rows)."""
     out = np.zeros((len(rows), c) + shape, dtype=complex)
+    z = _unpack_whole(rows, 2, math.prod(shape))
+    if z is not None and z.shape[1] == c:
+        return z.reshape(out.shape)
     for v, row in enumerate(rows):
         if not isinstance(row, (list, np.ndarray)) or len(row) != c:
             raise FormatError(f"vertex {v} does not list exactly {c} operators")
@@ -262,8 +289,10 @@ def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
 
 def _decode_orthrep(p: dict) -> OrthogonalRepresentation:
     d = int(p["dimension"])
-    vecs = np.array([_unpack(row, None, f"vector {i}")
-                     for i, row in enumerate(p["vectors"])] or np.zeros((0, d)))
+    vecs = _unpack_whole(p["vectors"], 1, None)
+    if vecs is None:
+        vecs = np.array([_unpack(row, None, f"vector {i}")
+                         for i, row in enumerate(p["vectors"])] or np.zeros((0, d)))
     return OrthogonalRepresentation(d, vecs)
 
 
@@ -274,9 +303,11 @@ def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
 
 def _decode_matrixrep(p: dict) -> MatrixRepresentation:
     d = int(p["dimension"])
-    mats = np.array([_unpack(m, (d, d), f"matrix {i}")
-                     for i, m in enumerate(p["matrices"])] or np.zeros((0, d, d)))
-    return MatrixRepresentation(d, mats)
+    mats = _unpack_whole(p["matrices"], 1, d * d)
+    if mats is None:
+        mats = np.array([_unpack(m, (d, d), f"matrix {i}")
+                         for i, m in enumerate(p["matrices"])] or np.zeros((0, d, d)))
+    return MatrixRepresentation(d, mats.reshape(len(mats), d, d))
 
 
 def _encode_qcoloring(qc: QuantumColoring) -> dict:
@@ -392,18 +423,111 @@ def write_certificate(path, kind: str, payload: dict, metadata: dict) -> None:
 # json plumbing
 
 
+def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8 whatever the locale."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path} is not UTF-8 text: {err}")
+
+
 def _load_json(path):
     try:
-        text = Path(path).read_text()
+        text = _read_text(path)
     except OSError as err:
         raise FormatError(f"cannot read {path}: {err}")
     try:
-        # reject NaN/Infinity literals outright rather than letting them leak
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, cls=_Reader)
     except FormatError:
         raise
     except _MALFORMED as err:  # a syntax error, or an integer of > 4300 digits
         raise FormatError(f"{path}: invalid JSON: {err}")
+
+
+_MEMO_CAP = 4096  # distinct number texts a file's float memo converts
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+
+
+class _FloatMemo(dict):
+    """float(text), each distinct text converted once; KeyError once it
+    holds _MEMO_CAP texts."""
+
+    def __missing__(self, text):
+        if len(self) >= _MEMO_CAP:
+            raise KeyError(text)
+        value = self[text] = float(text)
+        return value
+
+
+class _Reader(json.JSONDecoder):
+    """json.loads with NaN and infinities refused, in which each pair array
+    at the top level or one object down is one float ndarray; any other
+    value, and any deeper object, goes to json's own scanner whole."""
+
+    def __init__(self):
+        super().__init__(parse_constant=_reject_constant)
+        self._whole = json.scanner.make_scanner(self)
+        self._parse_float = _FloatMemo().__getitem__
+        self.scan_once = self._scanner(0)
+
+    def _scanner(self, objects: int):
+        """A scanner of one value inside this many objects."""
+        def scan(s: str, idx: int):
+            if s.startswith("{", idx) and objects < 2:
+                return json.decoder.JSONObject((s, idx + 1), self.strict,
+                                               self._scanner(objects + 1),
+                                               None, None, self.memo)
+            return (s.startswith("[", idx) and self._pair_array(s, idx)
+                    or self._whole(s, idx))
+        return scan
+
+    def _pair_array(self, s: str, start: int):
+        """(values, end) of the pair array at s[start], or None if there is
+        none: a regular nested array of numbers, innermost axis 2."""
+        ends = [i for i in (s.find('"', start), s.find("}", start)) if i >= 0]
+        span = s[start:min(ends, default=len(s))].rstrip(" \t\n\r,").encode()
+        dense = span.translate(None, b" \t\n\r")
+        shape = _pair_shape(dense.translate(None, b"0123456789.eE+-"))
+        if shape is None:
+            return None
+        b = np.frombuffer(dense, np.uint8)
+        comma = b == ord(",")
+        if ((comma[1:] & (b[:-1] == ord("["))).any()
+                or (comma[:-1] & (b[1:] == ord("]"))).any()):  # an empty slot
+            return None
+        text = "[" + span.translate(_UNBRACKET).decode() + "]"
+        try:
+            try:
+                values = json.loads(text, parse_float=self._parse_float)
+            except KeyError:  # too many distinct numbers for the memo to pay
+                self._parse_float = float
+                values = json.loads(text)
+            values = np.fromiter(values, float, len(values))
+            return values.reshape(shape), start + len(span)
+        except (ValueError, OverflowError):  # the stdlib scanner says why
+            return None
+
+
+def _pair_shape(skeleton: bytes):
+    """The shape of the regular nested array, innermost axis 2 and at most
+    32 axes (deeper ones meet json's recursion limit as before), whose
+    brackets and commas are skeleton; None if there is no such array.  The
+    shape is read off the first element at each depth."""
+    k = len(skeleton) - len(skeleton.lstrip(b"["))
+    if not 2 <= k <= 32 or skeleton[k - 1:k + 2] != b"[,]":
+        return None
+    shape, end, size = [2], k + 1, 3  # the first subarray: its last index, length
+    for _ in range(k - 1):  # its parent closes after n siblings
+        n = skeleton[end + 1::size + 1].find(b"]") + 1
+        if not n:
+            return None
+        shape.insert(0, n)
+        end += (n - 1) * (size + 1) + 1
+        size = n * (size + 1) + 1
+    template = b""
+    for n in reversed(shape):
+        template = b"[" + b",".join([template] * n) + b"]"
+    return shape if template == skeleton else None
 
 
 def _reject_constant(name: str):

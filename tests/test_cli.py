@@ -187,6 +187,42 @@ def test_failed_self_check_exits_4_under_optimize(tmp_path, argv):
     assert "certificate" not in report and "witness" not in report
 
 
+def _cli_in_c_locale(*argv):
+    """The CLI in a fresh process whose locale encoding is ASCII."""
+    src = str(Path(qcolor.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from qcolor.cli import main; "
+         "sys.exit(main())", *argv], capture_output=True, env=env, timeout=120)
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    """A UTF-8 label reads under an ASCII locale; bytes that are not UTF-8,
+    in a vector set or a DIMACS comment, are an input error (exit 2), and a
+    byte-order mark is still refused."""
+    basis = ks.VectorSet(3, np.eye(3, dtype=complex), ("é", "b", "c"))
+    good = tmp_path / "basis.json"
+    io.write_vector_set(basis, good, tolerance=1e-9)  # escapes the label
+    good.write_bytes(good.read_bytes().replace(b"\\u00e9", "é".encode()))
+    proc = _cli_in_c_locale("ks-check", str(good))
+    assert proc.returncode in (0, 1), proc.stdout
+    assert "error" not in json.loads(proc.stdout)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(good.read_bytes().replace("é".encode(), b"\xe9"))
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + good.read_bytes())
+    graph = tmp_path / "p2.col"
+    graph.write_bytes(b"c caf\xe9\np edge 2 1\ne 1 2\n")
+    for argv, text in ((("ks-check", str(latin1)), "is not UTF-8 text"),
+                       (("ks-check", str(bom)), "Unexpected UTF-8 BOM"),
+                       (("chi", str(graph)), "is not UTF-8 text")):
+        proc = _cli_in_c_locale(*argv)
+        assert proc.returncode == 2, proc.stdout
+        assert text in json.loads(proc.stdout)["error"]
+
+
 def test_malformed_dimacs_exit_code(capsys, tmp_path):
     p = tmp_path / "bad.col"
     p.write_text("p edge 2 1\ne 1 7\n")

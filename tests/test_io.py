@@ -472,3 +472,227 @@ def test_encoders_round_trip_in_memory():
     back, back_tol = io.vector_set_from_dict(io.vector_set_to_dict(vs, tol))
     assert back_tol == tol and back.labels == vs.labels
     assert np.array_equal(back.vectors, vs.vectors)
+
+
+# -- the reader: pair arrays in one flat parse, everything else as json.loads -------
+
+
+def _stdlib(text):
+    """What json.loads, as qcolor once read every file, makes of text."""
+    try:
+        return json.loads(text, parse_constant=io._reject_constant)
+    except ValueError as err:  # FormatError for a NaN or an infinity
+        return err
+
+
+def _reader(text):
+    try:
+        return json.loads(text, cls=io._Reader)
+    except ValueError as err:
+        return err
+
+
+def _same_document(got, want) -> bool:
+    """Equal values, a pair array bit-identical to the nested lists read as
+    floats, and equal errors."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    if isinstance(got, np.ndarray):
+        ref = np.array(want, dtype=float)
+        return (got.dtype == float and got.ndim >= 2 and got.shape == ref.shape
+                and got.shape[-1] == 2 and got.tobytes() == ref.tobytes())
+    if isinstance(got, dict):
+        return (isinstance(want, dict) and list(got) == list(want)
+                and all(_same_document(got[k], want[k]) for k in got))
+    if isinstance(got, list):
+        return (isinstance(want, list) and len(got) == len(want)
+                and all(map(_same_document, got, want)))
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+_READER_SEEDS = [
+    '{"colors": 1, "state": [[1.0, 0.0], [0.5, -2]], "alice": [[[[1, 0], '
+    '[0, 1e-3]]], [[[2.5, 0], [0, 0]]]], "tag": "x"}',
+    '{"kind": "orthrep", "payload": {"dimension": 2, "vectors": [[[1, 0], [0, 1]], '
+    '[[-0.0, 1E2], [3, 4]]]}, "metadata": {"tol": 1e-9}}',
+    '[[1, 2], [3, 4]]',
+    '{"a": [[[1, 2]], [[3, 4]]], "b": [1, 2], "c": [[1, 2, 3]], '
+    '"d": {"e": {"f": [[1, 2]]}}}',
+]
+
+_HAND_MADE = ["[1[,2]]", "[[1,2]3,4]", "[[1,2],[3 4]]", "[[1,2],[3,4]5]",
+              "[[1,2][3,4]]", "[[1,2],,[3,4]]", "[1.]", "[.5]", "[01]", "[+1]",
+              "[1e]", "[-]"]
+
+
+def test_reader_hand_made_pair_arrays():
+    """Near misses of a pair array, on their own, one and two objects down,
+    and each bad number inside a pair: the stdlib's outcome every time."""
+    numbers = [h[1:-1] for h in _HAND_MADE[6:]]
+    arrays = _HAND_MADE + [f"[[{x}, 0]]" for x in numbers] + [
+        f"[[0, 1], [{x}, 2]]" for x in numbers] + ["[[1, 2]]", "[[[1, 2]]]",
+                                                   "[[1,2,3]]", "[[1,2],[3]]"]
+    for a in arrays:
+        for text in (a, f'{{"a": {a}}}', f'{{"p": {{"a": {a}, "b": 1}}}}'):
+            assert _same_document(_reader(text), _stdlib(text)), text
+
+
+def test_reader_matches_json_loads_on_mutations():
+    """Insertions, deletions and substitutions in and around small pair
+    arrays: the reader accepts and rejects what json.loads does, with the
+    same values bit for bit and the same error text."""
+    rng = np.random.default_rng(17)
+    alphabet = list("[]{},:\" \n0123456789.eE+-Nx")
+    seeds = _READER_SEEDS + [json.dumps(json.loads(s), indent=1)
+                             for s in _READER_SEEDS]
+    accepted = pairs = 0
+    for _ in range(8000):
+        text = list(seeds[rng.integers(len(seeds))])
+        for _ in range(rng.integers(1, 4)):
+            spots = [i for i, ch in enumerate(text) if ch in "[],0123456789.eE+- "]
+            i = spots[rng.integers(len(spots))]
+            edit = rng.integers(3)
+            if edit == 0:
+                text.insert(i, alphabet[rng.integers(len(alphabet))])
+            elif edit == 1:
+                del text[i]
+            else:
+                text[i] = alphabet[rng.integers(len(alphabet))]
+        text = "".join(text)
+        got, want = _reader(text), _stdlib(text)
+        assert _same_document(got, want), text
+        accepted += not isinstance(want, Exception)
+        pairs += isinstance(got, dict) and any(
+            isinstance(v, np.ndarray) for v in got.values())
+    assert 800 < accepted < 7200 and pairs > 300  # both outcomes were tried
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [[NaN, 0]]}', '{"a": [[1, Infinity]]}', '{"a": [[-Infinity, 0]]}',
+    '{"a": NaN}', '{"a": [[1, 2]]} x', '{"a": [[1, 2]]}}', '[[1, 2]] [[3, 4]]',
+    '{"a": [[1, 2]], "a": [[3, 4]]}', '{"a": [[1, 2]],, "b": 1}',
+    '{"a": [[1, 2]] "b": 1}', '{"a": [[1, 2], "b": 1}', '{"a": [[1, 2]]',
+    '{"a": [[1, 2]], "b": [[true, 2]], "c": [[null, 2]], "d": [["1", 2]]}',
+    '{"a": [[1%s, 0]]}' % ("0" * 400), '{"a": [[1%s, 0]]}' % ("0" * 5000),
+    '{"a": [[1e400, 0]]}', '{"a": [[1, 2]], "é": [[3, 4]]}',
+    '{"a": [[١, 0]]}', '{"a": 1١}',
+    "[" * 40 + "1, 2" + "]" * 40, "[" * 100 + "]" * 100,
+], ids=["nan-in-pair", "infinity-in-pair", "minus-infinity", "nan-scalar",
+        "trailing-data", "trailing-brace", "two-documents", "duplicate-keys",
+        "double-comma", "missing-comma", "unclosed-pair-array", "unclosed-object",
+        "non-numbers", "401-digits", "5001-digits", "1e400", "unicode-key",
+        "unicode-digit", "unicode-digit-scalar", "40-axes", "100-empty-arrays"])
+def test_reader_edge_documents(text):
+    assert _same_document(_reader(text), _stdlib(text))
+
+
+def test_reader_deep_nesting_as_before():
+    """Objects deeper than two and arrays past 32 axes are read by the
+    stdlib scanner: 500 objects still read, and nesting far past Python's
+    recursion limit fails there as it did."""
+    text = '{"a": ' * 500 + "[[1, 2]]" + "}" * 500
+    assert json.loads(text, cls=io._Reader) == _stdlib(text)
+    for text in ("[" * 100_000 + "]" * 100_000,
+                 "[" * 100_000 + "1, 2" + "]" * 100_000,
+                 '{"a": ' * 100_000 + "1" + "}" * 100_000):
+        with pytest.raises(RecursionError):
+            json.loads(text, parse_constant=io._reject_constant)
+        with pytest.raises(RecursionError):
+            json.loads(text, cls=io._Reader)
+
+
+def test_reader_distinct_numbers_bit_identical(tmp_path):
+    """Past the float memo's cap (alice holds 8192 distinct numbers, so
+    the memo gives up there and bob is read with plain floats) every
+    number still reads back bit for bit."""
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(16, 4, 8, 8)) + 1j * rng.normal(size=(16, 4, 8, 8))
+    s = game.POVMStrategy(4, 8, 8, np.ones(64) / 8, table, table[::-1] * 1e-300)
+    p = tmp_path / "s.json"
+    io.write_strategy(s, p)
+    back = io.read_strategy(p)
+    for f in ("state", "alice", "bob"):
+        assert getattr(back, f).tobytes() == getattr(s, f).tobytes()
+
+
+def test_reader_files_bom_and_indentation(tmp_path):
+    p = tmp_path / "doc.json"
+    doc = {"kind": "orthrep", "payload": {"dimension": 2,
+                                          "vectors": [[[1.5, 0], [0, -1]]]}}
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
+    with pytest.raises(io.FormatError, match="Unexpected UTF-8 BOM"):
+        io.read_certificate(p)
+    p.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    _, payload, _ = io.read_certificate(p)
+    assert _same_document(payload, doc["payload"])
+    assert isinstance(payload["vectors"], np.ndarray)
+
+
+_PAIR_CONTRACT = [
+    ("[[[[1, 0]], [[0, -1]]]]", [1, -1j]),
+    (f"[[[[{2 ** 70}, 0]], [[0, 1]]]]", [2.0 ** 70, 1j]),
+    ("[[[[1e400, 0]], [[0, 1]]]]",
+     r"{op} \(0,0\) contains a non-number or a non-finite value"),
+    (f"[[[[1{'0' * 400}, 0]], [[0, 1]]]]",
+     r"{op} \(0,0\) contains a number beyond the float range"),
+    ("[[[[1, 0]], [[0]]]]", r"{op} \(0,1\) (must be|contains a non-number or is "
+                            r"not) \[re, im\] pairs"),
+    ("[[[[1, 0]]]]", "vertex 0 does not list exactly 2 operators"),
+    ("[[[[1, 0]], [[0, 1]], [[0, 1]]]]", "vertex 0 does not list exactly 2 operators"),
+]
+_PAIR_CONTRACT_IDS = ["ints", "int-beyond-int64", "1e400", "401-digits", "ragged",
+                      "one-operator", "three-operators"]
+
+
+@pytest.mark.parametrize("table, want", _PAIR_CONTRACT, ids=_PAIR_CONTRACT_IDS)
+def test_strategy_operator_contract(tmp_path, table, want):
+    """What an operator table may hold, as test_vector_coordinate_contract
+    for coordinates: ints and large ints read exactly, and each defect is
+    the FormatError that names the operator."""
+    p = tmp_path / "s.json"
+    p.write_text('{"colors": 2, "dim_a": 1, "dim_b": 1, "state": [[1, 0]], '
+                 f'"alice": {table}, "bob": [[[[1, 0]], [[0, 0]]]]}}')
+    if isinstance(want, str):
+        with pytest.raises(io.FormatError, match=want.format(op="alice operator")):
+            io.read_strategy(p)
+    else:
+        s = io.read_strategy(p)
+        assert s.alice.dtype == complex
+        assert np.array_equal(s.alice.ravel(), np.array(want, dtype=complex))
+
+
+@pytest.mark.parametrize("table, want", _PAIR_CONTRACT, ids=_PAIR_CONTRACT_IDS)
+def test_certificate_operator_contract(tmp_path, table, want):
+    """The same contract for a rank-1 vector coloring certificate."""
+    p = tmp_path / "c.json"
+    p.write_text('{"kind": "qcoloring", "payload": {"colors": 2, "rank": 1, '
+                 f'"vectors": {table}}}}}')
+    kind, payload, _ = io.read_certificate(p)
+    if isinstance(want, str):
+        with pytest.raises(io.FormatError, match="malformed qcoloring payload: "
+                           + want.format(op="vector")):
+            io.decode_payload(kind, payload)
+    else:
+        qc = io.decode_payload(kind, payload)
+        assert np.array_equal(qc.vectors.ravel(), np.array(want, dtype=complex))
+
+
+def test_read_certificate_gives_pair_arrays(tmp_path):
+    """Complex payload fields come back as (..., 2) float arrays; lists,
+    scalars and metadata as before; decode_payload takes either form."""
+    for kind, obj in _codec_examples():
+        p = tmp_path / f"{kind}.json"
+        payload = io.encode_payload(kind, obj)
+        io.write_certificate(p, kind, payload, io.make_metadata(1e-9, 1e-7, seed=3))
+        _, back, meta = io.read_certificate(p)
+        assert meta == json.loads(p.read_text())["metadata"]
+        for key, value in payload.items():
+            if isinstance(value, np.ndarray):
+                assert type(back[key]) is np.ndarray and back[key].dtype == float
+                assert back[key].shape == value.shape and value.shape[-1] == 2
+                assert back[key].tobytes() == value.tobytes()
+            else:
+                assert type(back[key]) is type(value) and back[key] == value
+        nested = {key: v.tolist() if isinstance(v, np.ndarray) else v
+                  for key, v in back.items()}
+        _assert_same_fields(io.decode_payload(kind, nested), obj)
