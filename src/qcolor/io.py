@@ -484,16 +484,18 @@ class _Reader(json.JSONDecoder):
     def _pair_array(self, s: str, start: int):
         """(values, end) of the pair array at s[start], or None if there is
         none: a regular nested array of numbers, innermost axis 2."""
+        # a pair array holds neither; the first of them is past its end
         ends = [i for i in (s.find('"', start), s.find("}", start)) if i >= 0]
         span = s[start:min(ends, default=len(s))].rstrip(" \t\n\r,").encode()
         dense = span.translate(None, b" \t\n\r")
         shape = _pair_shape(dense.translate(None, b"0123456789.eE+-"))
         if shape is None:
             return None
+        # no empty slot, which a number beside a bracket could stand in for
         b = np.frombuffer(dense, np.uint8)
         comma = b == ord(",")
         if ((comma[1:] & (b[:-1] == ord("["))).any()
-                or (comma[:-1] & (b[1:] == ord("]"))).any()):  # an empty slot
+                or (comma[:-1] & (b[1:] == ord("]"))).any()):
             return None
         text = "[" + span.translate(_UNBRACKET).decode() + "]"
         try:
