@@ -451,19 +451,17 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
     if not s.n_vertices:
         raise GameError("normal-form properties of an empty strategy "
                         "(0 vertices) are undefined")
-    if not np.isfinite(ops).all():  # a NaN or an infinity: no property holds
-        return dict.fromkeys(("projective_equal_rank", "maximally_entangled_rc",
-                              "bob_is_conjugate", "edge_hs_orthogonality"), False)
-    rank = round(float(np.mean(np.einsum("vaii->va", ops).real)))
+    finite = bool(np.isfinite(ops).all())  # a NaN or an infinity: no property holds
+    rank = round(float(np.mean(np.einsum("vaii->va", ops).real))) if finite else 0
     mes = maximally_entangled(d)
     state_ok = (s.dim_a == s.dim_b
                 and float(np.max(np.abs(s.state - mes))) <= tol
                 and d == rank * c)
-    conj_ok = float(np.max(np.abs(s.bob - s.alice.conj()))) <= tol
+    conj_ok = finite and float(np.max(np.abs(s.bob - s.alice.conj()))) <= tol
     return {"projective_equal_rank": rank >= 1 and bool(projectors_ok(ops, rank, tol)),
             "maximally_entangled_rc": state_ok,
             "bob_is_conjugate": conj_ok,
-            "edge_hs_orthogonality": bool(edges_orthogonal(
+            "edge_hs_orthogonality": finite and bool(edges_orthogonal(
                 g, ops.reshape(ops.shape[0], c, -1), c * tol))}
 
 

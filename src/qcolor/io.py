@@ -7,14 +7,10 @@ number once (write_json); NaN and infinities are refused everywhere.
 Each certificate kind has one (encode, decode) pair in CODECS, between the
 package's objects and the JSON payload of a certificate file.
 
-Files are read as UTF-8 by one JSON reader (_load_json) that accepts and
-rejects what json.loads does.  A pair array, a regular nested array of
-numbers with an innermost axis of 2 (what _pack writes), becomes one float
-ndarray: with whitespace and number characters removed its text must be the
-bracket and comma skeleton of its shape, no slot empty, and its numbers go
-through one flat json.loads whose float memo converts each distinct number
-text once and gives up after _MEMO_CAP texts.  Every other value, and any
-would-be pair array that breaks these rules, goes to json's own scanner.
+Files are read as UTF-8 by one JSON reader (_Reader) that gives what
+json.loads gives, save that each pair array, once its bracket and comma
+skeleton checks out, is read whole into one float ndarray through a capped
+float memo.
 """
 from __future__ import annotations
 
@@ -484,9 +480,10 @@ class _Reader(json.JSONDecoder):
     def _pair_array(self, s: str, start: int):
         """(values, end) of the pair array at s[start], or None if there is
         none: a regular nested array of numbers, innermost axis 2."""
-        # a pair array holds neither; the first of them is past its end
-        ends = [i for i in (s.find('"', start), s.find("}", start)) if i >= 0]
-        span = s[start:min(ends, default=len(s))].rstrip(" \t\n\r,").encode()
+        quote = s.find('"', start)  # a pair array holds no '"' and no '}'
+        quote = len(s) if quote < 0 else quote
+        brace = s.find("}", start, quote)  # bounded: no rescan per key
+        span = s[start:quote if brace < 0 else brace].rstrip(" \t\n\r,").encode()
         dense = span.translate(None, b" \t\n\r")
         shape = _pair_shape(dense.translate(None, b"0123456789.eE+-"))
         if shape is None:

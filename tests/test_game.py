@@ -444,16 +444,18 @@ def test_normal_form_properties_flag_each_defect(mutate, flag):
 @pytest.mark.parametrize("where", [(0, 1, 2, 2), (3, 0, 1, 2)],
                          ids=["diagonal", "off-diagonal"])
 def test_normal_form_properties_false_on_a_non_finite_entry(bad, where):
-    """A NaN or an infinity in Alice's table makes every flag false, where
-    the mean trace used to raise from round()."""
+    """A NaN or an infinity in Alice's table, with Bob's left as it was or
+    made its conjugate, makes every flag false, where the mean trace used
+    to raise from round()."""
     g = hadamard_graph(4)
     s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
     alice = s.alice.copy()
     alice[where] = bad
-    broken = game.POVMStrategy(s.colors, s.dim_a, s.dim_b, s.state, alice, s.bob)
-    flags = game.normal_form_properties(broken, g)
-    assert list(flags) == list(game.normal_form_properties(s, g))
-    assert not any(flags.values())
+    for bob in (s.bob, alice.conj()):
+        broken = game.POVMStrategy(s.colors, s.dim_a, s.dim_b, s.state, alice, bob)
+        flags = game.normal_form_properties(broken, g)
+        assert list(flags) == list(game.normal_form_properties(s, g))
+        assert not any(flags.values())
 
 
 def test_normalize_perturbed_k2():

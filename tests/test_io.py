@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -613,6 +614,28 @@ def test_reader_distinct_numbers_bit_identical(tmp_path):
     back = io.read_strategy(p)
     for f in ("state", "alice", "bob"):
         assert getattr(back, f).tobytes() == getattr(s, f).tobytes()
+
+
+def test_float_memo_gives_up_at_its_cap():
+    """The memo converts _MEMO_CAP distinct texts and refuses the next, so
+    a file of mostly distinct numbers goes back to plain floats."""
+    memo = io._FloatMemo()
+    assert [memo[f"{i}.5"] for i in range(io._MEMO_CAP)][-1] == io._MEMO_CAP - 0.5
+    assert memo["0.5"] == 0.5 and len(memo) == io._MEMO_CAP
+    with pytest.raises(KeyError):
+        memo["0.25"]
+
+
+def test_reader_many_array_keys_in_linear_time():
+    """An array's text ends at the next key, not at its object's end: 5000
+    array-valued keys before 20 MB of whitespace read in a fraction of a
+    second, where a scan to the object's end per array takes seconds."""
+    text = ("{" + ", ".join(f'"k{i}": [{i}]' for i in range(5000))
+            + ', "pairs": [[1, 2]], "pad": 0' + " " * 20_000_000 + "}")
+    start = time.perf_counter()
+    got = json.loads(text, cls=io._Reader)
+    assert time.perf_counter() - start < 1.0
+    assert _same_document(got, _stdlib(text))
 
 
 def test_reader_files_bom_and_indentation(tmp_path):
