@@ -1,16 +1,16 @@
 """File formats: DIMACS graphs, JSON vector sets, strategies, certificates.
 
-Complex arrays are [re, im] pairs, matrices row-major flat lists of pairs,
-packed and unpacked whole by numpy (_pack, _unpack).  Files come from one
-array writer, byte-identical to json's compact form, that formats each distinct
-number once (write_json); NaN and infinities are refused everywhere.
-Each certificate kind has one (encode, decode) pair in CODECS, between the
-package's objects and the JSON payload of a certificate file.
+Complex arrays are [re, im] pairs, matrices row-major flat lists of pairs
+(_pack).  Files come from one array writer, byte-identical to json's compact
+form, that formats each distinct number once (write_json); NaN and
+infinities are refused everywhere.  CODECS holds each certificate kind's
+(encode, decode) pair between objects and certificate payloads.
 
-Files are read as UTF-8 by one JSON reader (_Reader) that gives what
-json.loads gives, save that each pair array, once its bracket and comma
-skeleton checks out, is read whole into one float ndarray through a capped
-float memo.
+Files are read as UTF-8 by one JSON reader (_Reader): what json.loads gives,
+save that each pair array whose skeleton checks out is one float ndarray
+(read through a capped float memo).  _unpack, the one decoder of every
+[re, im] field, converts a field whole, goes item by item only to name the
+first item at fault, and allocates nothing from a size the file declares.
 """
 from __future__ import annotations
 
@@ -38,6 +38,10 @@ class FormatError(ValueError):
 # what reading a malformed JSON document raises: a missing key or index, a
 # wrong type, a bad value, or a number too large for an int or a float
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
+
+def _number(x, kind=int):  # a pair array reads as the lists json.loads gives
+    return kind(x.tolist() if isinstance(x, np.ndarray) else x)
 
 
 # ---------------------------------------------------------------------------
@@ -116,56 +120,46 @@ def _pack(a, keep: int) -> np.ndarray:
     return pairs.reshape(a.shape[:keep] + (math.prod(a.shape[keep:]), 2))
 
 
-def _unpack(pairs, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
-    """Inverse of _pack for one flat list (or array) of pairs: a complex
-    array of the given shape, or flat of any length when shape is None."""
-    if not isinstance(pairs, (list, tuple, np.ndarray)):
+def _unpack(data, shape: tuple[int, ...] | None, what: str,
+            lead: tuple[int | None, ...] = ()) -> np.ndarray:
+    """Inverse of _pack: data, nested lists or a float array of [re, im]
+    pairs, as a complex array with leading axes of the lengths in lead (None:
+    any) and then entries of the given shape (None: one flat axis of any
+    length).  data converts whole; only when that fails does the decode go
+    down the leading axes, item by item, so that the error names the first
+    item at fault in row-major order."""
+    k = len(lead)
+    if not isinstance(data, (list, tuple, np.ndarray)):
         raise FormatError(f"{what} must be a list of [re, im] pairs")
+    size = None if shape is None else math.prod(shape)
     try:
-        a = np.ascontiguousarray(pairs, dtype=float)
+        a = np.ascontiguousarray(data, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        raise FormatError(f"{what} contains a number beyond the float range")
+        fault = "contains a number beyond the float range"
     except (TypeError, ValueError) as err:  # a string, an object, a ragged list
-        raise FormatError(f"{what} contains a non-number or is not [re, im] "
-                          f"pairs: {err}")
-    if not np.isfinite(a).all():  # None converts to NaN
-        raise FormatError(f"{what} contains a non-number or a non-finite value")
-    if len(pairs) and (a.ndim != 2 or a.shape[1] != 2):
-        raise FormatError(f"{what} must be [re, im] pairs")
-    z = a.reshape(-1, 2).view(complex)[:, 0]
-    if shape is not None and z.shape[0] != math.prod(shape):
-        raise FormatError(f"{what} has {z.shape[0]} entries, expected "
-                          f"{math.prod(shape)}")
-    return z.reshape(shape or -1)
-
-
-def _unpack_whole(rows, axes: int, size: int | None) -> np.ndarray | None:
-    """rows as complex entries, axes axes and then size of them (any when
-    None), if it converts whole to finite [re, im] pairs of that layout;
-    else None, and the caller unpacks item by item to name the defect."""
-    try:
-        a = np.ascontiguousarray(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if (a.ndim != axes + 2 or a.shape[-1] != 2 or size not in (None, a.shape[-2])
-            or not np.isfinite(a).all()):
-        return None
-    return a.view(complex)[..., 0]
-
-
-def _unpack_table(rows, c: int, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """An (n, c, *shape) operator table from [vertex][color] pair lists,
-    n = len(rows)."""
-    out = np.zeros((len(rows), c) + shape, dtype=complex)
-    z = _unpack_whole(rows, 2, math.prod(shape))
-    if z is not None and z.shape[1] == c:
-        return z.reshape(out.shape)
-    for v, row in enumerate(rows):
-        if not isinstance(row, (list, np.ndarray)) or len(row) != c:
-            raise FormatError(f"vertex {v} does not list exactly {c} operators")
-        for a in range(c):
-            out[v, a] = _unpack(row[a], shape, f"{what} ({v},{a})")
-    return out
+        fault = f"contains a non-number or is not [re, im] pairs: {err}"
+    else:
+        if not a.size and a.ndim < k + 2:  # nested lists end at an empty axis
+            a = a.reshape(a.shape + tuple(n or 0 for n in (*lead, size, 2)[a.ndim:]))
+        if not np.isfinite(a).all():  # None converts to NaN
+            fault = "contains a non-number or a non-finite value"
+        elif (a.ndim != k + 2 or a.shape[-1] != 2
+              or any(n not in (None, m) for n, m in zip(lead, a.shape))):
+            fault = "must be [re, im] pairs"
+        elif size not in (None, a.shape[k]):
+            fault = f"has {a.shape[k]} entries, expected {size}"
+        else:
+            z = a.view(complex)[..., 0]
+            return z if shape is None else z.reshape(a.shape[:k] + shape)
+    for i, item in enumerate(data if k else ()):  # later items take the first shape
+        if k == 1:
+            shape = _unpack(item, shape, f"{what} {i}").shape
+        elif not isinstance(item, (list, tuple, np.ndarray)) or len(item) != lead[1]:
+            raise FormatError(f"vertex {i} does not list exactly {lead[1]} operators")
+        else:
+            for j, x in enumerate(item):
+                shape = _unpack(x, shape, f"{what} ({i},{j})").shape
+    raise FormatError(f"{what} {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +179,10 @@ def vector_set_from_dict(data: dict) -> tuple[VectorSet, float | None]:
     if not isinstance(data, dict):
         raise FormatError("vector set must be a JSON object")
     try:
-        d = int(data["dimension"])
+        d = _number(data["dimension"])
         entries = list(data["vectors"])
         tolerance = data.get("tolerance")
-        tolerance = None if tolerance is None else float(tolerance)
+        tolerance = None if tolerance is None else _number(tolerance, float)
     except _MALFORMED as err:
         raise FormatError(f"vector set missing or malformed field: {err}")
     if tolerance is not None and not 0 < tolerance < math.inf:
@@ -236,24 +230,21 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
     if not isinstance(data, dict):
         raise FormatError("strategy must be a JSON object")
     try:
-        c = int(data["colors"])
-        da = int(data["dim_a"])
-        db = int(data["dim_b"])
+        c, da, db = (_number(data[key]) for key in ("colors", "dim_a", "dim_b"))
         state = _unpack(data["state"], None, "state")
-        alice_raw = list(data["alice"])
-        bob_raw = list(data["bob"])
+        same = len(data["alice"]) == len(data["bob"])
     except _MALFORMED as err:
         raise FormatError(f"strategy missing or malformed field: {err}")
     if min(c, da, db) < 0:
         raise FormatError(f"strategy sizes must be nonnegative, got colors {c}, "
                           f"dim_a {da}, dim_b {db}")
-    if len(alice_raw) != len(bob_raw):
+    if not same:
         raise FormatError("alice and bob cover different vertex counts")
-    alice = _unpack_table(alice_raw, c, (da, da), "alice operator")
-    bob = _unpack_table(bob_raw, c, (db, db), "bob operator")
     try:
-        return POVMStrategy(c, da, db, state, alice, bob)
-    except ValueError as err:
+        return POVMStrategy(c, da, db, state,
+                            _unpack(data["alice"], (da, da), "alice operator", (None, c)),
+                            _unpack(data["bob"], (db, db), "bob operator", (None, c)))
+    except ValueError as err:  # numpy's too, for an empty table of impossible sizes
         raise FormatError(str(err))
 
 
@@ -274,8 +265,7 @@ def _encode_coloring(cert: ColoringCertificate) -> dict:
 
 
 def _decode_coloring(p: dict) -> ColoringCertificate:
-    return ColoringCertificate(c=int(p["colors"]),
-                               colors=tuple(int(x) for x in p["assignment"]))
+    return ColoringCertificate(_number(p["colors"]), tuple(map(_number, p["assignment"])))
 
 
 def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
@@ -284,12 +274,9 @@ def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
 
 
 def _decode_orthrep(p: dict) -> OrthogonalRepresentation:
-    d = int(p["dimension"])
-    vecs = _unpack_whole(p["vectors"], 1, None)
-    if vecs is None:
-        vecs = np.array([_unpack(row, None, f"vector {i}")
-                         for i, row in enumerate(p["vectors"])] or np.zeros((0, d)))
-    return OrthogonalRepresentation(d, vecs)
+    d = _number(p["dimension"])
+    vecs = _unpack(p["vectors"], None, "vector", (None,))
+    return OrthogonalRepresentation(d, vecs if len(vecs) else vecs.reshape(0, d))
 
 
 def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
@@ -298,12 +285,8 @@ def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
 
 
 def _decode_matrixrep(p: dict) -> MatrixRepresentation:
-    d = int(p["dimension"])
-    mats = _unpack_whole(p["matrices"], 1, d * d)
-    if mats is None:
-        mats = np.array([_unpack(m, (d, d), f"matrix {i}")
-                         for i, m in enumerate(p["matrices"])] or np.zeros((0, d, d)))
-    return MatrixRepresentation(d, mats.reshape(len(mats), d, d))
+    d = _number(p["dimension"])
+    return MatrixRepresentation(d, _unpack(p["matrices"], (d, d), "matrix", (None,)))
 
 
 def _encode_qcoloring(qc: QuantumColoring) -> dict:
@@ -313,15 +296,12 @@ def _encode_qcoloring(qc: QuantumColoring) -> dict:
 
 
 def _decode_qcoloring(p: dict) -> QuantumColoring:
-    c, r = int(p["colors"]), int(p["rank"])
-    if "vectors" in p:
-        rows = p["vectors"]
-        shape = (len(rows[0][0]) if len(rows) else c,)  # rank 1: d-vectors
-        return QuantumColoring(c, r, vectors=_unpack_table(rows, c, shape,
-                                                           "vector"))
-    d = r * c
-    return QuantumColoring(c, r, projectors=_unpack_table(
-        p["projectors"], c, (d, d), "projector"))
+    c, r = _number(p["colors"]), _number(p["rank"])
+    if "vectors" in p:  # rank 1: d-vectors, d = c when there are none
+        vecs = _unpack(p["vectors"], None, "vector", (None, c))
+        return QuantumColoring(c, r, vectors=vecs if len(vecs) else vecs.reshape(0, c, c))
+    return QuantumColoring(c, r, projectors=_unpack(p["projectors"], (r * c,) * 2,
+                                                    "projector", (None, c)))
 
 
 def _encode_psd_witness(w: PSDWitness) -> dict:
@@ -337,7 +317,7 @@ def _unpack_square(pairs, what: str) -> np.ndarray:
 
 
 def _decode_psd_witness(p: dict) -> PSDWitness:
-    return PSDWitness(_unpack_square(p["matrix"], "witness matrix"), int(p["rank"]))
+    return PSDWitness(_unpack_square(p["matrix"], "witness matrix"), _number(p["rank"]))
 
 
 def _encode_theta(cert: ThetaCertificate) -> dict:
@@ -361,7 +341,7 @@ CERTIFICATE_KINDS = tuple(CODECS)
 
 
 def _check_kind(kind) -> None:
-    if kind not in CERTIFICATE_KINDS:
+    if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
         raise FormatError(f"unknown certificate kind {kind!r}")
 
 
@@ -429,15 +409,15 @@ def _read_text(path) -> str:
 
 def _load_json(path):
     try:
-        text = _read_text(path)
-    except OSError as err:
-        raise FormatError(f"cannot read {path}: {err}")
-    try:
-        return json.loads(text, cls=_Reader)
+        return json.loads(_read_text(path), cls=_Reader)
     except FormatError:
         raise
+    except OSError as err:
+        raise FormatError(f"cannot read {path}: {err}")
     except _MALFORMED as err:  # a syntax error, or an integer of > 4300 digits
         raise FormatError(f"{path}: invalid JSON: {err}")
+    except RecursionError as err:  # nesting past Python's recursion limit
+        raise FormatError(f"{path}: JSON nested too deeply to read: {err}")
 
 
 _MEMO_CAP = 4096  # distinct number texts a file's float memo converts

@@ -144,6 +144,43 @@ def test_malformed_numbers_in_json_are_input_errors(capsys, tmp_path, c5_file,
     assert "internal error" not in report["error"]
 
 
+def _one_vertex_strategy(colors=2, dim_a=1, tables="[[[[1, 0]], [[0, 0]]]]"):
+    return (f'{{"colors": {colors}, "dim_a": {dim_a}, "dim_b": 1, "state": [[1, 0]], '
+            f'"alice": {tables}, "bob": {tables}}}')
+
+
+@pytest.mark.parametrize("argv, text, named", [
+    (("game", "exact", "{k1}", "{file}"), _one_vertex_strategy(dim_a=10 ** 6),
+     "alice operator (0,0) has 1 entries, expected 1000000000000"),
+    (("game", "exact", "{k1}", "{file}"), _one_vertex_strategy(colors=10 ** 9),
+     "vertex 0 does not list exactly 1000000000 operators"),
+    (("game", "exact", "{k1}", "{file}"),
+     _one_vertex_strategy(colors=10 ** 9, dim_a=10 ** 6, tables="[]"), "array is too big"),
+    (("verify-qcoloring", "{k1}", "{file}"),
+     '{"kind": "qcoloring", "payload": {"colors": 2, "rank": 1000000, '
+     '"projectors": [[[[1, 0]], [[0, 0]]]]}}', "projector (0,0) has 1 entries"),
+    (("ks-check", "{file}"),
+     '{"dimension": 1, "vectors": ' + "[" * 5000 + "]" * 5000 + "}", "nested too deeply"),
+    (("verify-rep", "{k1}", "{file}"),
+     '{"kind": "orthrep", "payload": {"dimension": 1, "vectors": '
+     + "[" * 5000 + "]" * 5000 + "}}", "nested too deeply"),
+    (("verify-rep", "{k1}", "{file}"), '{"kind": [[1, 2], [3, 4]], "payload": {}}',
+     "unknown certificate kind"),
+], ids=["dim-a-1e6", "colors-1e9", "empty-tables-of-huge-sizes", "projector-rank-1e6",
+        "vector-set-5000-deep", "orthrep-5000-deep", "kind-pair-array"])
+def test_declared_sizes_and_deep_nesting_are_input_errors(capsys, tmp_path, argv,
+                                                          text, named):
+    """Sizes declared far past memory are checked against the data, never
+    allocated, and nesting past Python's recursion limit is refused: exit 2,
+    naming what is at fault."""
+    p, k1 = tmp_path / "input.json", tmp_path / "k1.col"
+    p.write_text(text)
+    k1.write_text("p edge 1 0\n")
+    code, report, _ = run(capsys, *(a.format(file=p, k1=k1) for a in argv))
+    assert code == 2
+    assert named in report["error"] and "internal error" not in report["error"]
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"),
                                  RecursionError("maximum recursion depth")])
 def test_internal_error_exit_code(capsys, monkeypatch, c5_file, exc):

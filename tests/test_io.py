@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import time
 
 import numpy as np
@@ -280,6 +281,18 @@ def _assert_same_fields(back, obj):
     ("theta", {"matrix": [[1.0, 0.0]] * 3}, "theta matrix is not square"),
     ("theta", {"matrix": [[1.0, 0.5]]}, "must be real"),
     ("theta", {}, "'matrix'"),
+    ("qcoloring", {"colors": 2, "rank": 1,
+                   "vectors": [[[[1.0, 0.0]], [[0.0, 1.0]]],
+                               [[[1.0, 0.0]], [[float("1e400"), 0.0]]],
+                               [[[1.0, 0.0]], [[0.0, 1.0]]]]},
+     r"vector \(1,1\) contains a non-number or a non-finite value"),
+    ("qcoloring", {"colors": 2, "rank": 1,
+                   "vectors": [[[[1.0, 0.0]], [[0.0, 1.0]]]] * 2 + [[[[1.0, 0.0]]]]},
+     "vertex 2 does not list exactly 2 operators"),
+    ("orthrep", {"dimension": 1, "vectors": [[[1.0, 0.0]]] * 2 + [[["x", 0.0]]]},
+     "vector 2 contains a non-number"),
+    ("matrixrep", {"dimension": 2, "matrices": [[[1.0, 0.0]] * 4, [[1.0, 0.0]] * 3]},
+     "matrix 1 has 3 entries, expected 4"),
 ])
 def test_malformed_payload_is_format_error(kind, payload, match):
     with pytest.raises(io.FormatError, match=f"malformed {kind} payload: .*{match}"):
@@ -651,6 +664,77 @@ def test_reader_files_bom_and_indentation(tmp_path):
     assert isinstance(payload["vectors"], np.ndarray)
 
 
+def _decoded(kind, doc):
+    """What a strategy (kind None) or certificate document decodes to: the
+    object, or the text of the FormatError that rejects it."""
+    try:
+        if kind is None:
+            return io.strategy_from_dict(doc)
+        return io.decode_payload(*io.certificate_from_dict(doc)[:2])
+    except io.FormatError as err:
+        return str(err)
+
+
+_SIZE = r'"(?:colors|dim_a|dim_b|rank|dimension)": (-?[0-9]+)'
+
+
+def test_decoders_agree_on_arrays_and_lists_over_mutations():
+    """Small strategy and certificate files, compact and indented, mutated
+    in their characters, their numbers and their declared sizes: each
+    document the reader accepts decodes as its pair arrays and as
+    json.loads's nested lists to the same object bit for bit, or to the
+    same FormatError.  No other exception escapes, such as the allocation
+    error a declared size of 2e9 once raised."""
+    rng = np.random.default_rng(18)
+    e0, e1 = np.diag([1.0 + 0j, 0]), np.diag([0j, 1.0])
+    alice = np.array([[e0, e1], [e1, e0], [e0, e1]])
+    docs = [(None, io.strategy_to_dict(
+        game.POVMStrategy(2, 2, 2, maximally_entangled(2), alice, alice.conj())))]
+    docs += [(kind, io.certificate_to_dict(kind, io.encode_payload(kind, obj), {}))
+             for kind, obj in _codec_examples()[1:]]
+    seeds = [(n, text) for n, (_, doc) in enumerate(docs)
+             for text in (io._to_json(doc), json.dumps(json.loads(io._to_json(doc)),
+                                                       indent=1))]
+    alphabet = list("[]{},:\" \n0123456789.eE+-x")
+    numbers = ["0", "1", "2", "3", "-1", "2e9", "1e400", "0.5", "[]", "[[1, 0]]"]
+    outcomes = set()
+    for _ in range(1500):
+        n, text = seeds[rng.integers(len(seeds))]
+        kind = docs[n][0]
+        for _ in range(rng.integers(1, 3)):
+            edit = rng.integers(3)
+            if edit < 2:  # a declared size, or any number
+                spans = [m.span(1) for m in re.finditer(
+                    _SIZE if edit else r"(-?[0-9][0-9.eE+-]*)", text)]
+                i, j = spans[rng.integers(len(spans))] if spans else (0, 0)
+                text = text[:i] + numbers[rng.integers(len(numbers))] + text[j:]
+            else:
+                spots = [i for i, ch in enumerate(text) if ch in "[],0123456789.eE+- "]
+                i = spots[rng.integers(len(spots))]
+                ch = alphabet[rng.integers(len(alphabet))]
+                # substitute, delete or insert before
+                text = text[:i] + [ch, "", ch + text[i]][rng.integers(3)] + text[i + 1:]
+        try:
+            doc = json.loads(text, cls=io._Reader)
+        except ValueError:
+            continue
+        got = _decoded(kind, doc)
+        want = _decoded(kind, json.loads(text, parse_constant=io._reject_constant))
+        if isinstance(want, str):
+            assert got == want, text
+        else:
+            assert type(got) is type(want), text
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                               b.tobytes()), text
+                else:
+                    assert a == b, text
+        outcomes.add((n, isinstance(want, str)))
+    assert len(outcomes) == 2 * len(docs)  # each file both decoded and refused
+
+
 _PAIR_CONTRACT = [
     ("[[[[1, 0]], [[0, -1]]]]", [1, -1j]),
     (f"[[[[{2 ** 70}, 0]], [[0, 1]]]]", [2.0 ** 70, 1j]),
@@ -662,9 +746,11 @@ _PAIR_CONTRACT = [
                             r"not) \[re, im\] pairs"),
     ("[[[[1, 0]]]]", "vertex 0 does not list exactly 2 operators"),
     ("[[[[1, 0]], [[0, 1]], [[0, 1]]]]", "vertex 0 does not list exactly 2 operators"),
+    ("[[[[1, 0]], [[1e400, 1]]]]",
+     r"{op} \(0,1\) contains a non-number or a non-finite value"),
 ]
 _PAIR_CONTRACT_IDS = ["ints", "int-beyond-int64", "1e400", "401-digits", "ragged",
-                      "one-operator", "three-operators"]
+                      "one-operator", "three-operators", "1e400-second-operator"]
 
 
 @pytest.mark.parametrize("table, want", _PAIR_CONTRACT, ids=_PAIR_CONTRACT_IDS)
