@@ -256,7 +256,7 @@ def _cmd_verify_rep(args, opts):
     if kind == "theta":
         report.update(lower_theta=valid.bound, reason=valid.reason)
         summary += f": xi >= {valid.bound}" if valid else f": {valid.reason}"
-    elif not valid and kind != "coloring":  # a reps.VerifyResult says where
+    elif not valid:  # a VerifyResult says where
         summary += f": {valid}"
     return report, EXIT_YES if valid else EXIT_NO, summary
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, VerifyResult
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -68,15 +68,21 @@ class ChromaticResult:
     clique: tuple[int, ...]
 
 
-def verify_coloring(g: Graph, cert: ColoringCertificate) -> bool:
+def verify_coloring(g: Graph, cert: ColoringCertificate) -> VerifyResult:
+    """Whether cert is a proper coloring of g; a failure names the first edge
+    (u, w) of g.edge_array whose ends share a color, and that color."""
     if len(cert.colors) != g.n:
         raise ColoringError(
             f"certificate colors {len(cert.colors)} vertices, graph has {g.n}")
     for v, col in enumerate(cert.colors):
         if not 0 <= col < cert.c:
             raise ColoringError(f"vertex {v} has out-of-range color {col} (c={cert.c})")
-    colors = cert.colors
-    return all(colors[u] != colors[v] for u, v in g.edge_array.tolist())
+    colors = np.asarray(cert.colors)[g.edge_array]  # object dtype past int64
+    bad = np.flatnonzero(colors[:, 0] == colors[:, 1])
+    if not bad.size:
+        return VerifyResult(True, None)
+    u, w = g.edge_array[bad[0]].tolist()
+    return VerifyResult(False, None, (u, w, int(colors[bad[0], 0])), "ends share a color")
 
 
 def greedy_clique(g: Graph) -> list[int]:

@@ -24,11 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import CheckResult, Graph
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks,
                      maximally_entangled, schmidt, support_projector)
-from .reps import (CheckResult, QuantumColoring, _worst_vertex, edges_orthogonal,
-                   projectors_ok)
+from .reps import QuantumColoring, _worst_vertex, edges_orthogonal, projectors_ok
 
 
 class GameError(ValueError):
@@ -128,19 +127,58 @@ class POVMStrategy:
         return self.state.reshape(self.dim_a, self.dim_b)
 
 
+# vertices per block of validate_strategy's certified pass
+VERTEX_BLOCK = 128
+
+
+def _povm_verdict(ops: np.ndarray, d: int, tol: float, certify: bool):
+    """One side's three checks; with certify, positivity by Cholesky (a bool)."""
+    return (_worst_vertex(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
+                          "element not Hermitian")
+            and (_cholesky_certifies(ops, tol) if certify else
+                 _worst_vertex(-np.linalg.eigvalsh(ops), tol, "element not PSD"))
+            and _worst_vertex(np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
+                              "does not sum to identity"))
+
+
+def _cholesky_certifies(ops: np.ndarray, tol: float) -> bool:
+    """Whether ops + (tol/2) I has a finite Cholesky factor, within the guard."""
+    d, s = ops.shape[-1], tol / 2
+    gamma = (d + 3) * 2.0 ** -53 / (1 - (d + 3) * 2.0 ** -53)  # complex gamma_{d+1}
+    trace = np.einsum("vaii->va", ops).real + d * s
+    try:
+        return bool(np.all(gamma * (d + 2) * (2 * trace + s) + d * d * 2.0 ** -1074 <= s)
+                    and np.isfinite(np.linalg.cholesky(ops + s * np.eye(d))).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
-    """POVM sanity: normalized state, PSD elements, per-vertex sums = identity;
-    a failure names the side, the check and its worst vertex."""
+    """POVM sanity: a normalized state; per side, elements Hermitian within
+    tol with eigvalsh's least eigenvalue >= -tol, each vertex's sum the
+    identity within d*tol.  A failure names the side, check and worst vertex.
+
+    Blocks of VERTEX_BLOCK vertices are checked first, with PSD certified by
+    Cholesky.  Theorem: if the Cholesky of H = A + sI completes in floating
+    point with a finite factor, then lambda_min(A) >= -s - 2 gamma tr H, with
+    gamma = gamma_{d+3}, the complex gamma_{d+1} (Higham 2002, Thm 10.3 and
+    sec. 3.6; Demmel 1989); the 2 covers 1/(1 - gamma) and the rounding of
+    shift and trace.  Hypotheses: IEEE binary64, round to nearest, no
+    Strassen-type GEMM in potrf.  Guard: with s = tol/2, a block is trusted
+    only when that term, eigvalsh's backward error taken as
+    d gamma (2 tr H + s), and d^2 2^-1074 for underflow fit in the other
+    tol/2, so eigvalsh accepts it too; both read only the lower triangle, and
+    the accept set is eigvalsh's.  Fallback: a failed block or guard, or a tol
+    not positive and finite, sends the side to the whole-table eigvalsh
+    checks, which name the fault."""
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
-        verdict = (_worst_vertex(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
-                                 "element not Hermitian")
-                   and _worst_vertex(-np.linalg.eigvalsh(ops), tol, "element not PSD")
-                   and _worst_vertex(np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
-                                     "does not sum to identity"))
-        if not verdict:
-            raise GameError(f"{name} POVM {verdict}")
+        if not (0 < tol < np.inf and all(_povm_verdict(ops[lo:lo + VERTEX_BLOCK], d, tol, True)
+                                         for lo in range(0, len(ops), VERTEX_BLOCK))):
+            verdict = _povm_verdict(ops, d, tol, False)
+            if not verdict:
+                raise GameError(f"{name} POVM {verdict}")
 
 
 def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:

@@ -10,6 +10,7 @@ bitset per vertex, Graph.masks, and keep explicit stacks, never recursion.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -20,6 +21,31 @@ from .linalg import DEFAULT_TOL, PAIR_BLOCK
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph input (self-loop, bad endpoint, ...)."""
+
+
+class CheckResult:
+    """Base of every check result with an ok field: truthy exactly when the
+    check passed."""
+    ok: bool
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+@dataclass(frozen=True, eq=False)
+class VerifyResult(CheckResult):
+    """A verifier's verdict: the worst residual of the failed check named by
+    reason (None when ok; None too for an exact check), at where: (v,) for a
+    vertex, (v, w, color) for an edge, None for the whole certificate."""
+    ok: bool
+    residual: float | None
+    where: tuple[int, ...] | None = None
+    reason: str | None = None
+
+    def __str__(self) -> str:
+        at = ("", " at vertex {}", "", " on edge ({}, {}), color {}")[len(self.where or ())]
+        res = "" if self.residual is None else f" (residual {self.residual:.3g})"
+        return f"{self.reason}{at.format(*self.where or ())}{res}"
 
 
 class Graph:

@@ -341,7 +341,9 @@ CERTIFICATE_KINDS = tuple(CODECS)
 
 
 def _check_kind(kind) -> None:
-    if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
+    if not isinstance(kind, str):  # not by repr, which differs between readers
+        raise FormatError("unknown certificate kind (not a string)")
+    if kind not in CERTIFICATE_KINDS:
         raise FormatError(f"unknown certificate kind {kind!r}")
 
 

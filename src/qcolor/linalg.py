@@ -13,6 +13,8 @@ Conventions, fixed package-wide:
 * per-pair values (game evaluators, edge verifiers) go through PairBlocks,
   one block of rows at a time to a reducer (worst value, values above tol,
   a sum): memory is a few ints per pair plus a block, never (pairs, c).
+* positivity is certified by Cholesky; eigen-decompositions run only where
+  eigenvalues or eigenvectors are used.
 """
 from __future__ import annotations
 

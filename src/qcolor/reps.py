@@ -20,37 +20,14 @@ import numpy as np
 from .coloring import (DEFAULT_BUDGET, CliqueResult, ColoringCertificate,
                        clique_number, greedy_coloring, is_c_colorable,
                        verify_coloring)
-from .graphs import Graph, _adjacency_mask, cartesian_product, complete_graph
+from .graphs import (CheckResult, Graph, VerifyResult, _adjacency_mask,
+                     cartesian_product, complete_graph)
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks,
                      _above_cutoff)
 
 
 class RepsError(ValueError):
     pass
-
-
-class CheckResult:
-    """Base of every check result with an ok field: truthy exactly when the
-    check passed."""
-    ok: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True, eq=False)
-class VerifyResult(CheckResult):
-    """A verifier's verdict: the worst residual of the failed check named by
-    reason (None when ok), at where: (v,) for a vertex, (v, w, color) for an
-    edge, None for the whole certificate."""
-    ok: bool
-    residual: float
-    where: tuple[int, ...] | None = None
-    reason: str | None = None
-
-    def __str__(self) -> str:
-        at = ("", " at vertex {}", "", " on edge ({}, {}), color {}")[len(self.where or ())]
-        return f"{self.reason}{at.format(*self.where or ())} (residual {self.residual:.3g})"
 
 
 @dataclass(frozen=True, eq=False)

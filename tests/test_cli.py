@@ -378,10 +378,12 @@ def test_tampered_certificate_fails(capsys, c5_file, tmp_path):
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "chi", c5_file, "-o", str(cert))
     data = json.loads(cert.read_text())
-    data["payload"]["assignment"][0] = data["payload"]["assignment"][1]
+    data["payload"]["assignment"][0] = color = data["payload"]["assignment"][1]
     cert.write_text(json.dumps(data))
-    code, report, _ = run(capsys, "verify-rep", c5_file, str(cert))
+    code, report, err = run(capsys, "verify-rep", c5_file, str(cert))
     assert code == 1 and not report["valid"]
+    assert (f"coloring certificate FAILS: ends share a color on edge (0, 1), "
+            f"color {color} [exit 1]") in err
 
 
 def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path):

@@ -40,6 +40,21 @@ def test_verify_coloring_detects_improper():
     assert not coloring.verify_coloring(g, coloring.ColoringCertificate(2, (0, 0, 1, 1)))
 
 
+def test_verify_coloring_names_the_first_monochromatic_edge():
+    """The verdict is truthy exactly when proper; a failure names the first
+    edge of g.edge_array whose ends share a color, and that color."""
+    g = cycle(6)  # edges (0,1), (0,5), (1,2), (2,3), (3,4), (4,5)
+    ok = coloring.verify_coloring(g, coloring.ColoringCertificate(2, (0, 1, 0, 1, 0, 1)))
+    assert ok and ok.where is None and ok.reason is None
+    bad = coloring.verify_coloring(g, coloring.ColoringCertificate(3, (0, 1, 2, 2, 1, 1)))
+    assert not bad and bad.where == (2, 3, 2)
+    assert str(bad) == "ends share a color on edge (2, 3), color 2"
+    assert coloring.verify_coloring(make_graph(3, []), coloring.ColoringCertificate(1, (0, 0, 0)))
+    huge = coloring.verify_coloring(make_graph(2, [(0, 1)]),
+                                    coloring.ColoringCertificate(2 ** 70, (2 ** 65, 2 ** 65)))
+    assert not huge and huge.where == (0, 1, 2 ** 65)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_chromatic_complete(n):
     res = coloring.chromatic_number(complete_graph(n))

@@ -70,6 +70,181 @@ def test_empty_strategy_validates_vacuously():
         game.validate_strategy(game.POVMStrategy(2, 2, 2, np.ones(4), ops, ops))
 
 
+# -- validate_strategy against its whole-table eigvalsh checks ----------------------
+
+
+def _worst(defect, bound, reason):
+    """A per-vertex check's fault text, None when every defect is <= bound:
+    the worst vertex (a NaN first) and its residual."""
+    per = defect.max(axis=tuple(range(1, defect.ndim)), initial=0.0)
+    if per.size and not per.max(initial=0.0) <= bound:
+        v = int(np.argmax(per))
+        return f"{reason} at vertex {v} (residual {per[v]:.3g})"
+    return None
+
+
+def reference_verdict(s, tol):
+    """validate_strategy's verdict by the three whole-table checks it had
+    before the Cholesky certificate: None, or the GameError text."""
+    if abs(np.linalg.norm(s.state) - 1.0) > tol:
+        return f"state norm {np.linalg.norm(s.state):.6g} != 1"
+    for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
+        fault = (_worst(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
+                        "element not Hermitian")
+                 or _worst(-np.linalg.eigvalsh(ops), tol, "element not PSD")
+                 or _worst(np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
+                           "does not sum to identity"))
+        if fault:
+            return f"{name} POVM {fault}"
+    return None
+
+
+def validate_verdict(s, tol):
+    try:
+        game.validate_strategy(s, tol)
+    except game.GameError as err:
+        return str(err)
+    return None
+
+
+def random_povm(rng, n, c, d):
+    """(n, c, d, d) table of random full-rank POVMs, X X^H per element
+    conjugated by S^(-1/2), S the vertex's sum."""
+    x = rng.normal(size=(n, c, d, d)) + 1j * rng.normal(size=(n, c, d, d))
+    g = x @ x.conj().swapaxes(-1, -2)
+    w, u = np.linalg.eigh(g.sum(axis=1))
+    r = ((u / np.sqrt(w)[:, None, :]) @ u.conj().swapaxes(-1, -2))[:, None]
+    ops = r @ g @ r
+    return (ops + ops.conj().swapaxes(-1, -2)) / 2
+
+
+def defective_table(rng, kind, tol):
+    """A random (n, c, d, d) POVM table with one defect of the given kind
+    at a random element, each sized at its check's bound times a factor."""
+    n, c, d = int(rng.integers(1, 300)), int(rng.integers(1, 5)), int(rng.integers(1, 8))
+    ops = random_povm(rng, n, c, d)
+    v, a, b = int(rng.integers(n)), int(rng.integers(c)), int(rng.integers(c))
+    k = rng.choice([0.0, 0.5, 1 - 1e-3, 1 + 1e-3, 2.0, 1000.0])
+    if kind == "psd":  # lambda_min -> -k tol, the difference moved to color b
+        w, u = np.linalg.eigh(ops[v, a])
+        shift = (w[0] + k * tol) * np.outer(u[:, 0], u[:, 0].conj())
+        ops[v, a] -= shift
+        if b != a:
+            ops[v, b] += shift
+    elif kind == "herm":  # |E - E^H| = k tol at entry (i, j)
+        i, j = int(rng.integers(d)), int(rng.integers(d))
+        ops[v, a, i, j] += k * tol * (0.5j if i == j else np.exp(2j * np.pi * rng.random()))
+    elif kind == "sum":  # the vertex's sum off by k d tol on one diagonal
+        i = int(rng.integers(d))
+        ops[v, a, i, i] += k * d * tol
+    elif kind == "nonfinite":
+        ops[v, a, int(rng.integers(d)), int(rng.integers(d))] = rng.choice(
+            [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)])
+    elif kind == "scaled":  # traces far past what the certificate may trust
+        ops *= rng.choice([1e6, 1e9])
+    return ops
+
+
+def test_validate_matches_the_eigvalsh_checks(monkeypatch):
+    """The blocked Cholesky certificate gives the verdict and the error text
+    of the whole-table eigvalsh checks, on tables with each defect at its
+    bound, non-finite entries, scaled traces and edge-case tolerances."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for kind in ("none", "psd", "psd", "herm", "sum", "nonfinite", "scaled"):
+        for _ in range(20):
+            tol = 10.0 ** rng.uniform(-12, -3)
+            cases.append((defective_table(rng, kind, tol), tol))
+    for d in (1, 3):  # d = 1, an empty table, and tolerances no bound can use
+        ops = random_povm(rng, 40, 2, d)
+        for tol in (0.0, -1.0, np.inf, np.nan, 1e-8, 1e-16):
+            cases += [(ops, tol), (ops[:0], tol)]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    certified, outcomes = 0, set()
+    for ops, tol in cases:
+        n, c, d = ops.shape[:3]
+        state = np.eye(d, dtype=complex).ravel() / np.sqrt(d)
+        uniform = np.broadcast_to(np.eye(d) / c, ops.shape)
+        for s in (game.POVMStrategy(c, d, d, state, ops, ops.conj()),
+                  game.POVMStrategy(c, d, d, state, uniform, ops)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the Hermitian check
+                expected = reference_verdict(s, tol)
+                calls.clear()
+                assert validate_verdict(s, tol) == expected, (s.alice.shape, tol)
+            outcomes.add(expected and expected.split(" at ")[0])
+            certified += expected is None and n > 0 and not calls
+    assert outcomes >= {None, "alice POVM element not PSD", "bob POVM element not PSD",
+                        "alice POVM element not Hermitian", "bob POVM element not Hermitian",
+                        "alice POVM does not sum to identity"}
+    assert certified >= 40
+
+
+def test_valid_tables_are_certified_without_eigenvalues(monkeypatch):
+    """A valid table at a usable tol never reaches eigvalsh: one Cholesky per
+    block of VERTEX_BLOCK vertices decides it."""
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8))
+    cholesky, blocks = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: blocks.append(len(a)) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    game.validate_strategy(s)
+    assert blocks == [game.VERTEX_BLOCK] * 4
+
+
+def _shifted_cholesky_completes(ops, shift):
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(ops + shift * np.eye(ops.shape[-1]))).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def test_cholesky_within_the_rounding_allowance_goes_to_eigvalsh(monkeypatch):
+    """At tol = 2e-17 Cholesky's rounding exceeds tol/2, so its completion
+    proves nothing.  A table that passes every other check, whose shifted
+    Cholesky completes although eigvalsh puts an element below -tol, must
+    be judged, and refused, by eigvalsh."""
+    tol, d = 2e-17, 3
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        e = (q * [-1.001 * tol, 0.5, 0.5]) @ q.conj().T
+        e = (e + e.conj().T) / 2
+        ops = np.array([[e, np.eye(d) - e]])
+        s = game.POVMStrategy(2, d, d, np.eye(d * d)[0], ops, ops)
+        if (_shifted_cholesky_completes(ops, tol / 2)
+                and _worst(np.abs(ops.sum(axis=1) - np.eye(d)), d * tol, "") is None
+                and (reference_verdict(s, tol) or "").startswith(
+                    "alice POVM element not PSD at vertex 0")):
+            break
+    else:
+        pytest.fail("no element whose shifted Cholesky hides lambda_min < -tol")
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    assert validate_verdict(s, tol) == reference_verdict(s, tol)
+    assert calls
+
+
+def test_a_non_finite_cholesky_factor_certifies_nothing():
+    # LAPACK's potrf may run through a NaN without reporting failure
+    ops = np.array([[[[1.0, np.nan], [np.nan, 1.0]]]], dtype=complex)
+    assert not game._cholesky_certifies(ops, 1e-8)
+    assert game._cholesky_certifies(np.eye(2, dtype=complex)[None, None], 1e-8)
+
+
+def test_not_psd_names_side_vertex_and_residual():
+    """lambda_min = -1e-6 at Bob's vertex 130 (second block), its sum kept."""
+    ops = random_povm(np.random.default_rng(5), 200, 3, 4)
+    bob = ops.conj()
+    w, u = np.linalg.eigh(bob[130, 2])
+    shift = (w[0] + 1e-6) * np.outer(u[:, 0], u[:, 0].conj())
+    bob[130, 2] -= shift
+    bob[130, 0] += shift
+    s = game.POVMStrategy(3, 4, 4, maximally_entangled(4), ops, bob)
+    with pytest.raises(game.GameError) as err:
+        game.validate_strategy(s)
+    assert str(err.value) == "bob POVM element not PSD at vertex 130 (residual 1e-06)"
+
+
 def test_empty_strategy_has_no_normal_form_properties():
     s = game.POVMStrategy(1, 1, 1, np.ones(1), np.ones((0, 1, 1, 1)),
                           np.ones((0, 1, 1, 1)))

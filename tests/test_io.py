@@ -204,6 +204,21 @@ def test_certificate_unknown_kind():
         io.certificate_from_dict({"kind": "nonsense", "payload": {}})
 
 
+@pytest.mark.parametrize("kind", ["[[1, 2]]", "[[1, 2], [3, 4]]", "3", "null", "{}"])
+def test_non_string_kind_has_one_text_in_both_reader_forms(tmp_path, kind):
+    """A kind that is not a string is refused with the same text whether the
+    reader hands it over as an array or json.loads as a list."""
+    text = '{"kind": ' + kind + ', "payload": {}}'
+    p = tmp_path / "cert.json"
+    p.write_text(text)
+    with pytest.raises(io.FormatError) as from_file:
+        io.read_certificate(p)
+    with pytest.raises(io.FormatError) as from_lists:
+        io.certificate_from_dict(json.loads(text))
+    assert str(from_file.value) == str(from_lists.value) == (
+        "unknown certificate kind (not a string)")
+
+
 def test_removed_ks_witness_kind_is_unknown():
     assert io.CERTIFICATE_KINDS == tuple(io.CODECS)
     with pytest.raises(io.FormatError, match="unknown certificate kind"):
