@@ -26,8 +26,9 @@ import numpy as np
 
 from .graphs import CheckResult, Graph
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks,
-                     maximally_entangled, schmidt, support_projector)
-from .reps import QuantumColoring, _worst_vertex, edges_orthogonal, projectors_ok
+                     _hermitian_defect, maximally_entangled, schmidt, support_projector)
+from .reps import (QuantumColoring, _identity_defect, _worst_vertex, edges_orthogonal,
+                   projectors_ok)
 
 
 class GameError(ValueError):
@@ -127,20 +128,6 @@ class POVMStrategy:
         return self.state.reshape(self.dim_a, self.dim_b)
 
 
-# vertices per block of validate_strategy's certified pass
-VERTEX_BLOCK = 128
-
-
-def _povm_verdict(ops: np.ndarray, d: int, tol: float, certify: bool):
-    """One side's three checks; with certify, positivity by Cholesky (a bool)."""
-    return (_worst_vertex(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
-                          "element not Hermitian")
-            and (_cholesky_certifies(ops, tol) if certify else
-                 _worst_vertex(-np.linalg.eigvalsh(ops), tol, "element not PSD"))
-            and _worst_vertex(np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
-                              "does not sum to identity"))
-
-
 def _cholesky_certifies(ops: np.ndarray, tol: float) -> bool:
     """Whether ops + (tol/2) I has a finite Cholesky factor, within the guard."""
     d, s = ops.shape[-1], tol / 2
@@ -158,27 +145,28 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     tol with eigvalsh's least eigenvalue >= -tol, each vertex's sum the
     identity within d*tol.  A failure names the side, check and worst vertex.
 
-    Blocks of VERTEX_BLOCK vertices are checked first, with PSD certified by
-    Cholesky.  Theorem: if the Cholesky of H = A + sI completes in floating
-    point with a finite factor, then lambda_min(A) >= -s - 2 gamma tr H, with
-    gamma = gamma_{d+3}, the complex gamma_{d+1} (Higham 2002, Thm 10.3 and
-    sec. 3.6; Demmel 1989); the 2 covers 1/(1 - gamma) and the rounding of
-    shift and trace.  Hypotheses: IEEE binary64, round to nearest, no
-    Strassen-type GEMM in potrf.  Guard: with s = tol/2, a block is trusted
-    only when that term, eigvalsh's backward error taken as
+    Each check runs on blocks of VERTEX_BLOCK vertices; a block's PSD check
+    tries Cholesky first.  Theorem: if the Cholesky of H = A + sI completes
+    in floating point with a finite factor, then lambda_min(A) >= -s -
+    2 gamma tr H, with gamma = gamma_{d+3}, the complex gamma_{d+1} (Higham
+    2002, Thm 10.3 and sec. 3.6; Demmel 1989); the 2 covers 1/(1 - gamma)
+    and the rounding of shift and trace.  Hypotheses: IEEE binary64, round
+    to nearest, no Strassen-type GEMM in potrf.  Guard: with s = tol/2, a
+    block is trusted only when that term, eigvalsh's backward error taken as
     d gamma (2 tr H + s), and d^2 2^-1074 for underflow fit in the other
-    tol/2, so eigvalsh accepts it too; both read only the lower triangle, and
-    the accept set is eigvalsh's.  Fallback: a failed block or guard, or a tol
-    not positive and finite, sends the side to the whole-table eigvalsh
-    checks, which name the fault."""
+    tol/2, so eigvalsh accepts it too: both read only the lower triangle,
+    and the accept set is eigvalsh's.  A block the guard refuses goes to
+    eigvalsh; a trusted one counts as 0, which moves no worst vertex, as its
+    eigvalsh defects are at most tol."""
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
-        if not (0 < tol < np.inf and all(_povm_verdict(ops[lo:lo + VERTEX_BLOCK], d, tol, True)
-                                         for lo in range(0, len(ops), VERTEX_BLOCK))):
-            verdict = _povm_verdict(ops, d, tol, False)
-            if not verdict:
-                raise GameError(f"{name} POVM {verdict}")
+        verdict = (_worst_vertex(ops, _hermitian_defect, tol, "element not Hermitian")
+                   and _worst_vertex(ops, lambda b: np.zeros(len(b)) if _cholesky_certifies(b, tol)
+                                     else -np.linalg.eigvalsh(b), tol, "element not PSD")
+                   and _worst_vertex(ops, _identity_defect, d * tol, "does not sum to identity"))
+        if not verdict:
+            raise GameError(f"{name} POVM {verdict}")
 
 
 def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
@@ -429,11 +417,11 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
                                  rank_tol, tol=1e-8)
     except LinalgError as err:
         raise NormalFormError(stage, f"support input: {err}") from err
+    one, other = np.nonzero(~np.eye(c, dtype=bool))  # the color pairs a != b
     for name, ops in (("alice", alice1), ("bob", bob1)):
-        cross = ops[:, :, None] @ ops[:, None]
-        cross[:, np.arange(c), np.arange(c)] = 0.0
-        verdict = (_worst_vertex(np.abs(cross), CHECK_TOL, "supports are not mutually orthogonal")
-                   and _worst_vertex(np.abs(ops.sum(axis=1) - np.eye(d)), CHECK_TOL,
+        verdict = (_worst_vertex(ops, lambda p: np.abs(p[:, one] @ p[:, other]), CHECK_TOL,
+                                 "supports are not mutually orthogonal")
+                   and _worst_vertex(ops, _identity_defect, CHECK_TOL,
                                      "supports do not resolve the identity"))
         if not verdict:
             raise NormalFormError(stage, f"{name} {verdict}")

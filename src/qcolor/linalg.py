@@ -15,6 +15,7 @@ Conventions, fixed package-wide:
   a sum): memory is a few ints per pair plus a block, never (pairs, c).
 * positivity is certified by Cholesky; eigen-decompositions run only where
   eigenvalues or eigenvectors are used.
+* per-vertex checks go through reps._worst_vertex, VERTEX_BLOCK vertices at a time.
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-7
-# rows of x per GEMM of the pair kernel: bounds each block's (rows, columns)
-# scratch while keeping the products large enough for BLAS
+# rows of x per GEMM of the pair kernel, vertices per block of a per-vertex
+# check: each bounds its block's scratch, large enough for BLAS and LAPACK
 PAIR_BLOCK = 512
+VERTEX_BLOCK = 128
 
 
 class LinalgError(ValueError):
@@ -101,6 +103,10 @@ class SchmidtDecomposition:
     rank: int
 
 
+def _hermitian_defect(a: np.ndarray) -> np.ndarray:
+    return np.abs(a - a.conj().swapaxes(-1, -2))
+
+
 def _above_cutoff(values: np.ndarray, top, rank_tol: float,
                   what: str) -> np.ndarray:
     """Which entries of values exceed the rank cutoff rank_tol * top (top
@@ -142,7 +148,7 @@ def support_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise LinalgError("support requires a square matrix")
-    herm = np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0)
+    herm = np.max(_hermitian_defect(a), initial=0.0)
     if herm > tol:
         raise LinalgError(f"matrix is not Hermitian (defect {herm:.3g})")
     w, v = np.linalg.eigh(a)

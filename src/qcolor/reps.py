@@ -22,8 +22,8 @@ from .coloring import (DEFAULT_BUDGET, CliqueResult, ColoringCertificate,
                        verify_coloring)
 from .graphs import (CheckResult, Graph, VerifyResult, _adjacency_mask,
                      cartesian_product, complete_graph)
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks,
-                     _above_cutoff)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, VERTEX_BLOCK, LinalgError,
+                     PairBlocks, _above_cutoff, _hermitian_defect)
 
 
 class RepsError(ValueError):
@@ -131,25 +131,32 @@ class ThetaCertificate:
         object.__setattr__(self, "matrix", a)
 
 
-def _worst_vertex(defect: np.ndarray, bound: float, reason: str) -> VerifyResult:
-    """Verdict of a per-vertex check from its (n, ...) defects: passes when
-    each is <= bound; names the worst vertex (a NaN first)."""
-    per = defect.max(axis=tuple(range(1, defect.ndim)), initial=0.0)
-    if not per.size:
+def _worst_vertex(table: np.ndarray, defect, bound: float, reason: str) -> VerifyResult:
+    """Verdict of a per-vertex check: defect maps each block of VERTEX_BLOCK
+    vertices of an (n, ...) table to its (b, ...) defects, inf - inf a NaN;
+    passes when each is <= bound, else names the worst vertex (a NaN first)."""
+    blocks = (table[lo:lo + VERTEX_BLOCK] for lo in range(0, len(table), VERTEX_BLOCK))
+    with np.errstate(invalid="ignore"):
+        per = [defect(b).reshape(len(b), -1).max(axis=1, initial=0.0) for b in blocks]
+    if not per:
         return VerifyResult(True, 0.0)
+    per = np.concatenate(per)
     v = int(np.argmax(per))
     ok = bool(per[v] <= bound)
     return VerifyResult(ok, float(per[v]), (v,), None if ok else reason)
+
+
+def _identity_defect(ops: np.ndarray) -> np.ndarray:
+    return np.abs(ops.sum(axis=1) - np.eye(ops.shape[-1]))
 
 
 def projectors_ok(ops: np.ndarray, rank: int, tol: float) -> VerifyResult:
     """Whether every operator of an (n, c, d, d) table is a Hermitian
     idempotent (each within tol) of trace rank (within d * tol); a failure
     names the first failed check and its worst vertex."""
-    return (_worst_vertex(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
-                          "projector not Hermitian")
-            and _worst_vertex(np.abs(ops @ ops - ops), tol, "projector not idempotent")
-            and _worst_vertex(np.abs(np.einsum("vaii->va", ops).real - rank),
+    return (_worst_vertex(ops, _hermitian_defect, tol, "projector not Hermitian")
+            and _worst_vertex(ops, lambda p: np.abs(p @ p - p), tol, "projector not idempotent")
+            and _worst_vertex(ops, lambda p: np.abs(np.einsum("vaii->va", p).real - rank),
                               ops.shape[2] * tol, "projector trace is not the rank"))
 
 
@@ -205,13 +212,12 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
                             "dimension is not rank * colors")
     if qc.vectors is not None:
         vecs = qc.vectors
-        verdict = _worst_vertex(np.abs(vecs.conj() @ vecs.swapaxes(1, 2) - np.eye(c)),
+        verdict = _worst_vertex(vecs, lambda v: np.abs(v.conj() @ v.swapaxes(1, 2) - np.eye(c)),
                                 tol, "not an orthonormal basis")
     else:
         ops = qc.projectors
         verdict = projectors_ok(ops, qc.rank, tol) and _worst_vertex(
-            np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
-            "projectors do not sum to the identity")
+            ops, _identity_defect, d * tol, "projectors do not sum to the identity")
         vecs = ops.reshape(g.n, c, d * d)
     # rank-1: <a_u,alpha, a_w,alpha>; rank-r: Tr(P_u,alpha† P_w,alpha)
     return verdict and edges_orthogonal(g, vecs, tol)
@@ -443,7 +449,7 @@ def _psd_with_zeros(a: np.ndarray, zeros: np.ndarray, tol: float,
     if a.shape != zeros.shape:
         raise RepsError(f"matrix is {a.shape[0]}x{a.shape[0]}, graph has "
                         f"{zeros.shape[0]} vertices")
-    if np.max(np.abs(a - a.conj().T), initial=0.0) > tol:
+    if np.max(_hermitian_defect(a), initial=0.0) > tol:
         raise RepsError("witness matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(a)
     if np.min(evals, initial=np.inf) < floor:

@@ -73,14 +73,22 @@ def test_empty_strategy_validates_vacuously():
 # -- validate_strategy against its whole-table eigvalsh checks ----------------------
 
 
-def _worst(defect, bound, reason):
-    """A per-vertex check's fault text, None when every defect is <= bound:
+def whole_table(defect, bound, reason):
+    """A per-vertex check's verdict from its whole (n, ...) defect array, as
+    the verifiers gave it before they checked a block of vertices at a time:
     the worst vertex (a NaN first) and its residual."""
     per = defect.max(axis=tuple(range(1, defect.ndim)), initial=0.0)
-    if per.size and not per.max(initial=0.0) <= bound:
-        v = int(np.argmax(per))
-        return f"{reason} at vertex {v} (residual {per[v]:.3g})"
-    return None
+    if not per.size:
+        return reps.VerifyResult(True, 0.0)
+    v = int(np.argmax(per))
+    ok = bool(per[v] <= bound)
+    return reps.VerifyResult(ok, float(per[v]), (v,), None if ok else reason)
+
+
+def _worst(defect, bound, reason):
+    """A per-vertex check's fault text, None when every defect is <= bound."""
+    verdict = whole_table(defect, bound, reason)
+    return None if verdict else str(verdict)
 
 
 def reference_verdict(s, tol):
@@ -170,8 +178,8 @@ def test_validate_matches_the_eigvalsh_checks(monkeypatch):
                   game.POVMStrategy(c, d, d, state, uniform, ops)):
             with np.errstate(invalid="ignore"):  # inf - inf in the Hermitian check
                 expected = reference_verdict(s, tol)
-                calls.clear()
-                assert validate_verdict(s, tol) == expected, (s.alice.shape, tol)
+            calls.clear()
+            assert validate_verdict(s, tol) == expected, (s.alice.shape, tol)
             outcomes.add(expected and expected.split(" at ")[0])
             certified += expected is None and n > 0 and not calls
     assert outcomes >= {None, "alice POVM element not PSD", "bob POVM element not PSD",
@@ -188,7 +196,7 @@ def test_valid_tables_are_certified_without_eigenvalues(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: blocks.append(len(a)) or cholesky(a))
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     game.validate_strategy(s)
-    assert blocks == [game.VERTEX_BLOCK] * 4
+    assert blocks == [reps.VERTEX_BLOCK] * 4
 
 
 def _shifted_cholesky_completes(ops, shift):
@@ -243,6 +251,216 @@ def test_not_psd_names_side_vertex_and_residual():
     with pytest.raises(game.GameError) as err:
         game.validate_strategy(s)
     assert str(err.value) == "bob POVM element not PSD at vertex 130 (residual 1e-06)"
+
+
+def test_an_infinity_is_named_without_a_warning():
+    """inf - inf in the Hermitian check is a NaN defect, not a RuntimeWarning
+    (an error under this suite's warning filter) ahead of the GameError."""
+    ops = np.broadcast_to(np.eye(2, dtype=complex) / 2, (300, 2, 2, 2)).copy()
+    ops[200, 1, 0, 0] = np.inf
+    s = game.POVMStrategy(2, 2, 2, maximally_entangled(2), ops, ops)
+    with pytest.raises(game.GameError) as err:
+        game.validate_strategy(s)
+    assert str(err.value) == "alice POVM element not Hermitian at vertex 200 (residual nan)"
+
+
+# -- per-vertex checks of measurement tables, a block of vertices at a time ---------
+
+
+def clique_measurements(rng, n, c, r):
+    """A rank-r quantum c-coloring of n vertices in cliques of c consecutive
+    ones: vertex g c + j gives color a the column group (a + j) mod c of
+    clique g's random unitary.  Returns the graph, the (n, c, d, d)
+    projectors and the (n, c, d, r) column groups."""
+    d = r * c
+    q = np.linalg.qr(rng.normal(size=(-(-n // c), d, d))
+                     + 1j * rng.normal(size=(-(-n // c), d, d)))[0]
+    v = np.arange(n)
+    shift = (np.arange(c) + v[:, None]) % c
+    cols = q[v // c].reshape(n, d, c, r).transpose(0, 2, 1, 3)[v[:, None], shift]
+    edges = [(u, w) for u in range(n) for w in range(u + 1, min(n, u // c * c + c))]
+    return make_graph(n, edges), cols @ cols.conj().swapaxes(-1, -2), cols
+
+
+def reference_projectors_ok(ops, rank, tol):
+    """projectors_ok by its whole-table checks."""
+    return (whole_table(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
+                        "projector not Hermitian")
+            and whole_table(np.abs(ops @ ops - ops), tol, "projector not idempotent")
+            and whole_table(np.abs(np.einsum("vaii->va", ops).real - rank),
+                            ops.shape[2] * tol, "projector trace is not the rank"))
+
+
+def reference_coloring_verdict(g, qc, tol):
+    """verify_quantum_coloring by its whole-table checks (d = rank * c)."""
+    c = qc.colors
+    if qc.vectors is not None:
+        vecs = qc.vectors
+        verdict = whole_table(np.abs(vecs.conj() @ vecs.swapaxes(1, 2) - np.eye(c)),
+                              tol, "not an orthonormal basis")
+    else:
+        ops, d = qc.projectors, qc.local_dimension
+        verdict = reference_projectors_ok(ops, qc.rank, tol) and whole_table(
+            np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
+            "projectors do not sum to the identity")
+        vecs = ops.reshape(g.n, c, d * d)
+    return verdict and reps.edges_orthogonal(g, vecs, tol)
+
+
+def measurement_case(rng, kind, k):
+    """(graph, rank, projectors, rank-1 vectors or None, tol) with one defect
+    of the given kind at a random vertex, at its check's bound times k ("orth"
+    perturbs rank-1 vectors only; at rank > 1 the case stays valid)."""
+    n, c, r = int(rng.integers(1, 300)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    g, ops, cols = clique_measurements(rng, n, c, r)
+    vecs = cols[..., 0].copy() if r == 1 else None
+    d, v, a = r * c, int(rng.integers(n)), int(rng.integers(c))
+    i, j = int(rng.integers(d)), int(rng.integers(d))
+    delta = 10.0 ** rng.uniform(-8, -3)
+    if kind == "herm":
+        ops[v, a, i, j] += delta * np.exp(2j * np.pi * rng.random())
+        return g, r, ops, vecs, float(np.max(np.abs(ops - ops.conj().swapaxes(-1, -2)))) / k
+    if kind == "idem":
+        ops[v, a] *= 1 + delta
+        return g, r, ops, vecs, float(np.max(np.abs(ops @ ops - ops))) / k
+    if kind == "trace":  # a column moves from color b to color a: still a projector
+        b = (a + 1) % c
+        x = np.outer(cols[v, b, :, 0], cols[v, b, :, 0].conj())
+        ops[v, a] += x
+        ops[v, b] -= x
+        return g, r, ops, vecs, 1 / (k * d)
+    if kind == "sum":  # color a's columns turned a little: a projector, off the sum
+        w = np.linalg.qr(cols[v, a] + delta * rng.normal(size=(d, r)))[0]
+        ops[v, a] = w @ w.conj().T
+        return g, r, ops, vecs, float(np.max(np.abs(ops.sum(axis=1) - np.eye(d)))) / (k * d)
+    if kind == "orth" and vecs is not None:
+        vecs[v, a] *= 1 + delta
+        return g, r, ops, vecs, float(np.max(np.abs(vecs.conj() @ vecs.swapaxes(1, 2)
+                                                     - np.eye(c)))) / k
+    if kind == "nonfinite":
+        bad = rng.choice([np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)])
+        ops[v, a, i, j] = bad
+        if vecs is not None:
+            vecs[v, a, i % c] = bad
+    return g, r, ops, vecs, DEFAULT_TOL
+
+
+def test_measurement_checks_match_the_whole_table_checks():
+    """projectors_ok and verify_quantum_coloring (both forms) give the
+    whole-table checks' verdict, every field of it, passing or not, with each
+    defect at its bound times {0.5, 1, 1 +- 1e-3, 2}, non-finite entries, and
+    tables of fewer and more than VERTEX_BLOCK vertices."""
+    rng = np.random.default_rng(20)
+    seen, big = set(), 0
+    for kind in ("none", "herm", "idem", "trace", "sum", "orth", "nonfinite"):
+        for k in (0.5, 1 - 1e-3, 1.0, 1 + 1e-3, 2.0):
+            for _ in range(3):
+                g, r, ops, vecs, tol = measurement_case(rng, kind, k)
+                big += len(ops) > reps.VERTEX_BLOCK
+                c = ops.shape[1]
+                with np.errstate(invalid="ignore"):  # inf - inf in the references
+                    want = [reference_projectors_ok(ops, r, tol), reference_coloring_verdict(
+                        g, reps.QuantumColoring(c, r, projectors=ops), tol)]
+                    if vecs is not None:
+                        want.append(reference_coloring_verdict(
+                            g, reps.QuantumColoring(c, 1, vectors=vecs), tol))
+                got = [reps.projectors_ok(ops, r, tol), reps.verify_quantum_coloring(
+                    g, reps.QuantumColoring(c, r, projectors=ops), tol)]
+                if vecs is not None:
+                    got.append(reps.verify_quantum_coloring(
+                        g, reps.QuantumColoring(c, 1, vectors=vecs), tol))
+                assert list(map(repr, got)) == list(map(repr, want)), (kind, k, ops.shape)
+                seen.update(w.reason for w in want)
+    assert big >= 20
+    assert seen >= {None, "projector not Hermitian", "projector not idempotent",
+                    "projector trace is not the rank", "projectors do not sum to the identity",
+                    "not an orthonormal basis"}
+
+
+def block_size_cases():
+    """(graph, projectors, vectors, tol) on 300 vertices, c = 3, rank 1: a
+    valid table; defects whose worst vertex lies in a later block than a
+    smaller one; a NaN after a larger finite defect; an empty table."""
+    g, ops, cols = clique_measurements(np.random.default_rng(7), 300, 3, 1)
+    vecs = cols[..., 0]
+    cases = [(g, ops, vecs, DEFAULT_TOL), (make_graph(0, []), ops[:0], vecs[:0], DEFAULT_TOL)]
+    for edit in ({10: 1e-4, 250: 1e-2}, {20: 1e3, 200: np.nan}):
+        o, x = ops.copy(), vecs.copy()
+        for v, size in edit.items():
+            o[v, 1, 0, 2] += size
+            x[v, 1, 2] += size
+        cases.append((g, o, x, DEFAULT_TOL))
+    scaled, low = ops.copy(), ops.copy()
+    for v, size in ((10, 1e-5), (250, 1e-3)):
+        scaled[v, 0] *= 1 + size  # not idempotent, off the sum
+        low[v, 0] -= size * np.outer(cols[v, 1, :, 0], cols[v, 1, :, 0].conj())  # not PSD
+    return cases + [(g, scaled, vecs, DEFAULT_TOL), (g, low, vecs, DEFAULT_TOL)]
+
+
+def test_verdicts_do_not_depend_on_the_block_size(monkeypatch):
+    """Every field of projectors_ok and verify_quantum_coloring (both forms)
+    and validate_strategy's error text are the same with blocks of 1, 3 and
+    128 vertices."""
+    def verdicts():
+        out = []
+        for g, ops, vecs, tol in block_size_cases():
+            s = game.POVMStrategy(3, 3, 3, maximally_entangled(3), ops, ops.conj())
+            out += [repr(reps.projectors_ok(ops, 1, tol)),
+                    repr(reps.verify_quantum_coloring(g, reps.QuantumColoring(3, 1, projectors=ops), tol)),
+                    repr(reps.verify_quantum_coloring(g, reps.QuantumColoring(3, 1, vectors=vecs), tol)),
+                    validate_verdict(s, tol)]
+        return out
+
+    runs = []
+    for block in (1, 3, 128):
+        monkeypatch.setattr(reps, "VERTEX_BLOCK", block)  # reps reads it per call
+        runs.append(verdicts())
+    assert runs[0] == runs[1] == runs[2]
+    text = "\n".join(map(str, runs[0]))
+    for named in ("where=(250,), reason='projector not idempotent'",
+                  "where=(250,), reason='not an orthonormal basis'",
+                  "where=(200,), reason='projector not Hermitian'", "residual=nan",
+                  "alice POVM element not Hermitian at vertex 250",
+                  "alice POVM element not Hermitian at vertex 200 (residual nan)",
+                  "alice POVM does not sum to identity at vertex 250",
+                  "alice POVM element not PSD at vertex 250"):
+        assert named in text, named
+
+
+def test_per_vertex_checks_stay_block_sized():
+    """On a table of 8 blocks the traced peak of projectors_ok and of
+    verify_quantum_coloring stays below the table's own size: their
+    defects are made one block of VERTEX_BLOCK vertices at a time, where
+    whole-table defects took about twice the table."""
+    n, c, r = 1024, 8, 2
+    assert n >= 8 * reps.VERTEX_BLOCK
+    g, ops, _ = clique_measurements(np.random.default_rng(3), n, c, r)
+    qc = reps.QuantumColoring(c, r, projectors=ops)
+    for call in (lambda: reps.projectors_ok(ops, r, DEFAULT_TOL),
+                 lambda: reps.verify_quantum_coloring(g, qc)):
+        assert call()
+        assert _traced_peak(call) < ops.nbytes
+
+
+def test_support_checks_name_side_and_worst_vertex(monkeypatch):
+    """Stage 2 of normalize_strategy names the worst vertex of the whole-table
+    overlap and sum checks of the supports it computed."""
+    g, ops, _ = clique_measurements(np.random.default_rng(4), 300, 2, 1)
+    s = game.POVMStrategy(2, 2, 2, maximally_entangled(2), ops, ops.conj())
+    bad = ops.copy()
+    bad[[20, 260], 1] = bad[[20, 260], 0] * [[[1e-3]], [[1e-2]]]  # overlaps
+    for table, reason in ((bad, "supports are not mutually orthogonal"),
+                          (ops * (1 + 1e-6), "supports do not resolve the identity")):
+        monkeypatch.setattr(game, "support_projector", lambda a, *args, **kw: table)
+        cross = table[:, :, None] @ table[:, None]
+        cross[:, np.arange(2), np.arange(2)] = 0.0
+        want = (whole_table(np.abs(cross), game.CHECK_TOL, "supports are not mutually orthogonal")
+                and whole_table(np.abs(table.sum(axis=1) - np.eye(2)), game.CHECK_TOL,
+                                "supports do not resolve the identity"))
+        assert want.reason == reason
+        with pytest.raises(game.NormalFormError) as err:
+            game.normalize_strategy(s, g)
+        assert str(err.value) == f"[support replacement] alice {want}"
 
 
 def test_empty_strategy_has_no_normal_form_properties():
