@@ -53,6 +53,13 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help=f"search node budget (default {coloring.DEFAULT_BUDGET})")
 
 
+# help of each positional file argument
+FILE_HELP = {"graph": "DIMACS graph file",
+             "strategy": "strategy JSON file",
+             "witness": "certificate file of kind psd-witness",
+             "set": f"vector set JSON file or bundled name ({', '.join(datasets.BUNDLED)})"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcolor",
@@ -61,46 +68,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, **kw):
-        p = sub.add_parser(name, help=help_, **kw)
+    def add(name, help_, *files, under=sub):
+        """A subcommand with the common flags and these positional files."""
+        p = under.add_parser(name, help=help_)
         _common_flags(p)
+        for f in files:
+            p.add_argument(f, help=FILE_HELP.get(f))
         return p
 
-    p = add("chi", "exact chromatic number with a coloring certificate")
-    p.add_argument("graph", help="DIMACS graph file")
+    p = add("chi", "exact chromatic number with a coloring certificate", "graph")
     p.add_argument("-o", "--output", help="write the certificate to this file")
 
-    p = add("colorable", "decide c-colorability")
-    p.add_argument("graph")
+    p = add("colorable", "decide c-colorability", "graph")
     p.add_argument("-c", "--colors", type=int, required=True)
     p.add_argument("-o", "--output")
 
-    p = add("xi-bounds", "certified bounds on the orthogonal rank")
-    p.add_argument("graph")
+    p = add("xi-bounds", "certified bounds on the orthogonal rank", "graph")
     p.add_argument("-o", "--output")
     p.add_argument("--theta-output",
                    help="write the theta certificate here, when theta was solved")
 
     p = add("chiq1", "rank-1 quantum chromatic number via the product "
-                     "characterization")
-    p.add_argument("graph")
+                     "characterization", "graph")
     p.add_argument("--cmax", type=int, required=True,
                    help="largest color count to try")
     p.add_argument("-o", "--output")
 
-    p = add("verify-rep", "verify a coloring / orthrep / matrixrep / theta "
-                          "certificate")
-    p.add_argument("graph")
-    p.add_argument("certificate")
-
-    p = add("verify-qcoloring", "verify a quantum coloring certificate")
-    p.add_argument("graph")
-    p.add_argument("certificate")
+    add("verify-rep", "verify a coloring / orthrep / matrixrep / theta certificate",
+        "graph", "certificate")
+    add("verify-qcoloring", "verify a quantum coloring certificate", "graph", "certificate")
 
     p = add("psd-witness", "check a PSD complement-pattern witness and "
-                           "extract an orthogonal representation")
-    p.add_argument("graph")
-    p.add_argument("witness", help="certificate file of kind psd-witness")
+                           "extract an orthogonal representation", "graph", "witness")
     p.add_argument("-o", "--output",
                    help="write the extracted orthrep certificate here")
 
@@ -108,30 +107,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", "--bits", type=int, required=True)
     p.add_argument("-o", "--output")
 
-    p = add("ks-check", "decide the Kochen-Specker property of a vector set")
-    p.add_argument("set", help="vector set JSON file or bundled name "
-                               f"({', '.join(datasets.BUNDLED)})")
+    p = add("ks-check", "decide the Kochen-Specker property of a vector set", "set")
     p.add_argument("--weak", action="store_true",
                    help="exit code reflects the weak KS property instead")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force oracle (<= 25 rays)")
 
-    pg = sub.add_parser("game", help="coloring-game analysis")
-    gsub = pg.add_subparsers(dest="game_command", required=True)
-
-    def gadd(name, help_):
-        q = gsub.add_parser(name, help=help_)
-        _common_flags(q)
-        q.add_argument("graph")
-        q.add_argument("strategy", help="strategy JSON file")
-        return q
-
-    gadd("exact", "exact winning probability of a POVM strategy")
-    q = gadd("simulate", "Monte-Carlo estimate of the winning probability")
+    games = sub.add_parser("game", help="coloring-game analysis").add_subparsers(
+        dest="game_command", required=True)
+    add("exact", "exact winning probability of a POVM strategy", "graph", "strategy",
+        under=games)
+    q = add("simulate", "Monte-Carlo estimate of the winning probability", "graph",
+            "strategy", under=games)
     q.add_argument("--rounds", type=int, default=10_000)
-    q = gadd("normalize", "transform a winning strategy into normal form")
+    q = add("normalize", "transform a winning strategy into normal form", "graph",
+            "strategy", under=games)
     q.add_argument("-o", "--output", help="write the normal-form strategy here")
-    gadd("check", "winning-strategy consistency conditions")
+    add("check", "winning-strategy consistency conditions", "graph", "strategy", under=games)
 
     return parser
 

@@ -85,18 +85,16 @@ def verify_coloring(g: Graph, cert: ColoringCertificate) -> VerifyResult:
     return VerifyResult(False, None, (u, w, int(colors[bad[0], 0])), "ends share a color")
 
 
-def greedy_clique(g: Graph) -> list[int]:
-    """Highest-degree-first greedy clique; deterministic, used for seeding."""
-    return _greedy_clique(g.masks)
-
-
 def _by_degree(degree: list[int]) -> list[int]:
     """Vertices by decreasing degree, then increasing index."""
     return sorted(range(len(degree)), key=lambda v: (-degree[v], v))
 
 
-def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
-    # each pick is the first vertex in degree order adjacent to all earlier picks
+def greedy_clique(g: Graph) -> list[int]:
+    """Highest-degree-first greedy clique, deterministic, used for seeding:
+    each pick is the first vertex in degree order adjacent to all earlier
+    picks."""
+    adj = g.masks
     clique: list[int] = []
     cand = (1 << len(adj)) - 1
     for v in _by_degree([a.bit_count() for a in adj]):
@@ -129,10 +127,8 @@ def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
     """Exact maximum clique by branch and bound with a greedy-coloring bound
     (Tomita-Kameda MCQ over bitsets), on an explicit stack."""
     n = g.n
-    if n == 0:
-        return CliqueResult(0, (), "exact", 0)
     adj = g.masks
-    best = _greedy_clique(adj)
+    best = greedy_clique(g)
     current: list[int] = []
     full = (1 << n) - 1
     # frames [order, bounds, i, pmask]: branch on order[i], order[i - 1], ...
@@ -255,8 +251,6 @@ def greedy_coloring(g: Graph) -> ColoringCertificate:
     leaf of _dsatur with c = n on vertices relabeled by (-degree, index).
     """
     n = g.n
-    if n == 0:
-        return ColoringCertificate(0, ())
     order = _by_degree(np.bincount(g.edge_array.ravel(), minlength=n).tolist())
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
@@ -264,7 +258,7 @@ def greedy_coloring(g: Graph) -> ColoringCertificate:
     if colors is None:
         raise RuntimeError(f"greedy DSATUR stopped with status {status!r}")
     relabeled = tuple(colors[r] for r in rank.tolist())
-    return ColoringCertificate(max(relabeled) + 1, relabeled)
+    return ColoringCertificate(max(relabeled, default=-1) + 1, relabeled)
 
 
 def is_c_colorable(g: Graph, c: int, budget: int = DEFAULT_BUDGET) -> ColoringResult:
@@ -276,15 +270,11 @@ def is_c_colorable(g: Graph, c: int, budget: int = DEFAULT_BUDGET) -> ColoringRe
     """
     if c < 1:
         raise ColoringError(f"color count must be >= 1, got {c}")
-    n = g.n
-    if n == 0:
-        return ColoringResult(YES, ColoringCertificate(c, ()), 0)
-    adj = g.masks
-    clique = _greedy_clique(adj)
+    clique = greedy_clique(g)
     if len(clique) > c:
         return ColoringResult(NO, None, 0)
     # no branch can use more than n colors, and the kernel's state is O(c)
-    status, colors, nodes = _dsatur(adj, min(c, n), clique, budget)
+    status, colors, nodes = _dsatur(g.masks, min(c, g.n), clique, budget)
     if colors is None:
         return ColoringResult(status, None, nodes)
     cert = ColoringCertificate(c, tuple(colors))
@@ -301,8 +291,6 @@ def chromatic_number(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:
     which tries them in increasing order.  If the budget runs out the result
     carries the best-known bounds instead.
     """
-    if g.n == 0:
-        return ChromaticResult(0, ColoringCertificate(0, ()), 0, 0, "exact", 0, ())
     clique = tuple(greedy_clique(g))
     lower = max(len(clique), 1)
     best_cert = greedy_coloring(g)

@@ -8,13 +8,8 @@ only distribution, and it is enough: whether a strategy wins with certainty
 does not depend on the distribution, as long as every legal pair has positive
 probability.  Classical probabilities are exact fractions.
 
-normalize_strategy implements the constructive normal-form transformation for
-winning strategies: Schmidt restriction, support replacement, conjugation
-identity, Schmidt flattening, rank padding.  Every stage re-checks its
-post-conditions and aborts with the stage name on failure; the output uses
-projective rank-r measurements, a maximally entangled state of local
-dimension r*c, Bob = entrywise conjugate of Alice, and per-color
-Hilbert-Schmidt orthogonality across edges.
+normalize_strategy turns a winning strategy into the paper's normal form, one
+checked stage at a time.
 """
 from __future__ import annotations
 
@@ -25,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import CheckResult, Graph
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks,
-                     _hermitian_defect, maximally_entangled, schmidt, support_projector)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks, _gamma,
+                     _hermitian_defect, maximally_entangled, psd_certified, schmidt,
+                     support_projector)
 from .reps import (QuantumColoring, _identity_defect, _worst_vertex, edges_orthogonal,
                    projectors_ok)
 
@@ -128,16 +124,18 @@ class POVMStrategy:
         return self.state.reshape(self.dim_a, self.dim_b)
 
 
-def _cholesky_certifies(ops: np.ndarray, tol: float) -> bool:
-    """Whether ops + (tol/2) I has a finite Cholesky factor, within the guard."""
-    d, s = ops.shape[-1], tol / 2
-    gamma = (d + 3) * 2.0 ** -53 / (1 - (d + 3) * 2.0 ** -53)  # complex gamma_{d+1}
-    trace = np.einsum("vaii->va", ops).real + d * s
-    try:
-        return bool(np.all(gamma * (d + 2) * (2 * trace + s) + d * d * 2.0 ** -1074 <= s)
-                    and np.isfinite(np.linalg.cholesky(ops + s * np.eye(d))).all())
-    except np.linalg.LinAlgError:
-        return False
+def _psd_defect(b: np.ndarray, tol: float) -> np.ndarray:
+    """-eigvalsh of each element of a block, or tol for each vertex when
+    linalg.psd_certified proves lambda_min >= e - tol, e = 2 d gamma_{d+3}
+    (max tr + d tol) taken as eigvalsh's backward error: eigvalsh then puts
+    no element below -tol either, and tol moves no worst vertex."""
+    d = b.shape[-1]
+    e = 2 * d * _gamma(d + 3) * (np.max(np.einsum("vaii->va", b).real, initial=0.0) + d * tol)
+    return np.full(len(b), tol) if psd_certified(b, e - tol) else -np.linalg.eigvalsh(b)
+
+
+def _conjugate_defect(f: np.ndarray, e: np.ndarray) -> np.ndarray:  # aligned blocks
+    return np.abs(f - e.conj())
 
 
 def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
@@ -145,25 +143,15 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     tol with eigvalsh's least eigenvalue >= -tol, each vertex's sum the
     identity within d*tol.  A failure names the side, check and worst vertex.
 
-    Each check runs on blocks of VERTEX_BLOCK vertices; a block's PSD check
-    tries Cholesky first.  Theorem: if the Cholesky of H = A + sI completes
-    in floating point with a finite factor, then lambda_min(A) >= -s -
-    2 gamma tr H, with gamma = gamma_{d+3}, the complex gamma_{d+1} (Higham
-    2002, Thm 10.3 and sec. 3.6; Demmel 1989); the 2 covers 1/(1 - gamma)
-    and the rounding of shift and trace.  Hypotheses: IEEE binary64, round
-    to nearest, no Strassen-type GEMM in potrf.  Guard: with s = tol/2, a
-    block is trusted only when that term, eigvalsh's backward error taken as
-    d gamma (2 tr H + s), and d^2 2^-1074 for underflow fit in the other
-    tol/2, so eigvalsh accepts it too: both read only the lower triangle,
-    and the accept set is eigvalsh's.  A block the guard refuses goes to
-    eigvalsh; a trusted one counts as 0, which moves no worst vertex, as its
-    eigvalsh defects are at most tol."""
+    Each check runs on blocks of VERTEX_BLOCK vertices.  A block's PSD check
+    asks linalg.psd_certified first, at a floor that also covers eigvalsh's
+    rounding (_psd_defect), so the accept set is eigvalsh's; every block it
+    does not certify goes to eigvalsh."""
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
         verdict = (_worst_vertex(ops, _hermitian_defect, tol, "element not Hermitian")
-                   and _worst_vertex(ops, lambda b: np.zeros(len(b)) if _cholesky_certifies(b, tol)
-                                     else -np.linalg.eigvalsh(b), tol, "element not PSD")
+                   and _worst_vertex(ops, lambda b: _psd_defect(b, tol), tol, "element not PSD")
                    and _worst_vertex(ops, _identity_defect, d * tol, "does not sum to identity"))
         if not verdict:
             raise GameError(f"{name} POVM {verdict}")
@@ -430,10 +418,10 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 
     # stage 3: conjugation identity -----------------------------------------
     stage = "conjugation identity"
-    defect = float(np.max(np.abs(s1.alice - s1.bob.conj())))
-    if defect > CHECK_TOL:
+    verdict = _worst_vertex(s1.bob, _conjugate_defect, CHECK_TOL, "E != conj(F)", s1.alice)
+    if not verdict:
         raise NormalFormError(stage, "E != conj(F) after support replacement "
-                              f"(defect {defect:.3g})")
+                              f"(defect {verdict.residual:.3g})")
     s1c = POVMStrategy(c, d, d, s1.state, s1.alice, s1.alice.conj())
     _record_stage(stages, stage, s1c, g)
 
@@ -483,7 +471,8 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
     state_ok = (s.dim_a == s.dim_b
                 and float(np.max(np.abs(s.state - mes))) <= tol
                 and d == rank * c)
-    conj_ok = finite and float(np.max(np.abs(s.bob - s.alice.conj()))) <= tol
+    conj_ok = (finite and s.dim_a == s.dim_b
+               and bool(_worst_vertex(s.bob, _conjugate_defect, tol, "F != conj(E)", ops)))
     return {"projective_equal_rank": rank >= 1 and bool(projectors_ok(ops, rank, tol)),
             "maximally_entangled_rc": state_ok,
             "bob_is_conjugate": conj_ok,

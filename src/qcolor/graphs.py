@@ -178,15 +178,10 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     by divmod.
     """
     nh = h.n
-    parts = []
-    if g.m:
-        ge = g.edge_array[:, :, None] * nh + np.arange(nh)  # (mG, 2, nH)
-        parts.append(ge.transpose(0, 2, 1).reshape(-1, 2))
-    if h.m:
-        he = h.edge_array[None, :, :] + (np.arange(g.n) * nh)[:, None, None]
-        parts.append(he.reshape(-1, 2))
-    edges = np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.int64)
-    return Graph(g.n * nh, edges)
+    ge = g.edge_array[:, :, None] * nh + np.arange(nh)  # (mG, 2, nH)
+    he = h.edge_array[None, :, :] + (np.arange(g.n) * nh)[:, None, None]
+    return Graph(g.n * nh, np.concatenate([ge.transpose(0, 2, 1).reshape(-1, 2),
+                                           he.reshape(-1, 2)]))
 
 
 def hadamard_graph(n_bits: int) -> Graph:

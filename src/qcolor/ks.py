@@ -261,10 +261,8 @@ def ks_check(s: VectorSet, tol: float = DEFAULT_TOL,
     if used > budget:
         return KSDecision(None, True, None, "backtracking", count,
                           BUDGET_EXCEEDED, used)
-    if ks_witness is None:
-        return KSDecision(True, True, None, "backtracking", count,
-                          decisions=used)
-    return KSDecision(False, True, tuple(ks_witness), "backtracking", count,
+    witness = None if ks_witness is None else tuple(ks_witness)
+    return KSDecision(witness is None, True, witness, "backtracking", count,
                       decisions=used)
 
 

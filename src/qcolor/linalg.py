@@ -13,8 +13,8 @@ Conventions, fixed package-wide:
 * per-pair values (game evaluators, edge verifiers) go through PairBlocks,
   one block of rows at a time to a reducer (worst value, values above tol,
   a sum): memory is a few ints per pair plus a block, never (pairs, c).
-* positivity is certified by Cholesky; eigen-decompositions run only where
-  eigenvalues or eigenvectors are used.
+* positivity is certified by psd_certified, the one Cholesky in the package;
+  eigen-decompositions run only where eigenvalues or eigenvectors are used.
 * per-vertex checks go through reps._worst_vertex, VERTEX_BLOCK vertices at a time.
 """
 from __future__ import annotations
@@ -105,6 +105,39 @@ class SchmidtDecomposition:
 
 def _hermitian_defect(a: np.ndarray) -> np.ndarray:
     return np.abs(a - a.conj().swapaxes(-1, -2))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the binary64 unit roundoff."""
+    return k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+
+
+def psd_certified(a: np.ndarray, floor: float = 0.0) -> bool:
+    """The package's one positivity certificate: True only if every matrix of
+    a Hermitian (d, d) or (..., d, d) stack a has lambda_min >= floor; False
+    decides nothing.  Like eigvalsh, it reads only the lower triangle, and
+    only the real part of the diagonal.
+
+    Theorem: if the Cholesky of H = A - tI completes in floating point with a
+    finite factor, then lambda_min(A) >= t - 2 gamma tr H, gamma = gamma_{d+3}
+    (the complex gamma_{d+1}, taken for real A too; Higham 2002, Thm 10.3 and
+    sec. 3.6; Demmel 1989); the 2 covers 1/(1 - gamma).  Hypotheses: IEEE
+    binary64, round to nearest, no Strassen-type GEMM in potrf.  Guard: t =
+    floor + r, r = 4 gamma (max(tr A - d floor) + |floor|) + d^2 2^-1074,
+    covers that term twice over, the rounding of the shift and of the traces,
+    and underflow (Rump 2006, "Verification of positive definiteness").  A
+    NaN or an infinity it reads refuses: the shift is not finite, or potrf
+    fails or leaves a factor that is not finite."""
+    a = np.asarray(a)
+    d = a.shape[-1]
+    trace = np.einsum("...ii->...", a).real - d * floor
+    r = 4 * _gamma(d + 3) * (np.max(trace, initial=0.0) + abs(floor)) + d * d * 2.0 ** -1074
+    shift = floor + r
+    try:
+        return bool(np.isfinite(shift)
+                    and np.isfinite(np.linalg.cholesky(a - shift * np.eye(d))).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _above_cutoff(values: np.ndarray, top, rank_tol: float,

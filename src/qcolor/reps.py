@@ -23,7 +23,7 @@ from .coloring import (DEFAULT_BUDGET, CliqueResult, ColoringCertificate,
 from .graphs import (CheckResult, Graph, VerifyResult, _adjacency_mask,
                      cartesian_product, complete_graph)
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, VERTEX_BLOCK, LinalgError,
-                     PairBlocks, _above_cutoff, _hermitian_defect)
+                     PairBlocks, _above_cutoff, _hermitian_defect, psd_certified)
 
 
 class RepsError(ValueError):
@@ -92,10 +92,9 @@ class QuantumColoring:
         return arr.shape[0]
 
     @property
-    def local_dimension(self) -> int:
-        if self.vectors is not None:
-            return self.vectors.shape[2]
-        return self.projectors.shape[2]
+    def local_dimension(self) -> int:  # d of (n, c, d) vectors or (n, c, d, d) projectors
+        arr = self.vectors if self.vectors is not None else self.projectors
+        return arr.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +130,16 @@ class ThetaCertificate:
         object.__setattr__(self, "matrix", a)
 
 
-def _worst_vertex(table: np.ndarray, defect, bound: float, reason: str) -> VerifyResult:
+def _worst_vertex(table: np.ndarray, defect, bound: float, reason: str,
+                  *aligned: np.ndarray) -> VerifyResult:
     """Verdict of a per-vertex check: defect maps each block of VERTEX_BLOCK
-    vertices of an (n, ...) table to its (b, ...) defects, inf - inf a NaN;
-    passes when each is <= bound, else names the worst vertex (a NaN first)."""
-    blocks = (table[lo:lo + VERTEX_BLOCK] for lo in range(0, len(table), VERTEX_BLOCK))
+    vertices of an (n, ...) table, and the same rows of each aligned table,
+    to its (b, ...) defects, inf - inf a NaN; passes when each is <= bound,
+    else names the worst vertex (a NaN first)."""
+    blocks = ([t[lo:lo + VERTEX_BLOCK] for t in (table, *aligned)]
+              for lo in range(0, len(table), VERTEX_BLOCK))
     with np.errstate(invalid="ignore"):
-        per = [defect(b).reshape(len(b), -1).max(axis=1, initial=0.0) for b in blocks]
+        per = [defect(*b).reshape(len(b[0]), -1).max(axis=1, initial=0.0) for b in blocks]
     if not per:
         return VerifyResult(True, 0.0)
     per = np.concatenate(per)
@@ -405,10 +407,8 @@ def search_orthogonal_representation(g: Graph, c: int,
         raise RepsError("dimension must be >= 1")
     e = g.edge_array
     rng = np.random.default_rng(params.seed)
-    if e.shape[0] == 0:
-        vecs = np.zeros((g.n, c), dtype=complex)
-        vecs[:, 0] = 1.0
-        rep = OrthogonalRepresentation(c, vecs)
+    if e.shape[0] == 0:  # one color class: every vector is e_0
+        rep = representation_from_coloring(ColoringCertificate(c, (0,) * g.n))
         return SearchResult(True, rep, 0.0, 0)
     neighbors = [np.asarray(g.neighbors(v), dtype=np.int64) for v in range(g.n)]
     half = _HalfEdges(e)
@@ -439,24 +439,24 @@ def representation_from_coloring(cert: ColoringCertificate) -> OrthogonalReprese
     return OrthogonalRepresentation(cert.c, np.eye(cert.c, dtype=complex)[colors])
 
 
-def _psd_with_zeros(a: np.ndarray, zeros: np.ndarray, tol: float,
-                    floor: float) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """The one check of "Hermitian PSD with this exact zero pattern".  Raises
-    RepsError when a and zeros differ in shape or a is farther than tol from
-    Hermitian; else returns a's eigenvalues and eigenvectors with a reason to
-    reject: "not PSD" when an eigenvalue is below floor, then "wrong pattern"
-    when an entry where zeros is True exceeds tol in modulus, else None."""
+def _psd_with_zeros(a: np.ndarray, zeros: np.ndarray, tol: float, psd):
+    """The one check of "Hermitian PSD with this exact zero pattern", under
+    the caller's PSD rule psd(a), falsy when a is not PSD.  Raises RepsError
+    when a and zeros differ in shape, a has an entry that is not finite or a
+    is farther than tol from Hermitian; else returns psd(a) with a reason to
+    reject: "not PSD", then "wrong pattern" when an entry where zeros is
+    True exceeds tol in modulus, else None."""
     if a.shape != zeros.shape:
         raise RepsError(f"matrix is {a.shape[0]}x{a.shape[0]}, graph has "
                         f"{zeros.shape[0]} vertices")
+    if not np.isfinite(a).all():
+        raise RepsError("witness matrix is not finite")
     if np.max(_hermitian_defect(a), initial=0.0) > tol:
         raise RepsError("witness matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(a)
-    if np.min(evals, initial=np.inf) < floor:
-        return evals, evecs, "not PSD"
-    if np.any(np.abs(a[zeros]) > tol):
-        return evals, evecs, "wrong pattern"
-    return evals, evecs, None
+    proof = psd(a)
+    if not proof:
+        return proof, "not PSD"
+    return proof, "wrong pattern" if np.any(np.abs(a[zeros]) > tol) else None
 
 
 # -- certified lower bound from the Lovasz theta function ---------------------
@@ -470,15 +470,15 @@ def _psd_with_zeros(a: np.ndarray, zeros: np.ndarray, tol: float,
 
 # ADMM iterations of the theta solver, one n x n eigh each
 THETA_ITERATIONS = 300
-# the theta verifier's float margins, in units of n * eps.  An eigenvalue
-# must clear eta = THETA_EIG_MARGIN * n * eps * ||X||_F: LAPACK's symmetric
-# eigensolvers are backward stable, each computed eigenvalue within a small
-# multiple of n * eps * ||X||_2 of the exact one, so the stored X is PSD.
-# The claim is ceil(sum X / tr X - delta), delta = THETA_SUM_MARGIN * n *
-# eps: both sums are correctly rounded (math.fsum) and the quotient adds one
-# rounding, three half-eps relative errors on a ratio of at most n.
-THETA_EIG_MARGIN = 64
+# The verifier's claim is ceil(sum X / tr X - delta), delta =
+# THETA_SUM_MARGIN * n * eps: both sums are correctly rounded (math.fsum)
+# and the quotient adds one rounding, three half-eps relative errors on a
+# ratio of at most n.
 THETA_SUM_MARGIN = 4
+# The solver's diagonal shift, in units of n * eps * max(tr Z, 1): it leaves
+# lambda_min of the trace-1 certificate near 256 n eps, 128 n / (n + 3) >=
+# 32 times the verifier's Cholesky shift 4 gamma_{n+3} ~ 2 (n + 3) eps.
+THETA_SHIFT_MARGIN = 256
 _EPS = float(np.finfo(float).eps)
 
 
@@ -492,16 +492,15 @@ class ThetaCheckResult(CheckResult):
 
 def verify_theta_certificate(g: Graph, cert: ThetaCertificate,
                              tol: float = DEFAULT_TOL) -> ThetaCheckResult:
-    """Checks a theta certificate without the solver: X is exactly symmetric
-    (else RepsError), no eigenvalue is below eta, X is exactly 0.0 on every
-    non-adjacent pair i != j of g, and tr X is positive and within tol of 1.
-    Then X / tr X is feasible for theta of the complement, and the claim is
-    xi(g) >= ceil(sum X / tr X - delta)."""
+    """Checks a theta certificate without the solver: X is finite and exactly
+    symmetric (else RepsError), linalg.psd_certified proves lambda_min(X) >=
+    0, X is exactly 0.0 on every non-adjacent pair i != j of g, and tr X is
+    positive and within tol of 1.  Then X / tr X is feasible for theta of
+    the complement, and the claim is xi(g) >= ceil(sum X / tr X - delta)."""
     x = cert.matrix
     n = g.n
     zeros = ~_adjacency_mask(g) ^ np.eye(n, dtype=bool)  # non-adjacent i != j
-    eta = THETA_EIG_MARGIN * n * _EPS * float(np.linalg.norm(x))
-    reason = _psd_with_zeros(x, zeros, 0.0, eta)[2]
+    reason = _psd_with_zeros(x, zeros, 0.0, psd_certified)[1]
     trace = math.fsum(np.diag(x).tolist())
     if reason is None and not (trace > 0 and abs(trace - 1.0) <= tol):
         reason = "trace is not 1"
@@ -526,7 +525,7 @@ def theta_certificate(g: Graph, target: int) -> ThetaCertificate:
         raise RepsError("theta of the empty graph is undefined")
     pattern = np.flatnonzero(~_adjacency_mask(g) ^ np.eye(n, dtype=bool))
     diagonal = np.arange(0, n * n, n + 1)
-    margin = 4 * THETA_EIG_MARGIN * n * _EPS
+    margin = THETA_SHIFT_MARGIN * n * _EPS
     z, u = np.eye(n) / n, np.zeros((n, n))
     best = (-np.inf, z, 0.0)
     for _ in range(THETA_ITERATIONS):
@@ -544,8 +543,7 @@ def theta_certificate(g: Graph, target: int) -> ThetaCertificate:
             best = (value, z, shift)
         if math.ceil(value - THETA_SUM_MARGIN * n * _EPS) >= target:
             break
-    _, z, shift = best
-    x = z.copy()
+    _, x, shift = best  # the iterate itself: the loop is done with it
     x.flat[pattern] = 0.0
     x.flat[diagonal] += shift
     return ThetaCertificate(x / x.trace())
@@ -678,12 +676,17 @@ def psd_witness_check(g: Graph, witness: PSDWitness,
     a = witness.matrix
     n = g.n
     edges = _adjacency_mask(g)
-    evals, evecs, reason = _psd_with_zeros(a, edges, tol, -tol)
+
+    def psd(m):  # the eigenpairs, unless one is below -tol
+        w, v = np.linalg.eigh(m)
+        return None if np.min(w, initial=np.inf) < -tol else (w, v)
+    eig, reason = _psd_with_zeros(a, edges, tol, psd)
     support = ~edges ^ np.eye(n, dtype=bool)  # the non-edges must be nonzero
     if reason is None and np.any(np.abs(a[support]) <= tol):
         reason = "wrong pattern"
     if reason is not None:
         return PSDCheckResult(False, reason, None)
+    evals, evecs = eig
     try:
         kept = _above_cutoff(evals, np.max(evals, initial=0.0), rank_tol,
                              "eigenvalue")

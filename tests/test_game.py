@@ -232,11 +232,20 @@ def test_cholesky_within_the_rounding_allowance_goes_to_eigvalsh(monkeypatch):
     assert calls
 
 
-def test_a_non_finite_cholesky_factor_certifies_nothing():
-    # LAPACK's potrf may run through a NaN without reporting failure
-    ops = np.array([[[[1.0, np.nan], [np.nan, 1.0]]]], dtype=complex)
-    assert not game._cholesky_certifies(ops, 1e-8)
-    assert game._cholesky_certifies(np.eye(2, dtype=complex)[None, None], 1e-8)
+def test_certificate_floor_allows_for_eigvalsh(monkeypatch):
+    """A block is certified only at lambda_min >= e - tol, e = 2 d
+    gamma_{d+3} (max tr + d tol) taken as eigvalsh's backward error, so a
+    certified block is one eigvalsh accepts too; computed here on its own."""
+    floors, certify = [], game.psd_certified
+    monkeypatch.setattr(game, "psd_certified",
+                        lambda b, floor: floors.append(floor) or certify(b, floor))
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(2))
+    for tol in (1e-8, 1e-15):
+        floors.clear()
+        game.validate_strategy(s, tol)
+        d, u = 2, 2.0 ** -53
+        e = 2 * d * (d + 3) * u / (1 - (d + 3) * u) * (1 + d * tol)
+        assert floors == [pytest.approx(e - tol, rel=1e-12, abs=0)] * 2
 
 
 def test_not_psd_names_side_vertex_and_residual():
@@ -440,6 +449,41 @@ def test_per_vertex_checks_stay_block_sized():
                  lambda: reps.verify_quantum_coloring(g, qc)):
         assert call()
         assert _traced_peak(call) < ops.nbytes
+
+
+def test_conjugate_checks_stay_block_sized():
+    """normal_form_properties checks Bob = conj(Alice) one block of
+    VERTEX_BLOCK vertices at a time: on the Omega_8 strategy (two blocks)
+    its traced peak stays below 1.2 times Alice's table, where the
+    whole-table check took twice the table.  The first call runs outside
+    the trace: numpy imports numpy.ma lazily there, about 1 MB."""
+    g = hadamard_graph(8)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8))
+    assert len(s.alice) == 2 * reps.VERTEX_BLOCK
+    assert all(game.normal_form_properties(s, g).values())
+    assert _traced_peak(lambda: game.normal_form_properties(s, g)) < 1.2 * s.alice.nbytes
+
+
+def test_conjugation_stage_names_the_largest_defect(monkeypatch):
+    """Stage 3 of normalize_strategy checks E = conj(F) one block at a time
+    and still names the largest |E - conj(F)| of the whole table: here Bob's
+    supports are rotated by a phase at two vertices, one in each block, so
+    they stay projectors that resolve the identity."""
+    g = hadamard_graph(8)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8))
+    bob = s.bob.copy()
+    for v, angle in ((10, 2e-6), (200, 3e-6)):
+        u = np.diag(np.exp(1j * angle * np.arange(8)))
+        bob[v] = u @ bob[v] @ u.conj().T
+    tables = iter([s.alice, bob])
+    monkeypatch.setattr(game, "support_projector", lambda a, *args, **kw: next(tables))
+    monkeypatch.setattr(game, "_record_stage", lambda stages, stage, t, g: stages.append(t))
+    defect = np.max(np.abs(s.alice - bob.conj()))
+    assert defect > game.CHECK_TOL
+    with pytest.raises(game.NormalFormError) as err:
+        game.normalize_strategy(s, g)
+    assert str(err.value) == ("[conjugation identity] E != conj(F) after support "
+                              f"replacement (defect {defect:.3g})")
 
 
 def test_support_checks_name_side_and_worst_vertex(monkeypatch):
@@ -849,6 +893,17 @@ def test_normal_form_properties_false_on_a_non_finite_entry(bad, where):
         flags = game.normal_form_properties(broken, g)
         assert list(flags) == list(game.normal_form_properties(s, g))
         assert not any(flags.values())
+
+
+def test_normal_form_properties_on_unequal_local_dimensions():
+    """Bob's table cannot be Alice's conjugate when the local dimensions
+    differ: the flag is false, where the whole-table difference raised a
+    bare broadcasting ValueError."""
+    e = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    f = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]
+    s = game.POVMStrategy(2, 2, 3, np.ones(6) / np.sqrt(6), np.array([e, e]), np.array([f, f]))
+    flags = game.normal_form_properties(s, complete_graph(2))
+    assert not flags["bob_is_conjugate"] and not flags["maximally_entangled_rc"]
 
 
 def test_normalize_perturbed_k2():

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcolor
 from qcolor import linalg
 
 
@@ -178,3 +182,91 @@ def test_pair_values_matches_einsum(n, c, k, m):
 def test_pair_blocks_reject_unsorted_pairs():
     with pytest.raises(linalg.LinalgError, match="sorted"):
         linalg.PairBlocks([1, 0], [0, 1])
+
+
+# -- the positivity certificate -------------------------------------------------
+
+
+def _allowance(a, floor):
+    """psd_certified's shift above floor, r = 4 gamma_{d+3} (max(tr A - d
+    floor) + |floor|) + d^2 2^-1074, computed here on its own."""
+    d, u = a.shape[-1], 2.0 ** -53
+    gamma = (d + 3) * u / (1 - (d + 3) * u)
+    trace = np.trace(a, axis1=-2, axis2=-1).real - d * floor
+    return 4 * gamma * (np.max(trace) + abs(floor)) + d * d * 2.0 ** -1074
+
+
+def _with_least_eigenvalue(rng, d, dtype, lam):
+    """A random Hermitian d x d matrix of trace about d whose least
+    eigenvalue is lam (up to the rounding of its construction)."""
+    x = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if dtype is complex else 0)
+    q = np.linalg.qr(x)[0]
+    w = np.concatenate([[0.0], rng.uniform(0.5, 1.5, d - 1)])
+    a = (q * w) @ q.conj().T
+    a = (a + a.conj().T) / 2
+    return a + (lam - np.linalg.eigvalsh(a)[0]) * np.eye(d)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_psd_certified_pins_its_rounding_allowance(dtype):
+    """Two-sided: least eigenvalue floor + 2r is certified, floor - r is
+    not, for sizes 1 to 60 and floors below, at and above 0."""
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 5, 20, 60):
+        for floor in (0.0, -1e-8, 0.25):
+            a = _with_least_eigenvalue(rng, d, dtype, floor)
+            r = _allowance(a, floor)
+            above = a + 2 * r * np.eye(d)
+            assert linalg.psd_certified(above, floor), (d, floor)
+            assert not linalg.psd_certified(a - r * np.eye(d), floor), (d, floor)
+
+
+def test_psd_certified_refuses_a_stack_with_one_bad_matrix():
+    rng = np.random.default_rng(8)
+    stack = np.array([_with_least_eigenvalue(rng, 6, complex, 1e-3) for _ in range(9)])
+    assert linalg.psd_certified(stack) and linalg.psd_certified(stack[:, None])
+    stack[4] = _with_least_eigenvalue(rng, 6, complex, -1e-12)
+    assert not linalg.psd_certified(stack)
+    assert not linalg.psd_certified(stack.reshape(3, 3, 6, 6))
+    assert linalg.psd_certified(stack[:0])  # nothing to refuse
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_non_finite_cholesky_factor_certifies_nothing(bad, where, dtype):
+    """A NaN or an infinity in a Hermitian matrix, alone or in a stack, is
+    refused without a RuntimeWarning (an error under this suite's filter):
+    LAPACK's potrf may run through a NaN without reporting failure."""
+    a = 2 * np.eye(3, dtype=dtype)
+    a[where] = a[where[::-1]] = bad
+    for m in (a, np.array([np.eye(3), a]), np.array([a, np.eye(3)])[:, None]):
+        assert not linalg.psd_certified(m)
+        assert not linalg.psd_certified(m, -1e-8)
+    assert linalg.psd_certified(np.eye(2, dtype=dtype)[None, None], -1e-8)
+
+
+# the functions that may call each eigensolver: each uses the eigenvalues or
+# eigenvectors, not only their sign; every other positivity claim goes
+# through linalg.psd_certified, the one Cholesky
+EIGEN_CALLERS = {
+    "cholesky": {("linalg", "psd_certified")},
+    "eigh": {("linalg", "support_projector"), ("reps", "psd_witness_check"),
+             ("reps", "theta_certificate")},
+    "eigvalsh": {("game", "_psd_defect")},  # validate_strategy's fallback
+}
+
+
+def test_one_positivity_certificate():
+    """An ast scan of the package: np.linalg.cholesky, eigh and eigvalsh are
+    named only in the functions listed in EIGEN_CALLERS, so a second
+    positivity rule fails this test."""
+    found = {name: set() for name in EIGEN_CALLERS}
+    for path in sorted(Path(qcolor.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if name in found:
+                    where = getattr(top, "name", "<module>")
+                    found[name].add((path.stem, where))
+    assert found == EIGEN_CALLERS

@@ -627,12 +627,19 @@ def test_theta_certificate_rejections():
     res = reps.verify_theta_certificate(g, reps.ThetaCertificate(1.5 * x))
     assert not res and res.reason == "trace is not 1"
     res = reps.verify_theta_certificate(g, reps.ThetaCertificate(np.zeros((5, 5))))
-    assert not res  # PSD (eta is 0) with the right pattern, but trace 0
-    eta = reps.THETA_EIG_MARGIN * 5 * np.finfo(float).eps * np.linalg.norm(x)
-    low = x - (np.linalg.eigvalsh(x)[0] - eta / 2) * np.eye(5)
-    assert np.linalg.eigvalsh(low)[0] > 0  # PSD, but not by the margin
-    res = reps.verify_theta_certificate(g, reps.ThetaCertificate(low))
-    assert not res and res.reason == "not PSD"
+    assert not res and res.reason == "not PSD"  # the shift s below is positive
+    # the verifier proves lambda_min >= 0 by a Cholesky of X - sI, with s =
+    # 4 gamma_{n+3} tr X + n^2 2^-1074 (n = 5, tr X = 1); pinned on both
+    # sides.  At 2s the matrix is below the former eigenvalue margin 64 n
+    # eps ||X||_F (about 4e-14), which rejected it.
+    u = 2.0 ** -53
+    s = 4 * 8 * u / (1 - 8 * u) + 25 * 2.0 ** -1074
+    lam = np.linalg.eigvalsh(x)[0]
+    for target, ok in ((2 * s, True), (-1e-12, False)):
+        shifted = x + (target - lam) * np.eye(5)
+        shifted /= np.trace(shifted)  # trace 1, lambda_min about 1.15 target
+        res = reps.verify_theta_certificate(g, reps.ThetaCertificate(shifted))
+        assert (res.ok, res.reason) == (ok, None if ok else "not PSD"), target
 
 
 def test_theta_certificate_malformed_raises():
@@ -648,6 +655,22 @@ def test_theta_certificate_malformed_raises():
         reps.ThetaCertificate(x + 1e-3j)
     with pytest.raises(reps.RepsError, match="square"):
         reps.ThetaCertificate(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "infinity"])
+@pytest.mark.parametrize("where", [(0, 1), (2, 2), (0, 2)],
+                         ids=["adjacent", "diagonal", "non-adjacent"])
+def test_matrix_verifiers_refuse_a_non_finite_entry(bad, where):
+    """A NaN or an infinity in a theta certificate or a PSD witness is an
+    input error, raised before any factorization: it used to escape as
+    LinAlgError from eigh, or as OverflowError from math.ceil."""
+    g = cycle(5)
+    x = reps.theta_certificate(g, 3).matrix.copy()
+    x[where] = x[where[::-1]] = bad
+    with pytest.raises(reps.RepsError, match="not finite"):
+        reps.verify_theta_certificate(g, reps.ThetaCertificate(x))
+    with pytest.raises(reps.RepsError, match="not finite"):
+        reps.psd_witness_check(g, reps.PSDWitness(x, 3))
 
 
 def test_searches_skipped_only_with_a_verified_theta(monkeypatch):
