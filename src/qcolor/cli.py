@@ -139,11 +139,6 @@ def _resolve(args) -> dict:
             "budget": coloring.DEFAULT_BUDGET if args.budget is None else args.budget}
 
 
-def _metadata(opts: dict) -> dict:
-    return {**io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"]),
-            "budget": opts["budget"]}
-
-
 def _emit(report: dict, args, key: str, doc: dict) -> None:
     """Write doc to the -o file if one is given, else put it under
     report[key]; report["written_to"] says which."""
@@ -188,10 +183,10 @@ def _cmd_chi(args, opts):
     report = {"n": g.n, "m": int(g.edge_array.shape[0]), "chi": res.chi,
               "lower": res.lower, "upper": res.upper, "status": res.status,
               "nodes": res.nodes}
+    _emit(report, args, "certificate", _certificate("coloring", res.certificate, opts))
     if res.status == coloring.BUDGET_EXCEEDED:
         return report, EXIT_BUDGET, (f"budget exceeded: "
                                      f"{res.lower} <= chi <= {res.upper}")
-    _emit(report, args, "certificate", _certificate("coloring", res.certificate, opts))
     return report, EXIT_YES, f"chi = {res.chi}"
 
 
@@ -321,6 +316,8 @@ def _cmd_ks_check(args, opts):
 
 def _cmd_game(args, opts):
     g, s = io.read_graph(args.graph), io.read_strategy(args.strategy)
+    if args.game_command in ("exact", "check"):  # the evaluators assume a strategy
+        game.validate_strategy(s)
     if args.game_command == "exact":
         wp = game.quantum_win_probability(g, s)
         perfect = abs(wp - 1.0) <= opts["tol"]
@@ -386,7 +383,8 @@ def main(argv=None) -> int:
         msg = (f"internal error: {type(err).__name__}: {err} (at "
                f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
         report, code, summary = {"error": msg}, EXIT_INTERNAL, f"error: {msg}"
-    full = {"command": name, "metadata": _metadata(opts), **report}
+    meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
+    full = {"command": name, "metadata": {**meta, "budget": opts["budget"]}, **report}
     print(json.dumps(full, indent=1, default=lambda a: a.tolist()))
     print(f"qcolor {name}: {summary} [exit {code}]", file=sys.stderr)
     return code

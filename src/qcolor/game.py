@@ -143,10 +143,10 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     tol with eigvalsh's least eigenvalue >= -tol, each vertex's sum the
     identity within d*tol.  A failure names the side, check and worst vertex.
 
-    Each check runs on blocks of VERTEX_BLOCK vertices.  A block's PSD check
-    asks linalg.psd_certified first, at a floor that also covers eigvalsh's
-    rounding (_psd_defect), so the accept set is eigvalsh's; every block it
-    does not certify goes to eigvalsh."""
+    Each check runs on blocks of vertices sized from linalg.BLOCK_BYTES.  A
+    block's PSD check asks linalg.psd_certified first, at a floor that also
+    covers eigvalsh's rounding (_psd_defect), so the accept set is
+    eigvalsh's; every block it does not certify goes to eigvalsh."""
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
@@ -231,7 +231,7 @@ def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     at a time, with W = _alice_products and F Bob's flattened operators, the
     diagonal adds sum_v W[v] . F[v]; the edges, asked both ways, subtract
     PairBlocks.total of W against F, and add it for the total mass (color c:
-    sum_a E_a and sum_b F_b)."""
+    sum_a E_a and sum_b F_b).  Assumes s passed validate_strategy."""
     _check_cover(g, s)
     pairs = PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1], both=True)
     psi, c, n, win = s.state_matrix(), s.colors, s.n_vertices, 0.0
@@ -274,7 +274,8 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     vertex violations first, then edges as (u, v), then edges as (v, u).
     One color a at a time: W_a = _alice_products against Bob's whole table
     for the vertices, and through PairBlocks (both orientations) against F_a
-    for the edges; the hits merge into the smallest keys so far."""
+    for the edges; the hits merge into the smallest keys so far.  Assumes s
+    passed validate_strategy."""
     _check_cover(g, s)
     if not (0 < tol < np.inf and max_violations >= 1):
         raise GameError("tol must be positive and finite and max_violations "
@@ -357,7 +358,8 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     3. conjugation identity: verify E = conj(F) elementwise, then enforce it.
     4. schmidt flattening: replace the state by the maximally entangled one.
     5. rank padding: tensor a maximally entangled c-register and cyclically
-       combine colors, making all projectors rank r on local dimension r*c.
+       combine colors, making all projectors rank r on local dimension r*c
+       (unless every projector already has rank d/c: then it keeps its input).
 
     The output satisfies: projective rank-r measurements, maximally entangled
     state of local dimension r*c, Bob = conj(Alice), and zero Hilbert-Schmidt
@@ -432,15 +434,17 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 
     # stage 5: rank padding --------------------------------------------------
     stage = "rank padding"
-    dd = d * c
-    alice_pad = np.zeros((s.n_vertices, c, dd, dd), dtype=complex)
-    # the padded index is p*c + i (A1-major, as the paper's E' (x) |i><i|, so
-    # the maximally entangled state on C^{dc} matches kron semantics), and
-    # register i carries color (a + i) mod c
-    for i in range(c):
-        alice_pad[:, :, i::c, i::c] = s_flat.alice[:, np.roll(np.arange(c), -i)]
-    final = POVMStrategy(c, dd, dd, maximally_entangled(dd), alice_pad,
-                         alice_pad.conj())
+    final = s_flat
+    if np.any(np.rint(np.einsum("vaii->va", s_flat.alice).real) * c != d):
+        dd = d * c
+        alice_pad = np.zeros((s.n_vertices, c, dd, dd), dtype=complex)
+        # the padded index is p*c + i (A1-major, as the paper's E' (x) |i><i|,
+        # so the maximally entangled state on C^{dc} matches kron semantics),
+        # and register i carries color (a + i) mod c
+        for i in range(c):
+            alice_pad[:, :, i::c, i::c] = s_flat.alice[:, np.roll(np.arange(c), -i)]
+        final = POVMStrategy(c, dd, dd, maximally_entangled(dd), alice_pad,
+                             alice_pad.conj())
     validate_strategy(final, CHECK_TOL)
     _record_stage(stages, stage, final, g)
     flags = normal_form_properties(final, g, tol)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PAIR_BLOCK
+from .linalg import DEFAULT_TOL, block_rows
 
 
 class GraphError(ValueError):
@@ -107,8 +107,8 @@ class Graph:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Adjacency bitsets for the exact searches: bit w of masks[v] is set
-        iff v ~ w.  They take up to n^2/8 bytes in all, so neighbors, degree
-        and has_edge read the O(m) lists instead."""
+        iff v ~ w.  They take up to n^2/8 bytes in all, so neighbors and
+        has_edge read the O(m) lists instead."""
         masks = [0] * self.n
         for u, v in self.edge_array.tolist():
             masks[u] |= 1 << v
@@ -118,12 +118,7 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self._adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
         a = self._adjacency[u]
         i = np.searchsorted(a, v)
         return i < len(a) and a[i] == v
@@ -202,8 +197,8 @@ def hadamard_graph(n_bits: int) -> Graph:
 
 def orthogonality_graph(vector_set, tol: float = DEFAULT_TOL) -> Graph:
     """One vertex per ray; edge iff the rays are orthogonal within ``tol``
-    (absolute, on the inner-product modulus), from PAIR_BLOCK-row blocks of
-    the upper triangle of the Gram matrix.
+    (absolute, on the inner-product modulus), from blocks of rows (a Gram
+    row with its modulus and mask each) of the Gram matrix's upper triangle.
 
     Accepts a canonicalized vector set (anything with .vectors) or a bare
     (k, d) array of rays.
@@ -213,8 +208,8 @@ def orthogonality_graph(vector_set, tol: float = DEFAULT_TOL) -> Graph:
     vecs = np.asarray(getattr(vector_set, "vectors", vector_set), dtype=complex)
     if vecs.ndim != 2 or vecs.shape[0] == 0:
         raise GraphError("orthogonality graph needs a nonempty (k, d) ray array")
-    edges = []
-    for lo in range(0, len(vecs), PAIR_BLOCK):
-        i, j = np.nonzero(np.abs(vecs[lo:lo + PAIR_BLOCK].conj() @ vecs[lo:].T) <= tol)
+    edges, rows = [], block_rows((16 + 8 + 1) * len(vecs))
+    for lo in range(0, len(vecs), rows):
+        i, j = np.nonzero(np.abs(vecs[lo:lo + rows].conj() @ vecs[lo:].T) <= tol)
         edges.append(np.stack([i, j], axis=1)[j > i] + lo)
     return Graph(len(vecs), np.concatenate(edges))

@@ -337,13 +337,12 @@ CODECS = {
     "psd-witness": (_encode_psd_witness, _decode_psd_witness),
     "theta": (_encode_theta, _decode_theta),
 }
-CERTIFICATE_KINDS = tuple(CODECS)
 
 
 def _check_kind(kind) -> None:
     if not isinstance(kind, str):  # not by repr, which differs between readers
         raise FormatError("unknown certificate kind (not a string)")
-    if kind not in CERTIFICATE_KINDS:
+    if kind not in CODECS:
         raise FormatError(f"unknown certificate kind {kind!r}")
 
 
@@ -391,10 +390,6 @@ def certificate_from_dict(data: dict) -> tuple[str, dict, dict]:
 
 def read_certificate(path) -> tuple[str, dict, dict]:
     return certificate_from_dict(_load_json(path))
-
-
-def write_certificate(path, kind: str, payload: dict, metadata: dict) -> None:
-    write_json(certificate_to_dict(kind, payload, metadata), path)
 
 
 # ---------------------------------------------------------------------------

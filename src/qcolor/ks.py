@@ -23,7 +23,7 @@ import numpy as np
 
 from .coloring import BUDGET_EXCEEDED, DEFAULT_BUDGET
 from .graphs import Graph, orthogonality_graph
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, block_rows
 
 BRUTE_FORCE_LIMIT = 25
 
@@ -276,14 +276,13 @@ def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
     if k > BRUTE_FORCE_LIMIT:
         raise KSError(f"brute force limited to {BRUTE_FORCE_LIMIT} rays, got {k}")
     g = orthogonality_graph(s.vectors, tol=tol)
-    bases = _bases(g, s.dimension)
-    if not bases:
-        return KSDecision(False, False, (0,) * k, "brute_force", 0)
+    bases = _bases(g, s.dimension)  # none: labeling 0 is a weak witness
     basis_masks = [sum(1 << r for r in b) for b in bases]
     pair_masks = [(1 << u) | (1 << v) for u, v in g.edge_array.tolist()]
 
     first_ks: int | None = None
-    chunk = 1 << 20
+    # per labeling: its index, the masked copy and two temporaries of it, three flags
+    chunk = block_rows(4 * 8 + 3)
     for start in range(0, 1 << k, chunk):
         idx = np.arange(start, min(start + chunk, 1 << k), dtype=np.int64)
         ok = np.ones(len(idx), dtype=bool)

@@ -15,7 +15,8 @@ Conventions, fixed package-wide:
   a sum): memory is a few ints per pair plus a block, never (pairs, c).
 * positivity is certified by psd_certified, the one Cholesky in the package;
   eigen-decompositions run only where eigenvalues or eigenvectors are used.
-* per-vertex checks go through reps._worst_vertex, VERTEX_BLOCK vertices at a time.
+* per-vertex checks go through reps._worst_vertex, a block of vertices at a time;
+* every blocked kernel sizes its blocks from BLOCK_BYTES, through block_rows.
 """
 from __future__ import annotations
 
@@ -25,10 +26,14 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-7
-# rows of x per GEMM of the pair kernel, vertices per block of a per-vertex
-# check: each bounds its block's scratch, large enough for BLAS and LAPACK
-PAIR_BLOCK = 512
-VERTEX_BLOCK = 128
+# scratch bytes of a block of any blocked kernel, so memory is bounded at any
+# size; 2 MB gives 128 pair rows at n = 1024, 32 vertices of Omega_10's tables
+BLOCK_BYTES = 2 ** 21
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes each in a block of BLOCK_BYTES (read per call), >= 1."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 class LinalgError(ValueError):
@@ -39,10 +44,11 @@ class PairBlocks:
     """The pair kernel: x[vs[e]] . z[ws[e]] (no conjugation) for rows of two
     (n, k) arrays, vs sorted as in a Graph's edge_array, and with both=True
     also x[ws[e]] . z[vs[e]] for each reversed pair, id m + e.  The pairs are
-    grouped once by PAIR_BLOCK-row blocks of x, one small int each (both=True
-    adds an argsort of ws); each block costs one GEMM against only the rows
-    of z it touches (BLAS speed on dense pairs, linear in n on sparse ones),
-    and its reducer keeps what it needs and drops the product."""
+    grouped once by blocks of rows of x, block_rows(a complex product row,
+    one column per index) read at construction, one small int each
+    (both=True adds an argsort of ws); each block costs one GEMM against only
+    the rows of z it touches (BLAS speed on dense pairs, linear in n on
+    sparse ones), and its reducer keeps what it needs and drops the product."""
 
     def __init__(self, vs, ws, both: bool = False):
         vs, ws = np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.int64)
@@ -51,7 +57,8 @@ class PairBlocks:
         rws = ws if both else ws[:0]  # the first index of each reversed pair
         back = np.argsort(rws, kind="stable")
         top = int(max(vs.max(initial=-1), rws.max(initial=-1))) + 1
-        starts = np.arange(0, top + PAIR_BLOCK, PAIR_BLOCK)
+        rows = self.rows = block_rows(16 * max(top, int(ws.max(initial=-1)) + 1))
+        starts = np.arange(0, top + rows, rows)
         cuts, back_cuts = np.searchsorted(vs, starts), np.searchsorted(rws, starts, sorter=back)
         # per nonempty block: first row, forward pairs, reversed pairs, touched
         # columns, and each pair's flat position in the (rows, columns) product
@@ -64,7 +71,7 @@ class PairBlocks:
                 at -= lo
                 at *= cols.size
                 at += np.searchsorted(cols, other)
-                size = np.min_scalar_type(PAIR_BLOCK * cols.size)
+                size = np.min_scalar_type(rows * cols.size)
                 self.blocks.append((lo, fwd, rev, cols, at.astype(size)))
 
     def values(self, x: np.ndarray, z: np.ndarray, f=np.asarray):
@@ -73,7 +80,7 @@ class PairBlocks:
         are picked from it."""
         for lo, fwd, rev, cols, at in self.blocks:
             sel = np.concatenate([np.arange(fwd.start, fwd.stop), rev + self.m])
-            yield sel, f(x[lo:lo + PAIR_BLOCK] @ z[cols].T).ravel()[at]
+            yield sel, f(x[lo:lo + self.rows] @ z[cols].T).ravel()[at]
 
     def total(self, x: np.ndarray, z: np.ndarray) -> complex:
         """The sum of all pair values of complex x, z without per-pair values:
@@ -81,10 +88,10 @@ class PairBlocks:
         their float view), dotted with its rows of x."""
         out = 0j
         for lo, _, _, cols, at in self.blocks:
-            count = np.zeros((min(PAIR_BLOCK, len(x) - lo), cols.size))
+            count = np.zeros((min(self.rows, len(x) - lo), cols.size))
             np.add.at(count.ravel(), at, 1.0)
             y = (count @ z[cols].view(np.float64)).view(complex)
-            out += np.sum(x[lo:lo + PAIR_BLOCK] * y)
+            out += np.sum(x[lo:lo + self.rows] * y)
         return out
 
 

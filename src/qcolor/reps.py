@@ -22,8 +22,8 @@ from .coloring import (DEFAULT_BUDGET, CliqueResult, ColoringCertificate,
                        verify_coloring)
 from .graphs import (CheckResult, Graph, VerifyResult, _adjacency_mask,
                      cartesian_product, complete_graph)
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, VERTEX_BLOCK, LinalgError,
-                     PairBlocks, _above_cutoff, _hermitian_defect, psd_certified)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks, _above_cutoff,
+                     _hermitian_defect, block_rows, psd_certified)
 
 
 class RepsError(ValueError):
@@ -132,12 +132,14 @@ class ThetaCertificate:
 
 def _worst_vertex(table: np.ndarray, defect, bound: float, reason: str,
                   *aligned: np.ndarray) -> VerifyResult:
-    """Verdict of a per-vertex check: defect maps each block of VERTEX_BLOCK
-    vertices of an (n, ...) table, and the same rows of each aligned table,
-    to its (b, ...) defects, inf - inf a NaN; passes when each is <= bound,
-    else names the worst vertex (a NaN first)."""
-    blocks = ([t[lo:lo + VERTEX_BLOCK] for t in (table, *aligned)]
-              for lo in range(0, len(table), VERTEX_BLOCK))
+    """Verdict of a per-vertex check: defect maps each block of vertices of
+    an (n, ...) table, and the same rows of each aligned table, to its
+    (b, ...) defects, inf - inf a NaN; passes when each is <= bound, else
+    names the worst vertex (a NaN first).  Blocks are sized for four copies
+    of a vertex's rows of all tables, the most a defect rule keeps live."""
+    rows = block_rows(4 * sum(t[:1].nbytes for t in (table, *aligned)))
+    blocks = ([t[lo:lo + rows] for t in (table, *aligned)]
+              for lo in range(0, len(table), rows))
     with np.errstate(invalid="ignore"):
         per = [defect(*b).reshape(len(b[0]), -1).max(axis=1, initial=0.0) for b in blocks]
     if not per:
@@ -279,9 +281,6 @@ POLISH_SWEEPS = 150
 # polish only near-feasible points; stalled penalties mean a bad basin
 # (or true infeasibility) and another restart is cheaper than projection
 POLISH_THRESHOLD = 1e-3
-# restarts run in lockstep, in consecutive blocks whose (R, 2m, c) complex
-# half-edge array stays within this many bytes
-BLOCK_BYTES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -412,7 +411,7 @@ def search_orthogonal_representation(g: Graph, c: int,
         return SearchResult(True, rep, 0.0, 0)
     neighbors = [np.asarray(g.neighbors(v), dtype=np.int64) for v in range(g.n)]
     half = _HalfEdges(e)
-    block = max(1, BLOCK_BYTES // (2 * e.shape[0] * c * 16))
+    block = block_rows(2 * e.shape[0] * c * 16)  # one restart's (2m, c) half-edge array
     best_penalty = np.inf
     for lo in range(0, params.restarts, block):
         size = min(block, params.restarts - lo)

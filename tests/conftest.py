@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qcolor import linalg
 from qcolor.graphs import Graph, make_graph
 
 
@@ -14,6 +15,13 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return make_graph(10, outer + spokes + inner)
+
+
+def pair_block_rows(monkeypatch, n: int, rows: int) -> None:
+    """Sets linalg.BLOCK_BYTES so that the pair kernel cuts pairs of indices
+    below n, the largest n - 1, into blocks of this many rows."""
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * n * rows)
+    assert linalg.PairBlocks([0], [n - 1]).rows == rows
 
 
 def umbrella_gram() -> np.ndarray:

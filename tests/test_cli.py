@@ -10,7 +10,7 @@ import pytest
 
 from conftest import cycle, path_plus_triangle, petersen, umbrella_gram
 import qcolor
-from qcolor import cli, game, io, ks, reps
+from qcolor import cli, coloring, game, io, ks, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
 from qcolor.linalg import DEFAULT_RANK_TOL
 
@@ -107,11 +107,55 @@ def test_budget_exit_code(capsys, tmp_path):
     rng = np.random.default_rng(0)
     edges = [(u, v) for u in range(18) for v in range(u + 1, 18)
              if rng.random() < 0.5]
-    p.write_text(io.write_dimacs(make_graph(18, edges)))
+    g = make_graph(18, edges)
+    p.write_text(io.write_dimacs(g))
     code, report, _ = run(capsys, "colorable", str(p), "-c", "6",
                           "--budget", "2")
     assert code == 3
     assert report["status"] == "budget_exceeded"
+    # chi reports its bounds and the coloring behind the upper one
+    code, report, _ = run(capsys, "chi", str(p), "--budget", "2")
+    assert code == 3 and report["status"] == "budget_exceeded"
+    assert report["chi"] is None and report["lower"] <= report["upper"]
+    cert = io.decode_payload("coloring", report["certificate"]["payload"])
+    assert cert.c == report["upper"] and coloring.verify_coloring(g, cert)
+
+
+def k2_strategy_file(tmp_path, name, state, alice):
+    """A graph file of K_2 and a strategy file with Bob's table Alice's."""
+    g = tmp_path / "k2.col"
+    g.write_text(io.write_dimacs(complete_graph(2)))
+    s = tmp_path / f"{name}.json"
+    io.write_strategy(game.POVMStrategy(alice.shape[1], alice.shape[2], alice.shape[2],
+                                        state, alice, alice), s)
+    return str(g), str(s)
+
+
+def test_game_check_refuses_all_zero_tables(capsys, tmp_path):
+    """All-zero tables with a unit state are no strategy; game check read
+    them as consistent (exit 0)."""
+    g, s = k2_strategy_file(tmp_path, "zero", [1.0], np.zeros((2, 2, 1, 1)))
+    code, report, _ = run(capsys, "game", "check", g, s)
+    assert code == 2 and "does not sum to identity" in report["error"]
+
+
+def test_game_exact_refuses_an_unnormalized_state(capsys, tmp_path):
+    """The strategy "always answer 0" (d_A = d_B = 1) with the state sqrt(2)
+    is no strategy; game exact read it as a win probability of 1
+    (normalized, it wins 1/2)."""
+    always0 = np.zeros((2, 2, 1, 1))
+    always0[:, 0] = 1.0
+    g, s = k2_strategy_file(tmp_path, "always0", [np.sqrt(2)], always0)
+    code, report, _ = run(capsys, "game", "exact", g, s)
+    assert code == 2 and "state norm" in report["error"]
+    g, s = k2_strategy_file(tmp_path, "always0-unit", [1.0], always0)
+    code, report, _ = run(capsys, "game", "exact", g, s)
+    assert code == 1 and report["win_probability"] == pytest.approx(0.5)
+
+
+def test_a_missing_json_file_exits_2(capsys, tmp_path, c5_file):
+    code, report, err = run(capsys, "verify-rep", c5_file, str(tmp_path / "missing.json"))
+    assert code == 2 and "cannot read" in report["error"] and "error" in err
 
 
 def test_input_error_exit_code(capsys, tmp_path):
@@ -349,9 +393,8 @@ def test_empty_graph(capsys, tmp_path):
     g = tmp_path / "empty.col"
     g.write_text("p edge 0 0\n")
     cert = tmp_path / "qc.json"
-    io.write_certificate(cert, "qcoloring", {"colors": 2, "rank": 1,
-                                             "vectors": []},
-                         io.make_metadata(1e-9, 1e-7))
+    io.write_json(io.certificate_to_dict("qcoloring", {"colors": 2, "rank": 1, "vectors": []},
+                                         io.make_metadata(1e-9, 1e-7)), cert)
     code, report, _ = run(capsys, "verify-qcoloring", str(g), str(cert))
     assert code == 0 and report["valid"]
     strat = tmp_path / "strat.json"
@@ -365,10 +408,9 @@ def test_empty_graph(capsys, tmp_path):
 
 def test_verify_rejects_wrong_kind(capsys, c5_file, tmp_path):
     cert = tmp_path / "cert.json"
-    io.write_certificate(cert, "psd-witness",
-                         io.encode_payload("psd-witness",
-                                           reps.PSDWitness(np.eye(5), 5)),
-                         io.make_metadata(1e-9, 1e-7))
+    io.write_json(io.certificate_to_dict(
+        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(np.eye(5), 5)),
+        io.make_metadata(1e-9, 1e-7)), cert)
     code, report, _ = run(capsys, "verify-rep", c5_file, str(cert))
     assert code == 2
     assert "'psd-witness'" in report["error"]
@@ -390,8 +432,8 @@ def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path
     vecs = np.array([[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0], [0, 1, 0], [0, 0, 1]],
                     dtype=complex)
     cert = tmp_path / "rep.json"
-    io.write_certificate(cert, "orthrep", io.encode_payload(
-        "orthrep", reps.OrthogonalRepresentation(3, vecs)), io.make_metadata(1e-9, 1e-7))
+    io.write_json(io.certificate_to_dict("orthrep", io.encode_payload(
+        "orthrep", reps.OrthogonalRepresentation(3, vecs)), io.make_metadata(1e-9, 1e-7)), cert)
     code, report, err = run(capsys, "verify-rep", c5_file, str(cert))
     assert code == 1 and report == {**report, "kind": "orthrep", "valid": False}
     assert ("orthrep certificate FAILS: edge not orthogonal on edge (1, 2), "
@@ -400,9 +442,9 @@ def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path
     g.write_text(io.write_dimacs(hadamard_graph(4)))
     vectors = reps.hadamard_quantum_coloring(4).vectors.copy()
     vectors[9, 1] *= 1.5
-    io.write_certificate(cert, "qcoloring", io.encode_payload(
+    io.write_json(io.certificate_to_dict("qcoloring", io.encode_payload(
         "qcoloring", reps.QuantumColoring(4, 1, vectors=vectors)),
-        io.make_metadata(1e-9, 1e-7))
+        io.make_metadata(1e-9, 1e-7)), cert)
     code, report, err = run(capsys, "verify-qcoloring", str(g), str(cert))
     assert code == 1 and not report["valid"]
     assert ("quantum coloring FAILS: not an orthonormal basis at vertex 9 "
@@ -674,9 +716,9 @@ def test_psd_witness_flow(capsys, c5_file, tmp_path):
     gram = u @ u.T
     gram[np.abs(gram) < 1e-12] = 0.0
     w = tmp_path / "w.json"
-    io.write_certificate(w, "psd-witness",
-                         io.encode_payload("psd-witness", reps.PSDWitness(gram, 3)),
-                         io.make_metadata(1e-9, 1e-7))
+    io.write_json(io.certificate_to_dict(
+        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(gram, 3)),
+        io.make_metadata(1e-9, 1e-7)), w)
     rep_out = str(tmp_path / "rep.json")
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w), "-o", rep_out)
     assert code == 0 and report["ok"]
@@ -686,10 +728,9 @@ def test_psd_witness_flow(capsys, c5_file, tmp_path):
 
 def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
     w = tmp_path / "w.json"
-    io.write_certificate(w, "psd-witness",
-                         io.encode_payload("psd-witness",
-                                           reps.PSDWitness(np.eye(5), 5)),
-                         io.make_metadata(1e-9, 1e-7))
+    io.write_json(io.certificate_to_dict(
+        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(np.eye(5), 5)),
+        io.make_metadata(1e-9, 1e-7)), w)
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w))
     assert code == 1 and not report["ok"]
     assert report["reason"]
@@ -697,10 +738,9 @@ def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
 
 def write_witness(tmp_path, matrix, rank):
     w = tmp_path / "w.json"
-    io.write_certificate(w, "psd-witness",
-                         io.encode_payload("psd-witness",
-                                           reps.PSDWitness(matrix, rank)),
-                         io.make_metadata(1e-9, 1e-7))
+    io.write_json(io.certificate_to_dict(
+        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(matrix, rank)),
+        io.make_metadata(1e-9, 1e-7)), w)
     return str(w)
 
 

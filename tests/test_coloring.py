@@ -98,6 +98,9 @@ def test_budget_exceeded_reported():
     g = random_graph(20, 0.5, seed=1)
     res = coloring.is_c_colorable(g, 5, budget=3)
     assert res.status == coloring.BUDGET_EXCEEDED
+    cl = coloring.clique_number(g, budget=1)  # omega is then a lower bound
+    assert cl.status == coloring.BUDGET_EXCEEDED and len(cl.clique) == cl.omega
+    assert all(g.has_edge(u, v) for u, v in itertools.combinations(cl.clique, 2))
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle, graphs_st, random_graph
+from conftest import cycle, graphs_st, pair_block_rows, random_graph
 from test_acceptance import perturbed_winning_strategy
-from qcolor import coloring, game, reps
+from qcolor import coloring, game, linalg, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
-from qcolor.linalg import PAIR_BLOCK, DEFAULT_TOL, maximally_entangled, schmidt
+from qcolor.linalg import DEFAULT_TOL, maximally_entangled, schmidt
 
 
 def classical_derived(g, seed=None):
@@ -190,13 +190,16 @@ def test_validate_matches_the_eigvalsh_checks(monkeypatch):
 
 def test_valid_tables_are_certified_without_eigenvalues(monkeypatch):
     """A valid table at a usable tol never reaches eigvalsh: one Cholesky per
-    block of VERTEX_BLOCK vertices decides it."""
+    block of vertices decides it (on Omega_8, four blocks of 64 vertices per
+    side)."""
     s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8))
+    per = linalg.block_rows(4 * s.alice[0].nbytes)
     cholesky, blocks = np.linalg.cholesky, []
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: blocks.append(len(a)) or cholesky(a))
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     game.validate_strategy(s)
-    assert blocks == [reps.VERTEX_BLOCK] * 4
+    assert per < len(s.alice)
+    assert blocks == [per] * (2 * len(s.alice) // per)
 
 
 def _shifted_cholesky_completes(ops, shift):
@@ -354,18 +357,19 @@ def measurement_case(rng, kind, k):
     return g, r, ops, vecs, DEFAULT_TOL
 
 
-def test_measurement_checks_match_the_whole_table_checks():
+def test_measurement_checks_match_the_whole_table_checks(monkeypatch):
     """projectors_ok and verify_quantum_coloring (both forms) give the
     whole-table checks' verdict, every field of it, passing or not, with each
     defect at its bound times {0.5, 1, 1 +- 1e-3, 2}, non-finite entries, and
-    tables of fewer and more than VERTEX_BLOCK vertices."""
+    tables of one and of several blocks of vertices (a 64 KB budget)."""
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 ** 16)
     rng = np.random.default_rng(20)
     seen, big = set(), 0
     for kind in ("none", "herm", "idem", "trace", "sum", "orth", "nonfinite"):
         for k in (0.5, 1 - 1e-3, 1.0, 1 + 1e-3, 2.0):
             for _ in range(3):
                 g, r, ops, vecs, tol = measurement_case(rng, kind, k)
-                big += len(ops) > reps.VERTEX_BLOCK
+                big += len(ops) > linalg.block_rows(4 * ops[0].nbytes)
                 c = ops.shape[1]
                 with np.errstate(invalid="ignore"):  # inf - inf in the references
                     want = [reference_projectors_ok(ops, r, tol), reference_coloring_verdict(
@@ -409,7 +413,9 @@ def block_size_cases():
 def test_verdicts_do_not_depend_on_the_block_size(monkeypatch):
     """Every field of projectors_ok and verify_quantum_coloring (both forms)
     and validate_strategy's error text are the same with blocks of 1, 3 and
-    128 vertices."""
+    128 vertices.  reps.block_rows is replaced, not the budget, so that the
+    pair kernel's blocks, whose GEMM shape moves a residual by an ulp, stay
+    as they are."""
     def verdicts():
         out = []
         for g, ops, vecs, tol in block_size_cases():
@@ -422,7 +428,7 @@ def test_verdicts_do_not_depend_on_the_block_size(monkeypatch):
 
     runs = []
     for block in (1, 3, 128):
-        monkeypatch.setattr(reps, "VERTEX_BLOCK", block)  # reps reads it per call
+        monkeypatch.setattr(reps, "block_rows", lambda row_bytes: block)
         runs.append(verdicts())
     assert runs[0] == runs[1] == runs[2]
     text = "\n".join(map(str, runs[0]))
@@ -436,14 +442,32 @@ def test_verdicts_do_not_depend_on_the_block_size(monkeypatch):
         assert named in text, named
 
 
+def test_a_vertex_past_the_budget_is_a_block_of_its_own():
+    """A table whose vertex alone is linalg.BLOCK_BYTES of operators (c = 2,
+    d = 256) is checked one vertex per block, so a Hermitian check's traced
+    peak stays under three vertices' bytes; blocks of a fixed vertex count
+    took the whole 8 MB table at once, about twice over."""
+    ops = np.broadcast_to(np.eye(256, dtype=complex) / 2, (4, 2, 256, 256)).copy()
+    assert 4 * ops[0].nbytes > linalg.BLOCK_BYTES
+    sizes = []
+
+    def defect(b):
+        sizes.append(len(b))
+        return linalg._hermitian_defect(b)
+    assert reps._worst_vertex(ops, defect, 0.0, "not Hermitian")
+    assert sizes == [1] * 4
+    peak = _traced_peak(lambda: reps._worst_vertex(ops, linalg._hermitian_defect, 0.0, ""))
+    assert peak < 3 * ops[0].nbytes, peak
+
+
 def test_per_vertex_checks_stay_block_sized():
     """On a table of 8 blocks the traced peak of projectors_ok and of
     verify_quantum_coloring stays below the table's own size: their
-    defects are made one block of VERTEX_BLOCK vertices at a time, where
-    whole-table defects took about twice the table."""
+    defects are made one block of vertices at a time, where whole-table
+    defects took about twice the table."""
     n, c, r = 1024, 8, 2
-    assert n >= 8 * reps.VERTEX_BLOCK
     g, ops, _ = clique_measurements(np.random.default_rng(3), n, c, r)
+    assert n >= 8 * linalg.block_rows(4 * ops[0].nbytes)
     qc = reps.QuantumColoring(c, r, projectors=ops)
     for call in (lambda: reps.projectors_ok(ops, r, DEFAULT_TOL),
                  lambda: reps.verify_quantum_coloring(g, qc)):
@@ -453,13 +477,13 @@ def test_per_vertex_checks_stay_block_sized():
 
 def test_conjugate_checks_stay_block_sized():
     """normal_form_properties checks Bob = conj(Alice) one block of
-    VERTEX_BLOCK vertices at a time: on the Omega_8 strategy (two blocks)
-    its traced peak stays below 1.2 times Alice's table, where the
-    whole-table check took twice the table.  The first call runs outside
-    the trace: numpy imports numpy.ma lazily there, about 1 MB."""
+    vertices at a time: on the Omega_8 strategy (two blocks or more) its
+    traced peak stays below 1.2 times Alice's table, where the whole-table
+    check took twice the table.  The first call runs outside the trace:
+    numpy imports numpy.ma lazily there, about 1 MB."""
     g = hadamard_graph(8)
     s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8))
-    assert len(s.alice) == 2 * reps.VERTEX_BLOCK
+    assert len(s.alice) >= 2 * linalg.block_rows(4 * (s.alice[0].nbytes + s.bob[0].nbytes))
     assert all(game.normal_form_properties(s, g).values())
     assert _traced_peak(lambda: game.normal_form_properties(s, g)) < 1.2 * s.alice.nbytes
 
@@ -743,12 +767,16 @@ def pair_array(s, vs, ws):
             np.einsum("ek,ek->e", x.sum(axis=1)[vs], z.sum(axis=1)[ws]).real)
 
 
+ROWS = 512  # rows per pair block in the "three row blocks" cases
+
+
 @pytest.mark.parametrize("n, m, c", [
-    (2 * PAIR_BLOCK + 37, 3000, 3),  # three row blocks
-    (9, 20, 1),                      # a single color
-    (6, 0, 3),                       # no edges: the diagonal alone
+    (2 * ROWS + 37, 3000, 3),  # three row blocks
+    (9, 20, 1),                # a single color
+    (6, 0, 3),                 # no edges: the diagonal alone
 ])
-def test_win_probability_matches_the_pair_array(n, m, c):
+def test_win_probability_matches_the_pair_array(monkeypatch, n, m, c):
+    pair_block_rows(monkeypatch, n, ROWS)
     rng = np.random.default_rng(n + m + c)
     g = make_graph(n, random_edges(rng, n, m))
     s = random_strategy(rng, n, c, 2)
@@ -759,12 +787,14 @@ def test_win_probability_matches_the_pair_array(n, m, c):
     assert game.quantum_win_probability(g, s) == pytest.approx(want, abs=1e-12)
 
 
-def test_consistency_matches_the_pair_array_past_the_cap():
+def test_consistency_matches_the_pair_array_past_the_cap(monkeypatch):
     """Random bases on every vertex break every edge in every color (12,000
     violations), and one vertex with Bob's colors swapped breaks the
-    diagonal; each cap cuts the same list at the same place."""
+    diagonal; each cap cuts the same list at the same place.  Three row
+    blocks."""
     rng = np.random.default_rng(7)
-    n, c, tol = 2 * PAIR_BLOCK + 37, 2, 1e-3
+    n, c, tol = 2 * ROWS + 37, 2, 1e-3
+    pair_block_rows(monkeypatch, n, ROWS)
     g = make_graph(n, random_edges(rng, n, 3000))
     u, _ = np.linalg.qr(rng.normal(size=(n, c, c)) + 1j * rng.normal(size=(n, c, c)))
     s = game.strategy_from_quantum_coloring(
@@ -936,6 +966,8 @@ def test_normalize_stage_order_and_win_preservation():
 
 
 def test_normalize_idempotent_up_to_padding():
+    """The first pass pads (the input has rank-0 colors); the second finds
+    every projector at rank d/c already and keeps the first pass's form."""
     g = complete_graph(2)
     s = perturbed_k2_strategy()
     first = game.normalize_strategy(s, g).normal
@@ -943,22 +975,36 @@ def test_normalize_idempotent_up_to_padding():
     assert all(game.normal_form_properties(second, g).values())
     assert game.quantum_win_probability(g, second) == pytest.approx(1.0,
                                                                     abs=1e-9)
-    # padding multiplies the local dimension by c each time
-    assert second.dim_a == first.dim_a * first.colors
+    assert first.dim_a == s.dim_a * s.colors
+    assert (second.dim_a, second.dim_b) == (first.dim_a, first.dim_b)
+    assert np.allclose(second.alice, first.alice, rtol=0, atol=1e-12)
 
 
 def test_normalize_fixed_point_on_normal_inputs(c5):
-    """A strategy already in normal form keeps its measurement operators:
-    only the rank-padding stage acts, cyclically tiling them."""
+    """A strategy already in normal form comes back as it was: the same
+    local dimension, state and measurement operators (rank padding does
+    not act on projectors of rank d/c)."""
     s = classical_derived(c5)
     res = game.normalize_strategy(s, c5)
     nf = res.normal
-    d, c = s.dim_a, s.colors
-    for v in range(c5.n):
-        for a in range(c):
-            for i in range(c):
-                blk = nf.alice[v, a].reshape(d, c, d, c)[:, i, :, i]
-                assert np.allclose(blk, s.alice[v, (a + i) % c], atol=1e-12)
+    assert (nf.dim_a, nf.dim_b) == (s.dim_a, s.dim_b)
+    for x, y in ((nf.state, s.state), (nf.alice, s.alice), (nf.bob, s.bob)):
+        assert np.allclose(x, y, rtol=0, atol=1e-12)
+    assert res.trace.stages[-1] == ("rank padding", res.trace.stages[-2][1])
+
+
+@pytest.mark.parametrize("bits", [4, 6])
+def test_hadamard_normal_form_keeps_its_local_dimension(bits):
+    """The Omega_4 and Omega_6 strategies have all four normal-form
+    properties, so normalizing them keeps local dimension N (it grew to
+    N * N when rank padding always acted)."""
+    g = hadamard_graph(bits)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(bits))
+    assert all(game.normal_form_properties(s, g).values())
+    nf = game.normalize_strategy(s, g).normal
+    assert (nf.dim_a, nf.dim_b) == (bits, bits)
+    assert np.allclose(nf.alice, s.alice, rtol=0, atol=1e-12)
+    assert all(game.normal_form_properties(nf, g).values())
 
 
 def test_normalize_zero_schmidt_tail_truncated():
@@ -1148,7 +1194,7 @@ GOLDEN_NORMAL_FORM = {
         (9.190340825611079+14.312949968989646j),
         (9.190340825611079+14.312949968989646j),
         (9.190340825611079+14.312949968989646j),
-        (-22.197098788194346+0.44268144319513647j)), 2.1007496539109107),
+        (9.190340825611079+14.312949968989646j)), 2.1007496539109107),
     'omega6': ((0.4082482904638631, 0.4082482904638631, 0.4082482904638631,
         0.4082482904638631, 0.4082482904638631, 0.4082482904638631),
         ((-15.81885833024754-3.303380650518328j),
@@ -1156,7 +1202,7 @@ GOLDEN_NORMAL_FORM = {
         (-15.81885833024754-3.303380650518312j),
         (-15.81885833024754-3.303380650518312j),
         (-15.81885833024754-3.303380650518312j),
-        (25.1727112261715+31.206981614194103j)), -0.7254590364249414),
+        (-15.81885833024754-3.303380650518312j)), -0.7254590364249414),
 }
 
 

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cycle, graphs_st, petersen
-from qcolor import datasets, ks, reps
+from qcolor import datasets, ks, linalg, reps
 from qcolor.graphs import (GraphError, cartesian_product, complement,
                            complete_graph, hadamard_graph, make_graph,
                            orthogonality_graph)
@@ -29,7 +30,7 @@ def test_make_graph_rejects_loops_range_and_duplicates():
 
 def test_neighbors_and_degree():
     g = petersen()
-    assert all(g.degree(v) == 3 for v in range(10))
+    assert all(len(g.neighbors(v)) == 3 for v in range(10))
     assert sorted(g.neighbors(0)) == [1, 4, 5]
 
 
@@ -66,7 +67,6 @@ def test_adjacency_matches_edge_loop(g):
     for v in range(g.n):
         assert g.neighbors(v).dtype == np.int64
         assert np.array_equal(g.neighbors(v), neigh[v])
-        assert g.degree(v) == len(neigh[v])
         for w in range(g.n):
             assert g.has_edge(v, w) == (w in neigh[v].tolist())
 
@@ -99,7 +99,7 @@ def test_cartesian_product_k2_k2_is_c4():
     prod = cartesian_product(complete_graph(2), complete_graph(2))
     assert prod.n == 4
     assert prod.edge_array.shape[0] == 4
-    degs = [prod.degree(v) for v in range(4)]
+    degs = [len(prod.neighbors(v)) for v in range(4)]
     assert degs == [2, 2, 2, 2]
 
 
@@ -167,7 +167,7 @@ def test_orthogonality_graph_tolerance():
 
 def ray_array(name):
     """A bundled set, {0,+-1}^d (signsd), or the rank-1 coloring vectors of
-    Omega_8, canonicalized (omega8) or raw, 2048 rows in four row blocks."""
+    Omega_8, canonicalized (omega8) or raw, 2048 rows in many row blocks."""
     if name in datasets.BUNDLED:
         return ks.canonicalize(datasets.load_vector_set(name)[0].vectors).vectors
     if name.startswith("signs"):
@@ -185,6 +185,26 @@ def test_orthogonality_graph_matches_the_dense_gram(name):
     dense = np.argwhere(np.triu(np.abs(vecs.conj() @ vecs.T) <= 1e-9, k=1))
     g = orthogonality_graph(vecs)
     assert g.m > 0 and np.array_equal(g.edge_array, dense)
+
+
+def test_orthogonality_graph_peaks_within_the_block_budget():
+    """4,096 rays, the columns of 1,024 random unitaries of C^4, make exactly
+    the 6,144 pairs inside each basis, with a traced peak under twice
+    linalg.BLOCK_BYTES: each block of Gram rows, with its modulus and mask,
+    is sized from the budget, where 512 rows of 4,096 columns took 48 MB."""
+    rng = np.random.default_rng(4)
+    q = np.linalg.qr(rng.normal(size=(1024, 4, 4)) + 1j * rng.normal(size=(1024, 4, 4)))[0]
+    vecs = q.transpose(0, 2, 1).reshape(-1, 4)
+    tracemalloc.start()
+    try:
+        g = orthogonality_graph(vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    i, j = np.triu_indices(4, 1)
+    within = (4 * np.arange(1024)[:, None, None] + np.stack([i, j], axis=1)).reshape(-1, 2)
+    assert np.array_equal(g.edge_array, within)
+    assert peak < 2 * linalg.BLOCK_BYTES, peak
 
 
 @given(st.integers(min_value=1, max_value=6))

@@ -38,6 +38,16 @@ def test_dimacs_malformed_line_reports_number():
         io.parse_dimacs("q edge 2 1\n")
     with pytest.raises(io.FormatError, match="line 2"):
         io.parse_dimacs("p edge 2 1\ne 1 1\n")
+    for text, fault in (("p edge 2 1\nc x\np edge 2 1\n", "line 3: duplicate problem line"),
+                        ("c x\np edge 2\n", "line 2: malformed problem line"),
+                        ("p col 2 1\n", "line 1: malformed problem line"),
+                        ("p edge two 1\n", "line 1: non-integer sizes"),
+                        ("p edge 2 1.5\n", "line 1: non-integer sizes"),
+                        ("c x\np edge -2 1\n", "line 2: negative sizes"),
+                        ("p edge 2 -1\n", "line 1: negative sizes"),
+                        ("p edge 2 1\ne 1 b\n", "line 2: non-integer endpoints")):
+        with pytest.raises(io.FormatError, match=fault):
+            io.parse_dimacs(text)
 
 
 def test_dimacs_edge_before_header():
@@ -189,8 +199,8 @@ def test_strategy_operator_count_checked():
 
 def test_certificate_roundtrip(tmp_path):
     p = tmp_path / "cert.json"
-    io.write_certificate(p, "coloring", {"colors": 2, "assignment": [0, 1]},
-                         io.make_metadata(1e-9, 1e-7, seed=3))
+    io.write_json(io.certificate_to_dict("coloring", {"colors": 2, "assignment": [0, 1]},
+                                         io.make_metadata(1e-9, 1e-7, seed=3)), p)
     kind, payload, meta = io.read_certificate(p)
     assert kind == "coloring"
     assert payload["assignment"] == [0, 1]
@@ -202,6 +212,22 @@ def test_certificate_unknown_kind():
         io.certificate_to_dict("nonsense", {}, {})
     with pytest.raises(io.FormatError, match="unknown certificate kind"):
         io.certificate_from_dict({"kind": "nonsense", "payload": {}})
+
+
+def test_certificate_envelope_must_be_objects(tmp_path):
+    """A certificate, its payload and its metadata must each be an object,
+    from a dict and from a file (where [[1, 2]] reads as a pair array)."""
+    for text, fault in (('[[1, 2]]', "certificate must be a JSON object"),
+                        ('{"kind": "coloring", "payload": [[1, 2]]}',
+                         "certificate payload must be an object"),
+                        ('{"kind": "coloring", "payload": {}, "metadata": 3}',
+                         "certificate metadata must be an object")):
+        with pytest.raises(io.FormatError, match=fault):
+            io.certificate_from_dict(json.loads(text))
+        p = tmp_path / "cert.json"
+        p.write_text(text)
+        with pytest.raises(io.FormatError, match=fault):
+            io.read_certificate(p)
 
 
 @pytest.mark.parametrize("kind", ["[[1, 2]]", "[[1, 2], [3, 4]]", "3", "null", "{}"])
@@ -220,7 +246,7 @@ def test_non_string_kind_has_one_text_in_both_reader_forms(tmp_path, kind):
 
 
 def test_removed_ks_witness_kind_is_unknown():
-    assert io.CERTIFICATE_KINDS == tuple(io.CODECS)
+    assert "ks-witness" not in io.CODECS
     with pytest.raises(io.FormatError, match="unknown certificate kind"):
         io.decode_payload("ks-witness", {"labeling": [0], "weak": False})
 
@@ -260,8 +286,8 @@ def _codec_examples():
                               "psd-witness", "theta"])
 def test_payload_roundtrip(tmp_path, kind, obj):
     p = tmp_path / "cert.json"
-    io.write_certificate(p, kind, io.encode_payload(kind, obj),
-                         io.make_metadata(1e-9, 1e-7))
+    io.write_json(io.certificate_to_dict(kind, io.encode_payload(kind, obj),
+                                         io.make_metadata(1e-9, 1e-7)), p)
     got_kind, payload, _ = io.read_certificate(p)
     assert got_kind == kind
     _assert_same_fields(io.decode_payload(got_kind, payload), obj)
@@ -361,8 +387,8 @@ def _golden_cases():
 
     def certificate(kind, obj):
         def write(p):
-            io.write_certificate(p, kind, io.encode_payload(kind, obj),
-                                 io.make_metadata(1e-9, 1e-7, seed=1))
+            io.write_json(io.certificate_to_dict(kind, io.encode_payload(kind, obj),
+                                                 io.make_metadata(1e-9, 1e-7, seed=1)), p)
 
         def read(p):
             return io.decode_payload(*io.read_certificate(p)[:2])
@@ -807,7 +833,8 @@ def test_read_certificate_gives_pair_arrays(tmp_path):
     for kind, obj in _codec_examples():
         p = tmp_path / f"{kind}.json"
         payload = io.encode_payload(kind, obj)
-        io.write_certificate(p, kind, payload, io.make_metadata(1e-9, 1e-7, seed=3))
+        io.write_json(io.certificate_to_dict(kind, payload,
+                                             io.make_metadata(1e-9, 1e-7, seed=3)), p)
         _, back, meta = io.read_certificate(p)
         assert meta == json.loads(p.read_text())["metadata"]
         for key, value in payload.items():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcolor import cli, coloring, datasets, ks, reps
+from qcolor import cli, coloring, datasets, ks, linalg, reps
 from qcolor.graphs import GraphError, orthogonality_graph
 
 
@@ -215,6 +215,7 @@ def test_no_bases_is_trivially_non_ks():
     dec = ks.ks_check(s)
     assert not dec.is_ks and not dec.is_weak_ks
     assert dec.witness == (0, 0)
+    assert ks.brute_force_ks(s) == ks.KSDecision(False, False, (0, 0), "brute_force", 0)
 
 
 def test_decision_deterministic(peres):
@@ -297,12 +298,16 @@ def first_labeling_by_loop(s: ks.VectorSet, weak: bool):
 
 
 @pytest.mark.parametrize("seed", range(13))
-def test_brute_force_witness_is_first_labeling(seed):
+def test_brute_force_witness_is_first_labeling(monkeypatch, seed):
+    """The oracle's witness is the first in labeling order, so chunks of 7
+    labelings give the whole decision of one chunk."""
     s = random_ray_set(seed)
     assert s.size <= 12
     slow = ks.brute_force_ks(s)
     expected = first_labeling_by_loop(s, weak=True) or first_labeling_by_loop(s, weak=False)
     assert slow.witness == expected
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 7 * (4 * 8 + 3))
+    assert ks.brute_force_ks(s) == slow
 
 
 def test_labeling_search_depth_is_not_bounded_by_recursion():

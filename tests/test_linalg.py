@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcolor
+from conftest import pair_block_rows
 from qcolor import linalg
 
 
@@ -144,12 +145,16 @@ def test_maximally_entangled_reduction_identity():
         assert naive == pytest.approx(np.trace(e @ f.T) / d, abs=1e-12)
 
 
+ROWS = 512  # rows per pair block in the "three row blocks" cases
+
+
 @pytest.mark.parametrize("n, c, k, m", [
-    (2 * linalg.PAIR_BLOCK + 37, 3, 5, 3000),  # three row blocks
-    (7, 1, 4, 30),                             # a single color
-    (5, 4, 2, 0),                              # no pairs at all
+    (2 * ROWS + 37, 3, 5, 3000),  # three row blocks
+    (7, 1, 4, 30),                # a single color
+    (5, 4, 2, 0),                 # no pairs at all
 ])
-def test_pair_values_matches_einsum(n, c, k, m):
+def test_pair_values_matches_einsum(monkeypatch, n, c, k, m):
+    pair_block_rows(monkeypatch, n, ROWS)
     rng = np.random.default_rng(n + m)
     x = rng.normal(size=(n, c, k)) + 1j * rng.normal(size=(n, c, k))
     z = rng.normal(size=(n, c, k)) + 1j * rng.normal(size=(n, c, k))
@@ -270,3 +275,71 @@ def test_one_positivity_certificate():
                     where = getattr(top, "name", "<module>")
                     found[name].add((path.stem, where))
     assert found == EIGEN_CALLERS
+
+
+# -- the block budget -----------------------------------------------------------
+
+
+# the functions with a blocked loop: each steps through its data from 0 in
+# blocks of a size bound to a block_rows(...) call in the same function
+BLOCKED_LOOPS = {("linalg", "PairBlocks.__init__"), ("reps", "_worst_vertex"),
+                 ("reps", "search_orthogonal_representation"),
+                 ("graphs", "orthogonality_graph"), ("ks", "brute_force_ks")}
+
+
+def _functions(tree):
+    """(qualified name, node) of each module-level function and method."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        for fn in getattr(top, "body", []) if isinstance(top, ast.ClassDef) else []:
+            if isinstance(fn, ast.FunctionDef):
+                yield f"{top.name}.{fn.name}", fn
+
+
+def _sized_names(fn) -> set[str]:
+    """The names fn binds to a block_rows(...) call, also in a tuple."""
+    names = set()
+    for node in ast.walk(fn):
+        for target in getattr(node, "targets", []):
+            pairs = (zip(target.elts, node.value.elts)
+                     if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                     else [(target, node.value)])
+            names |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                      and isinstance(v, ast.Call) and getattr(v.func, "id", None) == "block_rows"}
+    return names
+
+
+def test_one_block_budget():
+    """An ast scan of the package: linalg.BLOCK_BYTES is the only
+    module-level block-size constant (a name with BLOCK, CHUNK or BYTES in
+    it), and every blocked loop, a range or np.arange from 0 in steps of a
+    name, takes that step from linalg.block_rows in its own function."""
+    constants, loops = set(), set()
+    for path in sorted(Path(qcolor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for target in getattr(top, "targets", [getattr(top, "target", None)]):
+                if isinstance(target, ast.Name) and any(
+                        word in target.id for word in ("BLOCK", "CHUNK", "BYTES")):
+                    constants.add((path.stem, target.id))
+        for name, fn in _functions(tree):
+            sized = _sized_names(fn)
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and len(call.args) == 3
+                        and getattr(call.func, "id", getattr(call.func, "attr", None))
+                        in ("range", "arange")
+                        and isinstance(call.args[0], ast.Constant) and call.args[0].value == 0
+                        and isinstance(call.args[2], ast.Name)):
+                    loops.add((path.stem, name))
+                    assert call.args[2].id in sized, (path.stem, name, call.args[2].id)
+    assert constants == {("linalg", "BLOCK_BYTES")}
+    assert loops == BLOCKED_LOOPS
+
+
+def test_block_rows_reads_the_budget_per_call(monkeypatch):
+    assert linalg.block_rows(linalg.BLOCK_BYTES // 3) == 3
+    assert linalg.block_rows(10 * linalg.BLOCK_BYTES) == 1
+    assert linalg.block_rows(0) == linalg.BLOCK_BYTES
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 100)
+    assert linalg.block_rows(7) == 14

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cycle, graphs_st, petersen, random_graph, umbrella_gram
 import qcolor
-from qcolor import coloring, datasets, game, ks, reps
+from qcolor import coloring, datasets, game, ks, linalg, reps
 from qcolor.graphs import (cartesian_product, complete_graph, hadamard_graph,
                            make_graph, orthogonality_graph)
 from qcolor.linalg import DEFAULT_RANK_TOL, maximally_entangled
@@ -343,7 +343,7 @@ def test_restart_blocks_give_the_single_block_result(monkeypatch, g, c, per_bloc
         sizes.append(x.shape[0])
         return descend(x, half)
     monkeypatch.setattr(reps, "_descend", spy)
-    monkeypatch.setattr(reps, "BLOCK_BYTES",
+    monkeypatch.setattr(linalg, "BLOCK_BYTES",
                         per_block * 2 * g.edge_array.shape[0] * c * 16)
     split = reps.search_orthogonal_representation(g, c, params)
     assert (split.found, split.restarts_tried) == (whole.found, whole.restarts_tried)
