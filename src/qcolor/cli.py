@@ -42,12 +42,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=_tolerance, default=None,
                    help=f"absolute tolerance (default {DEFAULT_TOL})")
     p.add_argument("--rank-tol", type=_tolerance, default=None,
                    help=f"relative rank tolerance (default {DEFAULT_RANK_TOL})")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="seed for randomized searches and simulation (default 0)")
     p.add_argument("--budget", type=int, default=None,
                    help=f"search node budget (default {coloring.DEFAULT_BUDGET})")

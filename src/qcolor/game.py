@@ -166,7 +166,7 @@ def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
         ops = np.asarray(qc.projectors, dtype=complex)
     else:
         v = qc.vectors
-        ops = np.einsum("vai,vaj->vaij", v, v.conj())
+        ops = np.einsum("vai,vaj->vaij", v, v.conj(), order="C")  # rows view as floats
     return POVMStrategy(colors=qc.colors, dim_a=d, dim_b=d,
                         state=maximally_entangled(d),
                         alice=ops, bob=ops.conj())
@@ -229,18 +229,21 @@ def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     """Exact (up to float arithmetic) winning probability: diagonal questions
     win on equal outcomes, edge questions on differing outcomes.  One color a
     at a time, with W = _alice_products and F Bob's flattened operators, the
-    diagonal adds sum_v W[v] . F[v]; the edges, asked both ways, subtract
-    PairBlocks.total of W against F, and add it for the total mass (color c:
-    sum_a E_a and sum_b F_b).  Assumes s passed validate_strategy."""
+    diagonal adds sum_v Re(W[v] . F[v]); the edges, asked both ways, subtract
+    the PairBlocks values of W against F and of F against W, and add them for
+    the total mass (color c: sum_a E_a and sum_b F_b), each Re(W . F) the dot
+    of the float views of conj(W) and F.  Assumes s passed validate_strategy."""
     _check_cover(g, s)
-    pairs = PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1], both=True)
+    pairs = PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1])
     psi, c, n, win = s.state_matrix(), s.colors, s.n_vertices, 0.0
+    bob = np.ascontiguousarray(s.bob).reshape(n, c, -1)  # F's rows view as floats
     for a in range(c + 1):
-        e, f = ((s.alice[:, a], s.bob[:, a]) if a < c else
-                (s.alice.sum(axis=1), s.bob.sum(axis=1)))
-        w, f = _alice_products(e, psi), f.reshape(n, -1)
-        edges = pairs.total(w, f)
-        win += (edges if a == c else np.sum(w * f) - edges).real
+        e, f = ((s.alice[:, a], bob[:, a]) if a < c else
+                (s.alice.sum(axis=1), bob.sum(axis=1)))
+        w = _alice_products(e, psi)
+        w, f = np.conjugate(w, out=w).view(np.float64), f.view(np.float64)
+        edges = sum(np.sum(v) for x, z in ((w, f), (f, w)) for _, v in pairs.values(x, z))
+        win += edges if a == c else np.sum(w * f) - edges
     return float(win / (g.n + 2 * g.m))
 
 
@@ -273,16 +276,16 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol:
     vertex violations first, then edges as (u, v), then edges as (v, u).
     One color a at a time: W_a = _alice_products against Bob's whole table
-    for the vertices, and through PairBlocks (both orientations) against F_a
-    for the edges; the hits merge into the smallest keys so far.  Assumes s
-    passed validate_strategy."""
+    for the vertices, and through PairBlocks against F_a for the edges, W_a
+    against F_a for (u, v) and F_a against W_a for (v, u); the hits merge
+    into the smallest keys so far.  Assumes s passed validate_strategy."""
     _check_cover(g, s)
     if not (0 < tol < np.inf and max_violations >= 1):
         raise GameError("tol must be positive and finite and max_violations "
                         f">= 1, got tol={tol}, max_violations={max_violations}")
     psi, c, n, e = s.state_matrix(), s.colors, s.n_vertices, g.edge_array
-    pairs, cut = PairBlocks(e[:, 0], e[:, 1], both=True), n * c * c
-    bob = s.bob.reshape(n, c, -1)
+    pairs, cut = PairBlocks(e[:, 0], e[:, 1]), n * c * c
+    bob = np.ascontiguousarray(s.bob).reshape(n, c, -1)  # F_a's rows view as floats
     keys, vals = np.empty(0, dtype=np.int64), np.empty(0)
 
     def merge(v, key_of):  # the hits of v, by key
@@ -299,9 +302,10 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
         p[:, a] = 0.0
         merge(p.ravel(), lambda h: (h // c * c + a) * c + h % c)  # key (v, a, b)
         # key (pair id, a): (v, u) is pair m + e; Re(W . F) = conj(W) . F as floats
-        f = np.ascontiguousarray(bob[:, a]).view(np.float64)
-        for sel, v in pairs.values(w.conj().view(np.float64), f):
-            merge(v, lambda h: cut + sel[h] * c + a)
+        w, f = np.conjugate(w, out=w).view(np.float64), bob[:, a].view(np.float64)
+        for first, (x, z) in ((0, (w, f)), (len(e), (f, w))):
+            for sel, v in pairs.values(x, z):
+                merge(v, lambda h: cut + (first + sel.start + h) * c + a)
     out = []
     for key, value in zip(keys.tolist(), vals.tolist()):
         if key < cut:
@@ -492,8 +496,8 @@ def simulate_game(g: Graph, strategy, rounds: int = 10_000,
                   seed: int = 0) -> float:
     """Monte-Carlo win rate under the uniform questions; reproducible for a
     fixed seed.  Accepts a ClassicalStrategy or a POVMStrategy."""
-    if rounds < 1:
-        raise GameError("rounds must be >= 1")
+    if rounds < 1 or seed < 0:
+        raise GameError(f"rounds must be >= 1 and seed >= 0, got {rounds}, {seed}")
     _check_cover(g, strategy)
     vs, ws = _questions(g)
     rng = np.random.default_rng(seed)

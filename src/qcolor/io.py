@@ -41,7 +41,11 @@ _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
 def _number(x, kind=int):  # a pair array reads as the lists json.loads gives
-    return kind(x.tolist() if isinstance(x, np.ndarray) else x)
+    x = x.tolist() if isinstance(x, np.ndarray) else x
+    value = kind(x)
+    if isinstance(x, float) and value != x:  # int(2.7) would read as 2
+        raise FormatError(f"{x!r} is not an integer")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Conventions, fixed package-wide:
   singular / eigen value (default 1e-7);
 * products of operator stacks use @ (BLAS); einsum is kept for outer
   products, traces and elementwise sums, which contract nothing;
-* per-pair values (game evaluators, edge verifiers) go through PairBlocks,
-  one block of rows at a time to a reducer (worst value, values above tol,
-  a sum): memory is a few ints per pair plus a block, never (pairs, c).
+* per-pair values (game evaluators, edge verifiers) go through PairBlocks, one
+  way (a reversed pair swaps the tables) and a block of rows at a time, to the
+  caller's reducer: memory is a small int per pair plus a block, never (pairs, c).
 * positivity is certified by psd_certified, the one Cholesky in the package;
   eigen-decompositions run only where eigenvalues or eigenvectors are used.
 * per-vertex checks go through reps._worst_vertex, a block of vertices at a time;
@@ -42,57 +42,37 @@ class LinalgError(ValueError):
 
 class PairBlocks:
     """The pair kernel: x[vs[e]] . z[ws[e]] (no conjugation) for rows of two
-    (n, k) arrays, vs sorted as in a Graph's edge_array, and with both=True
-    also x[ws[e]] . z[vs[e]] for each reversed pair, id m + e.  The pairs are
-    grouped once by blocks of rows of x, block_rows(a complex product row,
-    one column per index) read at construction, one small int each
-    (both=True adds an argsort of ws); each block costs one GEMM against only
-    the rows of z it touches (BLAS speed on dense pairs, linear in n on
-    sparse ones), and its reducer keeps what it needs and drops the product."""
+    (n, k) arrays, vs sorted as in a Graph's edge_array.  The dot is
+    symmetric, so the reversed pair's x[ws[e]] . z[vs[e]] is values(z, x).
+    The pairs are grouped once by blocks of rows of x, block_rows(a complex
+    product row, one column per index) read at construction, one small int
+    each; each block costs one GEMM against only the rows of z it touches
+    (BLAS speed on dense pairs, linear in n on sparse ones), and the caller's
+    reducer keeps what it needs of the block's values and drops them."""
 
-    def __init__(self, vs, ws, both: bool = False):
+    def __init__(self, vs, ws):
         vs, ws = np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.int64)
         if np.any(vs[1:] < vs[:-1]):
             raise LinalgError("pairs must be sorted by their first index")
-        rws = ws if both else ws[:0]  # the first index of each reversed pair
-        back = np.argsort(rws, kind="stable")
-        top = int(max(vs.max(initial=-1), rws.max(initial=-1))) + 1
-        rows = self.rows = block_rows(16 * max(top, int(ws.max(initial=-1)) + 1))
+        top = int(max(vs.max(initial=-1), ws.max(initial=-1))) + 1
+        rows = self.rows = block_rows(16 * top)
         starts = np.arange(0, top + rows, rows)
-        cuts, back_cuts = np.searchsorted(vs, starts), np.searchsorted(rws, starts, sorter=back)
-        # per nonempty block: first row, forward pairs, reversed pairs, touched
-        # columns, and each pair's flat position in the (rows, columns) product
-        self.m, self.blocks = len(vs), []
-        for b, lo in enumerate(starts[:-1]):
-            fwd, rev = slice(cuts[b], cuts[b + 1]), back[back_cuts[b]:back_cuts[b + 1]]
-            at, other = np.concatenate([vs[fwd], ws[rev]]), np.concatenate([ws[fwd], vs[rev]])
-            if other.size:
-                cols = np.unique(other)
-                at -= lo
-                at *= cols.size
-                at += np.searchsorted(cols, other)
+        cuts = np.searchsorted(vs, starts)
+        # per nonempty block: first row, its pairs, the columns they touch,
+        # and each pair's flat position in the (rows, columns) product
+        self.blocks = []
+        for lo, i, j in zip(starts[:-1], cuts[:-1], cuts[1:]):
+            if j > i:
+                cols = np.unique(ws[i:j])
+                at = (vs[i:j] - lo) * cols.size + np.searchsorted(cols, ws[i:j])
                 size = np.min_scalar_type(rows * cols.size)
-                self.blocks.append((lo, fwd, rev, cols, at.astype(size)))
+                self.blocks.append((lo, slice(i, j), cols, at.astype(size)))
 
-    def values(self, x: np.ndarray, z: np.ndarray, f=np.asarray):
-        """Yields (sel, values) per block: values[i] = f(the value of pair id
-        sel[i]); f (np.abs, say) maps the block's product before the pairs
-        are picked from it."""
-        for lo, fwd, rev, cols, at in self.blocks:
-            sel = np.concatenate([np.arange(fwd.start, fwd.stop), rev + self.m])
-            yield sel, f(x[lo:lo + self.rows] @ z[cols].T).ravel()[at]
-
-    def total(self, x: np.ndarray, z: np.ndarray) -> complex:
-        """The sum of all pair values of complex x, z without per-pair values:
-        each block's pair-count matrix times its rows of z (a real GEMM on
-        their float view), dotted with its rows of x."""
-        out = 0j
-        for lo, _, _, cols, at in self.blocks:
-            count = np.zeros((min(self.rows, len(x) - lo), cols.size))
-            np.add.at(count.ravel(), at, 1.0)
-            y = (count @ z[cols].view(np.float64)).view(complex)
-            out += np.sum(x[lo:lo + self.rows] * y)
-        return out
+    def values(self, x: np.ndarray, z: np.ndarray):
+        """Yields (sel, values) per block: values[i] is the value of pair
+        sel.start + i, sel a slice of pair ids."""
+        for lo, sel, cols, at in self.blocks:
+            yield sel, (x[lo:lo + self.rows] @ z[cols].T).ravel()[at]
 
 
 @dataclass(frozen=True)

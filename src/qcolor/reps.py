@@ -172,10 +172,11 @@ def edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> VerifyResult:
     pairs = PairBlocks(e[:, 0], e[:, 1])
     worst, where = 0.0, None
     for a in range(x.shape[1]):
-        for sel, r in pairs.values(x[:, a].conj(), x[:, a], np.abs):
+        for sel, r in pairs.values(x[:, a].conj(), x[:, a]):
+            r = np.abs(r)
             i = int(np.argmax(r))  # the first NaN, if any
             if worst == worst and not r[i] <= worst:  # a NaN stays the worst
-                worst, where = float(r[i]), (*map(int, e[sel[i]]), a)
+                worst, where = float(r[i]), (*map(int, e[sel][i]), a)
     ok = worst <= tol
     return VerifyResult(ok, worst, where, None if ok else "edge not orthogonal")
 
@@ -211,6 +212,8 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
     if qc.n_vertices != g.n:
         raise RepsError(f"coloring covers {qc.n_vertices} vertices, graph has {g.n}")
     d, c = qc.local_dimension, qc.colors
+    if d < 1:  # C^0 holds no state, so it measures nothing
+        return VerifyResult(False, float(d), None, "dimension is below 1")
     if d != qc.rank * c:  # c orthogonal rank-r projectors summing to I_d
         return VerifyResult(False, float(abs(d - qc.rank * c)), None,
                             "dimension is not rank * colors")
@@ -287,10 +290,11 @@ POLISH_THRESHOLD = 1e-3
 class SearchParams:
     seed: int = 0
     restarts: int = 24
-    real: bool = False
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not self.seed >= 0:
+            raise RepsError(f"seed must be >= 0, got {self.seed}")
         if not self.restarts >= 1:
             raise RepsError(f"restarts must be >= 1, got {self.restarts}")
         if not 0 < self.tol < np.inf:
@@ -415,11 +419,8 @@ def search_orthogonal_representation(g: Graph, c: int,
     best_penalty = np.inf
     for lo in range(0, params.restarts, block):
         size = min(block, params.restarts - lo)
-        if params.real:
-            x = rng.normal(size=(size, g.n, c)).astype(complex)
-        else:
-            z = rng.normal(size=(size, 2, g.n, c))
-            x = z[:, 0] + 1j * z[:, 1]
+        z = rng.normal(size=(size, 2, g.n, c))
+        x = z[:, 0] + 1j * z[:, 1]
         x /= np.linalg.norm(x, axis=2, keepdims=True)
         penalty, best = _descend(x, half)
         best_penalty = min(best_penalty, best)

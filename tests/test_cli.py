@@ -333,6 +333,43 @@ def test_bad_tolerance_is_usage_error(capsys, c5_file, argv):
     assert "must be a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("xi-bounds", "{c5}", "--seed", "-1"),
+    ("chiq1", "{c5}", "--cmax", "3", "--seed", "-1"),
+    ("game", "simulate", "{c5}", "s.json", "--seed", "-1"),
+    ("chi", "{c5}", "--seed", "1.5"),
+])
+def test_bad_seed_is_usage_error(capsys, c5_file, argv):
+    """numpy's generators take no negative seed: argparse rejects one first,
+    instead of an internal error (exit 4) or a search that never ran."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(c5=c5_file) for a in argv])
+    assert exc.value.code == 2
+    assert "must be an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("verify-qcoloring", '"qcoloring", "payload": {"colors": 0, "rank": 1, "vectors": [[], []]}'),
+    ("verify-qcoloring", '"qcoloring", "payload": {"colors": 2, "rank": 0, '
+                         '"projectors": [[[], []], [[], []]]}'),
+    ("verify-rep", '"matrixrep", "payload": {"dimension": 0, "matrices": [[], []]}'),
+    ("verify-rep", '"coloring", "payload": {"colors": 2, "assignment": [0.5, 1]}'),
+    ("verify-rep", '"coloring", "payload": {"colors": 2.7, "assignment": [0, 1]}'),
+    ("verify-rep", '"orthrep", "payload": {"dimension": 2.9, '
+                   '"vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'),
+], ids=["qcoloring-colors-0", "qcoloring-rank-0", "matrixrep-dimension-0",
+        "assignment-0.5", "colors-2.7", "orthrep-dimension-2.9"])
+def test_degenerate_certificates_do_not_verify(capsys, tmp_path, k2_file, command,
+                                               payload):
+    """A certificate of dimension 0 claims a coloring in C^0, and a
+    non-integral size or color used to read as its integer part: each is
+    refused (1) or malformed (2), never verified (0) or a crash (4)."""
+    p = tmp_path / "cert.json"
+    p.write_text('{"kind": ' + payload + "}")
+    code, report, _ = run(capsys, command, k2_file, str(p))
+    assert code in (1, 2), report
+
+
 # -- certificates re-verify through the CLI -----------------------------------------
 
 

@@ -837,8 +837,8 @@ def test_pair_reducers_keep_one_block_not_the_pair_array():
     used to build take 2m * c * 16 B for the game's edge questions (about 72
     MB at c = 2, 288 MB at c = 8) and m * c * 16 B for the edge verifier.
     Each reducer's traced peak must not grow with the color count and must
-    stay at a few block products and the pair index (one small int per pair,
-    and an argsort for both orientations), well under those arrays."""
+    stay at a few block products and the pair index (one small int per pair),
+    well under those arrays."""
     n = 1500
     g = complete_graph(n)
 
@@ -1393,6 +1393,11 @@ def test_simulate_classical_tracks_exact(c5):
 def test_simulate_rejects_zero_rounds(c5):
     with pytest.raises(game.GameError):
         game.simulate_game(c5, classical_derived(c5), rounds=0)
+
+
+def test_simulate_rejects_a_negative_seed(c5):
+    with pytest.raises(game.GameError, match="seed"):
+        game.simulate_game(c5, classical_derived(c5), seed=-1)
 
 
 @pytest.mark.parametrize("strategy", [

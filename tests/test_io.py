@@ -144,6 +144,27 @@ def test_vector_coordinate_contract(tmp_path, coords, want):
         assert np.array_equal(s.vectors, np.array([want], dtype=complex))
 
 
+@pytest.mark.parametrize("kind, payload, want", [
+    ("coloring", '{"colors": 2, "assignment": [0.5, 1]}', "0.5 is not an integer"),
+    ("coloring", '{"colors": 2.7, "assignment": [0, 1]}', "2.7 is not an integer"),
+    ("orthrep", '{"dimension": 2.9, "vectors": [[[1, 0], [0, 0]]]}',
+     "2.9 is not an integer"),
+    ("coloring", '{"colors": 2.0, "assignment": [1.0, 0]}', (2, (1, 0))),
+], ids=["assignment-0.5", "colors-2.7", "dimension-2.9", "integral-floats"])
+def test_integer_fields_refuse_fractions(tmp_path, kind, payload, want):
+    """An integer field reads a float only when it is integral: int() would
+    read 2.7 colors as 2, and the file would still verify."""
+    p = tmp_path / "c.json"
+    p.write_text(f'{{"kind": "{kind}", "payload": {payload}}}')
+    _, got, _ = io.read_certificate(p)
+    if isinstance(want, str):
+        with pytest.raises(io.FormatError, match=f"malformed {kind} payload: {want}"):
+            io.decode_payload(kind, got)
+    else:
+        cert = io.decode_payload(kind, got)
+        assert (cert.c, cert.colors) == want
+
+
 def test_vector_set_default_ids():
     s, _ = io.vector_set_from_dict({"dimension": 1,
                                     "vectors": [{"coords": [[1, 0]]}]})

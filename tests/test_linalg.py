@@ -166,22 +166,19 @@ def test_pair_values_matches_einsum(monkeypatch, n, c, k, m):
               np.concatenate([ws, ws[:m // 2], vs]))
     order = np.argsort(vs, kind="stable")
     vs, ws = vs[order], ws[order]
-    for both in (False, True):
-        # pair ids: e for (vs[e], ws[e]), and with both=True M + e for (ws[e], vs[e])
-        pairs = linalg.PairBlocks(vs, ws, both=both)
-        first = np.concatenate([vs, ws]) if both else vs
-        other = np.concatenate([ws, vs]) if both else ws
-        want = np.einsum("eak,eak->ea", x[first], z[other])
-        for a in range(c):
-            got = np.full(len(first), np.nan, dtype=complex)
-            mods = np.full(len(first), np.nan)
-            for (sel, vals), (_, r) in zip(pairs.values(x[:, a], z[:, a]),
-                                           pairs.values(x[:, a], z[:, a], np.abs)):
-                got[sel], mods[sel] = vals, r
-            assert np.allclose(got, want[:, a], rtol=0, atol=1e-12)
-            assert np.allclose(mods, np.abs(want[:, a]), rtol=0, atol=1e-12)
-            total = pairs.total(x[:, a], z[:, a])
-            assert abs(total - want[:, a].sum()) <= 1e-12 * max(1, len(first))
+    pairs = linalg.PairBlocks(vs, ws)
+    for a in range(c):
+        xa, za = x[:, a], z[:, a]
+        forward = np.einsum("ek,ek->e", xa[vs], za[ws])
+        # pair e reversed, x[ws[e]] . z[vs[e]], is the kernel on swapped tables
+        for tables, reduce, want in [((xa, za), np.asarray, forward),
+                                     ((za, xa), np.asarray,
+                                      np.einsum("ek,ek->e", xa[ws], za[vs])),
+                                     ((xa, za), np.abs, np.abs(forward))]:
+            got = np.full(len(vs), np.nan, dtype=complex)
+            for sel, vals in pairs.values(*tables):
+                got[sel] = reduce(vals)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_pair_blocks_reject_unsorted_pairs():

@@ -52,6 +52,17 @@ def test_verifiers_accept_the_empty_graph():
         g, reps.MatrixRepresentation(2, np.zeros((0, 2, 2))))
 
 
+def test_verifiers_reject_dimension_zero():
+    """C^0 holds no state: a "coloring" there would bound chi_q1(K3) by 0."""
+    g = complete_graph(3)
+    assert not reps.verify_quantum_coloring(
+        g, reps.QuantumColoring(0, 1, vectors=np.zeros((3, 0, 0))))
+    assert not reps.verify_quantum_coloring(
+        g, reps.QuantumColoring(2, 0, projectors=np.zeros((3, 2, 0, 0))))
+    assert not reps.verify_matrix_representation(
+        g, reps.MatrixRepresentation(0, np.zeros((3, 0, 0))))
+
+
 def _unitary(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -259,24 +270,23 @@ def test_search_edgeless():
     assert res.found
 
 
-@pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("g", [cycle(5), complete_graph(3), complete_graph(4),
                                make_graph(3, [(0, 1), (1, 2)])],
                          ids=["C5", "K3", "K4", "P3"])
-def test_search_dimension_one_fails_cleanly(g, real):
+def test_search_dimension_one_fails_cleanly(g):
     """In C^1 a gradient step can land a vector exactly on zero; the restart
     must end as not found instead of normalizing zero into NaN."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = reps.search_orthogonal_representation(
-            g, 1, reps.SearchParams(real=real))
+        res = reps.search_orthogonal_representation(g, 1)
     assert res.found is False
     assert np.isfinite(res.best_penalty)
 
 
 @pytest.mark.parametrize("kw", [{"restarts": 0}, {"restarts": -3},
                                 {"tol": 0.0}, {"tol": -1e-9},
-                                {"tol": float("nan")}, {"tol": float("inf")}])
+                                {"tol": float("nan")}, {"tol": float("inf")},
+                                {"seed": -1}])
 def test_search_params_rejects_bad_values(kw):
     with pytest.raises(reps.RepsError):
         reps.SearchParams(**kw)
@@ -307,15 +317,6 @@ def test_lockstep_terms_match_the_per_restart_sum(g):
         np.testing.assert_allclose(grad[r], gr, rtol=0, atol=1e-12)
     isolated = np.setdiff1d(np.arange(g.n), g.edge_array)
     assert np.all(grad[:, isolated] == 0)
-
-
-def test_real_search_finds_a_real_representation():
-    g = cycle(5)
-    res = reps.search_orthogonal_representation(g, 3,
-                                                reps.SearchParams(seed=1, real=True))
-    assert res.found
-    assert reps.verify_orthogonal_representation(g, res.representation)
-    assert np.all(res.representation.vectors.imag == 0)
 
 
 @pytest.mark.parametrize("g,c", [(cycle(7), 3), (petersen(), 3)],
