@@ -5,7 +5,7 @@ stderr.  Exit codes: 0 the queried property holds (or the computation
 succeeded), 1 it fails or no witness was found, 2 malformed input, 3 budget
 exceeded, 4 internal error (a failure of qcolor itself, never an answer).
 The global --tol/--rank-tol/--seed/--budget flags are recorded in the report
-metadata.
+metadata as the run used them (ks-check without --tol: the set's tolerance).
 """
 from __future__ import annotations
 
@@ -42,21 +42,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
+def _natural(text: str) -> int:
+    """argparse type of --seed and --budget: an integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tolerance, default=None,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                    help=f"absolute tolerance (default {DEFAULT_TOL})")
-    p.add_argument("--rank-tol", type=_tolerance, default=None,
+    p.add_argument("--rank-tol", type=_tolerance, default=DEFAULT_RANK_TOL,
                    help=f"relative rank tolerance (default {DEFAULT_RANK_TOL})")
-    p.add_argument("--seed", type=_seed, default=None,
+    p.add_argument("--seed", type=_natural, default=0,
                    help="seed for randomized searches and simulation (default 0)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_natural, default=coloring.DEFAULT_BUDGET,
                    help=f"search node budget (default {coloring.DEFAULT_BUDGET})")
 
 
@@ -75,46 +75,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, *files, under=sub):
-        """A subcommand with the common flags and these positional files."""
-        p = under.add_parser(name, help=help_)
+    def add(name, help_, handler, *files, under=sub, **kwargs):
+        """A subcommand run by handler, with the common flags and these files."""
+        p = under.add_parser(name, help=help_, **kwargs)
+        p.set_defaults(handler=handler)
         _common_flags(p)
         for f in files:
             p.add_argument(f, help=FILE_HELP.get(f))
         return p
 
-    p = add("chi", "exact chromatic number with a coloring certificate", "graph")
+    p = add("chi", "exact chromatic number with a coloring certificate", _cmd_chi,
+            "graph")
     p.add_argument("-o", "--output", help="write the certificate to this file")
 
-    p = add("colorable", "decide c-colorability", "graph")
+    p = add("colorable", "decide c-colorability", _cmd_colorable, "graph")
     p.add_argument("-c", "--colors", type=int, required=True)
     p.add_argument("-o", "--output")
 
-    p = add("xi-bounds", "certified bounds on the orthogonal rank", "graph")
+    p = add("xi-bounds", "certified bounds on the orthogonal rank", _cmd_xi_bounds,
+            "graph")
     p.add_argument("-o", "--output")
     p.add_argument("--theta-output",
                    help="write the theta certificate here, when theta was solved")
 
     p = add("chiq1", "rank-1 quantum chromatic number via the product "
-                     "characterization", "graph")
+                     "characterization", _cmd_chiq1, "graph")
     p.add_argument("--cmax", type=int, required=True,
                    help="largest color count to try")
     p.add_argument("-o", "--output")
 
-    add("verify-rep", "verify a coloring / orthrep / matrixrep / theta certificate",
-        "graph", "certificate")
-    add("verify-qcoloring", "verify a quantum coloring certificate", "graph", "certificate")
+    add("verify-rep", f"verify a {' / '.join(REP_VERIFIERS)} certificate",
+        _cmd_verify_rep, "graph", "certificate", aliases=["verify-qcoloring"])
 
     p = add("psd-witness", "check a PSD complement-pattern witness and "
-                           "extract an orthogonal representation", "graph", "witness")
+                           "extract an orthogonal representation", _cmd_psd_witness,
+            "graph", "witness")
     p.add_argument("-o", "--output",
                    help="write the extracted orthrep certificate here")
 
-    p = add("hadamard-coloring", "quantum coloring of the order-N Hadamard graph")
+    p = add("hadamard-coloring", "quantum coloring of the order-N Hadamard graph",
+            _cmd_hadamard)
     p.add_argument("-N", "--bits", type=int, required=True)
     p.add_argument("-o", "--output")
 
-    p = add("ks-check", "decide the Kochen-Specker property of a vector set", "set")
+    p = add("ks-check", "decide the Kochen-Specker property of a vector set",
+            _cmd_ks_check, "set")
+    p.set_defaults(tol=None)  # None: the set file's tolerance
     p.add_argument("--weak", action="store_true",
                    help="exit code reflects the weak KS property instead")
     p.add_argument("--oracle", action="store_true",
@@ -122,28 +128,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     games = sub.add_parser("game", help="coloring-game analysis").add_subparsers(
         dest="game_command", required=True)
-    add("exact", "exact winning probability of a POVM strategy", "graph", "strategy",
-        under=games)
-    q = add("simulate", "Monte-Carlo estimate of the winning probability", "graph",
-            "strategy", under=games)
+    add("exact", "exact winning probability of a POVM strategy", _cmd_game, "graph",
+        "strategy", under=games)
+    q = add("simulate", "Monte-Carlo estimate of the winning probability", _cmd_game,
+            "graph", "strategy", under=games)
     q.add_argument("--rounds", type=int, default=10_000)
-    q = add("normalize", "transform a winning strategy into normal form", "graph",
-            "strategy", under=games)
+    q = add("normalize", "transform a winning strategy into normal form", _cmd_game,
+            "graph", "strategy", under=games)
     q.add_argument("-o", "--output", help="write the normal-form strategy here")
-    add("check", "winning-strategy consistency conditions", "graph", "strategy", under=games)
+    add("check", "winning-strategy consistency conditions", _cmd_game, "graph",
+        "strategy", under=games)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _resolve(args) -> dict:
-    return {"tol": DEFAULT_TOL if args.tol is None else args.tol,
-            "rank_tol": DEFAULT_RANK_TOL if args.rank_tol is None else args.rank_tol,
-            "seed": 0 if args.seed is None else args.seed,
-            "budget": coloring.DEFAULT_BUDGET if args.budget is None else args.budget}
 
 
 def _emit(report: dict, args, key: str, doc: dict) -> None:
@@ -156,9 +156,9 @@ def _emit(report: dict, args, key: str, doc: dict) -> None:
     report["written_to"] = out or None
 
 
-def _certificate(kind: str, obj, opts: dict) -> dict:
+def _certificate(kind: str, obj, args) -> dict:
     """The certificate document of obj with the run's metadata."""
-    meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
+    meta = io.make_metadata(args.tol, args.rank_tol, args.seed)
     return io.certificate_to_dict(kind, io.encode_payload(kind, obj), meta)
 
 
@@ -177,6 +177,7 @@ REP_VERIFIERS = {
     "orthrep": reps.verify_orthogonal_representation,
     "matrixrep": reps.verify_matrix_representation,
     "theta": reps.verify_theta_certificate,
+    "qcoloring": reps.verify_quantum_coloring,
 }
 
 
@@ -184,22 +185,22 @@ REP_VERIFIERS = {
 # command handlers: each returns (report, exit_code, summary)
 
 
-def _cmd_chi(args, opts):
+def _cmd_chi(args):
     g = io.read_graph(args.graph)
-    res = coloring.chromatic_number(g, budget=opts["budget"])
+    res = coloring.chromatic_number(g, budget=args.budget)
     report = {"n": g.n, "m": int(g.edge_array.shape[0]), "chi": res.chi,
               "lower": res.lower, "upper": res.upper, "status": res.status,
               "nodes": res.nodes}
-    _emit(report, args, "certificate", _certificate("coloring", res.certificate, opts))
+    _emit(report, args, "certificate", _certificate("coloring", res.certificate, args))
     if res.status == coloring.BUDGET_EXCEEDED:
         return report, EXIT_BUDGET, (f"budget exceeded: "
                                      f"{res.lower} <= chi <= {res.upper}")
     return report, EXIT_YES, f"chi = {res.chi}"
 
 
-def _cmd_colorable(args, opts):
+def _cmd_colorable(args):
     g = io.read_graph(args.graph)
-    res = coloring.is_c_colorable(g, args.colors, budget=opts["budget"])
+    res = coloring.is_c_colorable(g, args.colors, budget=args.budget)
     report = {"n": g.n, "colors": args.colors, "status": res.status,
               "nodes": res.nodes}
     if res.status == coloring.BUDGET_EXCEEDED:
@@ -207,44 +208,44 @@ def _cmd_colorable(args, opts):
     if res.status == coloring.NO:
         report["certificate"] = None
         return report, EXIT_NO, f"not {args.colors}-colorable (exhaustive)"
-    _emit(report, args, "certificate", _certificate("coloring", res.certificate, opts))
+    _emit(report, args, "certificate", _certificate("coloring", res.certificate, args))
     return report, EXIT_YES, f"{args.colors}-colorable"
 
 
-def _cmd_xi_bounds(args, opts):
+def _cmd_xi_bounds(args):
     g = io.read_graph(args.graph)
-    params = reps.SearchParams(seed=opts["seed"], tol=opts["tol"])
-    xb = reps.xi_bounds(g, params, budget=opts["budget"])
+    params = reps.SearchParams(seed=args.seed, tol=args.tol)
+    xb = reps.xi_bounds(g, params, budget=args.budget)
     report = {"n": g.n, "lower": xb.lower, "upper": xb.upper,
               "clique": list(xb.lower_clique), "lower_theta": xb.lower_theta}
     theta_out = args.theta_output if xb.theta_witness is not None else None
     if theta_out:
-        io.write_json(_certificate("theta", xb.theta_witness, opts), theta_out)
+        io.write_json(_certificate("theta", xb.theta_witness, args), theta_out)
     report["theta_written_to"] = theta_out
-    _emit(report, args, "certificate", _certificate("orthrep", xb.upper_witness, opts))
+    _emit(report, args, "certificate", _certificate("orthrep", xb.upper_witness, args))
     lower = max(xb.lower, xb.lower_theta or 0)
     return report, EXIT_YES, f"{lower} <= xi <= {xb.upper}"
 
 
-def _cmd_chiq1(args, opts):
+def _cmd_chiq1(args):
     g = io.read_graph(args.graph)
-    params = reps.SearchParams(seed=opts["seed"], tol=opts["tol"])
+    params = reps.SearchParams(seed=args.seed, tol=args.tol)
     res = reps.chi_q1_upper_via_product(g, args.cmax, params,
-                                        budget=opts["budget"])
+                                        budget=args.budget)
     report = {"n": g.n, "cmax": args.cmax, "c": res.c,
               "skipped_infeasible": list(res.skipped_infeasible)}
     if res.c is None:
         report["certificate"] = None
         return report, EXIT_NO, (f"no rank-1 witness found for c <= {args.cmax} "
                                  "(not a lower-bound proof)")
-    _emit(report, args, "certificate", _certificate("matrixrep", res.witness, opts))
+    _emit(report, args, "certificate", _certificate("matrixrep", res.witness, args))
     return report, EXIT_YES, f"chi_q1 <= {res.c} (witnessed)"
 
 
-def _cmd_verify_rep(args, opts):
+def _cmd_verify_rep(args):
     g = io.read_graph(args.graph)
     kind, cert = _read_certificate(args.certificate, tuple(REP_VERIFIERS))
-    valid = REP_VERIFIERS[kind](g, cert, opts["tol"])
+    valid = REP_VERIFIERS[kind](g, cert, args.tol)
     report = {"kind": kind, "valid": bool(valid)}
     summary = f"{kind} certificate {'verifies' if valid else 'FAILS'}"
     if kind == "theta":
@@ -255,32 +256,22 @@ def _cmd_verify_rep(args, opts):
     return report, EXIT_YES if valid else EXIT_NO, summary
 
 
-def _cmd_verify_qcoloring(args, opts):
-    g = io.read_graph(args.graph)
-    kind, qc = _read_certificate(args.certificate, ("qcoloring",))
-    valid = reps.verify_quantum_coloring(g, qc, opts["tol"])
-    report = {"kind": kind, "colors": qc.colors, "rank": qc.rank,
-              "valid": bool(valid)}
-    return (report, EXIT_YES if valid else EXIT_NO,
-            f"quantum coloring {'verifies' if valid else f'FAILS: {valid}'}")
-
-
-def _cmd_psd_witness(args, opts):
+def _cmd_psd_witness(args):
     g = io.read_graph(args.graph)
     _, w = _read_certificate(args.witness, ("psd-witness",))
-    res = reps.psd_witness_check(g, w, opts["tol"], opts["rank_tol"])
+    res = reps.psd_witness_check(g, w, args.tol, args.rank_tol)
     report = {"rank": w.rank, "ok": res.ok, "reason": res.reason}
     if not res.ok:
         return report, EXIT_NO, f"witness rejected: {res.reason}"
-    _emit(report, args, "certificate", _certificate("orthrep", res.representation, opts))
+    _emit(report, args, "certificate", _certificate("orthrep", res.representation, args))
     return report, EXIT_YES, (f"witness accepted: xi <= {w.rank} with a "
                               "verified representation")
 
 
-def _cmd_hadamard(args, opts):
+def _cmd_hadamard(args):
     qc = reps.hadamard_quantum_coloring(args.bits)
     g = graphs.hadamard_graph(args.bits)
-    valid = reps.verify_quantum_coloring(g, qc, opts["tol"])
+    valid = reps.verify_quantum_coloring(g, qc, args.tol)
     report = {"bits": args.bits, "n": g.n, "m": int(g.edge_array.shape[0]),
               "colors": qc.colors, "rank": qc.rank, "verified": bool(valid)}
     if not valid:
@@ -288,19 +279,20 @@ def _cmd_hadamard(args, opts):
         # zero only up to float rounding (about 1e-16), so a --tol below
         # that rejects it, and "does not verify at this tol" is the answer
         return report, EXIT_NO, "construction failed verification"
-    _emit(report, args, "certificate", _certificate("qcoloring", qc, opts))
+    _emit(report, args, "certificate", _certificate("qcoloring", qc, args))
     return report, EXIT_YES, (f"Hadamard graph N={args.bits}: verified "
                               f"{qc.colors}-coloring of rank {qc.rank}")
 
 
-def _cmd_ks_check(args, opts):
+def _cmd_ks_check(args):
+    given, args.tol = args.tol, DEFAULT_TOL  # recorded should the set not load
     vs_raw, file_tol = datasets.load_vector_set(args.set)
-    tol = opts["tol"] if args.tol is not None else (file_tol or DEFAULT_TOL)
+    tol = args.tol = given or file_tol or DEFAULT_TOL  # the metadata records it
     s = ks.canonicalize(vs_raw.vectors, tol=tol, labels=vs_raw.labels)
     if args.oracle:
         dec = ks.brute_force_ks(s, tol=tol)
     else:
-        dec = ks.ks_check(s, tol=tol, budget=opts["budget"])
+        dec = ks.ks_check(s, tol=tol, budget=args.budget)
     report = {"rays": s.size, "dimension": s.dimension, "bases": dec.bases,
               "merged": len(s.merged_ids), "is_ks": dec.is_ks,
               "is_weak_ks": dec.is_weak_ks, "method": dec.method,
@@ -321,31 +313,31 @@ def _cmd_ks_check(args, opts):
             f"({dec.method})")
 
 
-def _cmd_game(args, opts):
+def _cmd_game(args):
     g, s = io.read_graph(args.graph), io.read_strategy(args.strategy)
     if args.game_command in ("exact", "check"):  # the evaluators assume a strategy
         game.validate_strategy(s)
     if args.game_command == "exact":
         wp = game.quantum_win_probability(g, s)
-        perfect = abs(wp - 1.0) <= opts["tol"]
+        perfect = abs(wp - 1.0) <= args.tol
         report = {"win_probability": wp, "questions": "uniform",
                   "perfect": perfect}
         return (report, EXIT_YES if perfect else EXIT_NO,
                 f"win probability {wp:.12f}")
     if args.game_command == "simulate":
-        rate = game.simulate_game(g, s, rounds=args.rounds, seed=opts["seed"])
+        rate = game.simulate_game(g, s, rounds=args.rounds, seed=args.seed)
         report = {"rounds": args.rounds, "win_rate": rate,
                   "questions": "uniform"}
         return report, EXIT_YES, f"simulated win rate {rate:.4f} ({args.rounds} rounds)"
     if args.game_command == "check":
-        rep = game.check_consistency(s, g, opts["tol"])
+        rep = game.check_consistency(s, g, args.tol)
         report = {"ok": rep.ok,
                   "violations": [asdict(v) for v in rep.violations[:100]]}
         return (report, EXIT_YES if rep.ok else EXIT_NO,
                 "consistent" if rep.ok
                 else f"{rep.count_text} violations (first 100 listed)")
     try:  # normalize
-        res = game.normalize_strategy(s, g, opts["tol"], opts["rank_tol"])
+        res = game.normalize_strategy(s, g, args.tol, args.rank_tol)
     except game.NormalFormError as err:
         report = {"normalized": False, "rejected_stage": err.stage,
                   "message": str(err)}
@@ -356,33 +348,18 @@ def _cmd_game(args, opts):
               "schmidt_coefficients": list(res.trace.schmidt_coefficients),
               "colors": nf.colors, "local_dimension": nf.dim_a,
               "rank": nf.dim_a // nf.colors,
-              "properties": game.normal_form_properties(nf, g, opts["tol"]),
+              "properties": game.normal_form_properties(nf, g, args.tol),
               "win_probability": game.quantum_win_probability(g, nf)}
     _emit(report, args, "strategy", io.strategy_to_dict(nf))
     return report, EXIT_YES, (f"normal form: {nf.colors} colors, rank "
                               f"{report['rank']}, local dimension {nf.dim_a}")
 
 
-HANDLERS = {
-    "chi": _cmd_chi,
-    "colorable": _cmd_colorable,
-    "xi-bounds": _cmd_xi_bounds,
-    "chiq1": _cmd_chiq1,
-    "verify-rep": _cmd_verify_rep,
-    "verify-qcoloring": _cmd_verify_qcoloring,
-    "psd-witness": _cmd_psd_witness,
-    "hadamard-coloring": _cmd_hadamard,
-    "ks-check": _cmd_ks_check,
-    "game": _cmd_game,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    opts = _resolve(args)
     name = args.command if args.command != "game" else f"game {args.game_command}"
     try:
-        report, code, summary = HANDLERS[args.command](args, opts)
+        report, code, summary = args.handler(args)
     except INPUT_ERRORS as err:
         report, code, summary = {"error": str(err)}, EXIT_INPUT, f"error: {err}"
     except Exception as err:  # a crash must never read as "no" (exit 1)
@@ -390,8 +367,8 @@ def main(argv=None) -> int:
         msg = (f"internal error: {type(err).__name__}: {err} (at "
                f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
         report, code, summary = {"error": msg}, EXIT_INTERNAL, f"error: {msg}"
-    meta = io.make_metadata(opts["tol"], opts["rank_tol"], opts["seed"])
-    full = {"command": name, "metadata": {**meta, "budget": opts["budget"]}, **report}
+    meta = io.make_metadata(args.tol, args.rank_tol, args.seed)
+    full = {"command": name, "metadata": {**meta, "budget": args.budget}, **report}
     print(json.dumps(full, indent=1, default=lambda a: a.tolist()))
     print(f"qcolor {name}: {summary} [exit {code}]", file=sys.stderr)
     return code

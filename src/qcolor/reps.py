@@ -197,11 +197,8 @@ def verify_matrix_representation(g: Graph, rep: MatrixRepresentation,
                                  tol: float = DEFAULT_TOL) -> VerifyResult:
     """A c x c matrix representation is the rank-1 quantum c-coloring whose
     color vectors are the columns of the unitaries."""
-    mats = rep.matrices
-    if mats.shape[0] != g.n:
-        raise RepsError(f"representation covers {mats.shape[0]} vertices, graph has {g.n}")
     return verify_quantum_coloring(
-        g, QuantumColoring(rep.dimension, 1, vectors=mats.transpose(0, 2, 1)), tol)
+        g, QuantumColoring(rep.dimension, 1, vectors=rep.matrices.transpose(0, 2, 1)), tol)
 
 
 def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
@@ -277,7 +274,9 @@ def matrixrep_to_orthrep(g: Graph, rep: MatrixRepresentation,
     return OrthogonalRepresentation(dimension=c, vectors=vecs)
 
 
-# gradient iterations per restart, and the initial step of their schedule
+# restarts per search, gradient iterations per restart, and the initial
+# step of their schedule
+SEARCH_RESTARTS = 24
 SEARCH_ITERATIONS = 300
 SEARCH_STEP = 0.6
 POLISH_SWEEPS = 150
@@ -289,14 +288,11 @@ POLISH_THRESHOLD = 1e-3
 @dataclass(frozen=True)
 class SearchParams:
     seed: int = 0
-    restarts: int = 24
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not self.seed >= 0:
             raise RepsError(f"seed must be >= 0, got {self.seed}")
-        if not self.restarts >= 1:
-            raise RepsError(f"restarts must be >= 1, got {self.restarts}")
         if not 0 < self.tol < np.inf:
             raise RepsError(f"tol must be positive and finite, got {self.tol}")
 
@@ -304,7 +300,7 @@ class SearchParams:
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """restarts_tried is the 1-based index of the winning restart (0 for a
-    graph without edges, which needs no search), or params.restarts on a
+    graph without edges, which needs no search), or SEARCH_RESTARTS on a
     miss."""
     found: bool
     representation: OrthogonalRepresentation | None
@@ -417,8 +413,8 @@ def search_orthogonal_representation(g: Graph, c: int,
     half = _HalfEdges(e)
     block = block_rows(2 * e.shape[0] * c * 16)  # one restart's (2m, c) half-edge array
     best_penalty = np.inf
-    for lo in range(0, params.restarts, block):
-        size = min(block, params.restarts - lo)
+    for lo in range(0, SEARCH_RESTARTS, block):
+        size = min(block, SEARCH_RESTARTS - lo)
         z = rng.normal(size=(size, 2, g.n, c))
         x = z[:, 0] + 1j * z[:, 1]
         x /= np.linalg.norm(x, axis=2, keepdims=True)
@@ -429,7 +425,7 @@ def search_orthogonal_representation(g: Graph, c: int,
                 rep = OrthogonalRepresentation(c, x[i].copy())
                 if verify_orthogonal_representation(g, rep, params.tol):
                     return SearchResult(True, rep, 0.0, lo + int(i) + 1)
-    return SearchResult(False, None, best_penalty, params.restarts)
+    return SearchResult(False, None, best_penalty, SEARCH_RESTARTS)
 
 
 def representation_from_coloring(cert: ColoringCertificate) -> OrthogonalRepresentation:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -228,10 +229,10 @@ def test_declared_sizes_and_deep_nesting_are_input_errors(capsys, tmp_path, argv
 @pytest.mark.parametrize("exc", [RuntimeError("boom"),
                                  RecursionError("maximum recursion depth")])
 def test_internal_error_exit_code(capsys, monkeypatch, c5_file, exc):
-    def crash(args, opts):
+    def crash(args):
         raise exc
 
-    monkeypatch.setitem(cli.HANDLERS, "chi", crash)
+    monkeypatch.setattr(cli, "_cmd_chi", crash)
     code, report, err = run(capsys, "chi", c5_file)
     assert code == cli.EXIT_INTERNAL == 4
     assert report["command"] == "chi"
@@ -348,6 +349,28 @@ def test_bad_seed_is_usage_error(capsys, c5_file, argv):
     assert "must be an integer >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("chi", "{c5}", "--budget", "-1"),
+    ("xi-bounds", "{c5}", "--budget", "-5"),
+    ("ks-check", "peres-33", "--budget", "-1"),
+    ("colorable", "{c5}", "-c", "3", "--budget", "2.5"),
+])
+def test_bad_budget_is_usage_error(capsys, c5_file, argv):
+    """A negative budget read as one already spent (chi and ks-check exited
+    3) or went unused (xi-bounds exited 0); argparse rejects it first."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(c5=c5_file) for a in argv])
+    assert exc.value.code == 2
+    assert "must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_budget_zero_is_legal(capsys, c5_file):
+    """--budget 0 is a budget with no node to spend, not a usage error."""
+    code, report, _ = run(capsys, "chi", c5_file, "--budget", "0")
+    assert (code, report["status"], report["metadata"]["budget"]) == (
+        3, "budget_exceeded", 0)
+
+
 @pytest.mark.parametrize("command, payload", [
     ("verify-qcoloring", '"qcoloring", "payload": {"colors": 0, "rank": 1, "vectors": [[], []]}'),
     ("verify-qcoloring", '"qcoloring", "payload": {"colors": 2, "rank": 0, '
@@ -399,6 +422,51 @@ def test_chiq1_certificate_reverifies(capsys, c5_file, tmp_path):
     assert code == 0 and report["c"] == 3
     code, report, _ = run(capsys, "verify-rep", c5_file, cert)
     assert code == 0 and report["valid"]
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) of every leaf subcommand, aliases included."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, p in action.choices.items():
+            yield from _leaves(p, path + (name,))
+
+
+def test_every_subcommand_resolves_to_a_handler():
+    leaves = dict(_leaves(cli.build_parser()))
+    assert len(leaves) == 13
+    for path, p in leaves.items():
+        handler = p.get_default("handler")
+        assert getattr(cli, handler.__name__) is handler, path
+    assert (leaves[("verify-qcoloring",)].get_default("handler")
+            is leaves[("verify-rep",)].get_default("handler") is cli._cmd_verify_rep)
+
+
+# name -> (kind, graph, argv writing a certificate to "{out}")
+CERTIFICATE_WRITERS = {
+    "chi": ("coloring", "c5", ["chi", "{c5}", "-o", "{out}"]),
+    "colorable": ("coloring", "c5", ["colorable", "{c5}", "-c", "3", "-o", "{out}"]),
+    "xi-bounds": ("orthrep", "c5", ["xi-bounds", "{c5}", "-o", "{out}"]),
+    "xi-bounds-theta": ("theta", "c5", ["xi-bounds", "{c5}", "--theta-output", "{out}"]),
+    "chiq1": ("matrixrep", "c5", ["chiq1", "{c5}", "--cmax", "4", "-o", "{out}"]),
+    "psd-witness": ("orthrep", "c5", ["psd-witness", "{c5}", "{witness}", "-o", "{out}"]),
+    "hadamard-coloring": ("qcoloring", "omega4",
+                          ["hadamard-coloring", "-N", "4", "-o", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_WRITERS))
+def test_every_written_certificate_passes_verify_rep(capsys, tmp_path, name):
+    """verify-rep checks every certificate file qcolor writes."""
+    kind, graph, argv = CERTIFICATE_WRITERS[name]
+    files = {**_cli_inputs(tmp_path), "out": tmp_path / "cert.json",
+             "witness": write_witness(tmp_path, umbrella_gram(), 3)}
+    assert cli.main([a.format(**files) for a in argv]) == 0
+    capsys.readouterr()
+    code, report, _ = run(capsys, "verify-rep", files[graph], str(files["out"]))
+    assert (code, report["kind"], report["valid"]) == (0, kind, True)
 
 
 def test_chiq1_no_witness_is_exit_1(capsys, tmp_path):
@@ -484,7 +552,7 @@ def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path
         io.make_metadata(1e-9, 1e-7)), cert)
     code, report, err = run(capsys, "verify-qcoloring", str(g), str(cert))
     assert code == 1 and not report["valid"]
-    assert ("quantum coloring FAILS: not an orthonormal basis at vertex 9 "
+    assert ("qcoloring certificate FAILS: not an orthonormal basis at vertex 9 "
             "(residual 1.25)") in err
 
 
@@ -529,6 +597,23 @@ def test_ks_check_honours_budget(capsys):
             None, None, None)
         assert report["status"] == "budget_exceeded" and report["decisions"] > 1
         assert report["metadata"]["budget"] == 1
+
+
+def test_ks_check_records_the_tolerance_it_ran_at(capsys, tmp_path):
+    """Without --tol, ks-check runs at the set file's tolerance, and the
+    metadata says so: a rerun with the recorded --tol gives the same report."""
+    p = tmp_path / "rays.json"
+    p.write_text(json.dumps({"dimension": 2, "tolerance": 1e-2, "vectors": [
+        {"id": i, "coords": [[x, 0], [y, 0]]}
+        for i, (x, y) in enumerate([(1, 0), (0, 1), (0.001, 1)])]}))
+    code, report, _ = run(capsys, "ks-check", str(p))
+    assert (report["metadata"]["tol"], report["rays"]) == (0.01, 2)
+    tol = repr(report["metadata"]["tol"])
+    assert run(capsys, "ks-check", str(p), "--tol", tol)[:2] == (code, report)
+    _, report, _ = run(capsys, "ks-check", str(p), "--tol", "1e-9")
+    assert (report["metadata"]["tol"], report["rays"]) == (1e-9, 3)
+    code, report, _ = run(capsys, "ks-check", str(tmp_path / "missing.json"))
+    assert code == 2 and report["metadata"]["tol"] == 1e-9
 
 
 def test_ks_check_oracle_flag(capsys):

@@ -256,9 +256,7 @@ def test_search_c5_dimension_3():
 
 def test_search_infeasible_dimension_fails_honestly():
     g = complete_graph(3)
-    res = reps.search_orthogonal_representation(g, 2,
-                                                reps.SearchParams(seed=0,
-                                                                  restarts=6))
+    res = reps.search_orthogonal_representation(g, 2, reps.SearchParams(seed=0))
     assert not res.found
     assert res.representation is None
     assert res.best_penalty > 0
@@ -283,8 +281,7 @@ def test_search_dimension_one_fails_cleanly(g):
     assert np.isfinite(res.best_penalty)
 
 
-@pytest.mark.parametrize("kw", [{"restarts": 0}, {"restarts": -3},
-                                {"tol": 0.0}, {"tol": -1e-9},
+@pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9},
                                 {"tol": float("nan")}, {"tol": float("inf")},
                                 {"seed": -1}])
 def test_search_params_rejects_bad_values(kw):
@@ -349,13 +346,13 @@ def test_restart_blocks_give_the_single_block_result(monkeypatch, g, c, per_bloc
     split = reps.search_orthogonal_representation(g, c, params)
     assert (split.found, split.restarts_tried) == (whole.found, whole.restarts_tried)
     assert split.best_penalty == pytest.approx(whole.best_penalty, rel=1e-12)
-    blocks = [per_block] * (params.restarts // per_block)
-    blocks += [params.restarts % per_block] * (params.restarts % per_block > 0)
+    full, rest = divmod(reps.SEARCH_RESTARTS, per_block)
+    blocks = [per_block] * full + [rest] * (rest > 0)
     assert sizes == blocks[:len(sizes)]
     if split.found:  # the winner is in the last block that ran
         assert sum(sizes[:-1]) < split.restarts_tried <= sum(sizes)
     else:
-        assert sum(sizes) == params.restarts
+        assert sum(sizes) == reps.SEARCH_RESTARTS
 
 
 def _golden_graphs():
