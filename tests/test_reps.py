@@ -283,7 +283,8 @@ def test_search_dimension_one_fails_cleanly(g):
 
 @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9},
                                 {"tol": float("nan")}, {"tol": float("inf")},
-                                {"seed": -1}])
+                                {"seed": -1}, {"tol": float("-inf")},
+                                {"seed": -2**63}])
 def test_search_params_rejects_bad_values(kw):
     with pytest.raises(reps.RepsError):
         reps.SearchParams(**kw)
