@@ -4,8 +4,8 @@ Every run prints a JSON report to stdout and a one-line human summary to
 stderr.  Exit codes: 0 the queried property holds (or the computation
 succeeded), 1 it fails or no witness was found, 2 malformed input, 3 budget
 exceeded, 4 internal error (a failure of qcolor itself, never an answer).
-The global --tol/--rank-tol/--seed/--budget flags are recorded in the report
-metadata as the run used them (ks-check without --tol: the set's tolerance).
+Each subcommand takes only the FLAGS it reads; its report and certificates
+record them as the run used them (ks-check without --tol: the set's tolerance).
 """
 from __future__ import annotations
 
@@ -49,15 +49,15 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                   help=f"absolute tolerance (default {DEFAULT_TOL})")
-    p.add_argument("--rank-tol", type=_tolerance, default=DEFAULT_RANK_TOL,
-                   help=f"relative rank tolerance (default {DEFAULT_RANK_TOL})")
-    p.add_argument("--seed", type=_natural, default=0,
-                   help="seed for randomized searches and simulation (default 0)")
-    p.add_argument("--budget", type=_natural, default=coloring.DEFAULT_BUDGET,
-                   help=f"search node budget (default {coloring.DEFAULT_BUDGET})")
+# flag name -> argparse keywords of --name (underscores as dashes)
+FLAGS = {"tol": dict(type=_tolerance, default=DEFAULT_TOL,
+                     help=f"absolute tolerance (default {DEFAULT_TOL})"),
+         "rank_tol": dict(type=_tolerance, default=DEFAULT_RANK_TOL,
+                          help=f"relative rank tolerance (default {DEFAULT_RANK_TOL})"),
+         "seed": dict(type=_natural, default=0,
+                      help="seed for randomized searches and simulation (default 0)"),
+         "budget": dict(type=_natural, default=coloring.DEFAULT_BUDGET,
+                        help=f"search node budget (default {coloring.DEFAULT_BUDGET})")}
 
 
 # help of each positional file argument
@@ -75,52 +75,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, handler, *files, under=sub, **kwargs):
-        """A subcommand run by handler, with the common flags and these files."""
-        p = under.add_parser(name, help=help_, **kwargs)
-        p.set_defaults(handler=handler)
-        _common_flags(p)
+    def add(name, help_, handler, flags, *files, under=sub, aliases=(), **own):
+        """A subcommand run by handler, with these FLAGS (own: overrides) and files."""
+        p = under.add_parser(name, help=help_, aliases=aliases)
+        p.set_defaults(handler=handler, flags=flags)
+        for f in flags:
+            p.add_argument("--" + f.replace("_", "-"), **{**FLAGS[f], **own.get(f, {})})
         for f in files:
             p.add_argument(f, help=FILE_HELP.get(f))
         return p
 
     p = add("chi", "exact chromatic number with a coloring certificate", _cmd_chi,
-            "graph")
+            ("budget",), "graph")
     p.add_argument("-o", "--output", help="write the certificate to this file")
 
-    p = add("colorable", "decide c-colorability", _cmd_colorable, "graph")
+    p = add("colorable", "decide c-colorability", _cmd_colorable, ("budget",), "graph")
     p.add_argument("-c", "--colors", type=int, required=True)
     p.add_argument("-o", "--output")
 
     p = add("xi-bounds", "certified bounds on the orthogonal rank", _cmd_xi_bounds,
-            "graph")
+            ("tol", "seed", "budget"), "graph")
     p.add_argument("-o", "--output")
     p.add_argument("--theta-output",
                    help="write the theta certificate here, when theta was solved")
 
     p = add("chiq1", "rank-1 quantum chromatic number via the product "
-                     "characterization", _cmd_chiq1, "graph")
+                     "characterization", _cmd_chiq1, ("tol", "seed", "budget"), "graph")
     p.add_argument("--cmax", type=int, required=True,
                    help="largest color count to try")
     p.add_argument("-o", "--output")
 
     add("verify-rep", f"verify a {' / '.join(REP_VERIFIERS)} certificate",
-        _cmd_verify_rep, "graph", "certificate", aliases=["verify-qcoloring"])
+        _cmd_verify_rep, ("tol",), "graph", "certificate", aliases=["verify-qcoloring"])
 
     p = add("psd-witness", "check a PSD complement-pattern witness and "
                            "extract an orthogonal representation", _cmd_psd_witness,
-            "graph", "witness")
+            ("tol", "rank_tol"), "graph", "witness")
     p.add_argument("-o", "--output",
                    help="write the extracted orthrep certificate here")
 
     p = add("hadamard-coloring", "quantum coloring of the order-N Hadamard graph",
-            _cmd_hadamard)
+            _cmd_hadamard, ("tol",))
     p.add_argument("-N", "--bits", type=int, required=True)
     p.add_argument("-o", "--output")
 
     p = add("ks-check", "decide the Kochen-Specker property of a vector set",
-            _cmd_ks_check, "set")
-    p.set_defaults(tol=None)  # None: the set file's tolerance
+            _cmd_ks_check, ("tol", "budget"), "set",
+            tol=dict(default=None, help="absolute tolerance (default the vector set "
+                     f"file's tolerance, or {DEFAULT_TOL} when the file gives none)"))
     p.add_argument("--weak", action="store_true",
                    help="exit code reflects the weak KS property instead")
     p.add_argument("--oracle", action="store_true",
@@ -128,16 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     games = sub.add_parser("game", help="coloring-game analysis").add_subparsers(
         dest="game_command", required=True)
-    add("exact", "exact winning probability of a POVM strategy", _cmd_game, "graph",
-        "strategy", under=games)
+    add("exact", "exact winning probability of a POVM strategy", _cmd_game, ("tol",),
+        "graph", "strategy", under=games)
     q = add("simulate", "Monte-Carlo estimate of the winning probability", _cmd_game,
-            "graph", "strategy", under=games)
+            ("seed",), "graph", "strategy", under=games)
     q.add_argument("--rounds", type=int, default=10_000)
     q = add("normalize", "transform a winning strategy into normal form", _cmd_game,
-            "graph", "strategy", under=games)
+            ("tol", "rank_tol"), "graph", "strategy", under=games)
     q.add_argument("-o", "--output", help="write the normal-form strategy here")
-    add("check", "winning-strategy consistency conditions", _cmd_game, "graph",
-        "strategy", under=games)
+    add("check", "winning-strategy consistency conditions", _cmd_game, ("tol",),
+        "graph", "strategy", under=games)
 
     return parser
 
@@ -156,18 +158,21 @@ def _emit(report: dict, args, key: str, doc: dict) -> None:
     report["written_to"] = out or None
 
 
+def _metadata(args) -> dict:
+    """The run's metadata: the flags its subcommand takes, as the run used them."""
+    return io.make_metadata(**{f: getattr(args, f) for f in args.flags})
+
+
 def _certificate(kind: str, obj, args) -> dict:
     """The certificate document of obj with the run's metadata."""
-    meta = io.make_metadata(args.tol, args.rank_tol, args.seed)
-    return io.certificate_to_dict(kind, io.encode_payload(kind, obj), meta)
+    return io.certificate_to_dict(kind, obj, _metadata(args))
 
 
 def _read_certificate(path, kinds: tuple[str, ...]):
     """(kind, decoded object) of a certificate file whose kind is in kinds."""
     kind, payload, _ = io.read_certificate(path)
     if kind not in kinds:
-        raise io.FormatError(f"expected a {' / '.join(kinds)} certificate, "
-                             f"got {kind!r}")
+        raise io.FormatError(f"expected a {' / '.join(kinds)} certificate, got {kind!r}")
     return kind, io.decode_payload(kind, payload)
 
 
@@ -230,8 +235,7 @@ def _cmd_xi_bounds(args):
 def _cmd_chiq1(args):
     g = io.read_graph(args.graph)
     params = reps.SearchParams(seed=args.seed, tol=args.tol)
-    res = reps.chi_q1_upper_via_product(g, args.cmax, params,
-                                        budget=args.budget)
+    res = reps.chi_q1_upper_via_product(g, args.cmax, params, budget=args.budget)
     report = {"n": g.n, "cmax": args.cmax, "c": res.c,
               "skipped_infeasible": list(res.skipped_infeasible)}
     if res.c is None:
@@ -367,8 +371,7 @@ def main(argv=None) -> int:
         msg = (f"internal error: {type(err).__name__}: {err} (at "
                f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
         report, code, summary = {"error": msg}, EXIT_INTERNAL, f"error: {msg}"
-    meta = io.make_metadata(args.tol, args.rank_tol, args.seed)
-    full = {"command": name, "metadata": {**meta, "budget": args.budget}, **report}
+    full = {"command": name, "metadata": _metadata(args), **report}
     print(json.dumps(full, indent=1, default=lambda a: a.tolist()))
     print(f"qcolor {name}: {summary} [exit {code}]", file=sys.stderr)
     return code

@@ -186,20 +186,24 @@ def classical_win_probability(g: Graph, s: ClassicalStrategy) -> Fraction:
 
 
 def best_classical_win_probability(g: Graph, colors: int):
-    """Exhaustive maximum over all deterministic strategy pairs (c^n x c^n);
-    returns (best probability as an exact Fraction, best strategy)."""
+    """Exhaustive, exact maximum over all deterministic pairs: (the value as a
+    Fraction, the first best pair in lexicographic order).  The question (v, w)
+    depends on Bob's answer b at w alone, so against each of Alice's c^n tables
+    he takes at each w the smallest b maximizing [b = a_w] - #{v ~ w: a_v = b}."""
     if colors < 1:
         raise GameError(f"color count must be >= 1, got {colors}")
-    vs, ws = (x.tolist() for x in _questions(g))
-    best, best_s = Fraction(0), None
+    vs, ws = _questions(g)
+    best, best_s = -1, None
     for alice in itertools.product(range(colors), repeat=g.n):
-        for bob in itertools.product(range(colors), repeat=g.n):
-            p = Fraction(_classical_wins(alice, bob, vs, ws), len(vs))
-            if best_s is None or p > best:
-                best, best_s = p, ClassicalStrategy(colors, alice, bob)
-                if best == 1:
-                    return best, best_s
-    return best, best_s
+        a = np.array(alice)
+        score = (a[:, None] == np.arange(colors)).astype(np.int64)
+        np.subtract.at(score, (ws[g.n:], a[vs[g.n:]]), 1)
+        wins = int(score.max(axis=1).sum()) + len(vs) - g.n
+        if wins > best:
+            best, best_s = wins, ClassicalStrategy(colors, alice, tuple(score.argmax(1).tolist()))
+            if best == len(vs):
+                break
+    return Fraction(best, len(vs)), best_s
 
 
 def _alice_products(alice: np.ndarray, psi: np.ndarray) -> np.ndarray:

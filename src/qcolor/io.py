@@ -350,11 +350,6 @@ def _check_kind(kind) -> None:
         raise FormatError(f"unknown certificate kind {kind!r}")
 
 
-def encode_payload(kind: str, obj) -> dict:
-    _check_kind(kind)
-    return CODECS[kind][0](obj)
-
-
 def decode_payload(kind: str, payload: dict):
     """The object a certificate payload describes; any defect of the payload
     raises FormatError naming the kind."""
@@ -365,17 +360,15 @@ def decode_payload(kind: str, payload: dict):
         raise FormatError(f"malformed {kind} payload: {err}")
 
 
-def make_metadata(tol: float, rank_tol: float, seed: int | None = None) -> dict:
-    meta = {"tool": "qcolor", "version": __version__,
-            "tol": float(tol), "rank_tol": float(rank_tol)}
-    if seed is not None:
-        meta["seed"] = int(seed)
-    return meta
+def make_metadata(**flags) -> dict:
+    """A run's metadata: the tool, its version and the flags the run read."""
+    return {"tool": "qcolor", "version": __version__, **flags}
 
 
-def certificate_to_dict(kind: str, payload: dict, metadata: dict) -> dict:
+def certificate_to_dict(kind: str, obj, metadata: dict) -> dict:
+    """The certificate document of obj, its payload encoded by CODECS[kind]."""
     _check_kind(kind)
-    return {"kind": kind, "payload": payload, "metadata": metadata}
+    return {"kind": kind, "payload": CODECS[kind][0](obj), "metadata": metadata}
 
 
 def certificate_from_dict(data: dict) -> tuple[str, dict, dict]:

@@ -53,23 +53,93 @@ def winning_k2_strategy_file(tmp_path):
 # -- report schema ---------------------------------------------------------------
 
 
-def test_report_metadata_schema(capsys, c5_file):
-    code, report, err = run(capsys, "chi", c5_file)
-    assert code == 0
-    assert report["command"] == "chi"
-    meta = report["metadata"]
-    assert set(meta) == {"tool", "version", "tol", "rank_tol", "seed", "budget"}
-    assert meta["tool"] == "qcolor"
-    assert meta["tol"] == 1e-9 and meta["rank_tol"] == 1e-7
-    assert "chi = 3" in err
+# leaf command path -> (the FLAGS it takes, its argv on small inputs)
+LEAVES = {
+    ("chi",): (("budget",), ["chi", "{c5}"]),
+    ("colorable",): (("budget",), ["colorable", "{c5}", "-c", "3"]),
+    ("xi-bounds",): (("tol", "seed", "budget"), ["xi-bounds", "{c5}"]),
+    ("chiq1",): (("tol", "seed", "budget"), ["chiq1", "{c5}", "--cmax", "3"]),
+    ("verify-rep",): (("tol",), ["verify-rep", "{c5}", "{cert}"]),
+    ("verify-qcoloring",): (("tol",), ["verify-qcoloring", "{c5}", "{cert}"]),
+    ("psd-witness",): (("tol", "rank_tol"), ["psd-witness", "{c5}", "{witness}"]),
+    ("hadamard-coloring",): (("tol",), ["hadamard-coloring", "-N", "2"]),
+    ("ks-check",): (("tol", "budget"), ["ks-check", "yu-oh-13"]),
+    ("game", "exact"): (("tol",), ["game", "exact", "{omega4}", "{s4}"]),
+    ("game", "simulate"): (("seed",), ["game", "simulate", "{omega4}", "{s4}",
+                                       "--rounds", "10"]),
+    ("game", "normalize"): (("tol", "rank_tol"), ["game", "normalize", "{omega4}",
+                                                  "{s4}"]),
+    ("game", "check"): (("tol",), ["game", "check", "{omega4}", "{s4}"]),
+}
 
 
-def test_flags_recorded_in_metadata(capsys, c5_file):
-    code, report, _ = run(capsys, "chi", c5_file, "--tol", "1e-6",
-                          "--seed", "9", "--budget", "1000")
-    assert report["metadata"]["tol"] == 1e-6
-    assert report["metadata"]["seed"] == 9
-    assert report["metadata"]["budget"] == 1000
+def _leaf_argvs(tmp_path):
+    """leaf path -> (its declared flags, its argv with the input files)."""
+    files = {**_cli_inputs(tmp_path), "cert": tmp_path / "cert.json",
+             "witness": write_witness(tmp_path, umbrella_gram(), 3)}
+    files["cert"].write_text('{"kind": "coloring", "payload": '
+                             '{"colors": 3, "assignment": [0, 1, 0, 1, 2]}}')
+    leaves = dict(_leaves(cli.build_parser()))
+    assert set(leaves) == set(LEAVES)
+    return {path: (p.get_default("flags"), [a.format(**files) for a in LEAVES[path][1]])
+            for path, p in leaves.items()}
+
+
+def test_report_metadata_schema(capsys, tmp_path):
+    """Each report's metadata holds the tool, its version and exactly the
+    flags its command takes, at their defaults when none is given."""
+    for path, (flags, argv) in _leaf_argvs(tmp_path).items():
+        assert flags == LEAVES[path][0], path
+        code, report, err = run(capsys, *argv)
+        assert code in (0, 1) and report["command"] == " ".join(path), (path, report)
+        assert report["metadata"] == {"tool": "qcolor", "version": qcolor.__version__,
+                                      **{f: cli.FLAGS[f]["default"] for f in flags}}, path
+    code, report, err = run(capsys, "chi", _cli_inputs(tmp_path)["c5"])
+    assert code == 0 and "chi = 3" in err
+
+
+def test_flags_recorded_in_metadata(capsys, tmp_path):
+    """Every flag a command takes is recorded as given, and a certificate
+    the run writes carries its report's metadata block."""
+    given = {"tol": 1e-6, "rank_tol": 1e-6, "seed": 9, "budget": 1000}
+    certified = set()
+    for path, (_, argv) in _leaf_argvs(tmp_path).items():
+        flags = LEAVES[path][0]
+        values = [a for f in flags for a in (f"--{f.replace('_', '-')}", str(given[f]))]
+        code, report, _ = run(capsys, *argv, *values)
+        assert code in (0, 1), (path, report)
+        assert report["metadata"] == {"tool": "qcolor", "version": qcolor.__version__,
+                                      **{f: given[f] for f in flags}}, path
+        if report.get("certificate"):
+            assert report["certificate"]["metadata"] == report["metadata"], path
+            certified.add(path[0])
+    assert certified == {"chi", "colorable", "xi-bounds", "chiq1", "psd-witness",
+                         "hadamard-coloring"}
+
+
+def test_flags_a_command_does_not_take_are_usage_errors(capsys, tmp_path):
+    """Of --tol/--rank-tol/--seed/--budget, the twelve commands take 19 in
+    all; any other is an argparse usage error, not a value left unread."""
+    parsers = {id(p): p for _, p in _leaves(cli.build_parser())}.values()
+    assert sum(option in p._option_string_actions for p in parsers
+               for option in ("--tol", "--rank-tol", "--seed", "--budget")) == 19
+    for path, (_, argv) in _leaf_argvs(tmp_path).items():
+        for f in set(cli.FLAGS) - set(LEAVES[path][0]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, f"--{f.replace('_', '-')}", "3"])
+            assert exc.value.code == 2, (path, f)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_ks_check_help_names_the_set_tolerance(capsys):
+    """ks-check without --tol runs at the vector set file's tolerance, and
+    its --help says so."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ks-check", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--tol TOL absolute tolerance (default the vector set file's "
+            "tolerance, or 1e-09 when the file gives none)") in text
 
 
 def test_chi_report_golden(capsys, c5_file):
@@ -318,10 +388,10 @@ def test_malformed_dimacs_exit_code(capsys, tmp_path):
     ("ks-check", "peres-33", "--tol", "nan"),
     ("hadamard-coloring", "-N", "4", "--tol", "nan"),
     ("xi-bounds", "{c5}", "--tol", "nan"),
-    ("chi", "{c5}", "--tol", "inf"),
-    ("chi", "{c5}", "--tol", "0"),
-    ("chi", "{c5}", "--tol", "abc"),
-    ("chi", "{c5}", "--rank-tol=-inf"),
+    ("verify-rep", "{c5}", "c.json", "--tol", "inf"),
+    ("game", "exact", "{c5}", "s.json", "--tol", "0"),
+    ("chiq1", "{c5}", "--cmax", "3", "--tol", "abc"),
+    ("game", "normalize", "{c5}", "s.json", "--rank-tol=-inf"),
     ("psd-witness", "{c5}", "w.json", "--rank-tol=-1e-7"),
     ("game", "check", "{c5}", "s.json", "--tol", "NaN"),
 ])
@@ -338,7 +408,7 @@ def test_bad_tolerance_is_usage_error(capsys, c5_file, argv):
     ("xi-bounds", "{c5}", "--seed", "-1"),
     ("chiq1", "{c5}", "--cmax", "3", "--seed", "-1"),
     ("game", "simulate", "{c5}", "s.json", "--seed", "-1"),
-    ("chi", "{c5}", "--seed", "1.5"),
+    ("xi-bounds", "{c5}", "--seed", "1.5"),
 ])
 def test_bad_seed_is_usage_error(capsys, c5_file, argv):
     """numpy's generators take no negative seed: argparse rejects one first,
@@ -498,8 +568,9 @@ def test_empty_graph(capsys, tmp_path):
     g = tmp_path / "empty.col"
     g.write_text("p edge 0 0\n")
     cert = tmp_path / "qc.json"
-    io.write_json(io.certificate_to_dict("qcoloring", {"colors": 2, "rank": 1, "vectors": []},
-                                         io.make_metadata(1e-9, 1e-7)), cert)
+    io.write_json(io.certificate_to_dict(
+        "qcoloring", reps.QuantumColoring(2, 1, vectors=np.zeros((0, 2, 2), complex)),
+        io.make_metadata(tol=1e-9, rank_tol=1e-7)), cert)
     code, report, _ = run(capsys, "verify-qcoloring", str(g), str(cert))
     assert code == 0 and report["valid"]
     strat = tmp_path / "strat.json"
@@ -514,8 +585,8 @@ def test_empty_graph(capsys, tmp_path):
 def test_verify_rejects_wrong_kind(capsys, c5_file, tmp_path):
     cert = tmp_path / "cert.json"
     io.write_json(io.certificate_to_dict(
-        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(np.eye(5), 5)),
-        io.make_metadata(1e-9, 1e-7)), cert)
+        "psd-witness", reps.PSDWitness(np.eye(5), 5),
+        io.make_metadata(tol=1e-9, rank_tol=1e-7)), cert)
     code, report, _ = run(capsys, "verify-rep", c5_file, str(cert))
     assert code == 2
     assert "'psd-witness'" in report["error"]
@@ -537,8 +608,8 @@ def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path
     vecs = np.array([[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0], [0, 1, 0], [0, 0, 1]],
                     dtype=complex)
     cert = tmp_path / "rep.json"
-    io.write_json(io.certificate_to_dict("orthrep", io.encode_payload(
-        "orthrep", reps.OrthogonalRepresentation(3, vecs)), io.make_metadata(1e-9, 1e-7)), cert)
+    io.write_json(io.certificate_to_dict("orthrep", reps.OrthogonalRepresentation(3, vecs),
+                                         io.make_metadata(tol=1e-9, rank_tol=1e-7)), cert)
     code, report, err = run(capsys, "verify-rep", c5_file, str(cert))
     assert code == 1 and report == {**report, "kind": "orthrep", "valid": False}
     assert ("orthrep certificate FAILS: edge not orthogonal on edge (1, 2), "
@@ -547,9 +618,9 @@ def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path
     g.write_text(io.write_dimacs(hadamard_graph(4)))
     vectors = reps.hadamard_quantum_coloring(4).vectors.copy()
     vectors[9, 1] *= 1.5
-    io.write_json(io.certificate_to_dict("qcoloring", io.encode_payload(
-        "qcoloring", reps.QuantumColoring(4, 1, vectors=vectors)),
-        io.make_metadata(1e-9, 1e-7)), cert)
+    io.write_json(io.certificate_to_dict(
+        "qcoloring", reps.QuantumColoring(4, 1, vectors=vectors),
+        io.make_metadata(tol=1e-9, rank_tol=1e-7)), cert)
     code, report, err = run(capsys, "verify-qcoloring", str(g), str(cert))
     assert code == 1 and not report["valid"]
     assert ("qcoloring certificate FAILS: not an orthonormal basis at vertex 9 "
@@ -698,11 +769,11 @@ def test_hadamard_outputs_pinned(capsys, tmp_path):
     """sha256 prefixes of what qcolor wrote before the array writer."""
     cli.main(["hadamard-coloring", "-N", "4"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest[:16] == "a15d2bec40b82dd1"
+    assert digest[:16] == "091fab04c2cb6900"
     out = tmp_path / "qc.json"
     cli.main(["hadamard-coloring", "-N", "4", "-o", str(out)])
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest[:16] == "5c7345dcf0df5bbc"
+    assert digest[:16] == "007339f467664d1b"
 
 
 
@@ -710,10 +781,10 @@ def test_hadamard_outputs_pinned(capsys, tmp_path):
 # -o --theta-output (the run directory written as "TMP"), and of the three
 # files they write
 BOUND_OUTPUTS = {
-    "c5": ("7dae16c3da1bce85", "ea769ea0294a57d7", "40aa2ee44c55b97b",
-           "55cc63778105ab80", "1a5c8552eec23ab2"),
-    "pet": ("ac8c0828d0a2eadb", "f17fe983b18c9e75", "d9478e0aa9c0b725",
-            "0d668f63f218c2c2", "27d115ed9c298e5a"),
+    "c5": ("396dffc371a9eb63", "d72cb9815916c7b2", "1ef45025de0edaa7",
+           "129cb9288087bf73", "a121e07b0ac5242a"),
+    "pet": ("da63dcb43ed8b509", "4d45ca97701b5612", "44ad4f985faaa9d2",
+            "0465324788ebda35", "43095943c5072afb"),
 }
 
 
@@ -839,8 +910,8 @@ def test_psd_witness_flow(capsys, c5_file, tmp_path):
     gram[np.abs(gram) < 1e-12] = 0.0
     w = tmp_path / "w.json"
     io.write_json(io.certificate_to_dict(
-        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(gram, 3)),
-        io.make_metadata(1e-9, 1e-7)), w)
+        "psd-witness", reps.PSDWitness(gram, 3),
+        io.make_metadata(tol=1e-9, rank_tol=1e-7)), w)
     rep_out = str(tmp_path / "rep.json")
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w), "-o", rep_out)
     assert code == 0 and report["ok"]
@@ -851,8 +922,8 @@ def test_psd_witness_flow(capsys, c5_file, tmp_path):
 def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
     w = tmp_path / "w.json"
     io.write_json(io.certificate_to_dict(
-        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(np.eye(5), 5)),
-        io.make_metadata(1e-9, 1e-7)), w)
+        "psd-witness", reps.PSDWitness(np.eye(5), 5),
+        io.make_metadata(tol=1e-9, rank_tol=1e-7)), w)
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w))
     assert code == 1 and not report["ok"]
     assert report["reason"]
@@ -861,8 +932,8 @@ def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
 def write_witness(tmp_path, matrix, rank):
     w = tmp_path / "w.json"
     io.write_json(io.certificate_to_dict(
-        "psd-witness", io.encode_payload("psd-witness", reps.PSDWitness(matrix, rank)),
-        io.make_metadata(1e-9, 1e-7)), w)
+        "psd-witness", reps.PSDWitness(matrix, rank),
+        io.make_metadata(tol=1e-9, rank_tol=1e-7)), w)
     return str(w)
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -584,6 +585,36 @@ def test_classical_bound_exhaustive(g, c):
         assert best < 1
     else:
         assert best == 1
+
+
+def _best_classical_over_all_pairs(g, c):
+    """The c^{2n} loop over every deterministic pair: the best value and the
+    first pair in lexicographic order that reaches it."""
+    pairs = uniform_pairs(g)
+    best, best_s = -1, None
+    for alice in itertools.product(range(c), repeat=g.n):
+        for bob in itertools.product(range(c), repeat=g.n):
+            wins = sum((alice[v] == bob[w]) == (v == w) for v, w in pairs)
+            if wins > best:
+                best, best_s = wins, game.ClassicalStrategy(c, alice, bob)
+    return Fraction(best, len(pairs)), best_s
+
+
+def test_best_response_matches_all_pairs():
+    """Alice's tables against Bob's best response give the value and the
+    pair that the loop over all c^n x c^n pairs gives, on n <= 4, and on K_5
+    with a pendant vertex at c = 2, where Bob's best color at the pendant is
+    a tie that the smallest color breaks."""
+    rng = np.random.default_rng(14)
+    graphs = [complete_graph(4), cycle(4), make_graph(4, []), make_graph(1, [])]
+    graphs += [random_graph(int(rng.integers(1, 5)), rng.random(), seed=k)
+               for k in range(40)]
+    cases = [(g, c) for g in graphs for c in (1, 2, 3)]
+    cases.append((make_graph(6, [(0, 5)] + [(u, v) for u in range(1, 6)
+                                            for v in range(u + 1, 6)]), 2))
+    for g, c in cases:
+        assert game.best_classical_win_probability(g, c) == (
+            _best_classical_over_all_pairs(g, c)), (g.n, list(g.edges()), c)
 
 
 # -- quantum outcome distributions ----------------------------------------------

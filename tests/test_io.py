@@ -220,8 +220,8 @@ def test_strategy_operator_count_checked():
 
 def test_certificate_roundtrip(tmp_path):
     p = tmp_path / "cert.json"
-    io.write_json(io.certificate_to_dict("coloring", {"colors": 2, "assignment": [0, 1]},
-                                         io.make_metadata(1e-9, 1e-7, seed=3)), p)
+    io.write_json(io.certificate_to_dict("coloring", coloring.ColoringCertificate(2, (0, 1)),
+                                         io.make_metadata(tol=1e-9, rank_tol=1e-7, seed=3)), p)
     kind, payload, meta = io.read_certificate(p)
     assert kind == "coloring"
     assert payload["assignment"] == [0, 1]
@@ -307,8 +307,8 @@ def _codec_examples():
                               "psd-witness", "theta"])
 def test_payload_roundtrip(tmp_path, kind, obj):
     p = tmp_path / "cert.json"
-    io.write_json(io.certificate_to_dict(kind, io.encode_payload(kind, obj),
-                                         io.make_metadata(1e-9, 1e-7)), p)
+    io.write_json(io.certificate_to_dict(kind, obj,
+                                         io.make_metadata(tol=1e-9, rank_tol=1e-7)), p)
     got_kind, payload, _ = io.read_certificate(p)
     assert got_kind == kind
     _assert_same_fields(io.decode_payload(got_kind, payload), obj)
@@ -408,8 +408,8 @@ def _golden_cases():
 
     def certificate(kind, obj):
         def write(p):
-            io.write_json(io.certificate_to_dict(kind, io.encode_payload(kind, obj),
-                                                 io.make_metadata(1e-9, 1e-7, seed=1)), p)
+            meta = io.make_metadata(tol=1e-9, rank_tol=1e-7, seed=1)
+            io.write_json(io.certificate_to_dict(kind, obj, meta), p)
 
         def read(p):
             return io.decode_payload(*io.read_certificate(p)[:2])
@@ -494,16 +494,15 @@ def _writer_cases():
     table = rng.normal(size=(16, 4, 8, 8)) + 1j * rng.normal(size=(16, 4, 8, 8))
     cases = {
         f"codec-{i}-{kind}": (lambda kind=kind, obj=obj: io.certificate_to_dict(
-            kind, io.encode_payload(kind, obj), io.make_metadata(1e-9, 1e-7, seed=2)))
+            kind, obj, io.make_metadata(tol=1e-9, rank_tol=1e-7, seed=2)))
         for i, (kind, obj) in enumerate(_codec_examples())}
     cases.update({
         "odd-labels": lambda: io.vector_set_to_dict(odd_labels, 1e-9),
         "no-vertices": lambda: io.strategy_to_dict(_zero_strategy(0, 3, 2)),
         "no-colors": lambda: io.strategy_to_dict(_zero_strategy(4, 0, 2)),
         "edge-values": lambda: io.certificate_to_dict(
-            "orthrep", io.encode_payload(
-                "orthrep", reps.OrthogonalRepresentation(2, edge.reshape(7, 2))),
-            io.make_metadata(1e-9, 1e-7)),
+            "orthrep", reps.OrthogonalRepresentation(2, edge.reshape(7, 2)),
+            io.make_metadata(tol=1e-9, rank_tol=1e-7)),
         "all-distinct": lambda: io.strategy_to_dict(game.POVMStrategy(
             4, 8, 8, np.ones(64), table, table)),
     })
@@ -541,7 +540,8 @@ def test_encoders_round_trip_in_memory():
              ("orthrep", reps.OrthogonalRepresentation(0, np.zeros((0, 0)))),
              ("matrixrep", reps.MatrixRepresentation(2, np.zeros((0, 2, 2))))]
     for kind, obj in _codec_examples() + empty:
-        _assert_same_fields(io.decode_payload(kind, io.encode_payload(kind, obj)), obj)
+        payload = io.certificate_to_dict(kind, obj, {})["payload"]
+        _assert_same_fields(io.decode_payload(kind, payload), obj)
     s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
     _assert_same_fields(io.strategy_from_dict(io.strategy_to_dict(s)), s)
     vs, tol = datasets.load_vector_set("peres-33")
@@ -752,7 +752,7 @@ def test_decoders_agree_on_arrays_and_lists_over_mutations():
     alice = np.array([[e0, e1], [e1, e0], [e0, e1]])
     docs = [(None, io.strategy_to_dict(
         game.POVMStrategy(2, 2, 2, maximally_entangled(2), alice, alice.conj())))]
-    docs += [(kind, io.certificate_to_dict(kind, io.encode_payload(kind, obj), {}))
+    docs += [(kind, io.certificate_to_dict(kind, obj, {}))
              for kind, obj in _codec_examples()[1:]]
     seeds = [(n, text) for n, (_, doc) in enumerate(docs)
              for text in (io._to_json(doc), json.dumps(json.loads(io._to_json(doc)),
@@ -853,9 +853,10 @@ def test_read_certificate_gives_pair_arrays(tmp_path):
     scalars and metadata as before; decode_payload takes either form."""
     for kind, obj in _codec_examples():
         p = tmp_path / f"{kind}.json"
-        payload = io.encode_payload(kind, obj)
-        io.write_json(io.certificate_to_dict(kind, payload,
-                                             io.make_metadata(1e-9, 1e-7, seed=3)), p)
+        doc = io.certificate_to_dict(kind, obj,
+                                     io.make_metadata(tol=1e-9, rank_tol=1e-7, seed=3))
+        payload = doc["payload"]
+        io.write_json(doc, p)
         _, back, meta = io.read_certificate(p)
         assert meta == json.loads(p.read_text())["metadata"]
         for key, value in payload.items():
