@@ -57,7 +57,8 @@ FLAGS = {"tol": dict(type=_tolerance, default=DEFAULT_TOL,
          "seed": dict(type=_natural, default=0,
                       help="seed for randomized searches and simulation (default 0)"),
          "budget": dict(type=_natural, default=coloring.DEFAULT_BUDGET,
-                        help=f"search node budget (default {coloring.DEFAULT_BUDGET})")}
+                        help="search budget: nodes, KS labeling decisions or --oracle "
+                        f"labelings (default {coloring.DEFAULT_BUDGET})")}
 
 
 # help of each positional file argument
@@ -294,7 +295,7 @@ def _cmd_ks_check(args):
     tol = args.tol = given or file_tol or DEFAULT_TOL  # the metadata records it
     s = ks.canonicalize(vs_raw.vectors, tol=tol, labels=vs_raw.labels)
     if args.oracle:
-        dec = ks.brute_force_ks(s, tol=tol)
+        dec = ks.brute_force_ks(s, tol=tol, budget=args.budget)
     else:
         dec = ks.ks_check(s, tol=tol, budget=args.budget)
     report = {"rays": s.size, "dimension": s.dimension, "bases": dec.bases,

@@ -8,6 +8,9 @@ only distribution, and it is enough: whether a strategy wins with certainty
 does not depend on the distribution, as long as every legal pair has positive
 probability.  Classical probabilities are exact fractions.
 
+A projective rank-1 side may be factored, x per element x x†: evaluators then
+need no table, as <psi| x x† (x) y y† |psi> = |u . y|^2, u = Psi^dagger x.
+
 normalize_strategy turns a winning strategy into the paper's normal form, one
 checked stage at a time.
 """
@@ -23,8 +26,8 @@ from .graphs import CheckResult, Graph
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks, _gamma,
                      _hermitian_defect, maximally_entangled, psd_certified, schmidt,
                      support_projector)
-from .reps import (QuantumColoring, _identity_defect, _worst_vertex, edges_orthogonal,
-                   projectors_ok)
+from .reps import (QuantumColoring, _identity_defect, _worst_vertex, bases_ok,
+                   edges_orthogonal, projectors_ok)
 
 
 class GameError(ValueError):
@@ -90,8 +93,11 @@ class ClassicalStrategy:
 
 @dataclass(frozen=True, eq=False)
 class POVMStrategy:
-    """Shared state plus per-vertex POVMs: alice is (n, c, dA, dA), bob is
-    (n, c, dB, dB), state is a vector of length dA*dB (A-major)."""
+    """Shared state plus per-vertex POVMs: state is a vector of length dA*dB
+    (A-major); alice is an (n, c, dA, dA) table of operators or (n, c, dA)
+    unit vectors x, the elements x x†, and bob likewise in dB.  sides holds
+    each side as given (factored: both as vectors); alice and bob read as
+    tables, a factored side's made once, on first read."""
     colors: int
     dim_a: int
     dim_b: int
@@ -101,24 +107,31 @@ class POVMStrategy:
 
     def __post_init__(self):
         st = np.asarray(self.state, dtype=complex).ravel()
-        a = np.asarray(self.alice, dtype=complex)
-        b = np.asarray(self.bob, dtype=complex)
         if st.shape[0] != self.dim_a * self.dim_b:
             raise GameError(f"state has length {st.shape[0]}, expected "
                             f"{self.dim_a}*{self.dim_b}")
-        if a.ndim != 4 or a.shape[1:] != (self.colors, self.dim_a, self.dim_a):
-            raise GameError(f"alice operators must be (n, {self.colors}, "
-                            f"{self.dim_a}, {self.dim_a}), got {a.shape}")
-        if b.shape != (a.shape[0], self.colors, self.dim_b, self.dim_b):
-            raise GameError(f"bob operators must match alice vertex count with "
-                            f"local dimension {self.dim_b}, got {b.shape}")
-        object.__setattr__(self, "state", st)
-        object.__setattr__(self, "alice", a)
-        object.__setattr__(self, "bob", b)
+        names = ("alice", "bob")  # set below as tables only: else read by __getattr__
+        sides = tuple(np.asarray(vars(self).pop(name), dtype=complex) for name in names)
+        for name, x, d in zip(names, sides, (self.dim_a, self.dim_b)):
+            if x.shape[1:] not in ((self.colors, d), (self.colors, d, d)) or len(x) != len(sides[0]):
+                raise GameError(f"{name} must be (n, {self.colors}, {d}, {d}) operators or "
+                                f"(n, {self.colors}, {d}) vectors, n alice's, got {x.shape}")
+        vars(self).update({name: x for name, x in zip(names, sides) if x.ndim == 4}, state=st,
+                          sides=sides, factored=sides[0].ndim == sides[1].ndim == 3)
+
+    def __getattr__(self, name):  # a factored side's table, made on first read
+        if name not in ("alice", "bob"):
+            raise AttributeError(name)
+        # x x†; Bob's as conj(z z†), z = conj(y), which for y = conj(x) is
+        # Alice's table conjugated, signed zeros and all, as tables once were
+        x = self.sides[0] if name == "alice" else self.sides[1].conj()
+        table = np.einsum("vai,vaj->vaij", x, x.conj(), order="C")  # rows view as floats
+        vars(self)[name] = table if name == "alice" else np.conjugate(table, out=table)
+        return table
 
     @property
     def n_vertices(self) -> int:
-        return self.alice.shape[0]
+        return len(self.sides[0])
 
     def state_matrix(self) -> np.ndarray:
         return self.state.reshape(self.dim_a, self.dim_b)
@@ -141,7 +154,9 @@ def _conjugate_defect(f: np.ndarray, e: np.ndarray) -> np.ndarray:  # aligned bl
 def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     """POVM sanity: a normalized state; per side, elements Hermitian within
     tol with eigvalsh's least eigenvalue >= -tol, each vertex's sum the
-    identity within d*tol.  A failure names the side, check and worst vertex.
+    identity within d*tol.  A factored side is Hermitian and PSD as made, so
+    its rule is reps.bases_ok: c = d, each vertex's vectors orthonormal
+    within tol.  A failure names the side, check and worst vertex.
 
     Each check runs on blocks of vertices sized from linalg.BLOCK_BYTES.  A
     block's PSD check asks linalg.psd_certified first, at a floor that also
@@ -149,24 +164,21 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     eigvalsh's; every block it does not certify goes to eigvalsh."""
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
-    for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
-        verdict = (_worst_vertex(ops, _hermitian_defect, tol, "element not Hermitian")
-                   and _worst_vertex(ops, lambda b: _psd_defect(b, tol), tol, "element not PSD")
-                   and _worst_vertex(ops, _identity_defect, d * tol, "does not sum to identity"))
+    for name, ops, d in zip(("alice", "bob"), s.sides, (s.dim_a, s.dim_b)):
+        verdict = bases_ok(ops, tol) if ops.ndim == 3 else (
+            _worst_vertex(ops, _hermitian_defect, tol, "element not Hermitian")
+            and _worst_vertex(ops, lambda b: _psd_defect(b, tol), tol, "element not PSD")
+            and _worst_vertex(ops, _identity_defect, d * tol, "does not sum to identity"))
         if not verdict:
             raise GameError(f"{name} POVM {verdict}")
 
 
 def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
     """Normal-form strategy of a quantum coloring: maximally entangled state
-    of the coloring's local dimension, Alice the projectors, Bob their
-    entrywise conjugates."""
+    of the coloring's local dimension, Alice the projectors (factored, as the
+    coloring's vectors, at rank 1), Bob their entrywise conjugates."""
     d = qc.local_dimension
-    if qc.projectors is not None:
-        ops = np.asarray(qc.projectors, dtype=complex)
-    else:
-        v = qc.vectors
-        ops = np.einsum("vai,vaj->vaij", v, v.conj(), order="C")  # rows view as floats
+    ops = qc.vectors if qc.vectors is not None else qc.projectors
     return POVMStrategy(colors=qc.colors, dim_a=d, dim_b=d,
                         state=maximally_entangled(d),
                         alice=ops, bob=ops.conj())
@@ -214,8 +226,31 @@ def _alice_products(alice: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return w.reshape(*w.shape[:-2], psi.shape[1] ** 2)
 
 
+def _abs2(v: np.ndarray, axis=None) -> np.ndarray:
+    """|.|^2 of dots, or of products summed along axis first."""
+    v = v if axis is None else v.sum(axis)
+    return v.real ** 2 + v.imag ** 2
+
+
+def _operands(s: POVMStrategy, psi: np.ndarray, a: int):
+    """Color a of s as the pair kernel's operands: (x, zs, f) with
+    <psi| E_{v,a} (x) F_{w,b} |psi> = f(x[v] . zs[w, b]).  Factored: the
+    rows u = Psi^dagger x of Alice's vectors x, zs = Bob's vectors and f =
+    _abs2; else x = conj(W), W = _alice_products of E_a, and zs = F, both as
+    floats, and f the identity: Re(W . F) is the dot of those float views, a
+    sum of them the sum of their products."""
+    if s.factored:
+        return s.sides[0][:, a] @ psi.conj(), s.sides[1], _abs2
+    w = _alice_products(s.alice[:, a], psi)
+    bob = np.ascontiguousarray(s.bob).reshape(s.n_vertices, s.colors, -1)
+    return (np.conjugate(w, out=w).view(np.float64), bob.view(np.float64),
+            lambda v, axis=None: v)
+
+
 def _outcomes(s: POVMStrategy, v: int, w: int, psi: np.ndarray) -> np.ndarray:
     """Real (c, c) outcome distribution of the question pair (v, w)."""
+    if s.factored:
+        return _abs2(s.sides[0][v] @ psi.conj() @ s.sides[1][w].T)
     return (_alice_products(s.alice[v], psi) @ s.bob[w].reshape(s.colors, -1).T).real
 
 
@@ -229,25 +264,30 @@ def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
     return _outcomes(s, v, w, s.state_matrix())
 
 
+def _total_mass(s: POVMStrategy) -> POVMStrategy:
+    """The one-color table strategy of sum_a E_a against sum_b F_b."""
+    return POVMStrategy(1, s.dim_a, s.dim_b, s.state, *(
+        (x.sum(axis=1) if x.ndim == 4 else x.swapaxes(1, 2) @ x.conj())[:, None]
+        for x in s.sides))
+
+
 def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     """Exact (up to float arithmetic) winning probability: diagonal questions
     win on equal outcomes, edge questions on differing outcomes.  One color a
-    at a time, with W = _alice_products and F Bob's flattened operators, the
-    diagonal adds sum_v Re(W[v] . F[v]); the edges, asked both ways, subtract
-    the PairBlocks values of W against F and of F against W, and add them for
-    the total mass (color c: sum_a E_a and sum_b F_b), each Re(W . F) the dot
-    of the float views of conj(W) and F.  Assumes s passed validate_strategy."""
+    at a time, with (x, z, f) its _operands, the diagonal adds
+    sum_v f(x[v] . z[v]); the edges, asked both ways, subtract f of the
+    PairBlocks values of x against z and of z against x, and add them for
+    the total mass (a = c, the color of _total_mass).  Assumes s passed
+    validate_strategy."""
     _check_cover(g, s)
     pairs = PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1])
-    psi, c, n, win = s.state_matrix(), s.colors, s.n_vertices, 0.0
-    bob = np.ascontiguousarray(s.bob).reshape(n, c, -1)  # F's rows view as floats
+    psi, c, win = s.state_matrix(), s.colors, 0.0
     for a in range(c + 1):
-        e, f = ((s.alice[:, a], bob[:, a]) if a < c else
-                (s.alice.sum(axis=1), bob.sum(axis=1)))
-        w = _alice_products(e, psi)
-        w, f = np.conjugate(w, out=w).view(np.float64), f.view(np.float64)
-        edges = sum(np.sum(v) for x, z in ((w, f), (f, w)) for _, v in pairs.values(x, z))
-        win += edges if a == c else np.sum(w * f) - edges
+        b = a if a < c else 0
+        x, zs, f = _operands(s if a < c else _total_mass(s), psi, b)
+        z = zs[:, b]
+        edges = sum(np.sum(f(v)) for p, q in ((x, z), (z, x)) for _, v in pairs.values(p, q))
+        win += edges if a == c else np.sum(f(x * z, 1)) - edges
     return float(win / (g.n + 2 * g.m))
 
 
@@ -279,17 +319,17 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
     mass vanishes; across every edge the equal-color mass vanishes.  Lists
     each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol:
     vertex violations first, then edges as (u, v), then edges as (v, u).
-    One color a at a time: W_a = _alice_products against Bob's whole table
-    for the vertices, and through PairBlocks against F_a for the edges, W_a
-    against F_a for (u, v) and F_a against W_a for (v, u); the hits merge
-    into the smallest keys so far.  Assumes s passed validate_strategy."""
+    One color a at a time, with (x, zs, f) its _operands: x against Bob's
+    whole table zs for the vertices, and through PairBlocks against
+    z = zs[:, a] for the edges, x against z for (u, v) and z against x for
+    (v, u), each value mapped by f; the hits merge into the smallest keys so
+    far.  Assumes s passed validate_strategy."""
     _check_cover(g, s)
     if not (0 < tol < np.inf and max_violations >= 1):
         raise GameError("tol must be positive and finite and max_violations "
                         f">= 1, got tol={tol}, max_violations={max_violations}")
     psi, c, n, e = s.state_matrix(), s.colors, s.n_vertices, g.edge_array
     pairs, cut = PairBlocks(e[:, 0], e[:, 1]), n * c * c
-    bob = np.ascontiguousarray(s.bob).reshape(n, c, -1)  # F_a's rows view as floats
     keys, vals = np.empty(0, dtype=np.int64), np.empty(0)
 
     def merge(v, key_of):  # the hits of v, by key
@@ -301,15 +341,14 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
             keys, vals = keys[keep], vals[keep]
 
     for a in range(c):
-        w = _alice_products(s.alice[:, a], psi)
-        p = (w[:, None] @ bob.swapaxes(1, 2))[:, 0].real  # p[v, b] = W_a[v] . F_b[v]
+        x, zs, f = _operands(s, psi, a)
+        p = f((x[:, None] @ zs.swapaxes(1, 2))[:, 0])  # p[v, b]: E_{v,a} against F_{v,b}
         p[:, a] = 0.0
         merge(p.ravel(), lambda h: (h // c * c + a) * c + h % c)  # key (v, a, b)
-        # key (pair id, a): (v, u) is pair m + e; Re(W . F) = conj(W) . F as floats
-        w, f = np.conjugate(w, out=w).view(np.float64), bob[:, a].view(np.float64)
-        for first, (x, z) in ((0, (w, f)), (len(e), (f, w))):
-            for sel, v in pairs.values(x, z):
-                merge(v, lambda h: cut + (first + sel.start + h) * c + a)
+        # key (pair id, a): (v, u) is pair m + e
+        for first, (l, r) in ((0, (x, zs[:, a])), (len(e), (zs[:, a], x))):
+            for sel, v in pairs.values(l, r):
+                merge(f(v), lambda h: cut + (first + sel.start + h) * c + a)
     out = []
     for key, value in zip(keys.tolist(), vals.tolist()):
         if key < cut:

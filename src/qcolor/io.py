@@ -220,34 +220,37 @@ def write_vector_set(s: VectorSet, path, tolerance: float | None = None) -> None
 
 
 def strategy_to_dict(s: POVMStrategy) -> dict:
-    return {
-        "colors": s.colors,
-        "dim_a": s.dim_a,
-        "dim_b": s.dim_b,
-        "state": _pack(s.state, 0),
-        "alice": _pack(s.alice, 2),
-        "bob": _pack(s.bob, 2),
-    }
+    """A side's table goes to its field ("alice"), a factored side's vectors
+    to the side's vector field ("alice_vectors")."""
+    return {"colors": s.colors, "dim_a": s.dim_a, "dim_b": s.dim_b, "state": _pack(s.state, 0),
+            **{name + "_vectors" if x.ndim == 3 else name: _pack(x, 2)
+               for name, x in zip(("alice", "bob"), s.sides)}}
 
 
 def strategy_from_dict(data: dict) -> POVMStrategy:
     if not isinstance(data, dict):
         raise FormatError("strategy must be a JSON object")
+    # per side: its field, what an item of it is, and an item's axes
+    sides = [(name + "_vectors", name + " vector", 1) if name + "_vectors" in data
+             else (name, name + " operator", 2) for name in ("alice", "bob")]
     try:
         c, da, db = (_number(data[key]) for key in ("colors", "dim_a", "dim_b"))
         state = _unpack(data["state"], None, "state")
-        same = len(data["alice"]) == len(data["bob"])
+        same = len(data[sides[0][0]]) == len(data[sides[1][0]])
     except _MALFORMED as err:
         raise FormatError(f"strategy missing or malformed field: {err}")
+    for name in ("alice", "bob"):
+        if name in data and name + "_vectors" in data:
+            raise FormatError(f"strategy gives {name} both as operators and as vectors")
     if min(c, da, db) < 0:
         raise FormatError(f"strategy sizes must be nonnegative, got colors {c}, "
                           f"dim_a {da}, dim_b {db}")
     if not same:
         raise FormatError("alice and bob cover different vertex counts")
     try:
-        return POVMStrategy(c, da, db, state,
-                            _unpack(data["alice"], (da, da), "alice operator", (None, c)),
-                            _unpack(data["bob"], (db, db), "bob operator", (None, c)))
+        return POVMStrategy(c, da, db, state, *(
+            _unpack(data[key], (d,) * axes, what, (None, c))
+            for (key, what, axes), d in zip(sides, (da, db))))
     except ValueError as err:  # numpy's too, for an empty table of impossible sizes
         raise FormatError(str(err))
 

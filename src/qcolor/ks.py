@@ -266,17 +266,21 @@ def ks_check(s: VectorSet, tol: float = DEFAULT_TOL,
                       decisions=used)
 
 
-def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL) -> KSDecision:
+def brute_force_ks(s: VectorSet, tol: float = DEFAULT_TOL,
+                   budget: int | None = None) -> KSDecision:
     """Oracle by enumerating all 2^k labelings (k <= 25).
 
     Labeling i puts 1 on ray r iff bit r of i is set; the first labeling in
     that order that passes is the witness.  Both decision flags are computed.
+    A budget below 2^k labelings decides nothing: status budget_exceeded.
     """
     k = s.size
     if k > BRUTE_FORCE_LIMIT:
         raise KSError(f"brute force limited to {BRUTE_FORCE_LIMIT} rays, got {k}")
     g = orthogonality_graph(s.vectors, tol=tol)
     bases = _bases(g, s.dimension)  # none: labeling 0 is a weak witness
+    if budget is not None and 1 << k > budget:
+        return KSDecision(None, None, None, "brute_force", len(bases), BUDGET_EXCEEDED)
     basis_masks = [sum(1 << r for r in b) for b in bases]
     pair_masks = [(1 << u) | (1 << v) for u, v in g.edge_array.tolist()]
 

@@ -47,8 +47,10 @@ class PairBlocks:
     The pairs are grouped once by blocks of rows of x, block_rows(a complex
     product row, one column per index) read at construction, one small int
     each; each block costs one GEMM against only the rows of z it touches
-    (BLAS speed on dense pairs, linear in n on sparse ones), and the caller's
-    reducer keeps what it needs of the block's values and drops them."""
+    (BLAS speed on dense pairs, linear in n on sparse ones), read as a view
+    z[first:last + 1] when they are one whole range and gathered otherwise,
+    and the caller's reducer keeps what it needs of the block's values and
+    drops them."""
 
     def __init__(self, vs, ws):
         vs, ws = np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.int64)
@@ -66,6 +68,8 @@ class PairBlocks:
                 cols = np.unique(ws[i:j])
                 at = (vs[i:j] - lo) * cols.size + np.searchsorted(cols, ws[i:j])
                 size = np.min_scalar_type(rows * cols.size)
+                if cols[-1] - cols[0] + 1 == cols.size:  # a view, not a gather
+                    cols = slice(int(cols[0]), int(cols[-1]) + 1)
                 self.blocks.append((lo, slice(i, j), cols, at.astype(size)))
 
     def values(self, x: np.ndarray, z: np.ndarray):

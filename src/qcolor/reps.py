@@ -164,6 +164,16 @@ def projectors_ok(ops: np.ndarray, rank: int, tol: float) -> VerifyResult:
                               ops.shape[2] * tol, "projector trace is not the rank"))
 
 
+def bases_ok(vecs: np.ndarray, tol: float) -> VerifyResult:
+    """Whether each vertex's c vectors of an (n, c, d) table are an
+    orthonormal basis of C^d: c = d, and |<x_a, x_b> - [a = b]| <= tol;
+    a failure names the worst vertex."""
+    c, d = vecs.shape[1:]
+    return (VerifyResult(c == d, float(abs(d - c)), None, f"{c} vectors in C^{d} are no basis")
+            and _worst_vertex(vecs, lambda v: np.abs(v.conj() @ v.swapaxes(1, 2) - np.eye(c)),
+                              tol, "not an orthonormal basis"))
+
+
 def edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> VerifyResult:
     """Whether |<x[u, a], x[w, a]>| <= tol for every edge (u, w) and color a;
     x is (n, colors, k).  The verdict carries the worst modulus and its
@@ -215,9 +225,7 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
         return VerifyResult(False, float(abs(d - qc.rank * c)), None,
                             "dimension is not rank * colors")
     if qc.vectors is not None:
-        vecs = qc.vectors
-        verdict = _worst_vertex(vecs, lambda v: np.abs(v.conj() @ v.swapaxes(1, 2) - np.eye(c)),
-                                tol, "not an orthonormal basis")
+        vecs, verdict = qc.vectors, bases_ok(qc.vectors, tol)
     else:
         ops = qc.projectors
         verdict = projectors_ok(ops, qc.rank, tol) and _worst_vertex(

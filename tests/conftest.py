@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qcolor import linalg
+from qcolor import game, linalg
 from qcolor.graphs import Graph, make_graph
 
 
@@ -15,6 +15,11 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return make_graph(10, outer + spokes + inner)
+
+
+def as_tables(s: game.POVMStrategy) -> game.POVMStrategy:
+    """s with both sides given as (n, c, d, d) tables, factored ones expanded."""
+    return game.POVMStrategy(s.colors, s.dim_a, s.dim_b, s.state, s.alice, s.bob)
 
 
 def pair_block_rows(monkeypatch, n: int, rows: int) -> None:

@@ -670,6 +670,23 @@ def test_ks_check_honours_budget(capsys):
         assert report["metadata"]["budget"] == 1
 
 
+def test_ks_check_oracle_counts_labelings_against_the_budget(capsys):
+    """The oracle enumerates 2^13 labelings of Yu-Oh-13: a budget of that
+    many decides the set, one fewer (or none) exits 3 undecided, where the
+    oracle once ran whatever the budget and exited 1."""
+    for budget, code_want in ((0, 3), (2 ** 13 - 1, 3), (2 ** 13, 1)):
+        code, report, err = run(capsys, "ks-check", "yu-oh-13", "--oracle",
+                                "--budget", str(budget))
+        assert code == code_want and report["method"] == "brute_force"
+        assert report["metadata"]["budget"] == budget and report["bases"] > 0
+        if code == 3:
+            assert "budget exceeded: undecided" in err
+            assert (report["status"], report["is_ks"], report["is_weak_ks"],
+                    report["witness"]) == ("budget_exceeded", None, None, None)
+        else:
+            assert report["status"] == "exact" and report["is_ks"] is False
+
+
 def test_ks_check_records_the_tolerance_it_ran_at(capsys, tmp_path):
     """Without --tol, ks-check runs at the set file's tolerance, and the
     metadata says so: a rerun with the recorded --tol gives the same report."""

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle, graphs_st, pair_block_rows, random_graph
+from conftest import as_tables, cycle, graphs_st, pair_block_rows, random_graph
 from test_acceptance import perturbed_winning_strategy
 from qcolor import coloring, game, linalg, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
@@ -193,7 +194,7 @@ def test_valid_tables_are_certified_without_eigenvalues(monkeypatch):
     """A valid table at a usable tol never reaches eigvalsh: one Cholesky per
     block of vertices decides it (on Omega_8, four blocks of 64 vertices per
     side)."""
-    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8))
+    s = as_tables(game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8)))
     per = linalg.block_rows(4 * s.alice[0].nbytes)
     cholesky, blocks = np.linalg.cholesky, []
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: blocks.append(len(a)) or cholesky(a))
@@ -243,7 +244,7 @@ def test_certificate_floor_allows_for_eigvalsh(monkeypatch):
     floors, certify = [], game.psd_certified
     monkeypatch.setattr(game, "psd_certified",
                         lambda b, floor: floors.append(floor) or certify(b, floor))
-    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(2))
+    s = as_tables(game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(2)))
     for tol in (1e-8, 1e-15):
         floors.clear()
         game.validate_strategy(s, tol)
@@ -1461,3 +1462,166 @@ def test_cover_error_names_both_vertex_counts(evaluate):
 def test_best_classical_rejects_zero_colors():
     with pytest.raises(game.GameError, match="color count"):
         game.best_classical_win_probability(complete_graph(2), 0)
+
+
+# -- factored strategies: rank-1 sides kept as vectors ------------------------------
+
+
+def _factored_case(name):
+    """(graph, factored strategy): the Hadamard strategies of Omega_4 and
+    Omega_6 and C_5's classical one; "-rotated" turns each vertex's vectors,
+    Alice's and Bob's apart, by a seeded unitary near the identity and moves
+    the state off the maximally entangled one (still valid POVMs, no longer
+    winning); "-stretched" scales one vector of one vertex per side by
+    1 + 1e-3 (no longer valid)."""
+    base, _, how = name.partition("-")
+    if base == "c5":
+        g = cycle(5)
+        qc = reps.quantum_coloring_from_classical(g, coloring.chromatic_number(g).certificate)
+    else:
+        bits = int(base[len("omega"):])
+        g, qc = hadamard_graph(bits), reps.hadamard_quantum_coloring(bits)
+    s = game.strategy_from_quantum_coloring(qc)
+    x, y = (side.copy() for side in s.sides)
+    rng = np.random.default_rng(FACTORED_CASES.index(name))
+    state = s.state
+    if how == "rotated":
+        for side in (x, y):
+            h = rng.normal(size=(g.n, s.dim_a, s.dim_a)) + 1j * rng.normal(
+                size=(g.n, s.dim_a, s.dim_a))
+            w, v = np.linalg.eigh(0.05 * (h + h.conj().swapaxes(1, 2)))
+            side[:] = side @ ((v * np.exp(1j * w)[:, None]) @ v.conj().swapaxes(1, 2))
+        state = state + 0.05 * (rng.normal(size=state.shape) + 1j * rng.normal(size=state.shape))
+        state = state / np.linalg.norm(state)
+    elif how == "stretched":
+        x[1, 0] *= 1 + 1e-3
+        y[g.n - 1, 1] *= 1 + 1e-3
+    return g, game.POVMStrategy(s.colors, s.dim_a, s.dim_b, state, x, y)
+
+
+FACTORED_CASES = [f"{base}{how}" for base in ("omega4", "omega6", "c5")
+                  for how in ("", "-rotated", "-stretched")]
+
+
+@pytest.mark.parametrize("name", FACTORED_CASES)
+def test_factored_evaluators_agree_with_the_tables(name):
+    """The same strategy evaluated on its vectors and on its expanded tables:
+    the win probability within 1e-12, the same violation lists (values
+    within 1e-12) at each cap, the same validation verdict, the same
+    simulated rate; and the vectors are never expanded."""
+    g, s = _factored_case(name)
+    dense = as_tables(game.POVMStrategy(s.colors, s.dim_a, s.dim_b, s.state, *s.sides))
+    assert s.factored and not dense.factored
+    assert abs(game.quantum_win_probability(g, s)
+               - game.quantum_win_probability(g, dense)) <= 1e-12
+    for cap in (3, 1000):
+        got, want = (game.check_consistency(t, g, 1e-9, cap) for t in (s, dense))
+        assert [dataclasses.astuple(v)[:5] for v in got.violations] == [
+            dataclasses.astuple(v)[:5] for v in want.violations]
+        assert np.allclose([v.value for v in got.violations],
+                           [v.value for v in want.violations], rtol=0, atol=1e-12)
+        assert (got.ok, got.truncated) == (want.ok, want.truncated)
+    assert (validate_verdict(s, 1e-8) is None) == (validate_verdict(dense, 1e-8) is None)
+    if validate_verdict(s, 1e-8) is None:
+        assert (game.simulate_game(g, s, rounds=300, seed=11)
+                == game.simulate_game(g, dense, rounds=300, seed=11))
+        for v, w in ((0, 0), (0, g.n - 1)):
+            assert np.allclose(game.quantum_outcome_distribution(s, v, w),
+                               game.quantum_outcome_distribution(dense, v, w),
+                               rtol=0, atol=1e-12)
+    assert not {"alice", "bob"} & vars(s).keys()
+
+
+def test_factored_cases_cover_each_verdict():
+    """The agreement cases win, lose without a violation-free check, and
+    fail validation, so each comparison sees both answers."""
+    wins = {name: game.quantum_win_probability(*_factored_case(name)) for name in FACTORED_CASES}
+    assert all(abs(wins[n] - 1.0) <= 1e-12 for n in ("omega4", "omega6", "c5"))
+    assert all(wins[n] < 0.99 for n in FACTORED_CASES if n.endswith("-rotated"))
+    assert all(validate_verdict(_factored_case(n)[1], 1e-8) is not None
+               for n in FACTORED_CASES if n.endswith("-stretched"))
+
+
+def _omega4_factored(**sides):
+    """The Omega_4 strategy with the given sides replaced."""
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
+    x, y = (sides.get(name, side) for name, side in zip(("alice", "bob"), s.sides))
+    return game.POVMStrategy(x.shape[1], s.dim_a, s.dim_b, sides.get("state", s.state), x, y)
+
+
+def _factored_defect(kind):
+    """The Omega_4 strategy with one defect of a factored side, or of its
+    state, and the validation error that names it."""
+    x = reps.hadamard_quantum_coloring(4).vectors
+    if kind == "not-orthogonal":  # vertex 5's vectors stay unit
+        y = x.conj()
+        y[5, 1] += 1e-3 * y[5, 0]
+        y[5, 1] /= np.linalg.norm(y[5, 1])
+        assert np.abs(np.linalg.norm(y, axis=2) - 1).max() < 1e-15
+        return (_omega4_factored(bob=y),
+                "bob POVM not an orthonormal basis at vertex 5 (residual 0.001)")
+    if kind == "c-below-d":  # orthonormal, but no basis
+        return (_omega4_factored(alice=x[:, :3], bob=x[:, :3].conj()),
+                "alice POVM 3 vectors in C^4 are no basis (residual 1)")
+    if kind == "nan":  # named before vertex 2's larger finite defect
+        y = x.conj()
+        y[2, 0] *= 1.5
+        y[7, 2, 1] = np.nan
+        return _omega4_factored(bob=y), "bob POVM not an orthonormal basis at vertex 7 (residual nan)"
+    return _omega4_factored(state=1.01 * maximally_entangled(4)), "state norm 1.01 != 1"
+
+
+@pytest.mark.parametrize("kind", ["not-orthogonal", "c-below-d", "nan", "state"])
+def test_factored_validation_names_side_and_vertex(kind):
+    """Each defect of a factored strategy is named with its side and, where
+    one vertex is at fault, the worst vertex; the strategy without it
+    validates."""
+    s, want = _factored_defect(kind)
+    assert validate_verdict(s, 1e-8) == want
+    assert validate_verdict(_omega4_factored(), 1e-8) is None
+
+
+def test_factored_sides_skip_the_hermitian_and_psd_checks(monkeypatch):
+    """x x† is Hermitian and PSD as made: validating vectors runs neither
+    check, and never expands a table."""
+    monkeypatch.setattr(game, "psd_certified", None)
+    monkeypatch.setattr(game, "_hermitian_defect", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(6))
+    game.validate_strategy(s)
+    assert not {"alice", "bob"} & vars(s).keys()
+
+
+def test_factored_tables_expand_once_as_they_were_made():
+    """s.alice and s.bob of a factored strategy are the tables a rank-1
+    coloring's strategy used to carry, bytes and signed zeros included:
+    Alice's x x† and Bob's its entrywise conjugate; each is made on its
+    first read and kept."""
+    qc = reps.hadamard_quantum_coloring(4)
+    s = game.strategy_from_quantum_coloring(qc)
+    v = qc.vectors
+    table = np.einsum("vai,vaj->vaij", v, v.conj(), order="C")
+    assert s.n_vertices == 16 and not {"alice", "bob"} & vars(s).keys()
+    assert s.alice.tobytes() == table.tobytes() and s.alice is s.alice
+    assert s.bob.tobytes() == table.conj().tobytes() and s.bob.flags.c_contiguous
+
+
+def test_factored_evaluators_stay_below_one_table():
+    """validate_strategy, quantum_win_probability and check_consistency on
+    the factored Omega_8 strategy make no table: their traced peak stays
+    under 3/4 of one side's (n, c, d, d) table (256 * 8 * 64 * 16 B), where
+    reading s.alice alone allocates a whole one.  What is left is the pair
+    kernel's block and the one-color total mass.  The first calls run
+    outside the trace: numpy imports lazily there."""
+    g = hadamard_graph(8)
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(8))
+    table = 256 * 8 * 64 * 16
+
+    def calls():
+        game.validate_strategy(s)
+        game.quantum_win_probability(g, s)
+        game.check_consistency(s, g)
+    calls()
+    assert _traced_peak(calls) < 0.75 * table
+    assert not {"alice", "bob"} & vars(s).keys()
+    assert _traced_peak(lambda: s.alice) >= table

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cycle
+from conftest import as_tables, cycle
 from qcolor import coloring, datasets, game, io, ks, reps
 from qcolor.graphs import complete_graph
 from qcolor.linalg import maximally_entangled
@@ -215,6 +215,46 @@ def test_strategy_operator_count_checked():
                                "bob": [[[[1.0, 0.0]], [[0.0, 0.0]]]]})
 
 
+def test_factored_strategy_files(tmp_path):
+    """A factored side is written as its vector field, about d times smaller
+    than its table, and reads back bit for bit as vectors; a strategy with
+    one side of each form round-trips as it was."""
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(6))
+    mixed = game.POVMStrategy(s.colors, s.dim_a, s.dim_b, s.state, s.sides[0], s.bob)
+    sizes = {}
+    for name, t in (("factored", s), ("mixed", mixed), ("tables", as_tables(s))):
+        p = tmp_path / f"{name}.json"
+        io.write_strategy(t, p)
+        sizes[name] = p.stat().st_size
+        doc = json.loads(p.read_text())
+        back = io.read_strategy(p)
+        assert list(doc) == ["colors", "dim_a", "dim_b", "state"] + [
+            side + "_vectors" * (x.ndim == 3) for side, x in zip(("alice", "bob"), t.sides)]
+        for got, want in zip((back.state, *back.sides), (t.state, *t.sides)):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+    assert 5 * sizes["factored"] < sizes["tables"]
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda d: d.update(alice=[[[[1, 0]]] * 2] * 2),
+     "strategy gives alice both as operators and as vectors"),
+    (lambda d: d.pop("bob_vectors"), "strategy missing or malformed field: 'bob'"),
+    (lambda d: d["alice_vectors"][1][0].__setitem__(1, "x"),
+     r"alice vector \(1,0\) contains a non-number"),
+    (lambda d: d["bob_vectors"][0].pop(), "vertex 0 does not list exactly 2 operators"),
+    (lambda d: d["bob_vectors"].pop(), "alice and bob cover different vertex counts"),
+], ids=["both-forms", "no-bob", "bad-entry", "one-vector", "vertex-counts"])
+def test_factored_strategy_file_defects(edit, want):
+    """A side's two forms exclude each other, and a defect in a vector
+    field names the item at fault, as in an operator field."""
+    x = np.eye(2, dtype=complex)[None].repeat(3, axis=0)
+    doc = json.loads(io._to_json(io.strategy_to_dict(
+        game.POVMStrategy(2, 2, 2, maximally_entangled(2), x, x.conj()))))
+    edit(doc)
+    with pytest.raises(io.FormatError, match=want):
+        io.strategy_from_dict(doc)
+
+
 # -- certificates -----------------------------------------------------------------
 
 
@@ -402,8 +442,8 @@ def _array_digest(a: np.ndarray) -> str:
 
 def _golden_cases():
     """name -> (write(path), read(path) -> decoded object)."""
-    def strategy(bits):
-        s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(bits))
+    def strategy(bits, form=as_tables):
+        s = form(game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(bits)))
         return lambda p: io.write_strategy(s, p), io.read_strategy
 
     def certificate(kind, obj):
@@ -425,6 +465,8 @@ def _golden_cases():
     ids = ["coloring", "orthrep", "matrixrep", "qcoloring-vectors",
            "qcoloring-projectors", "psd-witness"]
     return {"omega4-strategy": strategy(4), "omega6-strategy": strategy(6),
+            "omega4-factored": strategy(4, lambda s: s),
+            "omega6-factored": strategy(6, lambda s: s),
             **{name: certificate(*ex) for name, ex in zip(ids, _codec_examples())},
             "yu-oh-13": vector_set(*datasets.load_vector_set("yu-oh-13")),
             "rays40": vector_set(rays, 1e-9)}
@@ -435,6 +477,11 @@ GOLDEN_CODEC = {
     "omega4-strategy": ("1c6872096b845a40", ["120ac16cf7aa8201", "371d7ddf6a8a4a11",
                                              "cff19bac6efc2165"]),
     "omega6-strategy": ("26fff72aea0c95c2", ["dc249a440983a1ab", "7e7734999af471e4",
+                                             "34b0f0f59a99b77c"]),
+    # the same strategies written factored read back as the same tables
+    "omega4-factored": ("5a6ffe1676787166", ["120ac16cf7aa8201", "371d7ddf6a8a4a11",
+                                             "cff19bac6efc2165"]),
+    "omega6-factored": ("0550df3b605c2b01", ["dc249a440983a1ab", "7e7734999af471e4",
                                              "34b0f0f59a99b77c"]),
     "coloring": ("0e89bc4f9aad1bfd", []),
     "orthrep": ("1b481fd402009825", ["417623217174da02"]),
@@ -741,8 +788,9 @@ _SIZE = r'"(?:colors|dim_a|dim_b|rank|dimension)": (-?[0-9]+)'
 
 
 def test_decoders_agree_on_arrays_and_lists_over_mutations():
-    """Small strategy and certificate files, compact and indented, mutated
-    in their characters, their numbers and their declared sizes: each
+    """Small strategy (tables, and vectors) and certificate files, compact
+    and indented, mutated in their characters, their numbers and their
+    declared sizes: each
     document the reader accepts decodes as its pair arrays and as
     json.loads's nested lists to the same object bit for bit, or to the
     same FormatError.  No other exception escapes, such as the allocation
@@ -750,8 +798,9 @@ def test_decoders_agree_on_arrays_and_lists_over_mutations():
     rng = np.random.default_rng(18)
     e0, e1 = np.diag([1.0 + 0j, 0]), np.diag([0j, 1.0])
     alice = np.array([[e0, e1], [e1, e0], [e0, e1]])
-    docs = [(None, io.strategy_to_dict(
-        game.POVMStrategy(2, 2, 2, maximally_entangled(2), alice, alice.conj())))]
+    vectors = np.eye(2, dtype=complex)[[[0, 1], [1, 0], [0, 1]]]
+    docs = [(None, io.strategy_to_dict(game.POVMStrategy(2, 2, 2, maximally_entangled(2), *t)))
+            for t in ((alice, alice.conj()), (vectors, vectors.conj()))]
     docs += [(kind, io.certificate_to_dict(kind, obj, {}))
              for kind, obj in _codec_examples()[1:]]
     seeds = [(n, text) for n, (_, doc) in enumerate(docs)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcolor
-from conftest import pair_block_rows
+from conftest import pair_block_rows, random_graph
 from qcolor import linalg
+from qcolor.graphs import hadamard_graph
 
 
 def random_state(d_a, d_b, seed, rank=None):
@@ -179,6 +180,25 @@ def test_pair_values_matches_einsum(monkeypatch, n, c, k, m):
             for sel, vals in pairs.values(*tables):
                 got[sel] = reduce(vals)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("graph", ["omega6", "sparse"])
+def test_pair_values_view_matches_the_gather(monkeypatch, graph):
+    """A block whose columns are one whole range reads z through the view
+    z[first:last + 1]; its values are those of the gather z[cols], bit for
+    bit, in blocks of 16 rows, on strided rows as the evaluators pass them.
+    Omega_6's blocks are ranges; the sparse graph's mostly are not."""
+    g = hadamard_graph(6) if graph == "omega6" else random_graph(300, 0.02, seed=8)
+    pair_block_rows(monkeypatch, g.n, 16)
+    rng = np.random.default_rng(6)
+    x, z = (rng.normal(size=(2, g.n, 3, 4)) + 1j * rng.normal(size=(2, g.n, 3, 4)))[:, :, 1]
+    pairs = linalg.PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1])
+    views = [isinstance(cols, slice) for _, _, cols, _ in pairs.blocks]
+    assert all(views) if graph == "omega6" else sum(views) < len(views) / 4
+    for (lo, sel, cols, at), (got_sel, got) in zip(pairs.blocks, pairs.values(x, z)):
+        gathered = np.arange(g.n)[cols]
+        want = (x[lo:lo + pairs.rows] @ z[gathered].T).ravel()[at]
+        assert got_sel == sel and np.array_equal(got, want)
 
 
 def test_pair_blocks_reject_unsorted_pairs():
