@@ -26,8 +26,8 @@ from .graphs import CheckResult, Graph
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks, _gamma,
                      _hermitian_defect, maximally_entangled, psd_certified, schmidt,
                      support_projector)
-from .reps import (QuantumColoring, _identity_defect, _worst_vertex, bases_ok,
-                   edges_orthogonal, projectors_ok)
+from .reps import (QuantumColoring, _identity_defect, _worst_vertex, edges_orthogonal,
+                   measurement_ok)
 
 
 class GameError(ValueError):
@@ -155,8 +155,9 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     """POVM sanity: a normalized state; per side, elements Hermitian within
     tol with eigvalsh's least eigenvalue >= -tol, each vertex's sum the
     identity within d*tol.  A factored side is Hermitian and PSD as made, so
-    its rule is reps.bases_ok: c = d, each vertex's vectors orthonormal
-    within tol.  A failure names the side, check and worst vertex.
+    its rule is reps.measurement_ok: c = d, each vertex's vectors
+    orthonormal within tol.  A failure names the side, check and worst
+    vertex.
 
     Each check runs on blocks of vertices sized from linalg.BLOCK_BYTES.  A
     block's PSD check asks linalg.psd_certified first, at a floor that also
@@ -165,7 +166,7 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     if abs(np.linalg.norm(s.state) - 1.0) > tol:
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in zip(("alice", "bob"), s.sides, (s.dim_a, s.dim_b)):
-        verdict = bases_ok(ops, tol) if ops.ndim == 3 else (
+        verdict = measurement_ok(ops, 1, tol) if ops.ndim == 3 else (
             _worst_vertex(ops, _hermitian_defect, tol, "element not Hermitian")
             and _worst_vertex(ops, lambda b: _psd_defect(b, tol), tol, "element not PSD")
             and _worst_vertex(ops, _identity_defect, d * tol, "does not sum to identity"))
@@ -178,10 +179,9 @@ def strategy_from_quantum_coloring(qc: QuantumColoring) -> POVMStrategy:
     of the coloring's local dimension, Alice the projectors (factored, as the
     coloring's vectors, at rank 1), Bob their entrywise conjugates."""
     d = qc.local_dimension
-    ops = qc.vectors if qc.vectors is not None else qc.projectors
     return POVMStrategy(colors=qc.colors, dim_a=d, dim_b=d,
                         state=maximally_entangled(d),
-                        alice=ops, bob=ops.conj())
+                        alice=qc.table, bob=qc.table.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +508,10 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 def normal_form_properties(s: POVMStrategy, g: Graph,
                            tol: float = DEFAULT_TOL) -> dict[str, bool]:
     """The four normal-form properties as booleans: projective equal-rank
-    measurements, maximally entangled state of local dimension rank*colors,
-    Bob = conj(Alice), per-color edge orthogonality in the Hilbert-Schmidt
-    inner product."""
+    measurements (reps.measurement_ok on Alice's table: rank-r projectors
+    that sum to the identity), maximally entangled state of local dimension
+    rank*colors, Bob = conj(Alice), per-color edge orthogonality in the
+    Hilbert-Schmidt inner product."""
     c, d = s.colors, s.dim_a
     ops = s.alice
     if not s.n_vertices:
@@ -524,7 +525,7 @@ def normal_form_properties(s: POVMStrategy, g: Graph,
                 and d == rank * c)
     conj_ok = (finite and s.dim_a == s.dim_b
                and bool(_worst_vertex(s.bob, _conjugate_defect, tol, "F != conj(E)", ops)))
-    return {"projective_equal_rank": rank >= 1 and bool(projectors_ok(ops, rank, tol)),
+    return {"projective_equal_rank": rank >= 1 and bool(measurement_ok(ops, rank, tol)),
             "maximally_entangled_rc": state_ok,
             "bob_is_conjugate": conj_ok,
             "edge_hs_orthogonality": finite and bool(edges_orthogonal(

@@ -297,18 +297,16 @@ def _decode_matrixrep(p: dict) -> MatrixRepresentation:
 
 
 def _encode_qcoloring(qc: QuantumColoring) -> dict:
-    form = "vectors" if qc.vectors is not None else "projectors"
-    return {"colors": qc.colors, "rank": qc.rank,
-            form: _pack(getattr(qc, form), 2)}
+    form = "vectors" if qc.table.ndim == 3 else "projectors"
+    return {"colors": qc.colors, "rank": qc.rank, form: _pack(qc.table, 2)}
 
 
 def _decode_qcoloring(p: dict) -> QuantumColoring:
     c, r = _number(p["colors"]), _number(p["rank"])
     if "vectors" in p:  # rank 1: d-vectors, d = c when there are none
         vecs = _unpack(p["vectors"], None, "vector", (None, c))
-        return QuantumColoring(c, r, vectors=vecs if len(vecs) else vecs.reshape(0, c, c))
-    return QuantumColoring(c, r, projectors=_unpack(p["projectors"], (r * c,) * 2,
-                                                    "projector", (None, c)))
+        return QuantumColoring(c, r, vecs if len(vecs) else vecs.reshape(0, c, c))
+    return QuantumColoring(c, r, _unpack(p["projectors"], (r * c,) * 2, "projector", (None, c)))
 
 
 def _encode_psd_witness(w: PSDWitness) -> dict:

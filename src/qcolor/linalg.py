@@ -15,7 +15,8 @@ Conventions, fixed package-wide:
   caller's reducer: memory is a small int per pair plus a block, never (pairs, c).
 * positivity is certified by psd_certified, the one Cholesky in the package;
   eigen-decompositions run only where eigenvalues or eigenvectors are used.
-* per-vertex checks go through reps._worst_vertex, a block of vertices at a time;
+* per-vertex checks go through reps._worst_vertex, a block of vertices at a time,
+  and per-vertex projective checks through reps.measurement_ok;
 * every blocked kernel sizes its blocks from BLOCK_BYTES, through block_rows.
 """
 from __future__ import annotations
@@ -65,7 +66,8 @@ class PairBlocks:
         self.blocks = []
         for lo, i, j in zip(starts[:-1], cuts[:-1], cuts[1:]):
             if j > i:
-                cols = np.unique(ws[i:j])
+                cols = np.sort(ws[i:j])  # deduplicated below: np.unique hashes, slower
+                cols = cols[np.diff(cols, prepend=-1) != 0]
                 at = (vs[i:j] - lo) * cols.size + np.searchsorted(cols, ws[i:j])
                 size = np.min_scalar_type(rows * cols.size)
                 if cols[-1] - cols[0] + 1 == cols.size:  # a view, not a gather

@@ -8,7 +8,9 @@ v * c + i).  Upper bounds on the orthogonal rank and on the rank-1 quantum
 chromatic number are only ever claimed with a verified witness; search
 failure is reported as "not found", never as infeasibility.  A dimension is
 called infeasible only from a certificate: a clique, or a Lovasz theta
-certificate that passed verify_theta_certificate.
+certificate that passed verify_theta_certificate.  A quantum coloring's
+table has a strategy side's shape, and measurement_ok is the one check that
+each vertex's row of such a table is a projective measurement.
 """
 from __future__ import annotations
 
@@ -59,42 +61,34 @@ class MatrixRepresentation:
 
 @dataclass(frozen=True, eq=False)
 class QuantumColoring:
-    """Per-vertex projective measurement with one outcome per color.
-
-    rank-1 colorings are stored as vectors (n, c, d) with each vertex's rows
-    an orthonormal basis; general rank-r ones as projectors (n, c, d, d).
-    """
+    """Per-vertex projective measurement with one outcome per color, its
+    table in a strategy side's shape: (n, c, d) vectors, each vertex's rows
+    an orthonormal basis (rank 1 only), or (n, c, d, d) rank-r projectors."""
     colors: int
     rank: int
-    vectors: np.ndarray | None = None
-    projectors: np.ndarray | None = None
+    table: np.ndarray
 
     def __post_init__(self):
-        if (self.vectors is None) == (self.projectors is None):
-            raise RepsError("provide exactly one of vectors / projectors")
-        if self.vectors is not None:
-            v = np.asarray(self.vectors, dtype=complex)
-            if v.ndim != 3 or v.shape[1] != self.colors:
-                raise RepsError(f"vectors must be (n, {self.colors}, d), got {v.shape}")
-            if self.rank != 1:
-                raise RepsError("vector form is only for rank-1 colorings")
-            object.__setattr__(self, "vectors", v)
-        else:
-            p = np.asarray(self.projectors, dtype=complex)
-            if p.ndim != 4 or p.shape[1] != self.colors or p.shape[2] != p.shape[3]:
-                raise RepsError(
-                    f"projectors must be (n, {self.colors}, d, d), got {p.shape}")
-            object.__setattr__(self, "projectors", p)
+        t = np.asarray(self.table, dtype=complex)
+        d = t.shape[2] if t.ndim > 2 else None
+        if t.shape[1:] not in ((self.colors, d), (self.colors, d, d)):
+            raise RepsError(f"table must be (n, {self.colors}, d) vectors or "
+                            f"(n, {self.colors}, d, d) projectors, got {t.shape}")
+        if t.ndim == 3 and self.rank != 1:
+            raise RepsError("vector form is only for rank-1 colorings")
+        object.__setattr__(self, "table", t)
+
+    @property
+    def vectors(self) -> np.ndarray | None:  # the table when it holds vectors
+        return self.table if self.table.ndim == 3 else None
 
     @property
     def n_vertices(self) -> int:
-        arr = self.vectors if self.vectors is not None else self.projectors
-        return arr.shape[0]
+        return len(self.table)
 
     @property
-    def local_dimension(self) -> int:  # d of (n, c, d) vectors or (n, c, d, d) projectors
-        arr = self.vectors if self.vectors is not None else self.projectors
-        return arr.shape[2]
+    def local_dimension(self) -> int:
+        return self.table.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,24 +148,23 @@ def _identity_defect(ops: np.ndarray) -> np.ndarray:
     return np.abs(ops.sum(axis=1) - np.eye(ops.shape[-1]))
 
 
-def projectors_ok(ops: np.ndarray, rank: int, tol: float) -> VerifyResult:
-    """Whether every operator of an (n, c, d, d) table is a Hermitian
-    idempotent (each within tol) of trace rank (within d * tol); a failure
-    names the first failed check and its worst vertex."""
-    return (_worst_vertex(ops, _hermitian_defect, tol, "projector not Hermitian")
-            and _worst_vertex(ops, lambda p: np.abs(p @ p - p), tol, "projector not idempotent")
-            and _worst_vertex(ops, lambda p: np.abs(np.einsum("vaii->va", p).real - rank),
-                              ops.shape[2] * tol, "projector trace is not the rank"))
-
-
-def bases_ok(vecs: np.ndarray, tol: float) -> VerifyResult:
-    """Whether each vertex's c vectors of an (n, c, d) table are an
-    orthonormal basis of C^d: c = d, and |<x_a, x_b> - [a = b]| <= tol;
-    a failure names the worst vertex."""
-    c, d = vecs.shape[1:]
-    return (VerifyResult(c == d, float(abs(d - c)), None, f"{c} vectors in C^{d} are no basis")
-            and _worst_vertex(vecs, lambda v: np.abs(v.conj() @ v.swapaxes(1, 2) - np.eye(c)),
-                              tol, "not an orthonormal basis"))
+def measurement_ok(table: np.ndarray, rank: int, tol: float) -> VerifyResult:
+    """Whether each vertex's row of a table is a projective measurement.
+    (n, c, d) vectors: c = d, and |<x_a, x_b> - [a = b]| <= tol.  (n, c, d, d)
+    projectors: each Hermitian and idempotent within tol, of trace rank
+    within d * tol, their sum the identity within d * tol.  A failure names
+    the first failed check and its worst vertex."""
+    c, d = table.shape[1:3]
+    if table.ndim == 3:
+        return (VerifyResult(c == d, float(abs(d - c)), None, f"{c} vectors in C^{d} are no basis")
+                and _worst_vertex(table, lambda v: np.abs(v.conj() @ v.swapaxes(1, 2) - np.eye(c)),
+                                  tol, "not an orthonormal basis"))
+    return (_worst_vertex(table, _hermitian_defect, tol, "projector not Hermitian")
+            and _worst_vertex(table, lambda p: np.abs(p @ p - p), tol, "projector not idempotent")
+            and _worst_vertex(table, lambda p: np.abs(np.einsum("vaii->va", p).real - rank),
+                              d * tol, "projector trace is not the rank")
+            and _worst_vertex(table, _identity_defect, d * tol,
+                              "projectors do not sum to the identity"))
 
 
 def edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> VerifyResult:
@@ -208,12 +201,12 @@ def verify_matrix_representation(g: Graph, rep: MatrixRepresentation,
     """A c x c matrix representation is the rank-1 quantum c-coloring whose
     color vectors are the columns of the unitaries."""
     return verify_quantum_coloring(
-        g, QuantumColoring(rep.dimension, 1, vectors=rep.matrices.transpose(0, 2, 1)), tol)
+        g, QuantumColoring(rep.dimension, 1, rep.matrices.transpose(0, 2, 1)), tol)
 
 
 def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
                             tol: float = DEFAULT_TOL) -> VerifyResult:
-    """Checks the per-vertex measurement structure and the per-color edge
+    """Checks each vertex's measurement (measurement_ok) and the per-color edge
     orthogonality (rank-1: vector inner products; rank-r: Hilbert-Schmidt
     inner products of the projectors)."""
     if qc.n_vertices != g.n:
@@ -224,15 +217,10 @@ def verify_quantum_coloring(g: Graph, qc: QuantumColoring,
     if d != qc.rank * c:  # c orthogonal rank-r projectors summing to I_d
         return VerifyResult(False, float(abs(d - qc.rank * c)), None,
                             "dimension is not rank * colors")
-    if qc.vectors is not None:
-        vecs, verdict = qc.vectors, bases_ok(qc.vectors, tol)
-    else:
-        ops = qc.projectors
-        verdict = projectors_ok(ops, qc.rank, tol) and _worst_vertex(
-            ops, _identity_defect, d * tol, "projectors do not sum to the identity")
-        vecs = ops.reshape(g.n, c, d * d)
     # rank-1: <a_u,alpha, a_w,alpha>; rank-r: Tr(P_u,alpha† P_w,alpha)
-    return verdict and edges_orthogonal(g, vecs, tol)
+    t = qc.table
+    return measurement_ok(t, qc.rank, tol) and edges_orthogonal(
+        g, t.reshape(g.n, c, d ** (t.ndim - 2)), tol)
 
 
 def quantum_coloring_from_classical(g: Graph, cert: ColoringCertificate) -> QuantumColoring:
@@ -243,7 +231,7 @@ def quantum_coloring_from_classical(g: Graph, cert: ColoringCertificate) -> Quan
         raise RepsError("certificate is not a proper coloring")
     c = cert.c
     shifted = (np.arange(c) + np.asarray(cert.colors, dtype=np.int64)[:, None]) % c
-    return QuantumColoring(colors=c, rank=1, vectors=np.eye(c, dtype=complex)[shifted])
+    return QuantumColoring(c, 1, np.eye(c, dtype=complex)[shifted])
 
 
 def orthrep_to_matrixrep(g: Graph, rep: OrthogonalRepresentation,
@@ -728,4 +716,4 @@ def hadamard_quantum_coloring(n_bits: int) -> QuantumColoring:
     omega = np.exp(2j * np.pi / n_bits)
     phase = omega ** np.outer(j, np.arange(n_bits))  # [j, alpha]
     vecs = (signs[:, None, :] * phase.T[None, :, :]) / np.sqrt(n_bits)
-    return QuantumColoring(colors=n_bits, rank=1, vectors=vecs)
+    return QuantumColoring(n_bits, 1, vecs)

@@ -569,7 +569,7 @@ def test_empty_graph(capsys, tmp_path):
     g.write_text("p edge 0 0\n")
     cert = tmp_path / "qc.json"
     io.write_json(io.certificate_to_dict(
-        "qcoloring", reps.QuantumColoring(2, 1, vectors=np.zeros((0, 2, 2), complex)),
+        "qcoloring", reps.QuantumColoring(2, 1, np.zeros((0, 2, 2), complex)),
         io.make_metadata(tol=1e-9, rank_tol=1e-7)), cert)
     code, report, _ = run(capsys, "verify-qcoloring", str(g), str(cert))
     assert code == 0 and report["valid"]
@@ -619,7 +619,7 @@ def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path
     vectors = reps.hadamard_quantum_coloring(4).vectors.copy()
     vectors[9, 1] *= 1.5
     io.write_json(io.certificate_to_dict(
-        "qcoloring", reps.QuantumColoring(4, 1, vectors=vectors),
+        "qcoloring", reps.QuantumColoring(4, 1, vectors),
         io.make_metadata(tol=1e-9, rank_tol=1e-7)), cert)
     code, report, err = run(capsys, "verify-qcoloring", str(g), str(cert))
     assert code == 1 and not report["valid"]

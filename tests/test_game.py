@@ -296,29 +296,28 @@ def clique_measurements(rng, n, c, r):
     return make_graph(n, edges), cols @ cols.conj().swapaxes(-1, -2), cols
 
 
-def reference_projectors_ok(ops, rank, tol):
-    """projectors_ok by its whole-table checks."""
+def reference_measurement_ok(ops, rank, tol):
+    """measurement_ok of a projector table by its whole-table checks."""
+    d = ops.shape[2]
     return (whole_table(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
                         "projector not Hermitian")
             and whole_table(np.abs(ops @ ops - ops), tol, "projector not idempotent")
             and whole_table(np.abs(np.einsum("vaii->va", ops).real - rank),
-                            ops.shape[2] * tol, "projector trace is not the rank"))
+                            d * tol, "projector trace is not the rank")
+            and whole_table(np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
+                            "projectors do not sum to the identity"))
 
 
 def reference_coloring_verdict(g, qc, tol):
     """verify_quantum_coloring by its whole-table checks (d = rank * c)."""
-    c = qc.colors
-    if qc.vectors is not None:
-        vecs = qc.vectors
-        verdict = whole_table(np.abs(vecs.conj() @ vecs.swapaxes(1, 2) - np.eye(c)),
+    c, t = qc.colors, qc.table
+    if t.ndim == 3:
+        verdict = whole_table(np.abs(t.conj() @ t.swapaxes(1, 2) - np.eye(c)),
                               tol, "not an orthonormal basis")
     else:
-        ops, d = qc.projectors, qc.local_dimension
-        verdict = reference_projectors_ok(ops, qc.rank, tol) and whole_table(
-            np.abs(ops.sum(axis=1) - np.eye(d)), d * tol,
-            "projectors do not sum to the identity")
-        vecs = ops.reshape(g.n, c, d * d)
-    return verdict and reps.edges_orthogonal(g, vecs, tol)
+        verdict = reference_measurement_ok(t, qc.rank, tol)
+    return verdict and reps.edges_orthogonal(
+        g, t.reshape(g.n, c, t.shape[2] ** (t.ndim - 2)), tol)
 
 
 def measurement_case(rng, kind, k):
@@ -360,7 +359,7 @@ def measurement_case(rng, kind, k):
 
 
 def test_measurement_checks_match_the_whole_table_checks(monkeypatch):
-    """projectors_ok and verify_quantum_coloring (both forms) give the
+    """measurement_ok and verify_quantum_coloring (both forms) give the
     whole-table checks' verdict, every field of it, passing or not, with each
     defect at its bound times {0.5, 1, 1 +- 1e-3, 2}, non-finite entries, and
     tables of one and of several blocks of vertices (a 64 KB budget)."""
@@ -374,16 +373,16 @@ def test_measurement_checks_match_the_whole_table_checks(monkeypatch):
                 big += len(ops) > linalg.block_rows(4 * ops[0].nbytes)
                 c = ops.shape[1]
                 with np.errstate(invalid="ignore"):  # inf - inf in the references
-                    want = [reference_projectors_ok(ops, r, tol), reference_coloring_verdict(
-                        g, reps.QuantumColoring(c, r, projectors=ops), tol)]
+                    want = [reference_measurement_ok(ops, r, tol), reference_coloring_verdict(
+                        g, reps.QuantumColoring(c, r, ops), tol)]
                     if vecs is not None:
                         want.append(reference_coloring_verdict(
-                            g, reps.QuantumColoring(c, 1, vectors=vecs), tol))
-                got = [reps.projectors_ok(ops, r, tol), reps.verify_quantum_coloring(
-                    g, reps.QuantumColoring(c, r, projectors=ops), tol)]
+                            g, reps.QuantumColoring(c, 1, vecs), tol))
+                got = [reps.measurement_ok(ops, r, tol), reps.verify_quantum_coloring(
+                    g, reps.QuantumColoring(c, r, ops), tol)]
                 if vecs is not None:
                     got.append(reps.verify_quantum_coloring(
-                        g, reps.QuantumColoring(c, 1, vectors=vecs), tol))
+                        g, reps.QuantumColoring(c, 1, vecs), tol))
                 assert list(map(repr, got)) == list(map(repr, want)), (kind, k, ops.shape)
                 seen.update(w.reason for w in want)
     assert big >= 20
@@ -413,7 +412,7 @@ def block_size_cases():
 
 
 def test_verdicts_do_not_depend_on_the_block_size(monkeypatch):
-    """Every field of projectors_ok and verify_quantum_coloring (both forms)
+    """Every field of measurement_ok and verify_quantum_coloring (both forms)
     and validate_strategy's error text are the same with blocks of 1, 3 and
     128 vertices.  reps.block_rows is replaced, not the budget, so that the
     pair kernel's blocks, whose GEMM shape moves a residual by an ulp, stay
@@ -422,9 +421,9 @@ def test_verdicts_do_not_depend_on_the_block_size(monkeypatch):
         out = []
         for g, ops, vecs, tol in block_size_cases():
             s = game.POVMStrategy(3, 3, 3, maximally_entangled(3), ops, ops.conj())
-            out += [repr(reps.projectors_ok(ops, 1, tol)),
-                    repr(reps.verify_quantum_coloring(g, reps.QuantumColoring(3, 1, projectors=ops), tol)),
-                    repr(reps.verify_quantum_coloring(g, reps.QuantumColoring(3, 1, vectors=vecs), tol)),
+            out += [repr(reps.measurement_ok(ops, 1, tol)),
+                    repr(reps.verify_quantum_coloring(g, reps.QuantumColoring(3, 1, ops), tol)),
+                    repr(reps.verify_quantum_coloring(g, reps.QuantumColoring(3, 1, vecs), tol)),
                     validate_verdict(s, tol)]
         return out
 
@@ -463,15 +462,15 @@ def test_a_vertex_past_the_budget_is_a_block_of_its_own():
 
 
 def test_per_vertex_checks_stay_block_sized():
-    """On a table of 8 blocks the traced peak of projectors_ok and of
+    """On a table of 8 blocks the traced peak of measurement_ok and of
     verify_quantum_coloring stays below the table's own size: their
     defects are made one block of vertices at a time, where whole-table
     defects took about twice the table."""
     n, c, r = 1024, 8, 2
     g, ops, _ = clique_measurements(np.random.default_rng(3), n, c, r)
     assert n >= 8 * linalg.block_rows(4 * ops[0].nbytes)
-    qc = reps.QuantumColoring(c, r, projectors=ops)
-    for call in (lambda: reps.projectors_ok(ops, r, DEFAULT_TOL),
+    qc = reps.QuantumColoring(c, r, ops)
+    for call in (lambda: reps.measurement_ok(ops, r, DEFAULT_TOL),
                  lambda: reps.verify_quantum_coloring(g, qc)):
         assert call()
         assert _traced_peak(call) < ops.nbytes
@@ -753,7 +752,7 @@ def test_consistency_orders_and_caps_violations():
         for a in range(2):
             vecs[v, a, (a + k) % 2] = 1.0
     s = game.strategy_from_quantum_coloring(
-        reps.QuantumColoring(colors=2, rank=1, vectors=vecs))
+        reps.QuantumColoring(2, 1, vecs))
     rep = game.check_consistency(s, g)
     assert [(v.kind, v.v, v.w, v.alpha, v.beta) for v in rep.violations] == [
         ("edge", 1, 2, 0, 0), ("edge", 1, 2, 1, 1),
@@ -830,7 +829,7 @@ def test_consistency_matches_the_pair_array_past_the_cap(monkeypatch):
     g = make_graph(n, random_edges(rng, n, 3000))
     u, _ = np.linalg.qr(rng.normal(size=(n, c, c)) + 1j * rng.normal(size=(n, c, c)))
     s = game.strategy_from_quantum_coloring(
-        reps.QuantumColoring(c, 1, vectors=u.swapaxes(1, 2)))
+        reps.QuantumColoring(c, 1, u.swapaxes(1, 2)))
     bob = s.bob.copy()
     bob[600] = bob[600, ::-1]
     s = game.POVMStrategy(c, c, c, s.state, s.alice, bob)
@@ -966,6 +965,17 @@ def test_normal_form_properties_on_unequal_local_dimensions():
     s = game.POVMStrategy(2, 2, 3, np.ones(6) / np.sqrt(6), np.array([e, e]), np.array([f, f]))
     flags = game.normal_form_properties(s, complete_graph(2))
     assert not flags["bob_is_conjugate"] and not flags["maximally_entangled_rc"]
+
+
+def test_projective_flag_requires_the_projectors_to_sum_to_the_identity():
+    """On K_1 with c = d = 2, Alice's two projectors both |0><0| and Bob's
+    their conjugates are Hermitian, idempotent and of trace 1, but sum to
+    2 |0><0|, not I: no projective measurement, so only that flag fails."""
+    e0 = np.diag([1.0, 0.0]).astype(complex)
+    alice = np.array([[e0, e0]])
+    s = game.POVMStrategy(2, 2, 2, maximally_entangled(2), alice, alice.conj())
+    flags = game.normal_form_properties(s, complete_graph(1))
+    assert [k for k, ok in flags.items() if not ok] == ["projective_equal_rank"]
 
 
 def test_normalize_perturbed_k2():
@@ -1356,16 +1366,18 @@ def test_contractions_match_einsum(name):
             _assert_close(game.quantum_outcome_distribution(s, v, w),
                           np.einsum("ak,bk->ab", rx[v], rz[w]).real)
 
-    # projectors_ok on an exactly Hermitian, traceless table: the
-    # idempotence defect max|T T - T| alone decides the answer
+    # measurement_ok on an exactly Hermitian, traceless table: the
+    # idempotence defect max|T T - T| alone decides whether the checks
+    # before the sum pass
     rng = np.random.default_rng(5)
     t = s.alice + rng.standard_normal(s.alice.shape)
     t = (t + t.conj().swapaxes(-2, -1)) / 2
     t -= np.einsum("vaii->va", t)[..., None, None] / s.dim_a * np.eye(s.dim_a)
     defect = np.max(np.abs(np.einsum("vaij,vajk->vaik", t, t) - t), initial=0.0)
-    assert reps.projectors_ok(t, 0, defect * (1 + 1e-13))
+    assert reps.measurement_ok(t, 0, defect * (1 + 1e-13)).reason in (
+        None, "projectors do not sum to the identity")
     if n:
-        assert not reps.projectors_ok(t, 0, defect * (1 - 1e-13))
+        assert reps.measurement_ok(t, 0, defect * (1 - 1e-13)).reason == "projector not idempotent"
 
     if rotate:  # the stage-1 rotation into the Schmidt basis
         sd = schmidt(s.state, s.dim_a, s.dim_b)

@@ -321,7 +321,7 @@ def _rank2_projector_coloring() -> reps.QuantumColoring:
         for a in range(3):
             blk = 2 * ((col[v] + a) % 3)
             projs[v, a, blk:blk + 2, blk:blk + 2] = np.eye(2)
-    return reps.QuantumColoring(3, 2, projectors=projs)
+    return reps.QuantumColoring(3, 2, projs)
 
 
 def _codec_examples():

@@ -45,9 +45,9 @@ def test_verify_orthrep_shape_mismatch():
 def test_verifiers_accept_the_empty_graph():
     g = make_graph(0, [])
     assert reps.verify_quantum_coloring(
-        g, reps.QuantumColoring(2, 1, vectors=np.zeros((0, 2, 2))))
+        g, reps.QuantumColoring(2, 1, np.zeros((0, 2, 2))))
     assert reps.verify_quantum_coloring(
-        g, reps.QuantumColoring(2, 2, projectors=np.zeros((0, 2, 4, 4))))
+        g, reps.QuantumColoring(2, 2, np.zeros((0, 2, 4, 4))))
     assert reps.verify_matrix_representation(
         g, reps.MatrixRepresentation(2, np.zeros((0, 2, 2))))
 
@@ -56,11 +56,21 @@ def test_verifiers_reject_dimension_zero():
     """C^0 holds no state: a "coloring" there would bound chi_q1(K3) by 0."""
     g = complete_graph(3)
     assert not reps.verify_quantum_coloring(
-        g, reps.QuantumColoring(0, 1, vectors=np.zeros((3, 0, 0))))
+        g, reps.QuantumColoring(0, 1, np.zeros((3, 0, 0))))
     assert not reps.verify_quantum_coloring(
-        g, reps.QuantumColoring(2, 0, projectors=np.zeros((3, 2, 0, 0))))
+        g, reps.QuantumColoring(2, 0, np.zeros((3, 2, 0, 0))))
     assert not reps.verify_matrix_representation(
         g, reps.MatrixRepresentation(0, np.zeros((3, 0, 0))))
+
+
+@pytest.mark.parametrize("colors, rank, shape", [
+    (2, 1, (3, 2)), (2, 1, (3, 2, 2, 2, 2)), (2, 1, (3, 3, 2)), (2, 1, (3, 3, 2, 2)),
+    (2, 1, (3, 2, 2, 3)), (2, 2, (3, 2, 4))],
+    ids=["ndim-2", "ndim-5", "vectors-colors", "projectors-colors", "not-square",
+         "vectors-rank-2"])
+def test_quantum_coloring_refuses_a_malformed_table(colors, rank, shape):
+    with pytest.raises(reps.RepsError):
+        reps.QuantumColoring(colors, rank, np.zeros(shape))
 
 
 def _unitary(rng, d):
@@ -103,7 +113,7 @@ def _golden_verdicts():
             for rank, p in ((1, p1), (2, p2)):
                 p = p + _noise(rng, p.shape, hermitian=case % 2 == 0)
                 out[f"rank{rank}"] += "01"[bool(reps.verify_quantum_coloring(
-                    g, reps.QuantumColoring(c, rank, projectors=p)))]
+                    g, reps.QuantumColoring(c, rank, p)))]
                 d = p.shape[2]
                 s = game.POVMStrategy(
                     c, d, d, maximally_entangled(d) + _noise(rng, d * d), p,
@@ -113,7 +123,7 @@ def _golden_verdicts():
     return out
 
 
-# recorded before projectors_ok and edges_orthogonal took over the checks
+# recorded before measurement_ok and edges_orthogonal took over the checks
 GOLDEN_VERDICTS = {
     "matrixrep": ("0011111110001010110100101111011110101001011101101110011100111100"
                   "010101000010100111111101011001010100"),
@@ -169,12 +179,12 @@ def test_verdicts_name_what_failed_and_where():
     h = hadamard_graph(4)
     vectors = qc.vectors.copy()
     vectors[9, 1] *= 1.5  # no longer a unit vector
-    verdict = reps.verify_quantum_coloring(h, reps.QuantumColoring(4, 1, vectors=vectors))
+    verdict = reps.verify_quantum_coloring(h, reps.QuantumColoring(4, 1, vectors))
     assert not verdict and verdict.where == (9,)
     assert verdict.residual == pytest.approx(1.25)
     assert verdict.reason == "not an orthonormal basis"
     verdict = reps.verify_quantum_coloring(
-        h, reps.QuantumColoring(4, 1, vectors=qc.vectors[:, :, :3]))
+        h, reps.QuantumColoring(4, 1, qc.vectors[:, :, :3]))
     assert not verdict and verdict.where is None and verdict.residual == 1.0
 
 
@@ -187,8 +197,8 @@ def test_a_nan_makes_every_verifier_reject(vertex):
     assert not verdict and np.isnan(verdict.residual)
     assert vertex in verdict.where[:2] and verdict.where[2] == 2
     p = np.einsum("vai,vaj->vaij", vecs, vecs.conj())
-    assert not reps.verify_quantum_coloring(g, reps.QuantumColoring(4, 1, vectors=vecs))
-    assert not reps.verify_quantum_coloring(g, reps.QuantumColoring(4, 1, projectors=p))
+    assert not reps.verify_quantum_coloring(g, reps.QuantumColoring(4, 1, vecs))
+    assert not reps.verify_quantum_coloring(g, reps.QuantumColoring(4, 1, p))
     assert not reps.verify_matrix_representation(
         g, reps.MatrixRepresentation(4, vecs.transpose(0, 2, 1)))
     assert not reps.verify_orthogonal_representation(
@@ -893,7 +903,7 @@ def _omega4_consistency(same_basis):
     vecs = qc.vectors
     if same_basis:
         vecs = np.broadcast_to(vecs[:1], vecs.shape)
-    s = game.strategy_from_quantum_coloring(reps.QuantumColoring(4, 1, vectors=vecs))
+    s = game.strategy_from_quantum_coloring(reps.QuantumColoring(4, 1, vecs))
     return game.check_consistency(s, hadamard_graph(4))
 
 
