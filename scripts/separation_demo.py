@@ -87,7 +87,7 @@ def act_game() -> None:
     lam /= np.linalg.norm(lam)
     state = np.diag(lam).astype(complex)
     ops = np.zeros((5, 4, 3, 3), dtype=complex)
-    ops[:, :3] = np.einsum("vai,vaj->vaij", qc.vectors, qc.vectors.conj())
+    ops[:, :3] = np.einsum("vai,vaj->vaij", qc.table, qc.table.conj())
     messy = game.POVMStrategy(4, 3, 3, state.ravel(), ops, ops.conj())
     print(f"  perturbed strategy still wins: "
           f"{game.quantum_win_probability(g, messy):.12f}")

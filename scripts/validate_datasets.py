@@ -24,8 +24,6 @@ from qcolor.graphs import orthogonality_graph  # noqa: E402
 
 OUT = ROOT / "src" / "qcolor" / "data" / "validation.json"
 
-BRUTE_FORCE_LIMIT = 25
-
 # name -> (size, dimension, orthogonal pairs, bases, is_ks, is_weak_ks, chi)
 EXPECTED = {
     "cabello-18": (18, 4, 63, 9, True, True, 5),
@@ -67,7 +65,7 @@ def validate(name: str) -> dict:
         record["witness_ones"] = [s.labels[i] for i, x in
                                   enumerate(dec.witness) if x]
 
-    if s.size <= BRUTE_FORCE_LIMIT:
+    if s.size <= ks.BRUTE_FORCE_LIMIT:
         slow = ks.brute_force_ks(s)
         assert (slow.is_ks, slow.is_weak_ks) == (dec.is_ks, dec.is_weak_ks)
         record["brute_force_agrees"] = True

@@ -280,7 +280,7 @@ def quantum_win_probability(g: Graph, s: POVMStrategy) -> float:
     the total mass (a = c, the color of _total_mass).  Assumes s passed
     validate_strategy."""
     _check_cover(g, s)
-    pairs = PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1])
+    pairs = PairBlocks(g)
     psi, c, win = s.state_matrix(), s.colors, 0.0
     for a in range(c + 1):
         b = a if a < c else 0
@@ -329,7 +329,7 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
         raise GameError("tol must be positive and finite and max_violations "
                         f">= 1, got tol={tol}, max_violations={max_violations}")
     psi, c, n, e = s.state_matrix(), s.colors, s.n_vertices, g.edge_array
-    pairs, cut = PairBlocks(e[:, 0], e[:, 1]), n * c * c
+    pairs, cut = PairBlocks(g), n * c * c
     keys, vals = np.empty(0, dtype=np.int64), np.empty(0)
 
     def merge(v, key_of):  # the hits of v, by key

@@ -42,6 +42,8 @@ _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 def _number(x, kind=int):  # a pair array reads as the lists json.loads gives
     x = x.tolist() if isinstance(x, np.ndarray) else x
+    if isinstance(x, bool):  # int(True) would read as 1
+        raise FormatError(f"{x!r} is not a number")
     value = kind(x)
     if isinstance(x, float) and value != x:  # int(2.7) would read as 2
         raise FormatError(f"{x!r} is not an integer")
@@ -93,7 +95,7 @@ def parse_dimacs(text: str) -> Graph:
             raise FormatError(f"line {lineno}: unrecognized line {raw!r}")
     if n is None:
         raise FormatError("missing problem line")
-    g = make_graph(n, sorted(set(edges)))
+    g = make_graph(n, set(edges))
     if g.edge_array.shape[0] != declared_m:
         warnings.warn(f"DIMACS header declares {declared_m} edges but "
                       f"{g.edge_array.shape[0]} distinct edges were read",

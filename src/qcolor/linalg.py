@@ -10,9 +10,9 @@ Conventions, fixed package-wide:
   singular / eigen value (default 1e-7);
 * products of operator stacks use @ (BLAS); einsum is kept for outer
   products, traces and elementwise sums, which contract nothing;
-* per-pair values (game evaluators, edge verifiers) go through PairBlocks, one
-  way (a reversed pair swaps the tables) and a block of rows at a time, to the
-  caller's reducer: memory is a small int per pair plus a block, never (pairs, c).
+* per-edge values (game evaluators, edge verifiers) go through PairBlocks(g),
+  one way (a reversed edge swaps the tables) and a block of rows at a time, to
+  the caller's reducer: memory is a small int per edge plus a block, never (m, c).
 * positivity is certified by psd_certified, the one Cholesky in the package;
   eigen-decompositions run only where eigenvalues or eigenvectors are used.
 * per-vertex checks go through reps._worst_vertex, a block of vertices at a time,
@@ -42,41 +42,39 @@ class LinalgError(ValueError):
 
 
 class PairBlocks:
-    """The pair kernel: x[vs[e]] . z[ws[e]] (no conjugation) for rows of two
-    (n, k) arrays, vs sorted as in a Graph's edge_array.  The dot is
-    symmetric, so the reversed pair's x[ws[e]] . z[vs[e]] is values(z, x).
-    The pairs are grouped once by blocks of rows of x, block_rows(a complex
-    product row, one column per index) read at construction, one small int
-    each; each block costs one GEMM against only the rows of z it touches
-    (BLAS speed on dense pairs, linear in n on sparse ones), read as a view
-    z[first:last + 1] when they are one whole range and gathered otherwise,
-    and the caller's reducer keeps what it needs of the block's values and
-    drops them."""
+    """The pair kernel: x[u] . z[w] (no conjugation) for each edge (u, w) of a
+    Graph g, u < w, in the order of g.edge_array, for rows of two (n, k)
+    arrays.  The dot is symmetric, so the reversed edge's x[w] . z[u] is
+    values(z, x).  The edges are grouped once by blocks of rows of x,
+    block_rows(a complex product row, one column per vertex up to the largest
+    endpoint) read at construction, one small int each; each block costs one
+    GEMM against only the rows of z it touches (BLAS speed on dense graphs,
+    linear in n on sparse ones), read as a view z[first:last + 1] when they
+    are one whole range and gathered otherwise, and the caller's reducer
+    keeps what it needs of the block's values and drops them."""
 
-    def __init__(self, vs, ws):
-        vs, ws = np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.int64)
-        if np.any(vs[1:] < vs[:-1]):
-            raise LinalgError("pairs must be sorted by their first index")
-        top = int(max(vs.max(initial=-1), ws.max(initial=-1))) + 1
+    def __init__(self, g):
+        e = g.edge_array
+        vs, ws = e[:, 0], e[:, 1]
+        top = int(e.max(initial=-1)) + 1
         rows = self.rows = block_rows(16 * top)
         starts = np.arange(0, top + rows, rows)
         cuts = np.searchsorted(vs, starts)
-        # per nonempty block: first row, its pairs, the columns they touch,
-        # and each pair's flat position in the (rows, columns) product
+        # per nonempty block: first row, its edges, the columns they touch,
+        # and each edge's flat position in the (rows, columns) product
         self.blocks = []
         for lo, i, j in zip(starts[:-1], cuts[:-1], cuts[1:]):
             if j > i:
-                cols = np.sort(ws[i:j])  # deduplicated below: np.unique hashes, slower
-                cols = cols[np.diff(cols, prepend=-1) != 0]
-                at = (vs[i:j] - lo) * cols.size + np.searchsorted(cols, ws[i:j])
+                cols, at = np.unique(ws[i:j], return_inverse=True)
+                at = (vs[i:j] - lo) * cols.size + at
                 size = np.min_scalar_type(rows * cols.size)
                 if cols[-1] - cols[0] + 1 == cols.size:  # a view, not a gather
                     cols = slice(int(cols[0]), int(cols[-1]) + 1)
                 self.blocks.append((lo, slice(i, j), cols, at.astype(size)))
 
     def values(self, x: np.ndarray, z: np.ndarray):
-        """Yields (sel, values) per block: values[i] is the value of pair
-        sel.start + i, sel a slice of pair ids."""
+        """Yields (sel, values) per block: values[i] is the value of edge
+        sel.start + i, sel a slice of edge ids."""
         for lo, sel, cols, at in self.blocks:
             yield sel, (x[lo:lo + self.rows] @ z[cols].T).ravel()[at]
 

@@ -79,10 +79,6 @@ class QuantumColoring:
         object.__setattr__(self, "table", t)
 
     @property
-    def vectors(self) -> np.ndarray | None:  # the table when it holds vectors
-        return self.table if self.table.ndim == 3 else None
-
-    @property
     def n_vertices(self) -> int:
         return len(self.table)
 
@@ -171,8 +167,7 @@ def edges_orthogonal(g: Graph, x: np.ndarray, tol: float) -> VerifyResult:
     """Whether |<x[u, a], x[w, a]>| <= tol for every edge (u, w) and color a;
     x is (n, colors, k).  The verdict carries the worst modulus and its
     (u, w, a)."""
-    e = g.edge_array
-    pairs = PairBlocks(e[:, 0], e[:, 1])
+    e, pairs = g.edge_array, PairBlocks(g)
     worst, where = 0.0, None
     for a in range(x.shape[1]):
         for sel, r in pairs.values(x[:, a].conj(), x[:, a]):
@@ -637,7 +632,7 @@ def chi_q1_upper_via_product(g: Graph, c_max: int,
     for c in range(max(lower, 1), c_max + 1):
         col = is_c_colorable(g, c, budget)
         if col.status == "yes":
-            blocks = quantum_coloring_from_classical(g, col.certificate).vectors
+            blocks = quantum_coloring_from_classical(g, col.certificate).table
         else:
             res = search_orthogonal_representation(
                 cartesian_product(g, complete_graph(c)), c, params)

@@ -23,10 +23,10 @@ def as_tables(s: game.POVMStrategy) -> game.POVMStrategy:
 
 
 def pair_block_rows(monkeypatch, n: int, rows: int) -> None:
-    """Sets linalg.BLOCK_BYTES so that the pair kernel cuts pairs of indices
-    below n, the largest n - 1, into blocks of this many rows."""
+    """Sets linalg.BLOCK_BYTES so that the pair kernel cuts the edges of a
+    graph whose largest endpoint is n - 1 into blocks of this many rows."""
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * n * rows)
-    assert linalg.PairBlocks([0], [n - 1]).rows == rows
+    assert linalg.PairBlocks(make_graph(n, [(0, n - 1)])).rows == rows
 
 
 def umbrella_gram() -> np.ndarray:

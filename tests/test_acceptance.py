@@ -219,7 +219,7 @@ def test_criterion_08_classical_unions_not_weak_ks(capsys):
         g = random_graph(n, 0.5, seed=20_000 + seed)
         cert = coloring.chromatic_number(g).certificate
         qc = reps.quantum_coloring_from_classical(g, cert)
-        union = qc.vectors.reshape(g.n * qc.colors, qc.colors)
+        union = qc.table.reshape(g.n * qc.colors, qc.colors)
         s = ks.canonicalize(union)
         dec = ks.ks_check(s)
         ok = (not dec.is_weak_ks and dec.witness is not None

@@ -247,8 +247,10 @@ def test_input_error_exit_code(capsys, tmp_path):
     (("game", "exact", "{k2}", "{file}"),
      '{"colors": -1, "dim_a": 1, "dim_b": 1, "state": [[1, 0]], '
      '"alice": [[], []], "bob": [[], []]}'),
+    (("verify-rep", "{k2}", "{file}"),
+     '{"kind": "coloring", "payload": {"colors": 2, "assignment": [false, true]}}'),
 ], ids=["dimension-1e400", "coordinate-401-digits", "coordinate-5001-digits",
-        "colors-1e400", "negative-colors"])
+        "colors-1e400", "negative-colors", "assignment-booleans"])
 def test_malformed_numbers_in_json_are_input_errors(capsys, tmp_path, c5_file,
                                                     k2_file, argv, text):
     p = tmp_path / "input.json"
@@ -616,7 +618,7 @@ def test_failed_verifiers_print_the_residual_and_where(capsys, c5_file, tmp_path
             "color 0 (residual 0.8)") in err
     g = tmp_path / "had4.col"
     g.write_text(io.write_dimacs(hadamard_graph(4)))
-    vectors = reps.hadamard_quantum_coloring(4).vectors.copy()
+    vectors = reps.hadamard_quantum_coloring(4).table.copy()
     vectors[9, 1] *= 1.5
     io.write_json(io.certificate_to_dict(
         "qcoloring", reps.QuantumColoring(4, 1, vectors),

@@ -1564,7 +1564,7 @@ def _omega4_factored(**sides):
 def _factored_defect(kind):
     """The Omega_4 strategy with one defect of a factored side, or of its
     state, and the validation error that names it."""
-    x = reps.hadamard_quantum_coloring(4).vectors
+    x = reps.hadamard_quantum_coloring(4).table
     if kind == "not-orthogonal":  # vertex 5's vectors stay unit
         y = x.conj()
         y[5, 1] += 1e-3 * y[5, 0]
@@ -1611,7 +1611,7 @@ def test_factored_tables_expand_once_as_they_were_made():
     first read and kept."""
     qc = reps.hadamard_quantum_coloring(4)
     s = game.strategy_from_quantum_coloring(qc)
-    v = qc.vectors
+    v = qc.table
     table = np.einsum("vai,vaj->vaij", v, v.conj(), order="C")
     assert s.n_vertices == 16 and not {"alice", "bob"} & vars(s).keys()
     assert s.alice.tobytes() == table.tobytes() and s.alice is s.alice

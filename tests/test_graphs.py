@@ -173,7 +173,7 @@ def ray_array(name):
     if name.startswith("signs"):
         return ks.canonicalize([np.array(v, dtype=float) for v in itertools.product(
             (-1, 0, 1), repeat=int(name[5:])) if any(v)]).vectors
-    raw = reps.hadamard_quantum_coloring(8).vectors.reshape(-1, 8)
+    raw = reps.hadamard_quantum_coloring(8).table.reshape(-1, 8)
     return ks.canonicalize(raw).vectors if name == "omega8" else raw
 
 

@@ -401,6 +401,19 @@ def test_malformed_payload_is_format_error(kind, payload, match):
         io.decode_payload(kind, payload)
 
 
+@pytest.mark.parametrize("read, data", [
+    (io.vector_set_from_dict, {"dimension": True, "vectors": [{"coords": [[1, 0]]}]}),
+    (io.vector_set_from_dict,
+     {"dimension": 1, "tolerance": True, "vectors": [{"coords": [[1, 0]]}]}),
+    (io.strategy_from_dict, {"colors": True, "dim_a": 1, "dim_b": 1, "state": [[1, 0]],
+                             "alice": [[[[1, 0]]]], "bob": [[[[1, 0]]]]}),
+], ids=["vector-set-dimension", "vector-set-tolerance", "strategy-colors"])
+def test_json_booleans_are_not_numbers(read, data):
+    """A JSON true in an integer or float field is refused, not read as 1."""
+    with pytest.raises(io.FormatError, match="True is not a number"):
+        read(data)
+
+
 def test_invalid_json_reports_path(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -894,7 +907,7 @@ def test_certificate_operator_contract(tmp_path, table, want):
             io.decode_payload(kind, payload)
     else:
         qc = io.decode_payload(kind, payload)
-        assert np.array_equal(qc.vectors.ravel(), np.array(want, dtype=complex))
+        assert np.array_equal(qc.table.ravel(), np.array(want, dtype=complex))
 
 
 def test_read_certificate_gives_pair_arrays(tmp_path):

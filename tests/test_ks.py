@@ -384,7 +384,7 @@ def golden_set(name: str) -> ks.VectorSet:
         return ks.canonicalize(union_of_bases(*map(int, name[5:].split("x"))))
     if name.startswith("omega"):
         n = int(name[5:])  # the rank-1 coloring rays of the Hadamard graph
-        return ks.canonicalize(reps.hadamard_quantum_coloring(n).vectors.reshape(-1, n))
+        return ks.canonicalize(reps.hadamard_quantum_coloring(n).table.reshape(-1, n))
     return random_ray_set(int(name[6:]))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import qcolor
 from conftest import pair_block_rows, random_graph
 from qcolor import linalg
-from qcolor.graphs import hadamard_graph
+from qcolor.graphs import Graph, hadamard_graph, make_graph
 
 
 def random_state(d_a, d_b, seed, rank=None):
@@ -152,31 +152,28 @@ ROWS = 512  # rows per pair block in the "three row blocks" cases
 @pytest.mark.parametrize("n, c, k, m", [
     (2 * ROWS + 37, 3, 5, 3000),  # three row blocks
     (7, 1, 4, 30),                # a single color
-    (5, 4, 2, 0),                 # no pairs at all
+    (5, 4, 2, 0),                 # no edges at all
 ])
 def test_pair_values_matches_einsum(monkeypatch, n, c, k, m):
+    """The kernel on the edges of a graph drawn as m random pairs (loops and
+    repeats dropped) against einsum, each edge as given and reversed."""
     pair_block_rows(monkeypatch, n, ROWS)
     rng = np.random.default_rng(n + m)
     x = rng.normal(size=(n, c, k)) + 1j * rng.normal(size=(n, c, k))
     z = rng.normal(size=(n, c, k)) + 1j * rng.normal(size=(n, c, k))
-    vs = rng.integers(0, n, size=m)
-    ws = rng.integers(0, n, size=m)
-    # random pairs, then a repeated half, then every pair reversed, in the
-    # order the kernel takes them: by first index (a stable sort)
-    vs, ws = (np.concatenate([vs, vs[:m // 2], ws]),
-              np.concatenate([ws, ws[:m // 2], vs]))
-    order = np.argsort(vs, kind="stable")
-    vs, ws = vs[order], ws[order]
-    pairs = linalg.PairBlocks(vs, ws)
+    g = make_graph(n, {(min(p), max(p)) for p in rng.integers(0, n, size=(m, 2)).tolist()
+                       if p[0] != p[1]})
+    vs, ws = g.edge_array.T
+    pairs = linalg.PairBlocks(g)
     for a in range(c):
         xa, za = x[:, a], z[:, a]
         forward = np.einsum("ek,ek->e", xa[vs], za[ws])
-        # pair e reversed, x[ws[e]] . z[vs[e]], is the kernel on swapped tables
+        # edge e reversed, x[ws[e]] . z[vs[e]], is the kernel on swapped tables
         for tables, reduce, want in [((xa, za), np.asarray, forward),
                                      ((za, xa), np.asarray,
                                       np.einsum("ek,ek->e", xa[ws], za[vs])),
                                      ((xa, za), np.abs, np.abs(forward))]:
-            got = np.full(len(vs), np.nan, dtype=complex)
+            got = np.full(g.m, np.nan, dtype=complex)
             for sel, vals in pairs.values(*tables):
                 got[sel] = reduce(vals)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -192,7 +189,7 @@ def test_pair_values_view_matches_the_gather(monkeypatch, graph):
     pair_block_rows(monkeypatch, g.n, 16)
     rng = np.random.default_rng(6)
     x, z = (rng.normal(size=(2, g.n, 3, 4)) + 1j * rng.normal(size=(2, g.n, 3, 4)))[:, :, 1]
-    pairs = linalg.PairBlocks(g.edge_array[:, 0], g.edge_array[:, 1])
+    pairs = linalg.PairBlocks(g)
     views = [isinstance(cols, slice) for _, _, cols, _ in pairs.blocks]
     assert all(views) if graph == "omega6" else sum(views) < len(views) / 4
     for (lo, sel, cols, at), (got_sel, got) in zip(pairs.blocks, pairs.values(x, z)):
@@ -201,9 +198,59 @@ def test_pair_values_view_matches_the_gather(monkeypatch, graph):
         assert got_sel == sel and np.array_equal(got, want)
 
 
-def test_pair_blocks_reject_unsorted_pairs():
-    with pytest.raises(linalg.LinalgError, match="sorted"):
-        linalg.PairBlocks([1, 0], [0, 1])
+def top_isolated_graph() -> Graph:
+    """A sparse graph on vertices 0..59 with vertices 60..99 isolated: the
+    kernel sizes its rows from the largest endpoint, 59, not from g.n."""
+    return make_graph(100, random_graph(60, 0.1, seed=3).edge_array)
+
+
+def index_pair_blocks(vs, ws):
+    """The block layout of the pair kernel as it was built from two index
+    arrays, vs sorted: each block's columns by a sort and an
+    adjacent-difference dedupe, each pair's column by searchsorted."""
+    top = int(max(vs.max(initial=-1), ws.max(initial=-1))) + 1
+    rows = linalg.block_rows(16 * top)
+    starts = np.arange(0, top + rows, rows)
+    cuts = np.searchsorted(vs, starts)
+    blocks = []
+    for lo, i, j in zip(starts[:-1], cuts[:-1], cuts[1:]):
+        if j > i:
+            cols = np.sort(ws[i:j])
+            cols = cols[np.diff(cols, prepend=-1) != 0]
+            at = (vs[i:j] - lo) * cols.size + np.searchsorted(cols, ws[i:j])
+            size = np.min_scalar_type(rows * cols.size)
+            if cols[-1] - cols[0] + 1 == cols.size:
+                cols = slice(int(cols[0]), int(cols[-1]) + 1)
+            blocks.append((lo, slice(i, j), cols, at.astype(size)))
+    return rows, blocks
+
+
+@pytest.mark.parametrize("budget", ["default", "16-rows"])
+@pytest.mark.parametrize("graph", ["omega6", "omega10", "sparse", "top-isolated", "edgeless"])
+def test_pair_blocks_keep_the_index_array_layout(monkeypatch, graph, budget):
+    """PairBlocks(g) lays out g's edges block for block as the kernel built
+    from the two edge columns did: the same first row, edge slice, columns
+    (slice or index array) and positions (values and dtype), and values
+    bit for bit."""
+    g = {"omega6": lambda: hadamard_graph(6), "omega10": lambda: hadamard_graph(10),
+         "sparse": lambda: random_graph(300, 0.02, seed=8),
+         "top-isolated": top_isolated_graph, "edgeless": lambda: make_graph(9, [])}[graph]()
+    if budget == "16-rows":
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * 16 * (int(g.edge_array.max(initial=0)) + 1))
+    rows, want = index_pair_blocks(g.edge_array[:, 0], g.edge_array[:, 1])
+    pairs = linalg.PairBlocks(g)
+    assert pairs.rows == rows and len(pairs.blocks) == len(want)
+    assert rows == 16 or budget == "default" or graph == "edgeless"
+    rng = np.random.default_rng(10)
+    x, z = (rng.normal(size=(2, g.n, 3, 2)) + 1j * rng.normal(size=(2, g.n, 3, 2)))[:, :, 1]
+    for (lo, sel, cols, at), (w_lo, w_sel, w_cols, w_at), (_, got) in zip(
+            pairs.blocks, want, pairs.values(x, z)):
+        assert lo == w_lo and sel == w_sel and type(cols) is type(w_cols)
+        assert cols == w_cols if isinstance(cols, slice) else (
+            cols.dtype == w_cols.dtype and np.array_equal(cols, w_cols))
+        assert at.dtype == w_at.dtype and np.array_equal(at, w_at)
+        ref = (x[w_lo:w_lo + rows] @ z[w_cols].T).ravel()[w_at]
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # -- the positivity certificate -------------------------------------------------

@@ -95,9 +95,9 @@ def _golden_verdicts():
     normal_form_properties flags of the projector tables used as strategies
     (maximally entangled state, Bob = conj(Alice), each perturbed)."""
     bases = [(g, reps.quantum_coloring_from_classical(
-        g, coloring.chromatic_number(g).certificate).vectors)
+        g, coloring.chromatic_number(g).certificate).table)
         for g in (complete_graph(2), cycle(5), petersen())]
-    bases.append((hadamard_graph(4), reps.hadamard_quantum_coloring(4).vectors))
+    bases.append((hadamard_graph(4), reps.hadamard_quantum_coloring(4).table))
     out = {"matrixrep": "", "rank1": "", "rank2": "", "nf": ""}
     for k, (g, vecs) in enumerate(bases):
         n, c = vecs.shape[:2]
@@ -177,21 +177,21 @@ def test_verdicts_name_what_failed_and_where():
     assert str(verdict) == "zero vector at vertex 2 (residual 0)"
     qc = reps.hadamard_quantum_coloring(4)
     h = hadamard_graph(4)
-    vectors = qc.vectors.copy()
+    vectors = qc.table.copy()
     vectors[9, 1] *= 1.5  # no longer a unit vector
     verdict = reps.verify_quantum_coloring(h, reps.QuantumColoring(4, 1, vectors))
     assert not verdict and verdict.where == (9,)
     assert verdict.residual == pytest.approx(1.25)
     assert verdict.reason == "not an orthonormal basis"
     verdict = reps.verify_quantum_coloring(
-        h, reps.QuantumColoring(4, 1, qc.vectors[:, :, :3]))
+        h, reps.QuantumColoring(4, 1, qc.table[:, :, :3]))
     assert not verdict and verdict.where is None and verdict.residual == 1.0
 
 
 @pytest.mark.parametrize("vertex", [0, 5, 15])
 def test_a_nan_makes_every_verifier_reject(vertex):
     g = hadamard_graph(4)
-    vecs = reps.hadamard_quantum_coloring(4).vectors.copy()
+    vecs = reps.hadamard_quantum_coloring(4).table.copy()
     vecs[vertex, 2, 1] = np.nan
     verdict = reps.edges_orthogonal(g, vecs, 1e-9)
     assert not verdict and np.isnan(verdict.residual)
@@ -235,7 +235,7 @@ def test_matrixrep_orthrep_roundtrip(seed):
     res = coloring.chromatic_number(g)
     c = res.chi
     qc = reps.quantum_coloring_from_classical(g, res.certificate)
-    orth = reps.OrthogonalRepresentation(c, qc.vectors.reshape(g.n * c, c))
+    orth = reps.OrthogonalRepresentation(c, qc.table.reshape(g.n * c, c))
     prod = cartesian_product(g, complete_graph(c))
     assert reps.verify_orthogonal_representation(prod, orth)
     mrep = reps.orthrep_to_matrixrep(g, orth)
@@ -900,7 +900,7 @@ def _omega4_consistency(same_basis):
     """check_consistency of the Hadamard strategy on Omega_4, or of the one
     where every vertex measures in vertex 0's basis (384 violations)."""
     qc = reps.hadamard_quantum_coloring(4)
-    vecs = qc.vectors
+    vecs = qc.table
     if same_basis:
         vecs = np.broadcast_to(vecs[:1], vecs.shape)
     s = game.strategy_from_quantum_coloring(reps.QuantumColoring(4, 1, vecs))
