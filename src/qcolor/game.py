@@ -163,7 +163,7 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     block's PSD check asks linalg.psd_certified first, at a floor that also
     covers eigvalsh's rounding (_psd_defect), so the accept set is
     eigvalsh's; every block it does not certify goes to eigvalsh."""
-    if abs(np.linalg.norm(s.state) - 1.0) > tol:
+    if not abs(np.linalg.norm(s.state) - 1.0) <= tol:  # a NaN norm fails too
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in zip(("alice", "bob"), s.sides, (s.dim_a, s.dim_b)):
         verdict = measurement_ok(ops, 1, tol) if ops.ndim == 3 else (
@@ -254,11 +254,10 @@ def _outcomes(s: POVMStrategy, v: int, w: int, psi: np.ndarray) -> np.ndarray:
     return (_alice_products(s.alice[v], psi) @ s.bob[w].reshape(s.colors, -1).T).real
 
 
-def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int,
-                                 tol: float = 1e-8) -> np.ndarray:
+def quantum_outcome_distribution(s: POVMStrategy, v: int, w: int) -> np.ndarray:
     """P[alpha, beta] = <psi| E_{v,alpha} (x) F_{w,beta} |psi> as a real
     (c, c) array.  Entries of a valid strategy are >= -1e-12 and sum to 1."""
-    validate_strategy(s, tol)
+    validate_strategy(s)
     if not (0 <= v < s.n_vertices and 0 <= w < s.n_vertices):
         raise GameError(f"vertex pair ({v},{w}) out of range")
     return _outcomes(s, v, w, s.state_matrix())
@@ -305,7 +304,7 @@ class Violation:
 class ConsistencyReport(CheckResult):
     ok: bool
     violations: tuple[Violation, ...]
-    truncated: bool  # the list stopped at max_violations; more may exist
+    truncated: bool  # the list stopped at MAX_VIOLATIONS; more may exist
 
     @property
     def count_text(self) -> str:
@@ -313,21 +312,24 @@ class ConsistencyReport(CheckResult):
         return f"{'at least ' if self.truncated else ''}{len(self.violations)}"
 
 
-def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
-                      max_violations: int = 1000) -> ConsistencyReport:
+# violations check_consistency lists at most (read per call)
+MAX_VIOLATIONS = 1000
+
+
+def check_consistency(s: POVMStrategy, g: Graph,
+                      tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Winning-strategy conditions: on every vertex the off-diagonal outcome
     mass vanishes; across every edge the equal-color mass vanishes.  Lists
-    each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol:
-    vertex violations first, then edges as (u, v), then edges as (v, u).
+    each (v, alpha, beta) and (v, w, alpha) whose probability exceeds tol, up
+    to MAX_VIOLATIONS: vertices first, then edges as (u, v), then as (v, u).
     One color a at a time, with (x, zs, f) its _operands: x against Bob's
     whole table zs for the vertices, and through PairBlocks against
     z = zs[:, a] for the edges, x against z for (u, v) and z against x for
     (v, u), each value mapped by f; the hits merge into the smallest keys so
     far.  Assumes s passed validate_strategy."""
     _check_cover(g, s)
-    if not (0 < tol < np.inf and max_violations >= 1):
-        raise GameError("tol must be positive and finite and max_violations "
-                        f">= 1, got tol={tol}, max_violations={max_violations}")
+    if not 0 < tol < np.inf:
+        raise GameError(f"tol must be positive and finite, got {tol}")
     psi, c, n, e = s.state_matrix(), s.colors, s.n_vertices, g.edge_array
     pairs, cut = PairBlocks(g), n * c * c
     keys, vals = np.empty(0, dtype=np.int64), np.empty(0)
@@ -337,7 +339,7 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
         hit = np.flatnonzero(np.abs(v) > tol)
         if hit.size:
             keys, vals = np.concatenate([keys, key_of(hit)]), np.concatenate([vals, v[hit]])
-            keep = np.argsort(keys)[:max_violations]
+            keep = np.argsort(keys)[:MAX_VIOLATIONS]
             keys, vals = keys[keep], vals[keep]
 
     for a in range(c):
@@ -359,7 +361,7 @@ def check_consistency(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
             u, w = map(int, e[i, ::-1] if side else e[i])
             out.append(Violation("edge", u, w, a, a, value))
     return ConsistencyReport(ok=not out, violations=tuple(out),
-                             truncated=len(out) == max_violations)
+                             truncated=len(out) == MAX_VIOLATIONS)
 
 
 # ---------------------------------------------------------------------------

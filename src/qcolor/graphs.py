@@ -4,9 +4,10 @@ Vertices are integers 0..n-1.  Edges are unordered pairs stored once with
 u < v, lexicographically sorted, so two graphs compare equal iff they have
 identical vertex counts and edge sets.
 
-Neighbour queries read sorted per-vertex arrays, O(m) in all.  The exact
-searches (DSATUR, clique, basis enumeration, the KS search) all read one int
-bitset per vertex, Graph.masks, and keep explicit stacks, never recursion.
+A Graph keeps its edge array and one derived form per job: the exact
+searches (DSATUR, clique, basis enumeration, the KS search) read one int
+bitset per vertex, Graph.masks, and keep explicit stacks, never recursion;
+theta, PSD witnesses and the complement read the dense _adjacency_mask.
 """
 from __future__ import annotations
 
@@ -97,31 +98,14 @@ class Graph:
         return self.edge_array.shape[0]
 
     @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, ...]:
-        # both orientations sorted by (source, target), split per source: O(m)
-        arcs = np.concatenate([self.edge_array, self.edge_array[:, ::-1]])
-        arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
-        cuts = np.searchsorted(arcs[:, 0], np.arange(1, self.n))
-        return tuple(np.split(arcs[:, 1].copy(), cuts)) if self.n else ()
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Adjacency bitsets for the exact searches: bit w of masks[v] is set
-        iff v ~ w.  They take up to n^2/8 bytes in all, so neighbors and
-        has_edge read the O(m) lists instead."""
+        iff v ~ w, up to n^2/8 bytes in all."""
         masks = [0] * self.n
         for u, v in self.edge_array.tolist():
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self._adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self._adjacency[u]
-        i = np.searchsorted(a, v)
-        return i < len(a) and a[i] == v
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for u, v in self.edge_array:

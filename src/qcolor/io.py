@@ -14,6 +14,7 @@ first item at fault, and allocates nothing from a size the file declares.
 """
 from __future__ import annotations
 
+import itertools
 import json.decoder
 import json.scanner
 import math
@@ -40,14 +41,23 @@ class FormatError(ValueError):
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
-def _number(x, kind=int):  # a pair array reads as the lists json.loads gives
+def _number(x, what: str, kind=int):  # a pair array reads as the lists json.loads gives
     x = x.tolist() if isinstance(x, np.ndarray) else x
-    if isinstance(x, bool):  # int(True) would read as 1
-        raise FormatError(f"{x!r} is not a number")
     value = kind(x)
+    if isinstance(x, (bool, str)):  # int(True) reads as 1, int("2") as 2
+        raise FormatError(f"{x!r} is not a number ({what})")
     if isinstance(x, float) and value != x:  # int(2.7) would read as 2
-        raise FormatError(f"{x!r} is not an integer")
+        raise FormatError(f"{x!r} is not an integer ({what})")
     return value
+
+
+def _numbers_only(data, depth: int) -> bool:
+    """Whether each leaf of data, an ndarray or nested lists depth deep, is a
+    number: np.asarray reads a JSON list's "2" and true as numbers too."""
+    for _ in range(0 if isinstance(data, np.ndarray) else depth - 1):
+        data = itertools.chain.from_iterable(data)
+    return isinstance(data, np.ndarray) or all(
+        issubclass(t, (int, float, np.number)) and t is not bool for t in set(map(type, data)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +157,7 @@ def _unpack(data, shape: tuple[int, ...] | None, what: str,
     else:
         if not a.size and a.ndim < k + 2:  # nested lists end at an empty axis
             a = a.reshape(a.shape + tuple(n or 0 for n in (*lead, size, 2)[a.ndim:]))
-        if not np.isfinite(a).all():  # None converts to NaN
+        if not np.isfinite(a).all() or not _numbers_only(data, a.ndim):  # None converts to NaN
             fault = "contains a non-number or a non-finite value"
         elif (a.ndim != k + 2 or a.shape[-1] != 2
               or any(n not in (None, m) for n, m in zip(lead, a.shape))):
@@ -185,10 +195,10 @@ def vector_set_from_dict(data: dict) -> tuple[VectorSet, float | None]:
     if not isinstance(data, dict):
         raise FormatError("vector set must be a JSON object")
     try:
-        d = _number(data["dimension"])
+        d = _number(data["dimension"], "dimension")
         entries = list(data["vectors"])
         tolerance = data.get("tolerance")
-        tolerance = None if tolerance is None else _number(tolerance, float)
+        tolerance = None if tolerance is None else _number(tolerance, "tolerance", float)
     except _MALFORMED as err:
         raise FormatError(f"vector set missing or malformed field: {err}")
     if tolerance is not None and not 0 < tolerance < math.inf:
@@ -236,7 +246,7 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
     sides = [(name + "_vectors", name + " vector", 1) if name + "_vectors" in data
              else (name, name + " operator", 2) for name in ("alice", "bob")]
     try:
-        c, da, db = (_number(data[key]) for key in ("colors", "dim_a", "dim_b"))
+        c, da, db = (_number(data[key], key) for key in ("colors", "dim_a", "dim_b"))
         state = _unpack(data["state"], None, "state")
         same = len(data[sides[0][0]]) == len(data[sides[1][0]])
     except _MALFORMED as err:
@@ -274,7 +284,8 @@ def _encode_coloring(cert: ColoringCertificate) -> dict:
 
 
 def _decode_coloring(p: dict) -> ColoringCertificate:
-    return ColoringCertificate(_number(p["colors"]), tuple(map(_number, p["assignment"])))
+    return ColoringCertificate(_number(p["colors"], "colors"), tuple(
+        _number(x, f"assignment {v}") for v, x in enumerate(p["assignment"])))
 
 
 def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
@@ -283,7 +294,7 @@ def _encode_orthrep(rep: OrthogonalRepresentation) -> dict:
 
 
 def _decode_orthrep(p: dict) -> OrthogonalRepresentation:
-    d = _number(p["dimension"])
+    d = _number(p["dimension"], "dimension")
     vecs = _unpack(p["vectors"], None, "vector", (None,))
     return OrthogonalRepresentation(d, vecs if len(vecs) else vecs.reshape(0, d))
 
@@ -294,7 +305,7 @@ def _encode_matrixrep(rep: MatrixRepresentation) -> dict:
 
 
 def _decode_matrixrep(p: dict) -> MatrixRepresentation:
-    d = _number(p["dimension"])
+    d = _number(p["dimension"], "dimension")
     return MatrixRepresentation(d, _unpack(p["matrices"], (d, d), "matrix", (None,)))
 
 
@@ -304,7 +315,7 @@ def _encode_qcoloring(qc: QuantumColoring) -> dict:
 
 
 def _decode_qcoloring(p: dict) -> QuantumColoring:
-    c, r = _number(p["colors"]), _number(p["rank"])
+    c, r = _number(p["colors"], "colors"), _number(p["rank"], "rank")
     if "vectors" in p:  # rank 1: d-vectors, d = c when there are none
         vecs = _unpack(p["vectors"], None, "vector", (None, c))
         return QuantumColoring(c, r, vecs if len(vecs) else vecs.reshape(0, c, c))
@@ -324,7 +335,7 @@ def _unpack_square(pairs, what: str) -> np.ndarray:
 
 
 def _decode_psd_witness(p: dict) -> PSDWitness:
-    return PSDWitness(_unpack_square(p["matrix"], "witness matrix"), _number(p["rank"]))
+    return PSDWitness(_unpack_square(p["matrix"], "witness matrix"), _number(p["rank"], "rank"))
 
 
 def _encode_theta(cert: ThetaCertificate) -> dict:

@@ -243,12 +243,12 @@ def orthrep_to_matrixrep(g: Graph, rep: OrthogonalRepresentation,
 def _matrixrep_from_blocks(g: Graph, blocks: np.ndarray,
                            tol: float) -> MatrixRepresentation:
     """Blocks (n, c, c), row i of block v the vector at product vertex (v, i)
-    of G□K_c -> normalized matrix representation, verified at max(tol * c, tol)."""
+    of G□K_c -> normalized matrix representation, verified at tol * c."""
     c = blocks.shape[2]
     mats = np.ascontiguousarray(
         (blocks / np.linalg.norm(blocks, axis=2, keepdims=True)).transpose(0, 2, 1))
     out = MatrixRepresentation(dimension=c, matrices=mats)
-    if not verify_matrix_representation(g, out, max(tol * c, tol)):
+    if not verify_matrix_representation(g, out, tol * c):
         raise RepsError("internal inconsistency: verified product representation "
                         "did not yield a matrix representation")
     return out
@@ -299,12 +299,11 @@ class SearchResult:
     restarts_tried: int
 
 
-def _polish(x: np.ndarray, neighbors: list[np.ndarray], sweeps: int,
-            tol: float) -> bool:
-    """Cyclic projection: repeatedly replace each vector by its component
-    orthogonal to the span of its neighbors.  Mutates x; returns success."""
+def _polish(x: np.ndarray, neighbors: list[np.ndarray], tol: float) -> bool:
+    """Cyclic projection, at most POLISH_SWEEPS sweeps: replace each vector by
+    its component orthogonal to its neighbors' span.  Mutates x; returns success."""
     n = x.shape[0]
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         worst = 0.0
         for u in range(n):
             nb = neighbors[u]
@@ -330,7 +329,8 @@ def _polish(x: np.ndarray, neighbors: list[np.ndarray], sweeps: int,
 
 class _HalfEdges:
     """Both orientations of every edge, sorted by source vertex once, so one
-    reduceat sums each vertex's gradient terms."""
+    reduceat sums each vertex's gradient terms; the same rows, each sorted,
+    are _polish's neighbour lists."""
 
     def __init__(self, e: np.ndarray):
         self.e0, self.e1 = e[:, 0], e[:, 1]
@@ -400,8 +400,10 @@ def search_orthogonal_representation(g: Graph, c: int,
     if e.shape[0] == 0:  # one color class: every vector is e_0
         rep = representation_from_coloring(ColoringCertificate(c, (0,) * g.n))
         return SearchResult(True, rep, 0.0, 0)
-    neighbors = [np.asarray(g.neighbors(v), dtype=np.int64) for v in range(g.n)]
     half = _HalfEdges(e)
+    neighbors = [np.empty(0, dtype=np.int64)] * g.n  # each sorted, for _polish
+    for v, row in zip(half.sources.tolist(), np.split(half.other, half.starts[1:])):
+        neighbors[v] = np.sort(row)
     block = block_rows(2 * e.shape[0] * c * 16)  # one restart's (2m, c) half-edge array
     best_penalty = np.inf
     for lo in range(0, SEARCH_RESTARTS, block):
@@ -412,7 +414,7 @@ def search_orthogonal_representation(g: Graph, c: int,
         penalty, best = _descend(x, half)
         best_penalty = min(best_penalty, best)
         for i in np.flatnonzero(penalty <= POLISH_THRESHOLD):
-            if _polish(x[i], neighbors, POLISH_SWEEPS, params.tol):
+            if _polish(x[i], neighbors, params.tol):
                 rep = OrthogonalRepresentation(c, x[i].copy())
                 if verify_orthogonal_representation(g, rep, params.tol):
                     return SearchResult(True, rep, 0.0, lo + int(i) + 1)

@@ -3,11 +3,16 @@ import pytest
 from hypothesis import strategies as st
 
 from qcolor import game, linalg
-from qcolor.graphs import Graph, make_graph
+from qcolor.graphs import Graph, _adjacency_mask, make_graph
 
 
 def cycle(n: int) -> Graph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    """g's (n, n) boolean adjacency: adjacency(g)[u, v] iff u ~ v."""
+    return _adjacency_mask(g)
 
 
 def petersen() -> Graph:

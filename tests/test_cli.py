@@ -249,8 +249,14 @@ def test_input_error_exit_code(capsys, tmp_path):
      '"alice": [[], []], "bob": [[], []]}'),
     (("verify-rep", "{k2}", "{file}"),
      '{"kind": "coloring", "payload": {"colors": 2, "assignment": [false, true]}}'),
+    (("verify-rep", "{k2}", "{file}"),
+     '{"kind": "coloring", "payload": {"colors": "2", "assignment": "01"}}'),
+    (("verify-rep", "{k2}", "{file}"),
+     '{"kind": "orthrep", "payload": {"dimension": 2, '
+     '"vectors": [[[1, 0], [0, 0]], [[0, 0], [true, 0]]]}}'),
 ], ids=["dimension-1e400", "coordinate-401-digits", "coordinate-5001-digits",
-        "colors-1e400", "negative-colors", "assignment-booleans"])
+        "colors-1e400", "negative-colors", "assignment-booleans", "coloring-strings",
+        "orthrep-booleans-in-pairs"])
 def test_malformed_numbers_in_json_are_input_errors(capsys, tmp_path, c5_file,
                                                     k2_file, argv, text):
     p = tmp_path / "input.json"
@@ -885,7 +891,7 @@ def test_game_malformed_operator_table_is_input_error(capsys, k2_file, tmp_path,
     assert message in report["error"]
 
 
-def test_game_reports_cut_violation_list(capsys, tmp_path):
+def test_game_reports_cut_violation_list(capsys, monkeypatch, tmp_path):
     """With every vertex of Omega_6 measuring in vertex 0's basis, each of
     the 1280 ordered edges violates all 6 colors: 7680 violations, more
     than check_consistency lists by default."""
@@ -893,8 +899,9 @@ def test_game_reports_cut_violation_list(capsys, tmp_path):
     s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(6))
     ops = np.repeat(s.alice[:1], g.n, axis=0)
     const = game.POVMStrategy(6, 6, 6, s.state, ops, ops.conj())
-    assert len(game.check_consistency(const, g, max_violations=10 ** 4)
-               .violations) == 7680
+    with monkeypatch.context() as m:
+        m.setattr(game, "MAX_VIOLATIONS", 10 ** 4)
+        assert len(game.check_consistency(const, g).violations) == 7680
     graph_file, strat = tmp_path / "omega6.col", tmp_path / "const.json"
     graph_file.write_text(io.write_dimacs(g))
     io.write_strategy(const, strat)

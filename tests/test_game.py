@@ -72,6 +72,18 @@ def test_empty_strategy_validates_vacuously():
         game.validate_strategy(game.POVMStrategy(2, 2, 2, np.ones(4), ops, ops))
 
 
+@pytest.mark.parametrize("form", [lambda s: s, as_tables], ids=["factored", "tables"])
+def test_a_nan_state_fails_the_norm_check(form):
+    """|nan - 1| > tol is False: an all-NaN state passed the norm check, and
+    check_consistency then called the Omega_4 strategy ok."""
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
+    bad = form(game.POVMStrategy(s.colors, s.dim_a, s.dim_b, np.full(16, np.nan), *s.sides))
+    with pytest.raises(game.GameError, match="state norm nan != 1"):
+        game.validate_strategy(bad)
+    with pytest.raises(game.GameError, match="state norm nan != 1"):
+        game.quantum_outcome_distribution(bad, 0, 0)
+
+
 # -- validate_strategy against its whole-table eigvalsh checks ----------------------
 
 
@@ -95,8 +107,9 @@ def _worst(defect, bound, reason):
 
 def reference_verdict(s, tol):
     """validate_strategy's verdict by the three whole-table checks it had
-    before the Cholesky certificate: None, or the GameError text."""
-    if abs(np.linalg.norm(s.state) - 1.0) > tol:
+    before the Cholesky certificate: None, or the GameError text.  The norm
+    check is today's, which a NaN norm or tol fails."""
+    if not abs(np.linalg.norm(s.state) - 1.0) <= tol:
         return f"state norm {np.linalg.norm(s.state):.6g} != 1"
     for name, ops, d in (("alice", s.alice, s.dim_a), ("bob", s.bob, s.dim_b)):
         fault = (_worst(np.abs(ops - ops.conj().transpose(0, 1, 3, 2)), tol,
@@ -718,19 +731,16 @@ def test_consistency_lists_violations():
     assert abs(v0.value) > 1e-3
 
 
-@pytest.mark.parametrize("tol, cap", [(0.0, 10), (-1.0, 10),
-                                      (float("nan"), 10), (1e-9, 0),
-                                      (1e-9, -1)])
-def test_consistency_rejects_bad_tol_or_cap(tol, cap):
-    """At tol=nan no value exceeded tol, and at a cap below 1 none was
-    listed, so this losing K_2 strategy (both vertices answer alike) was
-    reported ok."""
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_consistency_rejects_bad_tol(tol):
+    """At tol=nan no value exceeded tol, so this losing K_2 strategy (both
+    vertices answer alike) was reported ok."""
     g = complete_graph(2)
     e0 = np.diag([1.0, 0.0]).astype(complex)
     alice = np.array([[e0, np.eye(2) - e0], [e0, np.eye(2) - e0]])
     s = game.POVMStrategy(2, 2, 2, maximally_entangled(2), alice, alice.conj())
     with pytest.raises(game.GameError, match="tol must be positive"):
-        game.check_consistency(s, g, tol, max_violations=cap)
+        game.check_consistency(s, g, tol)
 
 
 def test_consistency_vertex_violation():
@@ -745,7 +755,7 @@ def test_consistency_vertex_violation():
     assert all(v.kind == "vertex" for v in rep.violations)
 
 
-def test_consistency_orders_and_caps_violations():
+def test_consistency_orders_and_caps_violations(monkeypatch):
     g = make_graph(3, [(0, 1), (1, 2)])
     vecs = np.zeros((3, 2, 2), dtype=complex)
     for v, k in enumerate((0, 1, 1)):  # shifted bases; edge (1, 2) collides
@@ -760,7 +770,8 @@ def test_consistency_orders_and_caps_violations():
     assert all(v.value == pytest.approx(0.5) for v in rep.violations)
     assert not rep.truncated and rep.count_text == "4"
     for cap in (1, 3, 4):
-        capped = game.check_consistency(s, g, max_violations=cap)
+        monkeypatch.setattr(game, "MAX_VIOLATIONS", cap)
+        capped = game.check_consistency(s, g)
         assert capped.violations == rep.violations[:cap]
         assert capped.truncated and capped.count_text == f"at least {cap}"
 
@@ -846,7 +857,8 @@ def test_consistency_matches_the_pair_array_past_the_cap(monkeypatch):
              for i, a in zip(*np.nonzero(np.abs(vals) > tol))]
     assert len(want) > 10_000
     for cap in (1, 2, 1000, 7000, 10 ** 6):
-        rep = game.check_consistency(s, g, tol, cap)
+        monkeypatch.setattr(game, "MAX_VIOLATIONS", cap)
+        rep = game.check_consistency(s, g, tol)
         got = [(v.kind, v.v, v.w, v.alpha, v.beta) for v in rep.violations]
         assert got == [w[:5] for w in want[:cap]]
         assert np.allclose([v.value for v in rep.violations],
@@ -1334,7 +1346,7 @@ def _assert_close(got, want, scale=None):
 
 
 @pytest.mark.parametrize("name", CONTRACTION_CASES)
-def test_contractions_match_einsum(name):
+def test_contractions_match_einsum(monkeypatch, name):
     """The matmul products of game and reps against the einsum contractions
     they replaced."""
     g, s, rotate = _contraction_case(name)
@@ -1354,7 +1366,8 @@ def test_contractions_match_einsum(name):
     per_vertex = np.einsum("vak,vbk->vab", rx, rz).real
     if n:
         tol = DEFAULT_TOL
-        report = game.check_consistency(s, g, tol, max_violations=n * c * c)
+        monkeypatch.setattr(game, "MAX_VIOLATIONS", n * c * c)
+        report = game.check_consistency(s, g, tol)
         listed = {(v.v, v.alpha, v.beta): v.value for v in report.violations}
         want = (np.abs(per_vertex) > tol) & ~np.eye(c, dtype=bool)
         keys = sorted(listed)
@@ -1516,7 +1529,7 @@ FACTORED_CASES = [f"{base}{how}" for base in ("omega4", "omega6", "c5")
 
 
 @pytest.mark.parametrize("name", FACTORED_CASES)
-def test_factored_evaluators_agree_with_the_tables(name):
+def test_factored_evaluators_agree_with_the_tables(monkeypatch, name):
     """The same strategy evaluated on its vectors and on its expanded tables:
     the win probability within 1e-12, the same violation lists (values
     within 1e-12) at each cap, the same validation verdict, the same
@@ -1527,7 +1540,8 @@ def test_factored_evaluators_agree_with_the_tables(name):
     assert abs(game.quantum_win_probability(g, s)
                - game.quantum_win_probability(g, dense)) <= 1e-12
     for cap in (3, 1000):
-        got, want = (game.check_consistency(t, g, 1e-9, cap) for t in (s, dense))
+        monkeypatch.setattr(game, "MAX_VIOLATIONS", cap)
+        got, want = (game.check_consistency(t, g, 1e-9) for t in (s, dense))
         assert [dataclasses.astuple(v)[:5] for v in got.violations] == [
             dataclasses.astuple(v)[:5] for v in want.violations]
         assert np.allclose([v.value for v in got.violations],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cycle, graphs_st, petersen
+from conftest import adjacency, cycle, graphs_st, petersen
 from qcolor import datasets, ks, linalg, reps
 from qcolor.graphs import (GraphError, cartesian_product, complement,
                            complete_graph, hadamard_graph, make_graph,
@@ -15,8 +15,9 @@ from qcolor.graphs import (GraphError, cartesian_product, complement,
 def test_make_graph_normalizes_and_sorts():
     g = make_graph(4, [(2, 1), (3, 0)])
     assert g.edge_array.tolist() == [[0, 3], [1, 2]]
-    assert g.has_edge(1, 2) and g.has_edge(2, 1)
-    assert not g.has_edge(0, 1)
+    adj = adjacency(g)
+    assert adj[1, 2] and adj[2, 1]
+    assert not adj[0, 1]
 
 
 def test_make_graph_rejects_loops_range_and_duplicates():
@@ -26,12 +27,6 @@ def test_make_graph_rejects_loops_range_and_duplicates():
         make_graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         make_graph(3, [(0, 1), (1, 0)])
-
-
-def test_neighbors_and_degree():
-    g = petersen()
-    assert all(len(g.neighbors(v)) == 3 for v in range(10))
-    assert sorted(g.neighbors(0)) == [1, 4, 5]
 
 
 def adjacency_by_loop(g):
@@ -60,20 +55,40 @@ def sparse_graphs():
         yield pytest.param(make_graph(n, edges), id=f"seed{seed}")
 
 
-@pytest.mark.parametrize("g", list(sparse_graphs()))
-def test_adjacency_matches_edge_loop(g):
+@pytest.mark.parametrize("g", [
+    *sparse_graphs(), pytest.param(petersen(), id="petersen"),
+    pytest.param(make_graph(9, [(1, 3), (1, 8), (3, 5), (5, 8), (2, 6)]),
+                 id="isolated-0-4-7")])
+def test_adjacency_matches_edge_loop(monkeypatch, g):
+    """The neighbour lists the orthogonal-representation search hands
+    _polish are each vertex's neighbours, sorted, as int64 arrays: the rows
+    of its half-edges, with an empty row for an isolated vertex.  A graph
+    without edges needs no search, so nothing is polished."""
     neigh, _ = adjacency_by_loop(g)
-    assert len(g._adjacency) == g.n
-    for v in range(g.n):
-        assert g.neighbors(v).dtype == np.int64
-        assert np.array_equal(g.neighbors(v), neigh[v])
-        for w in range(g.n):
-            assert g.has_edge(v, w) == (w in neigh[v].tolist())
+    handed = []
+
+    def spy(x, neighbors, tol):
+        handed.append(neighbors)
+        return polish(x, neighbors, tol)
+
+    polish = reps._polish
+    monkeypatch.setattr(reps, "_polish", spy)
+    c = int(max(map(len, neigh), default=0)) + 1  # a coloring exists: found
+    assert reps.search_orthogonal_representation(g, c).found
+    assert bool(handed) == (g.m > 0)
+    for lists in handed:
+        assert len(lists) == g.n
+        for v in range(g.n):
+            assert lists[v].dtype == np.int64
+            assert np.array_equal(lists[v], neigh[v])
 
 
 @pytest.mark.parametrize("g", list(sparse_graphs()))
 def test_masks_match_edge_loop(g):
-    assert g.masks == adjacency_by_loop(g)[1]
+    neigh, masks = adjacency_by_loop(g)
+    assert g.masks == masks
+    assert [np.flatnonzero(row).tolist() for row in adjacency(g)] == [
+        a.tolist() for a in neigh]
 
 
 def test_complement_involution():
@@ -92,14 +107,14 @@ def test_complement_partitions_pairs(g):
     assert g.edge_array.shape[0] + comp.edge_array.shape[0] == n * (n - 1) // 2
     for u in range(n):
         for v in range(u + 1, n):
-            assert g.has_edge(u, v) != comp.has_edge(u, v)
+            assert adjacency(g)[u, v] != adjacency(comp)[u, v]
 
 
 def test_cartesian_product_k2_k2_is_c4():
     prod = cartesian_product(complete_graph(2), complete_graph(2))
     assert prod.n == 4
     assert prod.edge_array.shape[0] == 4
-    degs = [len(prod.neighbors(v)) for v in range(4)]
+    degs = [int(adjacency(prod)[v].sum()) for v in range(4)]
     assert degs == [2, 2, 2, 2]
 
 
@@ -121,18 +136,19 @@ def test_cartesian_product_adjacency_rule():
                     a, b = u * h.n + i, v * h.n + j
                     if a >= b:
                         continue
-                    expect = (u == v and h.has_edge(i, j)) or \
-                             (i == j and g.has_edge(u, v))
-                    assert prod.has_edge(a, b) == expect
+                    expect = (u == v and adjacency(h)[i, j]) or \
+                             (i == j and adjacency(g)[u, v])
+                    assert adjacency(prod)[a, b] == expect
 
 
 def test_hadamard_graph_small():
     g = hadamard_graph(4)
     assert g.n == 16
     # vertices adjacent iff Hamming distance exactly 2
-    assert g.has_edge(0b0000, 0b0011)
-    assert not g.has_edge(0b0000, 0b0001)
-    assert not g.has_edge(0b0000, 0b1111)
+    adj = adjacency(g)
+    assert adj[0b0000, 0b0011]
+    assert not adj[0b0000, 0b0001]
+    assert not adj[0b0000, 0b1111]
     assert g.edge_array.shape[0] == 16 * 6 // 2
 
 
@@ -210,4 +226,4 @@ def test_orthogonality_graph_peaks_within_the_block_budget():
 @given(st.integers(min_value=1, max_value=6))
 def test_complete_graph_has_all_edges(n):
     g = complete_graph(n)
-    assert all(g.has_edge(u, v) for u in range(n) for v in range(u + 1, n))
+    assert all(adjacency(g)[u, v] for u in range(n) for v in range(u + 1, n))

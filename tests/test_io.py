@@ -111,8 +111,9 @@ def test_vector_set_dimension_mismatch():
 
 @pytest.mark.parametrize("coords, want", [
     ("[[1, 0], [0, -1]]", [1, -1j]),
-    ("[[true, false], [false, true]]", [1, 1j]),
-    ('[["1.5", 0], [0, " -2 "]]', [1.5, -2j]),
+    ("[[true, false], [false, true]]", "vector 0 contains a non-number"),
+    ("[[1, 0], [false, 1]]", "vector 0 contains a non-number"),
+    ('[["1.5", 0], [0, " -2 "]]', "vector 0 contains a non-number"),
     (f"[[{2 ** 70}, 0], [0, 0]]", [2.0 ** 70, 0]),
     ("[]", []),
     ("[[NaN, 0], [0, 0]]", "'NaN' is not allowed"),
@@ -126,7 +127,7 @@ def test_vector_set_dimension_mismatch():
     ("[[[1, 0]], [[0, 0]]]", r"vector 0 must be \[re, im\] pairs"),
     ("[[], []]", r"vector 0 must be \[re, im\] pairs"),
     (f"[[1{'0' * 400}, 0], [0, 0]]", "vector 0 contains a number beyond the float"),
-], ids=["ints", "bools", "numeric-strings", "int-beyond-int64", "empty",
+], ids=["ints", "bools", "bool-among-numbers", "numeric-strings", "int-beyond-int64", "empty",
         "nan", "infinity", "1e400", "null", "string", "object", "ragged",
         "singletons", "nested-pairs", "empty-pairs", "401-digits"])
 def test_vector_coordinate_contract(tmp_path, coords, want):
@@ -412,6 +413,65 @@ def test_json_booleans_are_not_numbers(read, data):
     """A JSON true in an integer or float field is refused, not read as 1."""
     with pytest.raises(io.FormatError, match="True is not a number"):
         read(data)
+
+
+_VECTOR = {"dimension": 1, "vectors": [{"coords": [[1, 0]]}]}
+_STRATEGY = {"colors": 1, "dim_a": 1, "dim_b": 1, "state": [[1, 0]],
+             "alice": [[[[1, 0]]]], "bob": [[[[1, 0]]]]}
+
+
+@pytest.mark.parametrize("read, data, match", [
+    (io.vector_set_from_dict, {**_VECTOR, "dimension": "1"}, r"'1' is not a number \(dimension\)"),
+    (io.vector_set_from_dict, {**_VECTOR, "tolerance": "1e-9"},
+     r"'1e-9' is not a number \(tolerance\)"),
+    (io.vector_set_from_dict, {**_VECTOR, "vectors": [{"coords": [["1.5", 0]]}]},
+     "vector 0 contains a non-number"),
+    (io.vector_set_from_dict, {**_VECTOR, "vectors": [{"coords": [[True, 0]]}]},
+     "vector 0 contains a non-number"),
+    (io.vector_set_from_dict,
+     {"dimension": 2, "vectors": [{"coords": [[1, 0], [0, 0]]}, {"coords": [[0, 0], [False, 1]]}]},
+     "vector 1 contains a non-number"),
+    (io.strategy_from_dict, {**_STRATEGY, "colors": "1"}, r"'1' is not a number \(colors\)"),
+    (io.strategy_from_dict, {**_STRATEGY, "state": [["1", 0]]}, "state contains a non-number"),
+    (io.strategy_from_dict, {**_STRATEGY, "bob": [[[[True, 0]]]]},
+     r"bob operator \(0,0\) contains a non-number"),
+    (io.strategy_from_dict, {"colors": 1, "dim_a": 1, "dim_b": 1, "state": [[1, 0]],
+                             "alice_vectors": [[[[1, "0"]]]], "bob": [[[[1, 0]]]]},
+     r"alice vector \(0,0\) contains a non-number"),
+    (lambda p: io.decode_payload("orthrep", p), {"dimension": "1", "vectors": [[[1, 0]]]},
+     r"'1' is not a number \(dimension\)"),
+    (lambda p: io.decode_payload("orthrep", p), {"dimension": 1, "vectors": [[[1, 0]], [[True, 0]]]},
+     "vector 1 contains a non-number"),
+    (lambda p: io.decode_payload("coloring", p), {"colors": 2, "assignment": "01"},
+     r"'0' is not a number \(assignment 0\)"),
+], ids=["vector-set-dimension", "vector-set-tolerance", "coords-string", "coords-boolean",
+        "coords-boolean-among-numbers", "strategy-colors", "strategy-state-string",
+        "strategy-table-boolean", "strategy-vectors-string", "orthrep-dimension",
+        "orthrep-vectors-boolean", "coloring-assignment-string"])
+def test_json_strings_and_booleans_are_not_numbers(read, data, match):
+    """float() and int() read "1.5" and true as numbers, and np.asarray a
+    boolean among numbers (np.asarray([[True, 0]]) is int64): each is refused
+    with its field or item named."""
+    with pytest.raises(io.FormatError, match=match):
+        read(data)
+
+
+def test_read_strategy_refuses_booleans_in_pairs(tmp_path):
+    """A pair array with a true in it is no flat array of numbers: it reaches
+    the decoder as lists, which the decoder checks."""
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({**_STRATEGY, "alice": [[[[True, 0]]]]}))
+    with pytest.raises(io.FormatError, match=r"alice operator \(0,0\) contains a non-number"):
+        io.read_strategy(p)
+
+
+def test_lists_of_numpy_numbers_still_read():
+    """The leaf check takes numpy's numbers as numbers: rows of an ndarray,
+    and numpy scalars, in a list."""
+    s, _ = io.vector_set_from_dict({"dimension": 2, "vectors": [
+        {"coords": list(np.array([[0.6, 0.0], [0.0, 0.8]]))},
+        {"coords": [[np.int64(0), np.float32(0)], [1, 0.0]]}]})
+    assert np.array_equal(s.vectors, [[0.6, 0.8j], [0, 1]])
 
 
 def test_invalid_json_reports_path(tmp_path):
