@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the bundled ray sets from their arithmetic definitions.
 
-Writes JSON vector-set files into src/qcolor/data/.  Run from anywhere; the
-output location is resolved relative to this script.  See data/README.md for
-the provenance of each construction.
+Writes JSON vector-set files into src/qcolor/data/, each coordinate array in
+the binary form every qcolor file uses.  The checked-in files are the same
+sets in the text form ([re, im] pairs), kept for auditing by eye.  Run from
+anywhere; the output location is resolved relative to this script.  See
+data/README.md for the provenance of each construction.
 """
 from __future__ import annotations
 

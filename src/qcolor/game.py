@@ -163,6 +163,8 @@ def validate_strategy(s: POVMStrategy, tol: float = 1e-8) -> None:
     block's PSD check asks linalg.psd_certified first, at a floor that also
     covers eigvalsh's rounding (_psd_defect), so the accept set is
     eigvalsh's; every block it does not certify goes to eigvalsh."""
+    if not 0 < tol < np.inf:
+        raise GameError(f"tol must be positive and finite, got {tol}")
     if not abs(np.linalg.norm(s.state) - 1.0) <= tol:  # a NaN norm fails too
         raise GameError(f"state norm {np.linalg.norm(s.state):.6g} != 1")
     for name, ops, d in zip(("alice", "bob"), s.sides, (s.dim_a, s.dim_b)):

@@ -1,8 +1,7 @@
 """Simple undirected graphs and the constructions the rest of the package needs.
 
 Vertices are integers 0..n-1.  Edges are unordered pairs stored once with
-u < v, lexicographically sorted, so two graphs compare equal iff they have
-identical vertex counts and edge sets.
+u < v, lexicographically sorted.
 
 A Graph keeps its edge array and one derived form per job: the exact
 searches (DSATUR, clique, basis enumeration, the KS search) read one int
@@ -110,16 +109,6 @@ class Graph:
     def edges(self) -> Iterable[tuple[int, int]]:
         for u, v in self.edge_array:
             yield int(u), int(v)
-
-    # -- structural equality ----------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

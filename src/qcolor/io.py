@@ -1,22 +1,24 @@
 """File formats: DIMACS graphs, JSON vector sets, strategies, certificates.
 
-Complex arrays are [re, im] pairs, matrices row-major flat lists of pairs
-(_pack).  Files come from one array writer, byte-identical to json's compact
-form, that formats each distinct number once (write_json); NaN and
-infinities are refused everywhere.  CODECS holds each certificate kind's
-(encode, decode) pair between objects and certificate payloads.
+Every complex array a file holds is one object {"shape": [...], "c16": ...}
+(_pack): c16 is the base64 of the array's little-endian complex128 bytes in
+C order, and shape keeps the array's first axes and flattens the rest into
+one axis of entries.  Files are plain JSON, written by json.dumps and read
+as UTF-8 by json.loads; NaN and infinities are refused everywhere.  CODECS
+holds each certificate kind's (encode, decode) pair between objects and
+certificate payloads.
 
-Files are read as UTF-8 by one JSON reader (_Reader): what json.loads gives,
-save that each pair array whose skeleton checks out is one float ndarray
-(read through a capped float memo).  _unpack, the one decoder of every
-[re, im] field, converts a field whole, goes item by item only to name the
-first item at fault, and allocates nothing from a size the file declares.
+_unpack, the one decoder of every complex field, also reads the text form
+of older files and of the bundled ray sets: nested lists of [re, im] pairs.
+Either way a defect is a FormatError that names the field, and nothing is
+allocated from a size the file declares before the data is checked
+against it.
 """
 from __future__ import annotations
 
+import base64
 import itertools
-import json.decoder
-import json.scanner
+import json
 import math
 import warnings
 from pathlib import Path
@@ -41,8 +43,7 @@ class FormatError(ValueError):
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
-def _number(x, what: str, kind=int):  # a pair array reads as the lists json.loads gives
-    x = x.tolist() if isinstance(x, np.ndarray) else x
+def _number(x, what: str, kind=int):
     value = kind(x)
     if isinstance(x, (bool, str)):  # int(True) reads as 1, int("2") as 2
         raise FormatError(f"{x!r} is not a number ({what})")
@@ -52,12 +53,12 @@ def _number(x, what: str, kind=int):  # a pair array reads as the lists json.loa
 
 
 def _numbers_only(data, depth: int) -> bool:
-    """Whether each leaf of data, an ndarray or nested lists depth deep, is a
-    number: np.asarray reads a JSON list's "2" and true as numbers too."""
-    for _ in range(0 if isinstance(data, np.ndarray) else depth - 1):
+    """Whether each leaf of data, nested lists depth deep, is a number:
+    np.asarray reads a JSON list's "2" and true as numbers too."""
+    for _ in range(depth - 1):
         data = itertools.chain.from_iterable(data)
-    return isinstance(data, np.ndarray) or all(
-        issubclass(t, (int, float, np.number)) and t is not bool for t in set(map(type, data)))
+    return all(issubclass(t, (int, float, np.number)) and t is not bool
+               for t in set(map(type, data)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,26 +129,63 @@ def read_graph(path) -> Graph:
 # complex packing
 
 
-def _pack(a, keep: int) -> np.ndarray:
-    """A complex array as (..., N, 2) float [re, im] pairs: the first keep
-    axes stay, the rest is one row-major flat axis of pairs."""
-    a = np.asarray(a, dtype=complex)
-    pairs = np.stack([a.real, a.imag], -1)
-    return pairs.reshape(a.shape[:keep] + (math.prod(a.shape[keep:]), 2))
+def _pack(a, keep: int) -> dict:
+    """A complex array as a {"shape", "c16"} object: the first keep axes
+    stay, the rest is one flat axis of entries.  NaN and infinities are
+    refused, as json.dumps(allow_nan=False) refuses them."""
+    a = np.asarray(a, dtype="<c16")
+    if not np.isfinite(a).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return {"shape": [*a.shape[:keep], math.prod(a.shape[keep:])],
+            "c16": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _from_c16(data: dict, what: str, axes: tuple[int | None, ...]) -> np.ndarray:
+    """The complex array of a {"shape", "c16"} object whose shape fits axes
+    (None: any length): shape a list of non-negative integers, c16 strict
+    base64 of 16 bytes per entry, every value finite."""
+    try:
+        dims = data["shape"]
+        if not isinstance(dims, list):
+            raise TypeError(f"{dims!r} is not a list")
+        dims = [_number(n, f"{what} shape") for n in dims]
+        if min(dims, default=0) < 0:
+            raise ValueError(f"{min(dims)} is negative")
+    except _MALFORMED as err:
+        raise FormatError(f"{what} shape must be a list of non-negative integers: {err}")
+    if len(dims) != len(axes) or any(n not in (None, m) for n, m in zip(axes, dims)):
+        want = ", ".join("*" if n is None else str(n) for n in axes)
+        raise FormatError(f"{what} has shape {dims}, expected [{want}]")
+    try:
+        raw = base64.b64decode(data.get("c16"), validate=True)
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        raise FormatError(f"{what} c16 is not strict base64: {err}")
+    if len(raw) != 16 * math.prod(dims):
+        raise FormatError(f"{what} c16 holds {len(raw)} bytes, expected 16 * {math.prod(dims)}")
+    try:
+        z = np.frombuffer(raw, "<c16").astype(complex).reshape(dims)
+    except ValueError as err:  # no entries, but axes too long for numpy
+        raise FormatError(f"{what} has shape {dims}: {err}")
+    if not np.isfinite(z).all():
+        raise FormatError(f"{what} contains a non-finite value")
+    return z
 
 
 def _unpack(data, shape: tuple[int, ...] | None, what: str,
             lead: tuple[int | None, ...] = ()) -> np.ndarray:
-    """Inverse of _pack: data, nested lists or a float array of [re, im]
-    pairs, as a complex array with leading axes of the lengths in lead (None:
-    any) and then entries of the given shape (None: one flat axis of any
-    length).  data converts whole; only when that fails does the decode go
-    down the leading axes, item by item, so that the error names the first
-    item at fault in row-major order."""
+    """Inverse of _pack: data, a {"shape", "c16"} object or nested lists of
+    [re, im] pairs, as a complex array with leading axes of the lengths in
+    lead (None: any) and then entries of the given shape (None: one flat
+    axis of any length).  Lists convert whole; only when that fails does
+    the decode go down the leading axes, item by item, so that the error
+    names the first item at fault in row-major order."""
     k = len(lead)
-    if not isinstance(data, (list, tuple, np.ndarray)):
-        raise FormatError(f"{what} must be a list of [re, im] pairs")
     size = None if shape is None else math.prod(shape)
+    if isinstance(data, dict):
+        z = _from_c16(data, what, (*lead, size))
+        return z if shape is None else z.reshape(z.shape[:k] + shape)
+    if not isinstance(data, (list, tuple)):
+        raise FormatError(f"{what} must be a list of [re, im] pairs or a {{shape, c16}} object")
     try:
         a = np.ascontiguousarray(data, dtype=float)
     except OverflowError:  # an integer beyond the float range
@@ -170,7 +208,7 @@ def _unpack(data, shape: tuple[int, ...] | None, what: str,
     for i, item in enumerate(data if k else ()):  # later items take the first shape
         if k == 1:
             shape = _unpack(item, shape, f"{what} {i}").shape
-        elif not isinstance(item, (list, tuple, np.ndarray)) or len(item) != lead[1]:
+        elif not isinstance(item, (list, tuple)) or len(item) != lead[1]:
             raise FormatError(f"vertex {i} does not list exactly {lead[1]} operators")
         else:
             for j, x in enumerate(item):
@@ -184,8 +222,8 @@ def _unpack(data, shape: tuple[int, ...] | None, what: str,
 
 def vector_set_to_dict(s: VectorSet, tolerance: float | None = None) -> dict:
     out = {"dimension": s.dimension,
-           "vectors": [{"id": label, "coords": coords}
-                       for label, coords in zip(s.labels, _pack(s.vectors, 1))]}
+           "vectors": [{"id": label, "coords": _pack(v, 0)}
+                       for label, v in zip(s.labels, s.vectors)]}
     if tolerance is not None:
         out["tolerance"] = float(tolerance)
     return out
@@ -248,7 +286,7 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
     try:
         c, da, db = (_number(data[key], key) for key in ("colors", "dim_a", "dim_b"))
         state = _unpack(data["state"], None, "state")
-        same = len(data[sides[0][0]]) == len(data[sides[1][0]])
+        fields = [data[key] for key, _, _ in sides]
     except _MALFORMED as err:
         raise FormatError(f"strategy missing or malformed field: {err}")
     for name in ("alice", "bob"):
@@ -257,12 +295,12 @@ def strategy_from_dict(data: dict) -> POVMStrategy:
     if min(c, da, db) < 0:
         raise FormatError(f"strategy sizes must be nonnegative, got colors {c}, "
                           f"dim_a {da}, dim_b {db}")
-    if not same:
-        raise FormatError("alice and bob cover different vertex counts")
     try:
-        return POVMStrategy(c, da, db, state, *(
-            _unpack(data[key], (d,) * axes, what, (None, c))
-            for (key, what, axes), d in zip(sides, (da, db))))
+        alice, bob = (_unpack(x, (d,) * axes, what, (None, c))
+                      for x, (_, what, axes), d in zip(fields, sides, (da, db)))
+        if len(alice) != len(bob):
+            raise FormatError("alice and bob cover different vertex counts")
+        return POVMStrategy(c, da, db, state, alice, bob)
     except ValueError as err:  # numpy's too, for an empty table of impossible sizes
         raise FormatError(str(err))
 
@@ -358,7 +396,7 @@ CODECS = {
 
 
 def _check_kind(kind) -> None:
-    if not isinstance(kind, str):  # not by repr, which differs between readers
+    if not isinstance(kind, str):  # a list is no dict key
         raise FormatError("unknown certificate kind (not a string)")
     if kind not in CODECS:
         raise FormatError(f"unknown certificate kind {kind!r}")
@@ -417,7 +455,7 @@ def _read_text(path) -> str:
 
 def _load_json(path):
     try:
-        return json.loads(_read_text(path), cls=_Reader)
+        return json.loads(_read_text(path), parse_constant=_reject_constant)
     except FormatError:
         raise
     except OSError as err:
@@ -428,122 +466,11 @@ def _load_json(path):
         raise FormatError(f"{path}: JSON nested too deeply to read: {err}")
 
 
-_MEMO_CAP = 4096  # distinct number texts a file's float memo converts
-_UNBRACKET = bytes.maketrans(b"[]", b"  ")
-
-
-class _FloatMemo(dict):
-    """float(text), each distinct text converted once; KeyError once it
-    holds _MEMO_CAP texts."""
-
-    def __missing__(self, text):
-        if len(self) >= _MEMO_CAP:
-            raise KeyError(text)
-        value = self[text] = float(text)
-        return value
-
-
-class _Reader(json.JSONDecoder):
-    """json.loads with NaN and infinities refused, in which each pair array
-    at the top level or one object down is one float ndarray; any other
-    value, and any deeper object, goes to json's own scanner whole."""
-
-    def __init__(self):
-        super().__init__(parse_constant=_reject_constant)
-        self._whole = json.scanner.make_scanner(self)
-        self._parse_float = _FloatMemo().__getitem__
-        self.scan_once = self._scanner(0)
-
-    def _scanner(self, objects: int):
-        """A scanner of one value inside this many objects."""
-        def scan(s: str, idx: int):
-            if s.startswith("{", idx) and objects < 2:
-                return json.decoder.JSONObject((s, idx + 1), self.strict,
-                                               self._scanner(objects + 1),
-                                               None, None, self.memo)
-            return (s.startswith("[", idx) and self._pair_array(s, idx)
-                    or self._whole(s, idx))
-        return scan
-
-    def _pair_array(self, s: str, start: int):
-        """(values, end) of the pair array at s[start], or None if there is
-        none: a regular nested array of numbers, innermost axis 2."""
-        quote = s.find('"', start)  # a pair array holds no '"' and no '}'
-        quote = len(s) if quote < 0 else quote
-        brace = s.find("}", start, quote)  # bounded: no rescan per key
-        span = s[start:quote if brace < 0 else brace].rstrip(" \t\n\r,").encode()
-        dense = span.translate(None, b" \t\n\r")
-        shape = _pair_shape(dense.translate(None, b"0123456789.eE+-"))
-        if shape is None:
-            return None
-        # no empty slot, which a number beside a bracket could stand in for
-        b = np.frombuffer(dense, np.uint8)
-        comma = b == ord(",")
-        if ((comma[1:] & (b[:-1] == ord("["))).any()
-                or (comma[:-1] & (b[1:] == ord("]"))).any()):
-            return None
-        text = "[" + span.translate(_UNBRACKET).decode() + "]"
-        try:
-            try:
-                values = json.loads(text, parse_float=self._parse_float)
-            except KeyError:  # too many distinct numbers for the memo to pay
-                self._parse_float = float
-                values = json.loads(text)
-            values = np.fromiter(values, float, len(values))
-            return values.reshape(shape), start + len(span)
-        except (ValueError, OverflowError):  # the stdlib scanner says why
-            return None
-
-
-def _pair_shape(skeleton: bytes):
-    """The shape of the regular nested array, innermost axis 2 and at most
-    32 axes (deeper ones meet json's recursion limit as before), whose
-    brackets and commas are skeleton; None if there is no such array.  The
-    shape is read off the first element at each depth."""
-    k = len(skeleton) - len(skeleton.lstrip(b"["))
-    if not 2 <= k <= 32 or skeleton[k - 1:k + 2] != b"[,]":
-        return None
-    shape, end, size = [2], k + 1, 3  # the first subarray: its last index, length
-    for _ in range(k - 1):  # its parent closes after n siblings
-        n = skeleton[end + 1::size + 1].find(b"]") + 1
-        if not n:
-            return None
-        shape.insert(0, n)
-        end += (n - 1) * (size + 1) + 1
-        size = n * (size + 1) + 1
-    template = b""
-    for n in reversed(shape):
-        template = b"[" + b",".join([template] * n) + b"]"
-    return shape if template == skeleton else None
-
-
 def _reject_constant(name: str):
     raise FormatError(f"non-finite JSON constant {name!r} is not allowed")
 
 
-def _to_json(x) -> str:
-    """x as json.dumps(x, allow_nan=False) writes it, float arrays as nested
-    lists with each distinct bit pattern (-0.0 is not 0.0) formatted once."""
-    if isinstance(x, dict):
-        return "{%s}" % ", ".join(f"{json.dumps(k)}: {_to_json(v)}"
-                                  for k, v in x.items())
-    if isinstance(x, (list, tuple)):
-        return "[%s]" % ", ".join(map(_to_json, x))
-    if not isinstance(x, np.ndarray):
-        return json.dumps(x, allow_nan=False)
-    a = np.asarray(x, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), object)
-    template = "%s"
-    for k in reversed(a.shape):
-        template = "[" + ", ".join([template] * k) + "]"
-    return template % tuple(text.take(inverse.ravel()).tolist())
-
-
 def write_json(data, path) -> None:
-    """Write a JSON document with string keys as every qcolor file is
-    written: compact, byte-identical to json.dumps(data, allow_nan=False)
-    with every array as its nested list."""
-    Path(path).write_text(_to_json(data) + "\n")
+    """Write a JSON document as every qcolor file is written: json.dumps's
+    default form, NaN and infinities refused."""
+    Path(path).write_text(json.dumps(data, allow_nan=False) + "\n")

@@ -186,11 +186,7 @@ def _search_labeling(n: int, bases: list[tuple[int, ...]],
                     return None
                 ones |= bit
                 fresh = kill[r] & ~zeros
-            else:
-                if zeros & bit:
-                    continue
-                if ones & bit:
-                    return None
+            else:  # only the branch ray, which is free
                 fresh = bit
             zeros |= fresh
             while fresh:  # a basis with no 1 and one free ray left forces it

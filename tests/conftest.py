@@ -1,3 +1,6 @@
+import base64
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -25,6 +28,26 @@ def petersen() -> Graph:
 def as_tables(s: game.POVMStrategy) -> game.POVMStrategy:
     """s with both sides given as (n, c, d, d) tables, factored ones expanded."""
     return game.POVMStrategy(s.colors, s.dim_a, s.dim_b, s.state, s.alice, s.bob)
+
+
+def text_pack(a, keep: int) -> list:
+    """The text form of a complex array, as qcolor once wrote every file:
+    nested lists of [re, im] pairs, the first keep axes kept and the rest
+    one flat axis.  Set in place of io._pack, it makes a text-form writer."""
+    a = np.asarray(a, dtype=complex)
+    pairs = np.stack([a.real, a.imag], -1)
+    return pairs.reshape(a.shape[:keep] + (math.prod(a.shape[keep:]), 2)).tolist()
+
+
+def as_text(doc):
+    """doc with each {"shape", "c16"} object spelled out as the text form's
+    [re, im] pairs, read from its bytes (not through qcolor's decoder)."""
+    if isinstance(doc, dict) and set(doc) == {"shape", "c16"}:
+        pairs = np.frombuffer(base64.b64decode(doc["c16"]), "<f8")
+        return pairs.reshape(doc["shape"] + [2]).tolist()
+    if isinstance(doc, dict):
+        return {key: as_text(value) for key, value in doc.items()}
+    return [as_text(x) for x in doc] if isinstance(doc, list) else doc
 
 
 def pair_block_rows(monkeypatch, n: int, rows: int) -> None:

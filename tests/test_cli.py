@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cycle, path_plus_triangle, petersen, umbrella_gram
+from conftest import (as_text, cycle, path_plus_triangle, petersen, text_pack,
+                      umbrella_gram)
 import qcolor
 from qcolor import cli, coloring, game, io, ks, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
@@ -254,9 +255,12 @@ def test_input_error_exit_code(capsys, tmp_path):
     (("verify-rep", "{k2}", "{file}"),
      '{"kind": "orthrep", "payload": {"dimension": 2, '
      '"vectors": [[[1, 0], [0, 0]], [[0, 0], [true, 0]]]}}'),
+    (("verify-rep", "{k2}", "{file}"),
+     '{"kind": "orthrep", "payload": {"dimension": 2, '
+     '"vectors": {"shape": [2, 2], "c16": "not base64!"}}}'),
 ], ids=["dimension-1e400", "coordinate-401-digits", "coordinate-5001-digits",
         "colors-1e400", "negative-colors", "assignment-booleans", "coloring-strings",
-        "orthrep-booleans-in-pairs"])
+        "orthrep-booleans-in-pairs", "orthrep-binary-not-base64"])
 def test_malformed_numbers_in_json_are_input_errors(capsys, tmp_path, c5_file,
                                                     k2_file, argv, text):
     p = tmp_path / "input.json"
@@ -771,45 +775,44 @@ CLI_BYTES_CASES = {
 @pytest.mark.parametrize("name", list(CLI_BYTES_CASES))
 def test_cli_output_bytes_match_json_dumps_encoding(capsys, monkeypatch,
                                                     tmp_path, name):
-    """Reports and -o files are byte for byte what they were when _pack made
-    nested lists and every file went through json.dumps(allow_nan=False)."""
+    """Reports and -o files are json.dumps of their documents; with each
+    array's bytes spelled out as [re, im] pairs they are byte for byte what
+    the text-form writer wrote, so every field but the arrays' form is as it
+    was."""
     out = tmp_path / "out.json"
     argv = [a.format(out=out, **_cli_inputs(tmp_path))
             for a in CLI_BYTES_CASES[name]]
 
     def outputs():
         assert cli.main(argv) == 0
-        return capsys.readouterr().out, out.read_bytes() if out.exists() else None
+        return capsys.readouterr().out, out.read_text() if out.exists() else None
 
-    new = outputs()
+    stdout, written = outputs()
     out.unlink(missing_ok=True)
-    pack = io._pack
-    monkeypatch.setattr(io, "_pack", lambda a, keep: pack(a, keep).tolist())
-    monkeypatch.setattr(io, "write_json", lambda data, path: Path(path).write_text(
-        json.dumps(data, allow_nan=False) + "\n"))
-    assert outputs() == new
+    monkeypatch.setattr(io, "_pack", text_pack)
+    assert outputs() == (json.dumps(as_text(json.loads(stdout)), indent=1) + "\n",
+                         written and json.dumps(as_text(json.loads(written))) + "\n")
 
 
 def test_hadamard_outputs_pinned(capsys, tmp_path):
-    """sha256 prefixes of what qcolor wrote before the array writer."""
+    """sha256 prefixes of the report and of the certificate file."""
     cli.main(["hadamard-coloring", "-N", "4"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest[:16] == "091fab04c2cb6900"
+    assert digest[:16] == "30784ca951c93496"
     out = tmp_path / "qc.json"
     cli.main(["hadamard-coloring", "-N", "4", "-o", str(out)])
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest[:16] == "007339f467664d1b"
-
+    assert digest[:16] == "84fcb8221f90b6c9"
 
 
 # graph -> sha256 prefixes of the stdout of chiq1 --cmax 3 -o and of xi-bounds
 # -o --theta-output (the run directory written as "TMP"), and of the three
 # files they write
 BOUND_OUTPUTS = {
-    "c5": ("396dffc371a9eb63", "d72cb9815916c7b2", "1ef45025de0edaa7",
-           "129cb9288087bf73", "a121e07b0ac5242a"),
-    "pet": ("da63dcb43ed8b509", "4d45ca97701b5612", "44ad4f985faaa9d2",
-            "0465324788ebda35", "43095943c5072afb"),
+    "c5": ("396dffc371a9eb63", "d72cb9815916c7b2", "fbb6ef78dc474e66",
+           "93b7f9b6348a4e9b", "4025bd8748927857"),
+    "pet": ("da63dcb43ed8b509", "4d45ca97701b5612", "623993e3b382c73e",
+            "a10c79a1462a1156", "6327e3584e7ff89b"),
 }
 
 
@@ -876,7 +879,7 @@ def test_game_normalize_rejects_bad_strategy(capsys, k2_file, tmp_path):
 
 @pytest.mark.parametrize("alice, message", [
     ([5, 5], "vertex 0 does not list exactly 3 operators"),
-    (5, "malformed field"),
+    (5, "alice operator must be a list"),
 ], ids=["row-not-a-list", "table-not-a-list"])
 def test_game_malformed_operator_table_is_input_error(capsys, k2_file, tmp_path,
                                                       alice, message):
@@ -1017,13 +1020,15 @@ def test_theta_certificate_flow(capsys, c5_file, tmp_path):
     assert code == 0 and report["kind"] == "theta" and report["valid"]
     assert report["lower_theta"] == 3 and "xi >= 3" in err
     doc = json.loads(Path(theta).read_text())
-    doc["payload"]["matrix"][2] = [1e-300, 0.0]  # entry (0, 2): a non-edge
-    doc["payload"]["matrix"][10] = [1e-300, 0.0]  # and (2, 0)
+    matrix = io.decode_payload("theta", doc["payload"]).matrix
+    matrix[0, 2] = matrix[2, 0] = 1e-300  # a non-edge
+    doc["payload"]["matrix"] = io._pack(matrix, 0)
     Path(theta).write_text(json.dumps(doc))
     code, report, _ = run(capsys, "verify-rep", c5_file, theta)
     assert code == 1 and not report["valid"]
     assert (report["lower_theta"], report["reason"]) == (None, "wrong pattern")
-    doc["payload"]["matrix"][10] = [0.0, 0.0]  # no longer symmetric
+    matrix[2, 0] = 0.0  # no longer symmetric
+    doc["payload"]["matrix"] = io._pack(matrix, 0)
     Path(theta).write_text(json.dumps(doc))
     code, report, _ = run(capsys, "verify-rep", c5_file, theta)
     assert code == 2 and "not Hermitian" in report["error"]

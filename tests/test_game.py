@@ -171,17 +171,21 @@ def defective_table(rng, kind, tol):
 def test_validate_matches_the_eigvalsh_checks(monkeypatch):
     """The blocked Cholesky certificate gives the verdict and the error text
     of the whole-table eigvalsh checks, on tables with each defect at its
-    bound, non-finite entries, scaled traces and edge-case tolerances."""
+    bound, non-finite entries, scaled traces and edge-case tolerances; a
+    tolerance that is not positive and finite is refused first."""
     rng = np.random.default_rng(19)
     cases = []
     for kind in ("none", "psd", "psd", "herm", "sum", "nonfinite", "scaled"):
         for _ in range(20):
             tol = 10.0 ** rng.uniform(-12, -3)
             cases.append((defective_table(rng, kind, tol), tol))
-    for d in (1, 3):  # d = 1, an empty table, and tolerances no bound can use
+    for d in (1, 3):  # d = 1, an empty table, and the smallest usable tolerances
         ops = random_povm(rng, 40, 2, d)
-        for tol in (0.0, -1.0, np.inf, np.nan, 1e-8, 1e-16):
+        for tol in (1e-8, 1e-16):
             cases += [(ops, tol), (ops[:0], tol)]
+        for tol in (0.0, -1.0, np.inf, np.nan):  # no bound can use these
+            normalized = game.POVMStrategy(2, d, d, np.eye(d).ravel() / np.sqrt(d), ops, ops)
+            assert validate_verdict(normalized, tol) == f"tol must be positive and finite, got {tol}"
     eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
     certified, outcomes = 0, set()

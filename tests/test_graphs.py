@@ -15,6 +15,7 @@ from qcolor.graphs import (GraphError, cartesian_product, complement,
 def test_make_graph_normalizes_and_sorts():
     g = make_graph(4, [(2, 1), (3, 0)])
     assert g.edge_array.tolist() == [[0, 3], [1, 2]]
+    assert repr(g) == "Graph(n=4, m=2)"
     adj = adjacency(g)
     assert adj[1, 2] and adj[2, 1]
     assert not adj[0, 1]

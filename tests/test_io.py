@@ -1,13 +1,14 @@
+import base64
 import dataclasses
 import hashlib
 import json
+import math
 import re
-import time
 
 import numpy as np
 import pytest
 
-from conftest import as_tables, cycle
+from conftest import as_tables, as_text, cycle, text_pack
 from qcolor import coloring, datasets, game, io, ks, reps
 from qcolor.graphs import complete_graph
 from qcolor.linalg import maximally_entangled
@@ -245,12 +246,13 @@ def test_factored_strategy_files(tmp_path):
     (lambda d: d["bob_vectors"][0].pop(), "vertex 0 does not list exactly 2 operators"),
     (lambda d: d["bob_vectors"].pop(), "alice and bob cover different vertex counts"),
 ], ids=["both-forms", "no-bob", "bad-entry", "one-vector", "vertex-counts"])
-def test_factored_strategy_file_defects(edit, want):
+def test_factored_strategy_file_defects(monkeypatch, edit, want):
     """A side's two forms exclude each other, and a defect in a vector
-    field names the item at fault, as in an operator field."""
+    field of a text-form file names the item at fault, as in an operator
+    field."""
     x = np.eye(2, dtype=complex)[None].repeat(3, axis=0)
-    doc = json.loads(io._to_json(io.strategy_to_dict(
-        game.POVMStrategy(2, 2, 2, maximally_entangled(2), x, x.conj()))))
+    doc = _text_document(monkeypatch, lambda: io.strategy_to_dict(
+        game.POVMStrategy(2, 2, 2, maximally_entangled(2), x, x.conj())))
     edit(doc)
     with pytest.raises(io.FormatError, match=want):
         io.strategy_from_dict(doc)
@@ -278,7 +280,7 @@ def test_certificate_unknown_kind():
 
 def test_certificate_envelope_must_be_objects(tmp_path):
     """A certificate, its payload and its metadata must each be an object,
-    from a dict and from a file (where [[1, 2]] reads as a pair array)."""
+    from a dict and from a file."""
     for text, fault in (('[[1, 2]]', "certificate must be a JSON object"),
                         ('{"kind": "coloring", "payload": [[1, 2]]}',
                          "certificate payload must be an object"),
@@ -294,8 +296,8 @@ def test_certificate_envelope_must_be_objects(tmp_path):
 
 @pytest.mark.parametrize("kind", ["[[1, 2]]", "[[1, 2], [3, 4]]", "3", "null", "{}"])
 def test_non_string_kind_has_one_text_in_both_reader_forms(tmp_path, kind):
-    """A kind that is not a string is refused with the same text whether the
-    reader hands it over as an array or json.loads as a list."""
+    """A kind that is not a string is refused with the same text from a file
+    and from a dict."""
     text = '{"kind": ' + kind + ', "payload": {}}'
     p = tmp_path / "cert.json"
     p.write_text(text)
@@ -396,6 +398,10 @@ def _assert_same_fields(back, obj):
      "vector 2 contains a non-number"),
     ("matrixrep", {"dimension": 2, "matrices": [[[1.0, 0.0]] * 4, [[1.0, 0.0]] * 3]},
      "matrix 1 has 3 entries, expected 4"),
+    ("orthrep", {"dimension": 1, "vectors": {"shape": [0, 2 ** 62], "c16": ""}},
+     r"vector has shape \[0, 4611686018427387904\]: array is too big"),
+    ("qcoloring", {"colors": 2, "rank": 1, "vectors": {"shape": [1, 3, 0], "c16": ""}},
+     r"vector has shape \[1, 3, 0\], expected \[\*, 2, \*\]"),
 ])
 def test_malformed_payload_is_format_error(kind, payload, match):
     with pytest.raises(io.FormatError, match=f"malformed {kind} payload: .*{match}"):
@@ -457,8 +463,8 @@ def test_json_strings_and_booleans_are_not_numbers(read, data, match):
 
 
 def test_read_strategy_refuses_booleans_in_pairs(tmp_path):
-    """A pair array with a true in it is no flat array of numbers: it reaches
-    the decoder as lists, which the decoder checks."""
+    """A true among [re, im] pairs is no number: np.asarray would read it as
+    1, so the decoder checks each leaf's type."""
     p = tmp_path / "s.json"
     p.write_text(json.dumps({**_STRATEGY, "alice": [[[[True, 0]]]]}))
     with pytest.raises(io.FormatError, match=r"alice operator \(0,0\) contains a non-number"):
@@ -545,39 +551,49 @@ def _golden_cases():
             "rays40": vector_set(rays, 1e-9)}
 
 
-# name -> (sha256 of the file as written indented, digests of the decoded arrays)
+# name -> (sha256 of the file as written, sha256 of the same document in the text
+# form, indented, as files were written before the binary form, digests of the
+# decoded arrays)
 GOLDEN_CODEC = {
-    "omega4-strategy": ("1c6872096b845a40", ["120ac16cf7aa8201", "371d7ddf6a8a4a11",
-                                             "cff19bac6efc2165"]),
-    "omega6-strategy": ("26fff72aea0c95c2", ["dc249a440983a1ab", "7e7734999af471e4",
-                                             "34b0f0f59a99b77c"]),
+    "omega4-strategy": ("2d6b3425f868af07", "1c6872096b845a40",
+                        ["120ac16cf7aa8201", "371d7ddf6a8a4a11",
+                         "cff19bac6efc2165"]),
+    "omega6-strategy": ("b5d919e17a7e0f1d", "26fff72aea0c95c2",
+                        ["dc249a440983a1ab", "7e7734999af471e4",
+                         "34b0f0f59a99b77c"]),
     # the same strategies written factored read back as the same tables
-    "omega4-factored": ("5a6ffe1676787166", ["120ac16cf7aa8201", "371d7ddf6a8a4a11",
-                                             "cff19bac6efc2165"]),
-    "omega6-factored": ("0550df3b605c2b01", ["dc249a440983a1ab", "7e7734999af471e4",
-                                             "34b0f0f59a99b77c"]),
-    "coloring": ("0e89bc4f9aad1bfd", []),
-    "orthrep": ("1b481fd402009825", ["417623217174da02"]),
-    "matrixrep": ("4da578c1f2088fc6", ["1b00e6d08e23f4be"]),
-    "qcoloring-vectors": ("fa830657906498d4", ["85d130276da8ee1c"]),
-    "qcoloring-projectors": ("666438fea894db49", ["e61d2b495a571979"]),
-    "psd-witness": ("a3cf4c599c1fb9c6", ["2d8c3894ed41c750"]),
-    "yu-oh-13": ("0ddcada9193a198d", ["fe39274ecdae0220"]),
-    "rays40": ("3d7ddba9b4456323", ["70f249df158a10fd"]),
+    "omega4-factored": ("3c28aa8a569d466d", "5a6ffe1676787166",
+                        ["120ac16cf7aa8201", "371d7ddf6a8a4a11",
+                         "cff19bac6efc2165"]),
+    "omega6-factored": ("e3e7f7ec276fd768", "0550df3b605c2b01",
+                        ["dc249a440983a1ab", "7e7734999af471e4",
+                         "34b0f0f59a99b77c"]),
+    "coloring": ("0bf5f6b0dbeea43f", "0e89bc4f9aad1bfd", []),
+    "orthrep": ("7025dd1a437aabe5", "1b481fd402009825", ["417623217174da02"]),
+    "matrixrep": ("b04e3c1e436e4170", "4da578c1f2088fc6", ["1b00e6d08e23f4be"]),
+    "qcoloring-vectors": ("db903b33c7f37198", "fa830657906498d4", ["85d130276da8ee1c"]),
+    "qcoloring-projectors": ("b908305628023143", "666438fea894db49", ["e61d2b495a571979"]),
+    "psd-witness": ("ccc65b18572f11fb", "a3cf4c599c1fb9c6", ["2d8c3894ed41c750"]),
+    "yu-oh-13": ("70bb360e25d0550a", "0ddcada9193a198d", ["fe39274ecdae0220"]),
+    "rays40": ("869b5ad25be2cbec", "3d7ddba9b4456323", ["70f249df158a10fd"]),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_CODEC))
-def test_codec_golden(tmp_path, name):
+def test_codec_golden(tmp_path, monkeypatch, name):
+    """The file as written, and the same document written by the text-form
+    writer (whose indented bytes are the pins of the files written before
+    the binary form), read back to the pinned arrays bit for bit."""
     write, read = _golden_cases()[name]
-    want_file, want_arrays = GOLDEN_CODEC[name]
-    p = tmp_path / "doc.json"
+    want_file, want_text, want_arrays = GOLDEN_CODEC[name]
+    p, old = tmp_path / "doc.json", tmp_path / "old.json"
     write(p)
-    # the document, indented as files were once written, is the pinned file
-    indented = json.dumps(json.loads(p.read_text()), indent=1) + "\n"
-    assert hashlib.sha256(indented.encode()).hexdigest()[:16] == want_file
-    old = tmp_path / "indented.json"
-    old.write_text(indented)
+    assert hashlib.sha256(p.read_bytes()).hexdigest()[:16] == want_file
+    with monkeypatch.context() as m:
+        m.setattr(io, "_pack", text_pack)
+        write(old)
+    indented = json.dumps(json.loads(old.read_text()), indent=1) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest()[:16] == want_text
     for path in (p, old):
         obj = read(path)
         got = [_array_digest(getattr(obj, f.name)) for f in dataclasses.fields(obj)
@@ -585,17 +601,20 @@ def test_codec_golden(tmp_path, name):
         assert got == want_arrays
 
 
-# -- the array writer: byte-identical to json's compact form -----------------------
+# -- the writer: json.dumps, each array one {"shape", "c16"} object ----------------
+
+
+def _text_document(monkeypatch, build):
+    """The document build() makes, every array in the text form."""
+    with monkeypatch.context() as m:
+        m.setattr(io, "_pack", text_pack)
+        return build()
 
 
 def _parent_bytes(monkeypatch, build) -> bytes:
-    """The reference writer: _pack's pairs as nested lists (.tolist()), then
-    json.dumps(allow_nan=False), as every file was once written."""
-    pack = io._pack
-    with monkeypatch.context() as m:
-        m.setattr(io, "_pack", lambda a, keep: pack(a, keep).tolist())
-        doc = build()
-    return (json.dumps(doc, allow_nan=False) + "\n").encode()
+    """The reference writer: the text form, then json.dumps(allow_nan=False),
+    as every file was once written."""
+    return (json.dumps(_text_document(monkeypatch, build), allow_nan=False) + "\n").encode()
 
 
 def _zero_strategy(n, c, d):
@@ -631,16 +650,25 @@ def _writer_cases():
 
 @pytest.mark.parametrize("name", list(_writer_cases()))
 def test_writer_matches_json_dumps(tmp_path, monkeypatch, name):
+    """A file is json.dumps of its document; with each array's bytes spelled
+    out as [re, im] pairs it is byte for byte what the text-form writer
+    wrote: keys, order, labels and numbers, -0.0 and subnormals included."""
     build = _writer_cases()[name]
     p = tmp_path / "doc.json"
     io.write_json(build(), p)
-    assert p.read_bytes() == _parent_bytes(monkeypatch, build)
+    doc = json.loads(p.read_text())
+    assert p.read_text() == json.dumps(doc) + "\n"
+    assert (json.dumps(as_text(doc)) + "\n").encode() == _parent_bytes(monkeypatch, build)
 
 
 def test_writer_formats_signed_zero_and_subnormals():
-    text = io._to_json(np.array([[-0.0, 0.0], [5e-324, 1e308]]))
-    assert text == "[[-0.0, 0.0], [5e-324, 1e+308]]"
-    assert io._to_json(np.zeros((2, 0, 2))) == "[[], []]"
+    """-0.0, subnormals and 1e308 keep their bits through _pack and _unpack,
+    and an empty axis keeps its length."""
+    a = np.array([[-0.0, 0.0], [5e-324, 1e308], [0.0, -5e-324]]).view(complex)
+    packed = io._pack(a, 1)
+    assert packed["shape"] == [3, 1]
+    assert io._unpack(packed, None, "x", (None,)).tobytes() == a.tobytes()
+    assert io._pack(np.zeros((2, 0)), 1) == {"shape": [2, 0], "c16": ""}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -670,33 +698,33 @@ def test_encoders_round_trip_in_memory():
     assert np.array_equal(back.vectors, vs.vectors)
 
 
-# -- the reader: pair arrays in one flat parse, everything else as json.loads -------
+# -- the reader: json.loads, every refusal a FormatError ----------------------------
 
 
 def _stdlib(text):
-    """What json.loads, as qcolor once read every file, makes of text."""
+    """What json.loads, NaN and infinities refused, makes of text."""
     try:
         return json.loads(text, parse_constant=io._reject_constant)
     except ValueError as err:  # FormatError for a NaN or an infinity
         return err
 
 
-def _reader(text):
+def _reader(tmp_path, text):
+    """What io reads from a file holding text: the document, or the
+    FormatError that refuses it."""
+    p = tmp_path / "doc.json"
+    p.write_text(text, encoding="utf-8")
     try:
-        return json.loads(text, cls=io._Reader)
-    except ValueError as err:
+        return io._load_json(p)
+    except io.FormatError as err:
         return err
 
 
 def _same_document(got, want) -> bool:
-    """Equal values, a pair array bit-identical to the nested lists read as
-    floats, and equal errors."""
+    """Equal values of equal types, or a FormatError that carries the
+    stdlib's error text."""
     if isinstance(want, Exception):
-        return type(got) is type(want) and str(got) == str(want)
-    if isinstance(got, np.ndarray):
-        ref = np.array(want, dtype=float)
-        return (got.dtype == float and got.ndim >= 2 and got.shape == ref.shape
-                and got.shape[-1] == 2 and got.tobytes() == ref.tobytes())
+        return type(got) is io.FormatError and str(want) in str(got)
     if isinstance(got, dict):
         return (isinstance(want, dict) and list(got) == list(want)
                 and all(_same_document(got[k], want[k]) for k in got))
@@ -721,7 +749,7 @@ _HAND_MADE = ["[1[,2]]", "[[1,2]3,4]", "[[1,2],[3 4]]", "[[1,2],[3,4]5]",
               "[1e]", "[-]"]
 
 
-def test_reader_hand_made_pair_arrays():
+def test_reader_hand_made_pair_arrays(tmp_path):
     """Near misses of a pair array, on their own, one and two objects down,
     and each bad number inside a pair: the stdlib's outcome every time."""
     numbers = [h[1:-1] for h in _HAND_MADE[6:]]
@@ -730,19 +758,22 @@ def test_reader_hand_made_pair_arrays():
                                                    "[[1,2,3]]", "[[1,2],[3]]"]
     for a in arrays:
         for text in (a, f'{{"a": {a}}}', f'{{"p": {{"a": {a}, "b": 1}}}}'):
-            assert _same_document(_reader(text), _stdlib(text)), text
+            assert _same_document(_reader(tmp_path, text), _stdlib(text)), text
 
 
-def test_reader_matches_json_loads_on_mutations():
+def test_reader_matches_json_loads_on_mutations(tmp_path):
     """Insertions, deletions and substitutions in and around small pair
-    arrays: the reader accepts and rejects what json.loads does, with the
-    same values bit for bit and the same error text."""
+    arrays and binary-form arrays: the file reader accepts what json.loads
+    does, with the same values, and refuses the rest with a FormatError
+    that carries json's own error text."""
     rng = np.random.default_rng(17)
     alphabet = list("[]{},:\" \n0123456789.eE+-Nx")
-    seeds = _READER_SEEDS + [json.dumps(json.loads(s), indent=1)
-                             for s in _READER_SEEDS]
-    accepted = pairs = 0
-    for _ in range(8000):
+    binary = json.dumps(io.certificate_to_dict(
+        "orthrep", reps.OrthogonalRepresentation(2, np.eye(2)), {}))
+    seeds = _READER_SEEDS + [binary] + [json.dumps(json.loads(s), indent=1)
+                                        for s in _READER_SEEDS + [binary]]
+    accepted = 0
+    for _ in range(2000):
         text = list(seeds[rng.integers(len(seeds))])
         for _ in range(rng.integers(1, 4)):
             spots = [i for i, ch in enumerate(text) if ch in "[],0123456789.eE+- "]
@@ -755,12 +786,10 @@ def test_reader_matches_json_loads_on_mutations():
             else:
                 text[i] = alphabet[rng.integers(len(alphabet))]
         text = "".join(text)
-        got, want = _reader(text), _stdlib(text)
-        assert _same_document(got, want), text
+        want = _stdlib(text)
+        assert _same_document(_reader(tmp_path, text), want), text
         accepted += not isinstance(want, Exception)
-        pairs += isinstance(got, dict) and any(
-            isinstance(v, np.ndarray) for v in got.values())
-    assert 800 < accepted < 7200 and pairs > 300  # both outcomes were tried
+    assert 200 < accepted < 1800  # both outcomes were tried
 
 
 @pytest.mark.parametrize("text", [
@@ -778,29 +807,25 @@ def test_reader_matches_json_loads_on_mutations():
         "double-comma", "missing-comma", "unclosed-pair-array", "unclosed-object",
         "non-numbers", "401-digits", "5001-digits", "1e400", "unicode-key",
         "unicode-digit", "unicode-digit-scalar", "40-axes", "100-empty-arrays"])
-def test_reader_edge_documents(text):
-    assert _same_document(_reader(text), _stdlib(text))
+def test_reader_edge_documents(tmp_path, text):
+    assert _same_document(_reader(tmp_path, text), _stdlib(text))
 
 
-def test_reader_deep_nesting_as_before():
-    """Objects deeper than two and arrays past 32 axes are read by the
-    stdlib scanner: 500 objects still read, and nesting far past Python's
-    recursion limit fails there as it did."""
+def test_reader_deep_nesting_as_before(tmp_path):
+    """500 nested objects read as json.loads reads them; nesting far past
+    Python's recursion limit is a FormatError, not a crash."""
     text = '{"a": ' * 500 + "[[1, 2]]" + "}" * 500
-    assert json.loads(text, cls=io._Reader) == _stdlib(text)
+    assert _reader(tmp_path, text) == _stdlib(text)
     for text in ("[" * 100_000 + "]" * 100_000,
                  "[" * 100_000 + "1, 2" + "]" * 100_000,
                  '{"a": ' * 100_000 + "1" + "}" * 100_000):
-        with pytest.raises(RecursionError):
-            json.loads(text, parse_constant=io._reject_constant)
-        with pytest.raises(RecursionError):
-            json.loads(text, cls=io._Reader)
+        got = _reader(tmp_path, text)
+        assert type(got) is io.FormatError and "JSON nested too deeply" in str(got)
 
 
 def test_reader_distinct_numbers_bit_identical(tmp_path):
-    """Past the float memo's cap (alice holds 8192 distinct numbers, so
-    the memo gives up there and bob is read with plain floats) every
-    number still reads back bit for bit."""
+    """A strategy whose entries are all distinct, bob's scaled to 1e-300 and
+    below (subnormals among them), reads back bit for bit."""
     rng = np.random.default_rng(3)
     table = rng.normal(size=(16, 4, 8, 8)) + 1j * rng.normal(size=(16, 4, 8, 8))
     s = game.POVMStrategy(4, 8, 8, np.ones(64) / 8, table, table[::-1] * 1e-300)
@@ -811,39 +836,21 @@ def test_reader_distinct_numbers_bit_identical(tmp_path):
         assert getattr(back, f).tobytes() == getattr(s, f).tobytes()
 
 
-def test_float_memo_gives_up_at_its_cap():
-    """The memo converts _MEMO_CAP distinct texts and refuses the next, so
-    a file of mostly distinct numbers goes back to plain floats."""
-    memo = io._FloatMemo()
-    assert [memo[f"{i}.5"] for i in range(io._MEMO_CAP)][-1] == io._MEMO_CAP - 0.5
-    assert memo["0.5"] == 0.5 and len(memo) == io._MEMO_CAP
-    with pytest.raises(KeyError):
-        memo["0.25"]
-
-
-def test_reader_many_array_keys_in_linear_time():
-    """An array's text ends at the next key, not at its object's end: 5000
-    array-valued keys before 20 MB of whitespace read in a fraction of a
-    second, where a scan to the object's end per array takes seconds."""
-    text = ("{" + ", ".join(f'"k{i}": [{i}]' for i in range(5000))
-            + ', "pairs": [[1, 2]], "pad": 0' + " " * 20_000_000 + "}")
-    start = time.perf_counter()
-    got = json.loads(text, cls=io._Reader)
-    assert time.perf_counter() - start < 1.0
-    assert _same_document(got, _stdlib(text))
-
-
 def test_reader_files_bom_and_indentation(tmp_path):
+    """A byte-order mark is refused; an indented file reads as it was
+    written, in the text form and in the binary form."""
     p = tmp_path / "doc.json"
     doc = {"kind": "orthrep", "payload": {"dimension": 2,
                                           "vectors": [[[1.5, 0], [0, -1]]]}}
     p.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
     with pytest.raises(io.FormatError, match="Unexpected UTF-8 BOM"):
         io.read_certificate(p)
-    p.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    _, payload, _ = io.read_certificate(p)
-    assert _same_document(payload, doc["payload"])
-    assert isinstance(payload["vectors"], np.ndarray)
+    binary = io.certificate_to_dict("orthrep", io.decode_payload("orthrep", doc["payload"]), {})
+    for d in (doc, binary):
+        p.write_text(json.dumps(d, indent=2), encoding="utf-8")
+        _, payload, _ = io.read_certificate(p)
+        assert _same_document(payload, d["payload"])
+    assert as_text(binary["payload"]) == doc["payload"]
 
 
 def _decoded(kind, doc):
@@ -857,66 +864,137 @@ def _decoded(kind, doc):
         return str(err)
 
 
-_SIZE = r'"(?:colors|dim_a|dim_b|rank|dimension)": (-?[0-9]+)'
+def _assert_bit_identical(got, want):
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b
 
 
-def test_decoders_agree_on_arrays_and_lists_over_mutations():
-    """Small strategy (tables, and vectors) and certificate files, compact
-    and indented, mutated in their characters, their numbers and their
-    declared sizes: each
-    document the reader accepts decodes as its pair arrays and as
-    json.loads's nested lists to the same object bit for bit, or to the
-    same FormatError.  No other exception escapes, such as the allocation
-    error a declared size of 2e9 once raised."""
+_SIZE = r'"(colors|dim_a|dim_b|rank|dimension)": -?[0-9]+'
+_ARRAY = r'\{"shape": \[[^\]]*\], "c16": "[^"]*"\}'
+
+
+def test_decoders_agree_on_arrays_and_lists_over_mutations(monkeypatch):
+    """Small strategy (tables, and vectors) and certificate documents in the
+    binary form and in the text form.  With one declared size changed alike
+    in both, both forms decode to the same object bit for bit, or both are
+    refused with a FormatError.  With the characters of a binary-form array
+    mutated, a document decodes or is refused with a FormatError.  No other
+    exception escapes, such as the allocation error a declared size of 2e9
+    once raised."""
     rng = np.random.default_rng(18)
     e0, e1 = np.diag([1.0 + 0j, 0]), np.diag([0j, 1.0])
     alice = np.array([[e0, e1], [e1, e0], [e0, e1]])
     vectors = np.eye(2, dtype=complex)[[[0, 1], [1, 0], [0, 1]]]
-    docs = [(None, io.strategy_to_dict(game.POVMStrategy(2, 2, 2, maximally_entangled(2), *t)))
-            for t in ((alice, alice.conj()), (vectors, vectors.conj()))]
-    docs += [(kind, io.certificate_to_dict(kind, obj, {}))
-             for kind, obj in _codec_examples()[1:]]
-    seeds = [(n, text) for n, (_, doc) in enumerate(docs)
-             for text in (io._to_json(doc), json.dumps(json.loads(io._to_json(doc)),
-                                                       indent=1))]
-    alphabet = list("[]{},:\" \n0123456789.eE+-x")
+    builds = [(None, lambda t=t: io.strategy_to_dict(
+        game.POVMStrategy(2, 2, 2, maximally_entangled(2), *t)))
+        for t in ((alice, alice.conj()), (vectors, vectors.conj()))]
+    builds += [(kind, lambda kind=kind, obj=obj: io.certificate_to_dict(kind, obj, {}))
+               for kind, obj in _codec_examples()[1:]]
+    docs = [(kind, json.dumps(build()), json.dumps(_text_document(monkeypatch, build)))
+            for kind, build in builds]
     numbers = ["0", "1", "2", "3", "-1", "2e9", "1e400", "0.5", "[]", "[[1, 0]]"]
+    alphabet = list("[]{},:\" \n0123456789=+/ABx-")
     outcomes = set()
     for _ in range(1500):
-        n, text = seeds[rng.integers(len(seeds))]
-        kind = docs[n][0]
-        for _ in range(rng.integers(1, 3)):
-            edit = rng.integers(3)
-            if edit < 2:  # a declared size, or any number
-                spans = [m.span(1) for m in re.finditer(
-                    _SIZE if edit else r"(-?[0-9][0-9.eE+-]*)", text)]
-                i, j = spans[rng.integers(len(spans))] if spans else (0, 0)
-                text = text[:i] + numbers[rng.integers(len(numbers))] + text[j:]
+        n = int(rng.integers(len(docs)))
+        kind, binary, text = docs[n]
+        keys = re.findall(_SIZE, binary)
+        if keys and rng.integers(2):  # a declared size, alike in both forms
+            key, value = keys[rng.integers(len(keys))], numbers[rng.integers(len(numbers))]
+            got, want = (_decoded(kind, json.loads(re.sub(
+                rf'"{key}": -?[0-9]+', f'"{key}": {value}', t, count=1))) for t in (binary, text))
+            if isinstance(want, str):
+                assert isinstance(got, str), (n, key, value)
             else:
-                spots = [i for i, ch in enumerate(text) if ch in "[],0123456789.eE+- "]
-                i = spots[rng.integers(len(spots))]
-                ch = alphabet[rng.integers(len(alphabet))]
-                # substitute, delete or insert before
-                text = text[:i] + [ch, "", ch + text[i]][rng.integers(3)] + text[i + 1:]
-        try:
-            doc = json.loads(text, cls=io._Reader)
-        except ValueError:
-            continue
-        got = _decoded(kind, doc)
-        want = _decoded(kind, json.loads(text, parse_constant=io._reject_constant))
-        if isinstance(want, str):
-            assert got == want, text
-        else:
-            assert type(got) is type(want), text
-            for f in dataclasses.fields(want):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                if isinstance(b, np.ndarray):
-                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
-                                                               b.tobytes()), text
-                else:
-                    assert a == b, text
-        outcomes.add((n, isinstance(want, str)))
-    assert len(outcomes) == 2 * len(docs)  # each file both decoded and refused
+                _assert_bit_identical(got, want)
+        else:  # a character in, or next to, one of the binary form's arrays
+            spans = [m.span() for m in re.finditer(_ARRAY, binary)]
+            i, j = spans[rng.integers(len(spans))]
+            i = int(rng.integers(i, j))
+            ch = alphabet[rng.integers(len(alphabet))]
+            # substitute, delete or insert before
+            mutated = binary[:i] + [ch, "", ch + binary[i]][rng.integers(3)] + binary[i + 1:]
+            try:
+                doc = json.loads(mutated)
+            except ValueError:
+                continue
+            got = _decoded(kind, doc)
+        outcomes.add((n, isinstance(got, str)))
+    assert len(outcomes) == 2 * len(docs)  # each document both decoded and refused
+
+
+def _c16(a) -> str:
+    return base64.b64encode(np.asarray(a, "<c16").tobytes()).decode()
+
+
+def _entries(field, more: int = 0) -> str:
+    """c16 of zeros for the entries field["shape"] declares, plus more."""
+    return _c16(np.zeros(math.prod(field["shape"]) + more))
+
+
+# name -> (edit of a {"shape", "c16"} field, what its refusal says after the
+# field's name)
+_BINARY_REFUSALS = {
+    "base64-space": (lambda f: f.update(c16=" " + f["c16"]), "c16 is not strict base64"),
+    "base64-alphabet": (lambda f: f.update(c16="!" + f["c16"][1:]), "c16 is not strict base64"),
+    "base64-padding": (lambda f: f.update(c16=f["c16"][:-1]), "c16 is not strict base64"),
+    "base64-not-ascii": (lambda f: f.update(c16="é" + f["c16"][1:]), "c16 is not strict base64"),
+    "c16-not-a-string": (lambda f: f.update(c16=[0]), "c16 is not strict base64"),
+    "bytes-short": (lambda f: f.update(c16=_entries(f, -1)), r"c16 holds \d+ bytes, expected 16"),
+    "bytes-long": (lambda f: f.update(c16=_entries(f, 1)), r"c16 holds \d+ bytes, expected 16"),
+    "extra-axis": (lambda f: f["shape"].insert(-1, 1), r"has shape \[.*\], expected \["),
+    "entry-count": (lambda f: f.update(shape=f["shape"][:-1] + [f["shape"][-1] + 1])
+                    or f.update(c16=_entries(f)), "has (shape|dimension)"),
+    "shape-string": (lambda f: f.update(shape=[str(n) for n in f["shape"]]),
+                     r"shape must be a list of non-negative integers: '\d+' is not a number"),
+    "shape-boolean": (lambda f: f["shape"].__setitem__(0, True),
+                      "shape must be a list of non-negative integers: True is not a number"),
+    "shape-negative": (lambda f: f["shape"].__setitem__(0, -1),
+                       "shape must be a list of non-negative integers: -1 is negative"),
+    "shape-fraction": (lambda f: f["shape"].__setitem__(0, 0.5),
+                       "shape must be a list of non-negative integers: 0.5 is not an integer"),
+    "shape-not-a-list": (lambda f: f.update(shape=2), "shape must be a list of non-negative"),
+    "shape-missing": (lambda f: f.pop("shape"), "shape must be a list of non-negative"),
+    "nan": (lambda f: f.update(c16=_c16(np.full(math.prod(f["shape"]), np.nan))),
+            "contains a non-finite value"),
+    "infinity": (lambda f: f.update(c16=_c16(np.full(math.prod(f["shape"]), 1j * np.inf))),
+                 "contains a non-finite value"),
+}
+
+_TABLE = np.array([[np.diag([1.0 + 0j, 0]), np.diag([0j, 1.0])]] * 3)
+
+# reader -> (document, its field under test, read(path), the field's name)
+_BINARY_READERS = {
+    "read_strategy": (lambda: io.strategy_to_dict(game.POVMStrategy(
+        2, 2, 2, maximally_entangled(2), _TABLE, _TABLE)), lambda d: d["alice"],
+        io.read_strategy, "alice operator"),
+    "read_vector_set": (lambda: io.vector_set_to_dict(ks.VectorSet(
+        2, np.eye(2, dtype=complex), ("a", "b"))), lambda d: d["vectors"][0]["coords"],
+        io.read_vector_set, "vector 0"),
+    "decode_payload": (lambda: io.certificate_to_dict("matrixrep", reps.MatrixRepresentation(
+        2, _TABLE[:, 0]), {}), lambda d: d["payload"]["matrices"],
+        lambda p: io.decode_payload(*io.read_certificate(p)[:2]), "matrix"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_BINARY_READERS))
+@pytest.mark.parametrize("refusal", list(_BINARY_REFUSALS))
+def test_binary_form_refusals_name_the_field(tmp_path, reader, refusal):
+    """Each defect of a {"shape", "c16"} field is a FormatError (exit 2 in
+    the CLI) that names the field, through each reader."""
+    build, field, read, name = _BINARY_READERS[reader]
+    edit, says = _BINARY_REFUSALS[refusal]
+    doc = build()
+    edit(field(doc))
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(io.FormatError, match=f"{name} (.* )?{says}"):
+        read(p)
 
 
 _PAIR_CONTRACT = [
@@ -970,24 +1048,16 @@ def test_certificate_operator_contract(tmp_path, table, want):
         assert np.array_equal(qc.table.ravel(), np.array(want, dtype=complex))
 
 
-def test_read_certificate_gives_pair_arrays(tmp_path):
-    """Complex payload fields come back as (..., 2) float arrays; lists,
-    scalars and metadata as before; decode_payload takes either form."""
+def test_read_certificate_gives_binary_arrays(tmp_path):
+    """Complex payload fields come back as the {"shape", "c16"} objects
+    written; lists, scalars and metadata as before; decode_payload takes
+    them and the text form's pairs alike."""
     for kind, obj in _codec_examples():
         p = tmp_path / f"{kind}.json"
         doc = io.certificate_to_dict(kind, obj,
                                      io.make_metadata(tol=1e-9, rank_tol=1e-7, seed=3))
-        payload = doc["payload"]
         io.write_json(doc, p)
-        _, back, meta = io.read_certificate(p)
-        assert meta == json.loads(p.read_text())["metadata"]
-        for key, value in payload.items():
-            if isinstance(value, np.ndarray):
-                assert type(back[key]) is np.ndarray and back[key].dtype == float
-                assert back[key].shape == value.shape and value.shape[-1] == 2
-                assert back[key].tobytes() == value.tobytes()
-            else:
-                assert type(back[key]) is type(value) and back[key] == value
-        nested = {key: v.tolist() if isinstance(v, np.ndarray) else v
-                  for key, v in back.items()}
-        _assert_same_fields(io.decode_payload(kind, nested), obj)
+        _, payload, meta = io.read_certificate(p)
+        assert (payload, meta) == (doc["payload"], doc["metadata"])
+        for form in (payload, as_text(payload)):
+            _assert_same_fields(io.decode_payload(kind, form), obj)
