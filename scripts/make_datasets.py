@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled ray sets from their arithmetic definitions.
+"""Rebuild the bundled ray sets from their arithmetic definitions.
 
-Writes JSON vector-set files into src/qcolor/data/, each coordinate array in
-the binary form every qcolor file uses.  The checked-in files are the same
-sets in the text form ([re, im] pairs), kept for auditing by eye.  Run from
-anywhere; the output location is resolved relative to this script.  See
-data/README.md for the provenance of each construction.
+Checks that each checked-in file under src/qcolor/data/ (text form, [re, im]
+pairs, kept for auditing by eye) reads as the rebuilt set bit for bit, and
+exits 1 if one does not.  The checked-in files are never written.  Given a
+directory, also writes the rebuilt sets there as JSON vector-set files, each
+coordinate array in the binary form every qcolor file uses:
+
+    python3 scripts/make_datasets.py [OUT_DIR]
+
+See data/README.md for the provenance of each construction.
 """
 from __future__ import annotations
 
@@ -17,10 +21,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from qcolor.io import write_vector_set  # noqa: E402
+from qcolor.io import read_vector_set, write_vector_set  # noqa: E402
 from qcolor.ks import canonicalize  # noqa: E402
 
-OUT = ROOT / "src" / "qcolor" / "data"
+DATA = ROOT / "src" / "qcolor" / "data"
 
 # 18 rays in R^4 arranged in 9 bases, every ray appearing in exactly two
 # (Cabello, Estebaranz, Garcia-Alcaine 1996).
@@ -85,14 +89,24 @@ def peres_rays() -> list[tuple]:
     return [seen[k] for k in sorted(seen)]
 
 
-def build(name: str, raw, labels) -> None:
+def build(name: str, raw, labels, out: Path | None) -> bool:
+    """Whether the checked-in name.json reads as the set built from raw."""
     vs = canonicalize(raw, labels=labels)
-    write_vector_set(vs, OUT / f"{name}.json", tolerance=1e-9)
-    print(f"{name}: {vs.size} rays in dimension {vs.dimension}")
+    bundled, tolerance = read_vector_set(DATA / f"{name}.json")
+    same = ((bundled.labels, bundled.vectors.tobytes(), tolerance)
+            == (vs.labels, vs.vectors.tobytes(), 1e-9))
+    if out is not None:
+        write_vector_set(vs, out / f"{name}.json", tolerance=1e-9)
+    print(f"{name}: {vs.size} rays in dimension {vs.dimension}, "
+          f"{'matches' if same else 'DIFFERS FROM'} the checked-in file")
+    return same
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(argv: list[str]) -> int:
+    out = Path(argv[0]) if argv else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    same = []
 
     cab_raw, cab_labels, seen = [], [], set()
     for basis in CABELLO_BASES:
@@ -101,14 +115,15 @@ def main() -> None:
                 seen.add(vec)
                 cab_raw.append(np.array(vec, dtype=float))
                 cab_labels.append(label(vec))
-    build("cabello-18", cab_raw, cab_labels)
+    same.append(build("cabello-18", cab_raw, cab_labels, out))
 
     per = peres_rays()
-    build("peres-33", [np.array(v) for v in per], [label(v) for v in per])
+    same.append(build("peres-33", [np.array(v) for v in per], [label(v) for v in per], out))
 
-    build("yu-oh-13", [np.array(v, dtype=float) for v in YU_OH],
-          [label(v) for v in YU_OH])
+    same.append(build("yu-oh-13", [np.array(v, dtype=float) for v in YU_OH],
+                      [label(v) for v in YU_OH], out))
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -373,7 +373,7 @@ def main(argv=None) -> int:
                f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
         report, code, summary = {"error": msg}, EXIT_INTERNAL, f"error: {msg}"
     full = {"command": name, "metadata": _metadata(args), **report}
-    print(json.dumps(full, indent=1, default=lambda a: a.tolist()))
+    print(json.dumps(full, indent=1))
     print(f"qcolor {name}: {summary} [exit {code}]", file=sys.stderr)
     return code
 

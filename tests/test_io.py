@@ -874,18 +874,25 @@ def _assert_bit_identical(got, want):
             assert a == b
 
 
-_SIZE = r'"(colors|dim_a|dim_b|rank|dimension)": -?[0-9]+'
+_SIZE = r'"(colors|dim_a|dim_b|rank|dimension)": (-?[0-9]+)'
 _ARRAY = r'\{"shape": \[[^\]]*\], "c16": "[^"]*"\}'
 
 
 def test_decoders_agree_on_arrays_and_lists_over_mutations(monkeypatch):
     """Small strategy (tables, and vectors) and certificate documents in the
-    binary form and in the text form.  With one declared size changed alike
-    in both, both forms decode to the same object bit for bit, or both are
-    refused with a FormatError.  With the characters of a binary-form array
-    mutated, a document decodes or is refused with a FormatError.  No other
-    exception escapes, such as the allocation error a declared size of 2e9
-    once raised."""
+    binary form and in the text form, mutated three ways:
+
+    - the text form, compact and indented, in its characters, its numbers
+      and its declared sizes, as old files might be;
+    - one declared size changed alike in both forms: both decode to the same
+      object bit for bit, or both are refused with a FormatError;
+    - the characters of one of the binary form's arrays.
+
+    Each mutated document that json.loads accepts decodes to an object that
+    writes and reads back bit for bit, or is refused with a FormatError; no
+    other exception escapes, such as the allocation error a declared size
+    of 2e9 once raised.  Each document, each way, is both decoded and
+    refused."""
     rng = np.random.default_rng(18)
     e0, e1 = np.diag([1.0 + 0j, 0]), np.diag([0j, 1.0])
     alice = np.array([[e0, e1], [e1, e0], [e0, e1]])
@@ -895,16 +902,37 @@ def test_decoders_agree_on_arrays_and_lists_over_mutations(monkeypatch):
         for t in ((alice, alice.conj()), (vectors, vectors.conj()))]
     builds += [(kind, lambda kind=kind, obj=obj: io.certificate_to_dict(kind, obj, {}))
                for kind, obj in _codec_examples()[1:]]
-    docs = [(kind, json.dumps(build()), json.dumps(_text_document(monkeypatch, build)))
+    docs = [(kind, json.dumps(build()), _text_document(monkeypatch, build))
             for kind, build in builds]
+    docs = [(kind, binary, json.dumps(text), [json.dumps(text), json.dumps(text, indent=1)])
+            for kind, binary, text in docs]
     numbers = ["0", "1", "2", "3", "-1", "2e9", "1e400", "0.5", "[]", "[[1, 0]]"]
-    alphabet = list("[]{},:\" \n0123456789=+/ABx-")
+    text_alphabet = list("[]{},:\" \n0123456789.eE+-x")
+    binary_alphabet = list("[]{},:\" \n0123456789=+/ABx-")
     outcomes = set()
-    for _ in range(1500):
+    for _ in range(3000):
         n = int(rng.integers(len(docs)))
-        kind, binary, text = docs[n]
-        keys = re.findall(_SIZE, binary)
-        if keys and rng.integers(2):  # a declared size, alike in both forms
+        kind, binary, text, text_files = docs[n]
+        keys = [key for key, _ in re.findall(_SIZE, binary)]
+        way = rng.integers(3)
+        if way == 0:  # an old text file: 1-2 edits of a size, any number or a character
+            mutated = text_files[rng.integers(2)]
+            for _ in range(rng.integers(1, 3)):
+                edit = rng.integers(3)
+                if edit < 2:
+                    spans = [m.span(2 if edit else 0) for m in re.finditer(
+                        _SIZE if edit else r"-?[0-9][0-9.eE+-]*", mutated)]
+                    i, j = spans[rng.integers(len(spans))] if spans else (0, 0)
+                    mutated = mutated[:i] + numbers[rng.integers(len(numbers))] + mutated[j:]
+                else:
+                    spots = [i for i, ch in enumerate(mutated) if ch in "[],0123456789.eE+- "]
+                    i = spots[rng.integers(len(spots))]
+                    ch = text_alphabet[rng.integers(len(text_alphabet))]
+                    # substitute, delete or insert before
+                    mutated = (mutated[:i] + [ch, "", ch + mutated[i]][rng.integers(3)]
+                               + mutated[i + 1:])
+            way = "text"
+        elif keys and way == 1:  # a declared size, alike in both forms
             key, value = keys[rng.integers(len(keys))], numbers[rng.integers(len(numbers))]
             got, want = (_decoded(kind, json.loads(re.sub(
                 rf'"{key}": -?[0-9]+', f'"{key}": {value}', t, count=1))) for t in (binary, text))
@@ -912,20 +940,28 @@ def test_decoders_agree_on_arrays_and_lists_over_mutations(monkeypatch):
                 assert isinstance(got, str), (n, key, value)
             else:
                 _assert_bit_identical(got, want)
+            outcomes.add((n, "size", isinstance(want, str)))
+            continue
         else:  # a character in, or next to, one of the binary form's arrays
             spans = [m.span() for m in re.finditer(_ARRAY, binary)]
             i, j = spans[rng.integers(len(spans))]
             i = int(rng.integers(i, j))
-            ch = alphabet[rng.integers(len(alphabet))]
-            # substitute, delete or insert before
+            ch = binary_alphabet[rng.integers(len(binary_alphabet))]
             mutated = binary[:i] + [ch, "", ch + binary[i]][rng.integers(3)] + binary[i + 1:]
-            try:
-                doc = json.loads(mutated)
-            except ValueError:
-                continue
-            got = _decoded(kind, doc)
-        outcomes.add((n, isinstance(got, str)))
-    assert len(outcomes) == 2 * len(docs)  # each document both decoded and refused
+            way = "binary"
+        try:
+            doc = json.loads(mutated, parse_constant=io._reject_constant)
+        except ValueError:
+            continue
+        got = _decoded(kind, doc)
+        if not isinstance(got, str):  # what decodes writes and reads back bit for bit
+            again = (io.strategy_to_dict(got) if kind is None
+                     else io.certificate_to_dict(kind, got, {}))
+            _assert_bit_identical(_decoded(kind, json.loads(json.dumps(again))), got)
+        outcomes.add((n, way, isinstance(got, str)))
+    ways = [("text", "binary", "size")[:3 if re.search(_SIZE, d[1]) else 2] for d in docs]
+    assert outcomes == {(n, way, refused) for n in range(len(docs))
+                        for way in ways[n] for refused in (False, True)}
 
 
 def _c16(a) -> str:
