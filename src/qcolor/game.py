@@ -17,14 +17,14 @@ checked stage at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import CheckResult, Graph
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks, _gamma,
-                     _hermitian_defect, maximally_entangled, psd_certified, schmidt,
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, LinalgError, PairBlocks, _above_cutoff,
+                     _gamma, _hermitian_defect, maximally_entangled, psd_certified,
                      support_projector)
 from .reps import (QuantumColoring, _identity_defect, _worst_vertex, edges_orthogonal,
                    measurement_ok)
@@ -102,8 +102,8 @@ class POVMStrategy:
     dim_a: int
     dim_b: int
     state: np.ndarray
-    alice: np.ndarray
-    bob: np.ndarray
+    alice: np.ndarray = field(repr=False)  # so that repr builds no table
+    bob: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         st = np.asarray(self.state, dtype=complex).ravel()
@@ -428,18 +428,18 @@ def normalize_strategy(s: POVMStrategy, g: Graph, tol: float = DEFAULT_TOL,
 
     # stage 1: schmidt restriction ------------------------------------------
     stage = "schmidt restriction"
+    u, coeffs, vh = np.linalg.svd(s.state_matrix(), full_matrices=False)
     try:
-        sd = schmidt(s.state, s.dim_a, s.dim_b, rank_tol)
+        d = int(_above_cutoff(coeffs, coeffs[0], rank_tol, "Schmidt coefficient").sum())
     except LinalgError as err:
         raise NormalFormError(stage, str(err)) from err
-    coeffs = sd.coefficients
-    d = sd.rank
     if d == 0:
         raise NormalFormError(stage, "state has no Schmidt support")
     lam = coeffs[:d] / np.linalg.norm(coeffs[:d])
-    # rotate: A-side by U^dagger, B-side by conj(V)^T with V = sd.right; the
+    # state = sum_i coeffs[i] u[:, i] (x) w[:, i], w = vh.T (no conjugation: vh rows
+    # are already the B-side kets); rotate A by U^dagger, B by conj(w)^T: the
     # state matrix becomes diag(lambda) on the kept d-dimensional corner
-    u, w = sd.left, sd.right
+    w = vh.T
     alice2 = (u.conj().T @ s.alice @ u)[:, :, :d, :d]
     bob2 = (w.conj().T @ s.bob @ w)[:, :, :d, :d]
     # diag(lambda) is both the new state matrix and sqrt(rho) of either side

@@ -142,8 +142,8 @@ def _pack(a, keep: int) -> dict:
 
 def _from_c16(data: dict, what: str, axes: tuple[int | None, ...]) -> np.ndarray:
     """The complex array of a {"shape", "c16"} object whose shape fits axes
-    (None: any length): shape a list of non-negative integers, c16 strict
-    base64 of 16 bytes per entry, every value finite."""
+    (None: any length): shape a list of non-negative integers, c16 the
+    b64encode of 16 bytes per entry, every value finite."""
     try:
         dims = data["shape"]
         if not isinstance(dims, list):
@@ -158,6 +158,11 @@ def _from_c16(data: dict, what: str, axes: tuple[int | None, ...]) -> np.ndarray
         raise FormatError(f"{what} has shape {dims}, expected [{want}]")
     try:
         raw = base64.b64decode(data.get("c16"), validate=True)
+        # b64encode's spelling: full groups decode one to one, so only the length
+        # (excess "=") and the last group (pad bits) can differ
+        c16, last = data["c16"], raw[-(len(raw) % 3 or 3):]
+        if len(c16) != -(-len(raw) // 3) * 4 or base64.b64encode(last).decode() != c16[-4:]:
+            raise ValueError("not the one spelling of its bytes")
     except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
         raise FormatError(f"{what} c16 is not strict base64: {err}")
     if len(raw) != 16 * math.prod(dims):

@@ -182,9 +182,7 @@ def _search_labeling(n: int, bases: list[tuple[int, ...]],
             if v:
                 if ones & bit:
                     continue
-                if zeros & bit or ones & kill[r]:
-                    return None
-                ones |= bit
+                ones |= bit  # never on a 0: a 0 on a queued 1 empties the basis that forced it
                 fresh = kill[r] & ~zeros
             else:  # only the branch ray, which is free
                 fresh = bit

@@ -6,8 +6,9 @@ Conventions, fixed package-wide:
 * tensor indices are row-major with the A system most significant, so a
   bipartite state of local dimensions (dA, dB) reshapes to a dA x dB matrix;
 * orthogonality-style checks use an absolute entrywise tolerance
-  (default 1e-9), rank decisions a relative cutoff against the largest
-  singular / eigen value (default 1e-7);
+  (default 1e-9), rank decisions _above_cutoff's relative cutoff against the
+  largest singular / eigen value (default 1e-7): the normal form's Schmidt
+  step, support_projector and the PSD witness check;
 * products of operator stacks use @ (BLAS); einsum is kept for outer
   products, traces and elementwise sums, which contract nothing;
 * per-edge values (game evaluators, edge verifiers) go through PairBlocks(g),
@@ -20,8 +21,6 @@ Conventions, fixed package-wide:
 * every blocked kernel sizes its blocks from BLOCK_BYTES, through block_rows.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,21 +78,6 @@ class PairBlocks:
             yield sel, (x[lo:lo + self.rows] @ z[cols].T).ravel()[at]
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt data of a bipartite pure state.
-
-    coefficients are all min(dA,dB) singular values (nonincreasing); rank
-    counts those above rank_tol relative to the largest.  left[:, i] and
-    right[:, i] are the i-th Schmidt vectors, so the state reconstructs as
-    sum_i coefficients[i] * kron(left[:, i], right[:, i]).
-    """
-    coefficients: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    rank: int
-
-
 def _hermitian_defect(a: np.ndarray) -> np.ndarray:
     return np.abs(a - a.conj().swapaxes(-1, -2))
 
@@ -142,23 +126,6 @@ def _above_cutoff(values: np.ndarray, top, rank_tol: float,
         raise LinalgError(f"ambiguous {what} {values[band][0]:.3g} near the "
                           f"rank cutoff {cut[band][0]:.3g}")
     return values > cut
-
-
-def schmidt(state: np.ndarray, d_a: int, d_b: int,
-            rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtDecomposition:
-    state = np.asarray(state, dtype=complex).ravel()
-    if d_a * d_b != state.size:
-        raise LinalgError(f"state of size {state.size} does not factor as {d_a}x{d_b}")
-    nrm = np.linalg.norm(state)
-    if nrm == 0:
-        raise LinalgError("zero state has no Schmidt decomposition")
-    mat = state.reshape(d_a, d_b)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    # state = sum_i s[i] * u[:, i] (x) vh[i, :].T  (no conjugation: vh rows
-    # are already the B-side kets in this matrix picture)
-    kept = _above_cutoff(s, s[0], rank_tol, "Schmidt coefficient")
-    return SchmidtDecomposition(coefficients=s, left=u, right=vh.T,
-                                rank=int(np.count_nonzero(kept)))
 
 
 def support_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,

@@ -875,6 +875,11 @@ def test_game_normalize_rejects_bad_strategy(capsys, k2_file, tmp_path):
     code, report, _ = run(capsys, "game", "normalize", k2_file, str(p))
     assert code == 1
     assert report["rejected_stage"] == "precondition"
+    # a winning strategy, but a cutoff of 100 times the top Schmidt coefficient
+    code, report, _ = run(capsys, "game", "normalize", k2_file,
+                          winning_k2_strategy_file(tmp_path), "--rank-tol", "100")
+    assert code == 1 and report["rejected_stage"] == "schmidt restriction"
+    assert report["message"] == "[schmidt restriction] state has no Schmidt support"
 
 
 @pytest.mark.parametrize("alice, message", [
@@ -956,6 +961,17 @@ def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w))
     assert code == 1 and not report["ok"]
     assert report["reason"]
+    # the late rejections: a zero diagonal entry; and an eigenvalue 6e-9 the
+    # rank cutoff drops, leaving the factor's edge (0, 1) at -2e-9
+    lam = 6e-9
+    for matrix, rank, reason in (
+            (np.diag([1.0, 0.0]), 1, "zero Gram vector"),
+            (np.array([[1, 0, lam - 1], [0, 1, lam - 1], [lam - 1, lam - 1, 2 - lam]]), 2,
+             "Gram factor failed edge verification")):
+        g = tmp_path / "g.col"  # the one edge (0, 1)
+        g.write_text(io.write_dimacs(make_graph(len(matrix), [(0, 1)])))
+        code, report, _ = run(capsys, "psd-witness", str(g), write_witness(tmp_path, matrix, rank))
+        assert (code, report["reason"]) == (1, reason)
 
 
 def write_witness(tmp_path, matrix, rank):

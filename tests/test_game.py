@@ -12,7 +12,7 @@ from conftest import as_tables, cycle, graphs_st, pair_block_rows, random_graph
 from test_acceptance import perturbed_winning_strategy
 from qcolor import coloring, game, linalg, reps
 from qcolor.graphs import complete_graph, hadamard_graph, make_graph
-from qcolor.linalg import DEFAULT_TOL, maximally_entangled, schmidt
+from qcolor.linalg import DEFAULT_TOL, maximally_entangled
 
 
 def classical_derived(g, seed=None):
@@ -1067,15 +1067,18 @@ def test_hadamard_normal_form_keeps_its_local_dimension(bits):
 
 def test_normalize_zero_schmidt_tail_truncated():
     g = complete_graph(2)
-    state = np.zeros(9, dtype=complex)
-    state[0], state[4] = 0.6, 0.8
     a = np.zeros((2, 3, 3, 3), dtype=complex)
     a[0, 0, 0, 0] = 1; a[0, 1, 1, 1] = 1; a[0, 2, 2, 2] = 1
     a[1, 0, 1, 1] = 1; a[1, 1, 0, 0] = 1; a[1, 2, 2, 2] = 1
-    s = game.POVMStrategy(3, 3, 3, state, a, a.conj())
-    res = game.normalize_strategy(s, g)
-    assert res.normal.dim_a == 6  # support dim 2 times 3 colors
-    assert all(game.normal_form_properties(res.normal, g).values())
+    # an entangled state of Schmidt rank 2, then the product state |00>: rank 1
+    for entries, rank in (({0: 0.6, 4: 0.8}, 2), ({0: 1.0}, 1)):
+        state = np.zeros(9, dtype=complex)
+        state[list(entries)] = list(entries.values())
+        s = game.POVMStrategy(3, 3, 3, state, a, a.conj())
+        res = game.normalize_strategy(s, g)
+        assert res.trace.stages[1][1].dim_a == rank
+        assert res.normal.dim_a == 3 * rank  # support dim times 3 colors
+        assert all(game.normal_form_properties(res.normal, g).values())
 
 
 def test_normalize_rejects_ambiguous_schmidt():
@@ -1087,6 +1090,10 @@ def test_normalize_rejects_ambiguous_schmidt():
         game.normalize_strategy(s, g)
     assert exc.value.stage == "schmidt restriction"
     assert "ambiguous" in str(exc.value)
+    # 1e-4 is clear of the band: kept, so the Schmidt support stays 2
+    res = game.normalize_strategy(perturbed_k2_strategy(lam=(np.sqrt(1 - 1e-8), 1e-4)), g)
+    assert res.trace.schmidt_coefficients[1] == pytest.approx(1e-4)
+    assert res.trace.stages[1][1].dim_a == 2
 
 
 def test_normalize_bob_conjugate_exact():
@@ -1397,8 +1404,8 @@ def test_contractions_match_einsum(monkeypatch, name):
         assert reps.measurement_ok(t, 0, defect * (1 - 1e-13)).reason == "projector not idempotent"
 
     if rotate:  # the stage-1 rotation into the Schmidt basis
-        sd = schmidt(s.state, s.dim_a, s.dim_b)
-        u, w, d = sd.left, sd.right, sd.rank
+        u, coeffs, vh = np.linalg.svd(s.state_matrix(), full_matrices=False)
+        w, d = vh.T, np.count_nonzero(coeffs > 1e-7 * coeffs[0])
         stage = game.normalize_strategy(s, g).trace.stages[1][1]
         _assert_close(stage.alice, np.einsum(
             "pi,vaij,jq->vapq", u.conj().T, s.alice, u)[:, :, :d, :d])
@@ -1634,6 +1641,14 @@ def test_factored_tables_expand_once_as_they_were_made():
     assert s.n_vertices == 16 and not {"alice", "bob"} & vars(s).keys()
     assert s.alice.tobytes() == table.tobytes() and s.alice is s.alice
     assert s.bob.tobytes() == table.conj().tobytes() and s.bob.flags.c_contiguous
+
+
+def test_factored_repr_builds_no_table():
+    """repr of a factored strategy leaves the tables out, so it makes and
+    keeps neither (36 MB on Omega_10 when it did)."""
+    s = game.strategy_from_quantum_coloring(reps.hadamard_quantum_coloring(4))
+    assert repr(s).startswith("POVMStrategy(colors=4, dim_a=4, dim_b=4, state=")
+    assert "alice" not in repr(s) and not {"alice", "bob"} & vars(s).keys()
 
 
 def test_factored_evaluators_stay_below_one_table():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import string
 
 import numpy as np
 import pytest
@@ -973,6 +974,14 @@ def _entries(field, more: int = 0) -> str:
     return _c16(np.zeros(math.prod(field["shape"]) + more))
 
 
+def _pad_bits(c16: str) -> str:
+    """c16 with a pad bit of its last character set: b64decode reads the
+    same bytes."""
+    digits = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+    body = c16.rstrip("=")
+    return body[:-1] + digits[digits.index(body[-1]) | 1] + c16[len(body):]
+
+
 # name -> (edit of a {"shape", "c16"} field, what its refusal says after the
 # field's name)
 _BINARY_REFUSALS = {
@@ -980,6 +989,8 @@ _BINARY_REFUSALS = {
     "base64-alphabet": (lambda f: f.update(c16="!" + f["c16"][1:]), "c16 is not strict base64"),
     "base64-padding": (lambda f: f.update(c16=f["c16"][:-1]), "c16 is not strict base64"),
     "base64-not-ascii": (lambda f: f.update(c16="é" + f["c16"][1:]), "c16 is not strict base64"),
+    "base64-excess-padding": (lambda f: f.update(c16=f["c16"] + "="), "c16 is not strict base64"),
+    "base64-pad-bits": (lambda f: f.update(c16=_pad_bits(f["c16"])), "c16 is not strict base64"),
     "c16-not-a-string": (lambda f: f.update(c16=[0]), "c16 is not strict base64"),
     "bytes-short": (lambda f: f.update(c16=_entries(f, -1)), r"c16 holds \d+ bytes, expected 16"),
     "bytes-long": (lambda f: f.update(c16=_entries(f, 1)), r"c16 holds \d+ bytes, expected 16"),
@@ -1018,11 +1029,22 @@ _BINARY_READERS = {
 }
 
 
-@pytest.mark.parametrize("reader", list(_BINARY_READERS))
-@pytest.mark.parametrize("refusal", list(_BINARY_REFUSALS))
+def _binary_cases():
+    """(refusal, reader) pairs: all, but an excess "=" only after a field
+    with no padding, and pad bits only in a field with padding."""
+    for refusal in _BINARY_REFUSALS:
+        for reader, (build, field, *_) in _BINARY_READERS.items():
+            padded = field(build())["c16"].endswith("=")
+            if (refusal, padded) not in (("base64-excess-padding", True),
+                                         ("base64-pad-bits", False)):
+                yield pytest.param(refusal, reader, id=f"{refusal}-{reader}")
+
+
+@pytest.mark.parametrize("refusal, reader", _binary_cases())
 def test_binary_form_refusals_name_the_field(tmp_path, reader, refusal):
     """Each defect of a {"shape", "c16"} field is a FormatError (exit 2 in
-    the CLI) that names the field, through each reader."""
+    the CLI) that names the field, through each reader; a field has one
+    spelling, b64encode's."""
     build, field, read, name = _BINARY_READERS[reader]
     edit, says = _BINARY_REFUSALS[refusal]
     doc = build()

@@ -24,31 +24,6 @@ def random_state(d_a, d_b, seed, rank=None):
 
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 50))
 @settings(max_examples=40, deadline=None)
-def test_schmidt_reconstructs(d_a, d_b, seed):
-    psi = random_state(d_a, d_b, seed)
-    dec = linalg.schmidt(psi, d_a, d_b)
-    rebuilt = sum(dec.coefficients[i] * np.kron(dec.left[:, i], dec.right[:, i])
-                  for i in range(dec.coefficients.size))
-    assert np.allclose(rebuilt, psi, atol=1e-10)
-    assert np.all(np.diff(dec.coefficients) <= 1e-12)
-    assert abs(np.linalg.norm(dec.coefficients) - 1.0) < 1e-10
-
-
-def test_schmidt_rank_of_product_state():
-    psi = np.kron(np.array([1.0, 0.0]), np.array([0.6, 0.8]))
-    dec = linalg.schmidt(psi, 2, 2)
-    assert dec.rank == 1
-
-
-def test_schmidt_rank_of_maximally_entangled():
-    for d in (2, 3, 4):
-        dec = linalg.schmidt(linalg.maximally_entangled(d), d, d)
-        assert dec.rank == d
-        assert np.allclose(dec.coefficients[:d], 1 / np.sqrt(d))
-
-
-@given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 50))
-@settings(max_examples=40, deadline=None)
 def test_partial_trace_against_naive(d_a, d_b, seed):
     psi = random_state(d_a, d_b, seed)
     rho = np.outer(psi, psi.conj())
@@ -117,15 +92,6 @@ def test_support_projector_stack_matches_each_matrix():
     stack[0, 1] = np.diag([1.0, 2e-7, 0.0, 0.0])
     with pytest.raises(linalg.LinalgError, match="ambiguous eigenvalue 2e-07"):
         linalg.support_projector(stack)
-
-
-def test_schmidt_rejects_ambiguous_coefficient():
-    # the coefficient 1e-7 sits inside (1e-8, 1e-6), around the cutoff
-    psi = np.array([1.0, 0.0, 0.0, 1e-7]) / np.sqrt(1 + 1e-14)
-    with pytest.raises(linalg.LinalgError,
-                       match="ambiguous Schmidt coefficient"):
-        linalg.schmidt(psi, 2, 2)
-    assert linalg.schmidt(np.array([1.0, 0.0, 0.0, 1e-4]), 2, 2).rank == 2
 
 
 def test_support_projector_zero_matrix():
