@@ -12,12 +12,12 @@ Both exact searches work on int bitsets (Graph.masks, one adjacency mask per
 vertex) and keep their branch state in an explicit stack of frames, not in
 recursion, so their depth is bounded by memory rather than the interpreter.
 DSATUR keeps, per color, the uncolored vertices with a neighbour of that
-color, and per saturation level the uncolored vertices at that level; coloring
-a vertex shifts the newly saturated neighbours up one level, and backtracking
-shifts them back.
+color, and the saturation counts bit-sliced, one bitset per bit: coloring a
+vertex adds 1 by a ripple carry, and backtracking subtracts it by a borrow.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +164,7 @@ def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
     return CliqueResult(len(best), tuple(sorted(best)), status, nodes)
 
 
-def _dsatur(adj: tuple[int, ...], c: int, seed: list[int],
+def _dsatur(adj: tuple[int, ...], c: int, seed: Sequence[int],
             budget: int) -> tuple[str, list[int] | None, int]:
     """Explicit-stack DSATUR over adjacency bitsets.
 
@@ -172,73 +172,71 @@ def _dsatur(adj: tuple[int, ...], c: int, seed: list[int],
     expands the uncolored vertex of maximum saturation, lowest index first,
     and tries the colors 0..min(k + 1, c) - 1 in order, where k colors are in
     use: at most one fresh color per branch.  Returns (status, colors, nodes).
+
+    planes[p] holds bit p of every saturation count.  Only free vertices are
+    counted, so a picked vertex's count is right again once it is freed.  A
+    frame is the vertex, k when it was picked, its color and the vertices
+    that color saturated, at one index of four flat lists.
     """
     n = len(adj)
     colors = [-1] * n
     has = [0] * c  # has[col]: vertices with a neighbour colored col
-    level = [0] * (c + 2)  # level[s]: uncolored vertices of saturation s
-    seeded = 0
-    for col, v in enumerate(seed):
+    planes = [0] * (c + 1).bit_length()  # no saturation exceeds c
+    free = (1 << n) - 1
+    for col, v in enumerate(seed):  # the seed's own counts are never read
         colors[v] = col
-        has[col] = adj[v]
-        seeded |= 1 << v
-    free = ((1 << n) - 1) ^ seeded
-    for u in range(n):
-        if colors[u] < 0:  # the seed colors are distinct
-            level[(adj[u] & seeded).bit_count()] |= 1 << u
-    k = len(seed)
-    nodes = 0
-    stack: list[list[int]] = []  # frames [v, saturation, k, color, touched]
+        free ^= 1 << v
+        has[col] = carry = adj[v]
+        p = 0
+        while carry:
+            plane = planes[p]
+            planes[p] = plane ^ carry
+            carry &= plane
+            p += 1
+    vertex, used, color, touched = [0] * n, [0] * n, [0] * n, [0] * n
+    k, nodes, top = len(seed), 0, -1  # top: the depth of the top frame
     while free:
-        s = k
-        while not level[s]:
-            s -= 1
-        low = level[s] & -level[s]
+        cand = free
+        for plane in reversed(planes):  # top saturation, then lowest index
+            cand = cand & plane or cand
+        low = cand & -cand
         nodes += 1
         if nodes > budget:
             return BUDGET_EXCEEDED, None, nodes
-        level[s] ^= low
         free ^= low
-        stack.append([low.bit_length() - 1, s, k, -1, 0])
+        top += 1
+        vertex[top], used[top], color[top] = low.bit_length() - 1, k, -1
         # move the top frame to its next color, popping exhausted frames
-        while stack:
-            frame = stack[-1]
-            v, s, k, col, touched = frame
-            if col >= 0:  # undo the previous color: touched moves down
-                has[col] ^= touched
-                for t in range(1, k + 2):
-                    moved = level[t] & touched
-                    if moved:
-                        level[t] ^= moved
-                        level[t - 1] |= moved
-                        touched ^= moved
-                        if not touched:
-                            break
+        while top >= 0:
+            v, k, col = vertex[top], used[top], color[top]
+            if col >= 0:  # undo the previous color
+                borrow, p = touched[top], 0
+                has[col] ^= borrow
+                while borrow:
+                    plane = planes[p]
+                    planes[p] = plane ^ borrow
+                    borrow &= ~plane
+                    p += 1
             bit = 1 << v
             col += 1
             limit = k + 1 if k < c else c
             while col < limit and has[col] & bit:
                 col += 1
             if col < limit:
-                touched = adj[v] & free & ~has[col]
-                has[col] |= touched
-                frame[3], frame[4] = col, touched
-                for t in range(k, -1, -1):  # touched moves up one level
-                    moved = level[t] & touched
-                    if moved:
-                        level[t] ^= moved
-                        level[t + 1] |= moved
-                        touched ^= moved
-                        if not touched:
-                            break
+                carry, p = adj[v] & free & ~has[col], 0
+                has[col] |= carry
+                color[top], touched[top] = col, carry
+                while carry:
+                    plane = planes[p]
+                    planes[p] = plane ^ carry
+                    carry &= plane
+                    p += 1
                 colors[v] = col
                 if col == k:
                     k += 1
                 break
-            colors[v] = -1
-            level[s] |= bit
             free |= bit
-            stack.pop()
+            top -= 1
         else:
             return NO, None, nodes
     return YES, colors, nodes
@@ -252,8 +250,7 @@ def greedy_coloring(g: Graph) -> ColoringCertificate:
     """
     n = g.n
     order = _by_degree(np.bincount(g.edge_array.ravel(), minlength=n).tolist())
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank = np.argsort(order)  # the inverse permutation
     status, colors, _ = _dsatur(Graph(n, rank[g.edge_array]).masks, n, [], n)
     if colors is None:
         raise RuntimeError(f"greedy DSATUR stopped with status {status!r}")
@@ -270,7 +267,10 @@ def is_c_colorable(g: Graph, c: int, budget: int = DEFAULT_BUDGET) -> ColoringRe
     """
     if c < 1:
         raise ColoringError(f"color count must be >= 1, got {c}")
-    clique = greedy_clique(g)
+    return _decide(g, c, greedy_clique(g), budget)
+
+
+def _decide(g: Graph, c: int, clique: Sequence[int], budget: int) -> ColoringResult:
     if len(clique) > c:
         return ColoringResult(NO, None, 0)
     # no branch can use more than n colors, and the kernel's state is O(c)
@@ -297,7 +297,7 @@ def chromatic_number(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:
     upper = best_cert.c
     nodes = 0
     for c in range(lower, upper):
-        res = is_c_colorable(g, c, budget)
+        res = _decide(g, c, clique, budget)
         nodes += res.nodes
         if res.status == BUDGET_EXCEEDED:
             return ChromaticResult(None, best_cert, c, upper, BUDGET_EXCEEDED,

@@ -681,16 +681,16 @@ def psd_witness_check(g: Graph, witness: PSDWitness,
                              "eigenvalue")
     except LinalgError as err:
         return PSDCheckResult(False, f"ambiguous rank: {err}", None)
-    r = witness.rank
-    if np.count_nonzero(kept) > r:
+    if np.count_nonzero(kept) > witness.rank:
         return PSDCheckResult(False, "rank too high", None)
     if np.any(np.abs(np.diag(a)) <= tol):
         return PSDCheckResult(False, "zero Gram vector", None)
-    k = min(r, n)
+    k = min(witness.rank, n)
     factor = evecs[:, n - k:] * np.sqrt(np.clip(evals[n - k:], 0.0, None))
     rep = OrthogonalRepresentation(k, factor.conj())
-    if not verify_orthogonal_representation(g, rep, tol):
-        return PSDCheckResult(False, "Gram factor failed edge verification", None)
+    verdict = verify_orthogonal_representation(g, rep, tol)
+    if not verdict:
+        return PSDCheckResult(False, f"Gram factor failed: {verdict}", None)
     return PSDCheckResult(True, None, rep)
 
 

@@ -961,13 +961,18 @@ def test_psd_witness_rejection_exit_code(capsys, c5_file, tmp_path):
     code, report, _ = run(capsys, "psd-witness", c5_file, str(w))
     assert code == 1 and not report["ok"]
     assert report["reason"]
-    # the late rejections: a zero diagonal entry; and an eigenvalue 6e-9 the
-    # rank cutoff drops, leaving the factor's edge (0, 1) at -2e-9
+    # the late rejections: a zero diagonal entry; an eigenvalue 6e-9 the
+    # rank cutoff drops, leaving the factor's edge (0, 1) at -2e-9; and a
+    # diagonal entry 5e-9 that passes, but whose eigenvalue the cutoff drops,
+    # leaving vertex 1 the zero vector
     lam = 6e-9
     for matrix, rank, reason in (
             (np.diag([1.0, 0.0]), 1, "zero Gram vector"),
             (np.array([[1, 0, lam - 1], [0, 1, lam - 1], [lam - 1, lam - 1, 2 - lam]]), 2,
-             "Gram factor failed edge verification")):
+             "Gram factor failed: edge not orthogonal on edge (0, 1), color 0 "
+             "(residual 2e-09)"),
+            (np.diag([1.0, 5e-9]), 1,
+             "Gram factor failed: zero vector at vertex 1 (residual 0)")):
         g = tmp_path / "g.col"  # the one edge (0, 1)
         g.write_text(io.write_dimacs(make_graph(len(matrix), [(0, 1)])))
         code, report, _ = run(capsys, "psd-witness", str(g), write_witness(tmp_path, matrix, rank))

@@ -210,3 +210,108 @@ def test_chromatic_number_decides_each_c_once(n, p, seed):
     upper = coloring.greedy_coloring(g).c
     assert res.nodes == sum(coloring.is_c_colorable(g, c).nodes
                             for c in range(lower, min(res.chi + 1, upper)))
+
+
+def _level_set_dsatur(adj, c, seed, budget):
+    """The DSATUR kernel as it was before its saturation counts were
+    bit-sliced: per saturation level s, a bitset of the uncolored vertices at
+    s; coloring a vertex moves its newly saturated neighbours up one level,
+    and backtracking moves them down.  Same contract as coloring._dsatur."""
+    n = len(adj)
+    colors = [-1] * n
+    has = [0] * c
+    level = [0] * (c + 2)
+    seeded = 0
+    for col, v in enumerate(seed):
+        colors[v] = col
+        has[col] = adj[v]
+        seeded |= 1 << v
+    free = ((1 << n) - 1) ^ seeded
+    for u in range(n):
+        if colors[u] < 0:
+            level[(adj[u] & seeded).bit_count()] |= 1 << u
+    k = len(seed)
+    nodes = 0
+    stack = []  # frames [v, saturation, k, color, touched]
+    while free:
+        s = k
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        nodes += 1
+        if nodes > budget:
+            return coloring.BUDGET_EXCEEDED, None, nodes
+        level[s] ^= low
+        free ^= low
+        stack.append([low.bit_length() - 1, s, k, -1, 0])
+        while stack:
+            frame = stack[-1]
+            v, s, k, col, touched = frame
+            if col >= 0:
+                has[col] ^= touched
+                for t in range(1, k + 2):
+                    moved = level[t] & touched
+                    if moved:
+                        level[t] ^= moved
+                        level[t - 1] |= moved
+                        touched ^= moved
+                        if not touched:
+                            break
+            bit = 1 << v
+            col += 1
+            limit = k + 1 if k < c else c
+            while col < limit and has[col] & bit:
+                col += 1
+            if col < limit:
+                touched = adj[v] & free & ~has[col]
+                has[col] |= touched
+                frame[3], frame[4] = col, touched
+                for t in range(k, -1, -1):
+                    moved = level[t] & touched
+                    if moved:
+                        level[t] ^= moved
+                        level[t + 1] |= moved
+                        touched ^= moved
+                        if not touched:
+                            break
+                colors[v] = col
+                if col == k:
+                    k += 1
+                break
+            colors[v] = -1
+            level[s] |= bit
+            free |= bit
+            stack.pop()
+        else:
+            return coloring.NO, None, nodes
+    return coloring.YES, colors, nodes
+
+
+def _greedy_call(g):
+    """The arguments of greedy_coloring's _dsatur call: g relabeled by
+    (-degree, index), c = n, no seed, a budget of n nodes."""
+    order = sorted(range(g.n), key=lambda v: (-g.masks[v].bit_count(), v))
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    return make_graph(g.n, rank[g.edge_array]).masks, g.n, [], g.n
+
+
+@pytest.mark.parametrize("case", [*range(24), "path"])
+def test_dsatur_matches_the_level_set_kernel(case):
+    """Same (status, colors, nodes) as the level-set kernel, so the same search
+    tree: at every c from 1 to the greedy count + 1 with the greedy clique (cut
+    to c) as seed, under budgets of 1, 3, 50 and the default, and on the
+    greedy coloring's own call; on seeded G(n, p), n <= 60, and on a
+    400-vertex path plus a triangle."""
+    if case == "path":
+        g = path_plus_triangle(400)
+    else:
+        rng = np.random.default_rng(case)
+        g = random_graph(int(rng.integers(1, 61)), [0.1, 0.3, 0.5, 0.7, 0.9][case % 5], case)
+    clique = coloring.greedy_clique(g)
+    calls = [_greedy_call(g)]
+    for c in range(1, coloring.greedy_coloring(g).c + 2):
+        calls += [(g.masks, c, clique[:c], budget)
+                  for budget in (1, 3, 50, coloring.DEFAULT_BUDGET)]
+    for call in calls:
+        assert coloring._dsatur(*call) == _level_set_dsatur(*call), call[1:]

@@ -327,6 +327,14 @@ def test_lockstep_terms_match_the_per_restart_sum(g):
     assert np.all(grad[:, isolated] == 0)
 
 
+def test_polish_gives_up_when_a_projection_leaves_nothing():
+    # K_2 in C^2 with both vectors e_0: vertex 0's neighbour spans e_0, so
+    # projecting it out leaves vertex 0 the zero vector
+    x = np.array([[1, 0], [1, 0]], dtype=complex)
+    assert reps._polish(x, [np.array([1]), np.array([0])], 1e-9) is False
+    np.testing.assert_array_equal(x, [[1, 0], [1, 0]])
+
+
 @pytest.mark.parametrize("g,c", [(cycle(7), 3), (petersen(), 3)],
                          ids=["C7-found", "petersen-miss"])
 def test_search_repeats_bit_for_bit(g, c):
